@@ -15,8 +15,8 @@
 //! (`crates/fleet`), prints the scaling table, proves determinism by
 //! re-running a cell, gates every cell's throughput against the
 //! committed `BENCH_fleet*.json` trajectory (>20% regression fails),
-//! writes the regenerated file, and exits non-zero on any fleet
-//! invariant violation.
+//! writes this run's table beside it (`.new`; the tracked file is never
+//! touched), and exits non-zero on any fleet invariant violation.
 
 use std::time::Instant;
 
@@ -429,16 +429,18 @@ fn queries_gate(small: bool, seed: u64) -> bool {
         }
         None => println!(
             "\n(no committed {path} with a matching seed and a concurrent section — perf gate \
-             skipped; this run's file seeds it)"
+             skipped; `mv {path}.new {path}` seeds it)"
         ),
     }
     let gate_ok = violations.is_empty() && perf_ok;
-    // Protect the committed floor: regressed numbers and foreign seeds
-    // park their evidence beside it, never over it.
+    // The tracked floor is never written: every run parks its result
+    // beside it — `.new` when the gate passed (promoting it is a
+    // reviewed `mv`), `.rejected` when it failed, `.seedN` for a foreign
+    // seed.
     let out_path = if foreign_seed {
         format!("{path}.seed{seed}")
     } else if gate_ok {
-        path.to_string()
+        format!("{path}.new")
     } else {
         format!("{path}.rejected")
     };
@@ -1011,25 +1013,20 @@ fn fleet_table(small: bool, seed: u64, mode: fleet::SweepMode, trace_out: Option
         }
     );
     all_ok &= identical;
-    // The machine-readable perf trajectory. The smoke grid writes its
-    // own file so a CI run can never clobber the committed full-sweep
-    // baseline (the two grids are not comparable cell-for-cell).
+    // The machine-readable perf trajectory. The smoke grid has its own
+    // baseline file (the two grids are not comparable cell-for-cell).
     let json = fleet::to_json(seed, small, &reports);
     let path = if small {
         "BENCH_fleet_smoke.json"
     } else {
         "BENCH_fleet.json"
     };
-    // Perf-regression gate: before overwriting, compare each cell's
-    // throughput against the committed trajectory. More than a 20%
-    // regression in any cell fails the run — the committed JSON is the
-    // floor future perf work is measured against, not just a log.
+    // Perf-regression gate: compare each cell's throughput against the
+    // committed trajectory. More than a 20% regression in any cell
+    // fails the run — the committed JSON is the floor future perf work
+    // is measured against, not just a log.
     let mut perf_ok = true;
     let committed = std::fs::read_to_string(path).ok();
-    // A missing or unparsable baseline is reseeded in place; only a
-    // healthy baseline of a DIFFERENT seed is preserved (side-written),
-    // since overwriting it would silently disable the gate for every
-    // future default-seed run.
     let baseline_seed = committed.as_deref().and_then(fleet::baseline_seed);
     let foreign_seed = baseline_seed.is_some_and(|b| b != seed);
     // A polling run (or an overridden poll interval) measures a different
@@ -1084,23 +1081,23 @@ fn fleet_table(small: bool, seed: u64, mode: fleet::SweepMode, trace_out: Option
             }
         }
         None => println!(
-            "\n(no committed {path} with matching seed/grid — perf gate skipped; this run's \
-             file seeds it)"
+            "\n(no committed {path} with matching seed/grid — perf gate skipped; \
+             `mv {path}.new {path}` seeds it)"
         ),
     }
     all_ok &= perf_ok;
-    // Protect the committed floor: a failed gate must not replace it
-    // with the regressed numbers (a later run would silently pass
-    // against the lowered baseline), and a run with a DIFFERENT seed
-    // must not replace it either (the next default-seed run would see
-    // a seed mismatch, skip the gate, and the floor would be gone).
-    // Both park their evidence next to it instead.
+    // The tracked floor is never written — not by a failed gate (a
+    // later run would silently pass against the lowered baseline), not
+    // by a foreign seed or mode (the next default run would skip the
+    // gate), and not by a passing run either (the floor would drift
+    // without review). Every run parks its result beside it; promoting
+    // a `.new` is a reviewed `mv`.
     let out_path = if foreign_seed {
         format!("{path}.seed{seed}")
     } else if foreign_mode {
         format!("{path}.poll")
     } else if perf_ok {
-        path.to_string()
+        format!("{path}.new")
     } else {
         format!("{path}.rejected")
     };

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cloudprov_cloud::{AwsProfile, CloudEnv, RunContext};
-use cloudprov_core::{FlushMode, ProtocolConfig, ProvenanceClient};
+use cloudprov_core::{ProtocolConfig, ProvenanceClient};
 use cloudprov_fs::{LocalIoParams, PaS3fs};
 use cloudprov_sim::Sim;
 
@@ -33,7 +33,7 @@ impl Rig {
     pub fn new(which: Which, context: RunContext, config: ProtocolConfig) -> Rig {
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, AwsProfile::calibrated(context));
-        Self::over(sim, env, which, config, FlushMode::Blocking)
+        Self::over(sim, env, which, config, false)
     }
 
     /// Provisions with an explicit profile (tests use
@@ -41,7 +41,7 @@ impl Rig {
     pub fn with_profile(which: Which, profile: AwsProfile, config: ProtocolConfig) -> Rig {
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, profile);
-        Self::over(sim, env, which, config, FlushMode::Blocking)
+        Self::over(sim, env, which, config, false)
     }
 
     /// Provisions with the non-blocking pipelined flush path (the
@@ -49,17 +49,17 @@ impl Rig {
     pub fn pipelined(which: Which, context: RunContext, config: ProtocolConfig) -> Rig {
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, AwsProfile::calibrated(context));
-        Self::over(sim, env, which, config, FlushMode::Pipelined)
+        Self::over(sim, env, which, config, true)
     }
 
-    fn over(sim: Sim, env: CloudEnv, which: Which, config: ProtocolConfig, mode: FlushMode) -> Rig {
-        let client = Arc::new(
-            ProvenanceClient::builder(which)
-                .config(config)
-                .queue("wal-bench")
-                .flush_mode(mode)
-                .build(&env),
-        );
+    fn over(sim: Sim, env: CloudEnv, which: Which, config: ProtocolConfig, pipelined: bool) -> Rig {
+        let mut builder = ProvenanceClient::builder(which)
+            .config(config)
+            .queue("wal-bench");
+        if pipelined {
+            builder = builder.pipelined();
+        }
+        let client = Arc::new(builder.build(&env));
         Rig { sim, env, client }
     }
 

@@ -47,7 +47,7 @@ pub use explorer::{
 };
 pub use plan::{ChaosPlan, CrashSchedule, FiredCrash};
 pub use targeted::{
-    cas_crash_schedules, group_crash_schedules, notify_crash_schedules, run_cas_crash,
-    run_group_crash, run_notify_crash, CasCrashOutcome, GroupCrashOutcome, NotifyCrashOutcome,
-    CAS_CRASH_POINTS, GROUP_CRASH_POINTS, NOTIFY_CRASH_POINTS,
+    cas_crash_schedules, group_crash_points, group_crash_schedules, notify_crash_schedules,
+    run_cas_crash, run_group_crash, run_notify_crash, CasCrashOutcome, GroupCrashOutcome,
+    NotifyCrashOutcome, CAS_CRASH_POINTS, NOTIFY_CRASH_POINTS,
 };

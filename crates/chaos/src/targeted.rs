@@ -2,9 +2,10 @@
 //!
 //! The seeded explorer kills clients (and their daemons) at *counted*
 //! crash-point crossings, so which step dies depends on the seed. The
-//! group-commit engine's new crash points — `p3:commit:group:{db,index,
-//! gc,ack}` — guard cross-transaction invariants that deserve aimed
-//! shots, not just coverage by luck: this module builds a multi-client
+//! group-commit engine's crash points — one per fan-out of its phase
+//! table, [`commit_crash_points`] — guard cross-transaction invariants
+//! that deserve aimed shots, not just coverage by luck: this module
+//! takes that table as input, builds a multi-client
 //! WAL backlog whose poll commits as one group, kills the daemon at a
 //! *named* step occurrence (first chunk, second chunk, between GC and
 //! ack…), recovers on a fresh daemon after the visibility window, and
@@ -28,25 +29,33 @@ use cloudprov_core::cas::canonical_encoding;
 use cloudprov_core::index::audit_index;
 use cloudprov_core::properties::{causal_report, load_all_records};
 use cloudprov_core::{
-    audit_feed, cas_domain, kill_at_occurrence, sha256_hex, CommitDaemon, CouplingCheck,
-    FlushBatch, FlushObject, Layout, Protocol, ProtocolConfig, ProtocolError, ProvenanceClient,
-    StorageProtocol, CAS_OBJECT_PREFIX, P3,
+    audit_feed, cas_domain, commit_crash_points, kill_at_occurrence, sha256_hex, CommitDaemon,
+    CouplingCheck, FlushBatch, FlushObject, Layout, Protocol, ProtocolConfig, ProtocolError,
+    ProvenanceClient, StorageProtocol, CAS_OBJECT_PREFIX, P3,
 };
 use cloudprov_feed::{Predicate, Subscriptions};
 use cloudprov_pass::{Attr, FlushNode, NodeKind, PNodeId, ProvenanceRecord, Uuid};
 use cloudprov_sim::Sim;
 
-/// The group-commit crash points this module aims at, with the
-/// occurrence each schedule kills: the *second* DB chunk models a death
-/// between two cross-transaction chunks; the first index / GC / ack
-/// crossings model deaths at each phase barrier.
-pub const GROUP_CRASH_POINTS: &[(&str, u64)] = &[
-    ("p3:commit:group:db", 1),
-    ("p3:commit:group:db", 2),
-    ("p3:commit:group:index", 1),
-    ("p3:commit:group:gc", 1),
-    ("p3:commit:group:ack", 1),
-];
+/// The aimed group-commit schedules, derived from the engine's phase
+/// table: the first crossing of every crash point it exports models a
+/// death at that fan-out's barrier (a keyed point — the per-object copy
+/// — is aimed at the schedule's first file), plus the *second* DB chunk,
+/// a death between two cross-transaction chunks.
+pub fn group_crash_points() -> Vec<(String, u64)> {
+    let mut aimed = Vec::new();
+    for point in commit_crash_points() {
+        let mut step = point.to_string();
+        if point.ends_with(':') {
+            step += &file_key(0);
+        }
+        aimed.push((step.clone(), 1));
+        if point == "p3:commit:group:db" {
+            aimed.push((step, 2));
+        }
+    }
+    aimed
+}
 
 /// Transactions each schedule logs before the dying daemon polls.
 const TXNS: u128 = 6;
@@ -55,7 +64,7 @@ const TXNS: u128 = 6;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupCrashOutcome {
     /// The step the schedule aimed at.
-    pub step: &'static str,
+    pub step: String,
     /// Which occurrence of the step was killed.
     pub occurrence: u64,
     /// Whether the aimed step was actually reached (the schedule is
@@ -115,6 +124,11 @@ impl GroupCrashOutcome {
     }
 }
 
+/// Final key of schedule file `i`.
+fn file_key(i: u128) -> String {
+    format!("grp/f{i}")
+}
+
 fn file_with_ancestor(i: u128) -> Vec<FlushObject> {
     let proc_id = PNodeId::initial(Uuid(0x7a00 + i));
     let proc = FlushObject::provenance_only(FlushNode {
@@ -130,7 +144,7 @@ fn file_with_ancestor(i: u128) -> Vec<FlushObject> {
     let id = PNodeId::initial(Uuid(0x7b00 + i));
     let payload = format!("payload-{i}");
     let blob = Blob::from(payload.as_str());
-    let key = format!("grp/f{i}");
+    let key = file_key(i);
     let file = FlushObject::file(
         FlushNode {
             id,
@@ -158,7 +172,7 @@ fn file_with_ancestor(i: u128) -> Vec<FlushObject> {
 /// client identities onto one shared queue, kill a daemon at the aimed
 /// group-commit step, wait out the visibility window, recover with a
 /// fresh daemon, and check convergence.
-pub fn run_group_crash(step: &'static str, occurrence: u64) -> GroupCrashOutcome {
+pub fn run_group_crash(step: &str, occurrence: u64) -> GroupCrashOutcome {
     let sim = Sim::new();
     let env = CloudEnv::new(&sim, AwsProfile::instant());
     let queue = "wal-group-targeted";
@@ -203,14 +217,14 @@ pub fn run_group_crash(step: &'static str, occurrence: u64) -> GroupCrashOutcome
     let reader = P3::with_identity(&env, ProtocolConfig::default(), queue, "reader");
     let mut uncoupled = 0;
     for i in 0..TXNS {
-        match reader.read(&format!("grp/f{i}")) {
+        match reader.read(&file_key(i)) {
             Ok(r) if r.coupling == CouplingCheck::Coupled => {}
             _ => uncoupled += 1,
         }
     }
     let audit = audit_index(&env, &layout);
     GroupCrashOutcome {
-        step,
+        step: step.to_string(),
         occurrence,
         fired: crashed && fired.load(Ordering::Relaxed),
         committed_before,
@@ -225,9 +239,9 @@ pub fn run_group_crash(step: &'static str, occurrence: u64) -> GroupCrashOutcome
     }
 }
 
-/// Runs every aimed schedule in [`GROUP_CRASH_POINTS`].
+/// Runs every aimed schedule of [`group_crash_points`].
 pub fn group_crash_schedules() -> Vec<GroupCrashOutcome> {
-    GROUP_CRASH_POINTS
+    group_crash_points()
         .iter()
         .map(|(step, occ)| run_group_crash(step, *occ))
         .collect()
@@ -568,7 +582,7 @@ pub fn run_cas_crash(step: &'static str, occurrence: u64) -> CasCrashOutcome {
     let reader = P3::with_identity(&env, ProtocolConfig::default(), queue, "reader");
     let mut unreadable_acked = 0;
     for i in 0..acked as u128 {
-        match reader.read(&format!("grp/f{i}")) {
+        match reader.read(&file_key(i)) {
             Ok(r) if r.coupling == CouplingCheck::Coupled => {}
             _ => unreadable_acked += 1,
         }
@@ -637,7 +651,8 @@ mod tests {
 
     #[test]
     fn every_aimed_schedule_fires_and_converges() {
-        for o in group_crash_schedules() {
+        let outcomes = group_crash_schedules();
+        for o in &outcomes {
             assert!(
                 o.violations().is_empty(),
                 "{}#{}: {:?}\n{o:#?}",
@@ -646,12 +661,20 @@ mod tests {
                 o.violations()
             );
         }
+        // Every crash point the phase table exports is aimed at — a new
+        // phase cannot land without its kill schedule.
+        for point in commit_crash_points() {
+            assert!(
+                outcomes.iter().any(|o| o.step.starts_with(point)),
+                "no schedule aims at {point}"
+            );
+        }
     }
 
     #[test]
     fn schedules_are_deterministic() {
-        let (step, occ) = GROUP_CRASH_POINTS[1];
-        assert_eq!(run_group_crash(step, occ), run_group_crash(step, occ));
+        let (step, occ) = &group_crash_points()[1];
+        assert_eq!(run_group_crash(step, *occ), run_group_crash(step, *occ));
     }
 
     #[test]

@@ -82,10 +82,6 @@ impl ServiceCore {
         &self.meter
     }
 
-    pub(crate) fn sim(&self) -> &Sim {
-        &self.sim
-    }
-
     /// One "is this push notification lost?" decision from the fault
     /// plan's seeded stream.
     pub(crate) fn draw_notify_drop(&self) -> bool {

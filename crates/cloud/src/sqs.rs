@@ -6,7 +6,7 @@
 //! four days — the paper's P3 relies on that retention window as its
 //! garbage collector for unfinished write-ahead-log transactions.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,15 +56,10 @@ struct QueueMessage {
 struct QueueState {
     messages: Vec<QueueMessage>,
     next_id: u64,
-    /// Long-poll receivers currently parked on this queue, in FIFO
-    /// order. A send hands each new message's doorbell to the longest
-    /// waiter — exactly one waiter wakes per message, so a fleet of
-    /// parked daemons never stampedes one arrival.
-    waiters: VecDeque<SimSemaphore>,
     /// Arrival watchers (the push-notification hook): every send rings
-    /// every watcher's bell. Unlike `waiters`, a watcher claims nothing —
-    /// it is a hint to go poll — so delivery is best-effort and the
-    /// fault plan may drop it (`notify_drop_probability`).
+    /// every watcher's bell. A watcher claims nothing — it is a hint to
+    /// go poll — so delivery is best-effort and the fault plan may drop
+    /// it (`notify_drop_probability`).
     watchers: Vec<(u64, SimSemaphore)>,
     next_watch: u64,
     /// Drain watchers (the admission-doorbell hook): every delete call
@@ -153,18 +148,11 @@ impl QueueService {
             .retain(|m| now.saturating_duration_since(m.sent_at) < RETENTION);
     }
 
-    /// Arrival fan-out, called at a send's commit point: wakes one parked
-    /// long-poll waiter per arrived message (each wake claims a message)
-    /// and rings every watcher's doorbell (a poll hint; the fault plan
-    /// may drop it, and watchers must tolerate that by falling back to
-    /// their polling cadence).
-    fn ring(core: &ServiceCore, q: &mut QueueState, arrivals: usize) {
-        for _ in 0..arrivals {
-            match q.waiters.pop_front() {
-                Some(w) => w.release(),
-                None => break,
-            }
-        }
+    /// Arrival fan-out, called at a send's commit point: rings every
+    /// watcher's doorbell (a poll hint; the fault plan may drop it, and
+    /// watchers must tolerate that by falling back to their polling
+    /// cadence).
+    fn ring(core: &ServiceCore, q: &mut QueueState) {
         for (_, w) in &q.watchers {
             if !core.draw_notify_drop() {
                 w.release();
@@ -185,11 +173,10 @@ impl QueueService {
         }
     }
 
-    /// The shared receive sampling logic: picks up to `max` visible
-    /// messages uniformly at random (no ordering promise), marking each
-    /// invisible for `vis` unless the fault plan injects a duplicate
-    /// delivery. Runs at a receive's commit point and at long-poll
-    /// re-checks (which ride the original metered request).
+    /// The receive sampling logic: picks up to `max` visible messages
+    /// uniformly at random (no ordering promise), marking each invisible
+    /// for `vis` unless the fault plan injects a duplicate delivery.
+    /// Runs at a receive's commit point.
     fn pick_visible(
         core: &ServiceCore,
         q: &mut QueueState,
@@ -268,7 +255,7 @@ impl QueueService {
                     visible_at: now,
                     delivery_count: 0,
                 });
-                Self::ring(&core, q, 1);
+                Self::ring(&core, q);
                 Ok((id, 0))
             })
     }
@@ -300,82 +287,6 @@ impl QueueService {
                 Self::expire(q, now);
                 Ok(Self::pick_visible(&core, q, max, vis, now))
             })
-    }
-
-    /// Long-poll receive (`WaitTimeSeconds`): like [`QueueService::receive`],
-    /// but an empty queue parks the calling simulated thread for up to
-    /// `wait` instead of returning immediately. The parked receiver wakes
-    /// when a send lands a message (each message wakes exactly one
-    /// waiter), when an in-flight message's visibility timeout lapses
-    /// back to visible, or when `wait` expires — whichever comes first.
-    ///
-    /// Billing matches the real API: the whole long poll is **one**
-    /// metered request, charged up front when the connection opens;
-    /// waiting costs nothing per tick. (The sim does not hold a server
-    /// concurrency slot while parked — a held slot would let a fleet of
-    /// idle pollers starve the senders that are supposed to wake them.)
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::NoSuchQueue`] for unknown queue URLs.
-    pub fn receive_wait(
-        &self,
-        queue_url: &str,
-        max: usize,
-        wait: Duration,
-    ) -> Result<Vec<ReceivedMessage>> {
-        // The opening receive is the long poll's single metered request.
-        let first = self.receive(queue_url, max)?;
-        if !first.is_empty() || wait.is_zero() {
-            return Ok(first);
-        }
-        let sim = self.core.sim().clone();
-        let max = max.clamp(1, RECEIVE_MAX);
-        let vis = self.visibility_timeout;
-        let deadline = sim.now() + wait;
-        loop {
-            let signal = SimSemaphore::new(&sim, 0);
-            let now = sim.now();
-            // Re-check and (if still empty) register the doorbell under
-            // one lock, so a send landing between the two cannot be lost.
-            let (msgs, next_visible) = {
-                let mut st = self.state.lock();
-                let q = st
-                    .queues
-                    .get_mut(queue_url)
-                    .ok_or_else(|| CloudError::NoSuchQueue(queue_url.to_string()))?;
-                Self::expire(q, now);
-                let (msgs, _bytes) = Self::pick_visible(&self.core, q, max, vis, now);
-                if msgs.is_empty() && now < deadline {
-                    q.waiters.push_back(signal.clone());
-                }
-                let next_visible = q
-                    .messages
-                    .iter()
-                    .map(|m| m.visible_at)
-                    .filter(|&t| t > now)
-                    .min();
-                (msgs, next_visible)
-            };
-            if !msgs.is_empty() {
-                return Ok(msgs);
-            }
-            if now >= deadline {
-                return Ok(Vec::new());
-            }
-            // Park until a send rings the bell, an invisible message's
-            // window lapses, or the caller's wait expires.
-            let until = next_visible.map_or(deadline, |t| t.min(deadline));
-            if let Some(p) = signal.acquire_timeout(until.saturating_duration_since(now)) {
-                p.forget();
-            }
-            // De-register; a no-op if the send that woke us already
-            // popped the doorbell. Loop back for the re-check.
-            let mut st = self.state.lock();
-            if let Some(q) = st.queues.get_mut(queue_url) {
-                q.waiters.retain(|w| !w.same(&signal));
-            }
-        }
     }
 
     /// Registers `signal` as an arrival watcher on a queue: every
@@ -522,7 +433,6 @@ impl QueueService {
                     .get_mut(&url)
                     .ok_or(CloudError::NoSuchQueue(url.clone()))?;
                 Self::expire(q, now);
-                let mut landed = 0usize;
                 let results: Vec<Result<u64>> = bodies
                     .into_iter()
                     .map(|body| {
@@ -541,11 +451,10 @@ impl QueueService {
                             visible_at: now,
                             delivery_count: 0,
                         });
-                        landed += 1;
                         Ok(id)
                     })
                     .collect();
-                Self::ring(&core, q, landed);
+                Self::ring(&core, q);
                 Ok((results, 0))
             },
         )
@@ -1128,155 +1037,6 @@ mod tests {
         q.delete(&url, &second[0].receipt).unwrap();
         q.delete(&url, &second[0].receipt).unwrap();
         assert_eq!(q.peek_depth(&url), 0);
-    }
-
-    // ---- long-poll semantics -------------------------------------------
-
-    #[test]
-    fn long_poll_blocks_until_send() {
-        let (sim, q) = sqs(AwsProfile::instant());
-        let url = q.create_queue("wal");
-        let receiver = {
-            let q = q.clone();
-            let url = url.clone();
-            sim.spawn(move || q.receive_wait(&url, 10, Duration::from_secs(60)).unwrap())
-        };
-        sim.sleep(Duration::from_secs(7));
-        q.send(&url, Bytes::from_static(b"pushed")).unwrap();
-        let msgs = receiver.join();
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].body.as_ref(), b"pushed");
-        let t = sim.now().as_secs_f64();
-        assert!(
-            (t - 7.0).abs() < 0.01,
-            "the receiver wakes at the send, not at its 60 s deadline (t={t})"
-        );
-    }
-
-    #[test]
-    fn long_poll_times_out_empty() {
-        let (sim, q) = sqs(AwsProfile::instant());
-        let url = q.create_queue("wal");
-        let msgs = q.receive_wait(&url, 10, Duration::from_secs(20)).unwrap();
-        assert!(msgs.is_empty());
-        let t = sim.now().as_secs_f64();
-        assert!((t - 20.0).abs() < 0.01, "t={t}");
-    }
-
-    #[test]
-    fn long_poll_wakes_exactly_one_waiter_per_message() {
-        let (sim, q) = sqs(AwsProfile::instant());
-        let url = q.create_queue("wal");
-        // Three parked receivers, one message: exactly one gets it, at
-        // the send instant; the other two wait out their full windows.
-        let receivers: Vec<_> = (0..3)
-            .map(|_| {
-                let q = q.clone();
-                let url = url.clone();
-                sim.spawn(move || {
-                    let msgs = q.receive_wait(&url, 10, Duration::from_secs(30)).unwrap();
-                    (msgs.len(), q.core.sim().now())
-                })
-            })
-            .collect();
-        sim.sleep(Duration::from_secs(5));
-        q.send(&url, Bytes::from_static(b"one")).unwrap();
-        let outcomes: Vec<(usize, SimTime)> = receivers.into_iter().map(|h| h.join()).collect();
-        let winners: Vec<_> = outcomes.iter().filter(|(n, _)| *n == 1).collect();
-        let losers: Vec<_> = outcomes.iter().filter(|(n, _)| *n == 0).collect();
-        assert_eq!(winners.len(), 1, "one message wakes one waiter");
-        assert!((winners[0].1.as_secs_f64() - 5.0).abs() < 0.01);
-        assert_eq!(losers.len(), 2);
-        for (_, t) in losers {
-            let t = t.as_secs_f64();
-            assert!(
-                (t - 30.0).abs() < 0.01,
-                "losers sleep to their deadline (t={t})"
-            );
-        }
-    }
-
-    #[test]
-    fn long_poll_respects_visibility_timeout() {
-        let (sim, q) = sqs(AwsProfile::instant());
-        let q = q.with_visibility_timeout(Duration::from_secs(10));
-        let url = q.create_queue("wal");
-        q.send(&url, Bytes::from_static(b"m")).unwrap();
-        let held = q.receive(&url, 1).unwrap();
-        assert_eq!(held.len(), 1);
-        // The message is in flight: a long poll must NOT return it early.
-        // It must wake when the visibility window lapses — no send occurs.
-        let redelivered = q.receive_wait(&url, 10, Duration::from_secs(60)).unwrap();
-        assert_eq!(redelivered.len(), 1);
-        assert_eq!(redelivered[0].id, held[0].id);
-        assert_ne!(redelivered[0].receipt, held[0].receipt);
-        let t = sim.now().as_secs_f64();
-        assert!(
-            (t - 10.0).abs() < 0.01,
-            "woken by the visibility lapse, not the 60 s deadline (t={t})"
-        );
-    }
-
-    #[test]
-    fn long_poll_bills_one_request_not_per_tick() {
-        let (sim, q) = sqs(AwsProfile::instant());
-        let url = q.create_queue("wal");
-        let receiver = {
-            let q = q.clone();
-            let url = url.clone();
-            sim.spawn(move || q.receive_wait(&url, 10, Duration::from_secs(300)).unwrap())
-        };
-        sim.sleep(Duration::from_secs(200));
-        q.send(&url, Bytes::from_static(b"late")).unwrap();
-        let msgs = receiver.join();
-        assert_eq!(msgs.len(), 1);
-        let rep = q.core.meter().report(sim.now());
-        assert_eq!(
-            rep.get(Actor::Client, Service::Queue, Op::Receive).count,
-            1,
-            "a 200 s long poll is one metered receive, not a poll loop"
-        );
-        // An empty long poll costs one request too.
-        q.receive_wait(&url, 10, Duration::from_secs(30)).unwrap();
-        let rep = q.core.meter().report(sim.now());
-        assert_eq!(rep.get(Actor::Client, Service::Queue, Op::Receive).count, 2);
-    }
-
-    #[test]
-    fn long_poll_stale_receipt_delete_after_wake_is_rejected() {
-        // A consumer holds a receipt, dawdles past the visibility window,
-        // and a parked long-poller is woken with the redelivery. The
-        // first consumer's late ack must be rejected — otherwise it would
-        // delete the message out from under the woken receiver.
-        let (sim, q) = sqs(AwsProfile::instant());
-        let q = q.with_visibility_timeout(Duration::from_secs(5));
-        let url = q.create_queue("wal");
-        q.send(&url, Bytes::from_static(b"contested")).unwrap();
-        let slow = q.receive(&url, 1).unwrap();
-        let woken = q.receive_wait(&url, 10, Duration::from_secs(60)).unwrap();
-        assert_eq!(woken.len(), 1, "redelivered to the long poll at t=5");
-        let err = q.delete(&url, &slow[0].receipt).unwrap_err();
-        assert!(
-            matches!(err, CloudError::InvalidReceipt(_)),
-            "stale receipt after a wake must not ack"
-        );
-        q.delete(&url, &woken[0].receipt).unwrap();
-        assert_eq!(q.peek_depth(&url), 0);
-        let t = sim.now().as_secs_f64();
-        assert!((t - 5.0).abs() < 0.01, "t={t}");
-    }
-
-    #[test]
-    fn long_poll_with_messages_already_visible_is_instant() {
-        let (sim, q) = sqs(AwsProfile::instant());
-        let url = q.create_queue("wal");
-        q.send(&url, Bytes::from_static(b"ready")).unwrap();
-        let msgs = q.receive_wait(&url, 10, Duration::from_secs(60)).unwrap();
-        assert_eq!(msgs.len(), 1);
-        assert!(
-            sim.now().as_secs_f64() < 0.01,
-            "no parking when messages wait"
-        );
     }
 
     // ---- arrival watchers (push-notification hook) ---------------------

@@ -26,7 +26,7 @@
 //!   (name, value) pairs, both idempotent.
 //!
 //! The client's flusher then logs WAL transactions that *reference*
-//! hashes (`CAS\t…` lines) instead of carrying payloads, and a
+//! hashes (`CAS` lines) instead of carrying payloads, and a
 //! [`FlushTicket`](crate::FlushTicket) resolves on the delta alone —
 //! see the flush-path walkthrough in `client.rs`.
 //!

@@ -1,41 +1,41 @@
 //! The [`ProvenanceClient`] session facade: one front door to the four
 //! storage configurations.
 //!
-//! Every consumer of this workspace — workloads, benches, examples,
-//! integration tests — used to hand-construct a concrete protocol
-//! (`P1::new`, `P2::new`, …), wire P3's commit daemon separately, and
-//! block on every synchronous `flush`. The facade replaces all of that
-//! with a session object built by a typed [`ClientBuilder`]:
+//! A session is built by the [`ClientBuilder`]: pick a [`Protocol`],
+//! hand over its tuning as one [`ProtocolConfig`] (the only knob
+//! surface), and get a handle bundling
 //!
-//! * **Protocol selection** via [`Protocol`] instead of four constructors.
-//! * **A non-blocking pipelined flush path**: [`ProvenanceClient::flush_async`]
-//!   enqueues the batch and returns a [`FlushTicket`] immediately; a
-//!   background flusher thread on the [`Sim`] coalesces queued batches,
-//!   drops ancestors already persisted in an earlier batch, and uploads
-//!   each merged batch through the protocol's parallel upload path (up
-//!   to `upload_concurrency` connections). [`ProvenanceClient::sync`]
-//!   and [`ProvenanceClient::drain`] are the barriers the crash
-//!   experiments need.
-//! * **Daemon wiring**: a P3 client owns its commit daemon; `drain`
-//!   runs it to quiescence.
-//! * **One error type** ([`ClientError`](crate::ClientError)) at the
-//!   facade boundary.
-//!
-//! The client itself implements [`StorageProtocol`], so it drops into
-//! every existing consumer (`PaS3fs`, the trace driver, the query
-//! engine) unchanged: in pipelined mode `flush` becomes an enqueue.
+//! * the protocol, behind [`StorageProtocol`] — so the client drops into
+//!   every consumer (`PaS3fs`, the trace driver, the query engine);
+//! * P3's commit daemon — [`ProvenanceClient::drain`] runs it to
+//!   quiescence;
+//! * optionally the **non-blocking pipelined flush path**:
+//!   [`ProvenanceClient::flush_async`] enqueues the batch and returns a
+//!   [`FlushTicket`] immediately; a background flusher thread on the
+//!   [`Sim`] coalesces queued batches, drops ancestors already persisted
+//!   in an earlier batch, and uploads each merged batch through the
+//!   protocol's parallel upload path. In this mode `flush` becomes an
+//!   enqueue, and [`ProvenanceClient::sync`] / `drain` are the barriers
+//!   the crash experiments need;
+//! * one error type ([`ClientError`](crate::ClientError)) at the facade
+//!   boundary.
 //!
 //! # Examples
 //!
 //! ```
 //! use cloudprov_cloud::{AwsProfile, CloudEnv};
-//! use cloudprov_core::{FlushBatch, Protocol, ProvenanceClient, StorageProtocol};
+//! use cloudprov_core::{
+//!     FlushBatch, Protocol, ProtocolConfig, ProvenanceClient, StorageProtocol,
+//! };
 //! use cloudprov_sim::Sim;
 //!
 //! let sim = Sim::new();
 //! let env = CloudEnv::new(&sim, AwsProfile::instant());
 //! let client = ProvenanceClient::builder(Protocol::P2)
-//!     .upload_concurrency(8)
+//!     .config(ProtocolConfig {
+//!         upload_concurrency: 8,
+//!         ..ProtocolConfig::default()
+//!     })
 //!     .build(&env);
 //! client.flush(FlushBatch::default())?;
 //! client.drain()?;
@@ -55,7 +55,6 @@ use cloudprov_sim::{Sim, SimSemaphore, SimTime};
 
 use crate::cas::{CasFlushItem, CasRef, CasStore};
 use crate::error::{ClientError, ClientResult, ProtocolError, Result};
-use crate::layout::Layout;
 use crate::p3::{CleanerDaemon, CommitDaemon, P3};
 use crate::protocol::{
     FlushBatch, ProtocolConfig, ProvenanceStore, ReadResult, S3fsBaseline, StepHook,
@@ -116,35 +115,35 @@ impl std::str::FromStr for Protocol {
     }
 }
 
-/// How [`StorageProtocol::flush`] behaves on the client.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlushMode {
-    /// `flush` blocks until the batch is durable (the paper's client).
-    #[default]
-    Blocking,
-    /// `flush` enqueues to the background flusher and returns
-    /// immediately; [`ProvenanceClient::sync`]/[`ProvenanceClient::drain`]
-    /// are the durability barriers.
-    Pipelined,
-}
-
 /// Admission gate for client-side backpressure: `flush` / `flush_async`
 /// block (in virtual time) while the gate returns `false`. The fleet
 /// wires this to a bounded per-shard WAL depth, so clients sharing an
 /// overloaded shard throttle instead of growing the queue without bound.
 pub type AdmissionGate = Arc<dyn Fn() -> bool + Send + Sync>;
 
+/// Client-side backpressure installed by [`ClientBuilder::admission`].
+#[derive(Clone)]
+struct Admission {
+    gate: AdmissionGate,
+    /// Re-check interval while the gate is closed (the lost-wakeup
+    /// fallback when a bell is installed).
+    poll: Duration,
+    bell: Option<SimSemaphore>,
+}
+
 /// Typed builder for [`ProvenanceClient`] — the only supported way to
-/// construct a storage protocol outside `cloudprov-core`.
+/// construct a storage protocol outside `cloudprov-core`. Protocol
+/// tuning lives in one place, [`ProtocolConfig`], handed over whole with
+/// [`ClientBuilder::config`]; the builder's own methods cover only what
+/// is a property of the *session* rather than of the protocol.
 #[derive(Clone)]
 pub struct ClientBuilder {
     protocol: Protocol,
     config: ProtocolConfig,
     queue: String,
     identity: Option<String>,
-    mode: FlushMode,
-    throttle: Option<(AdmissionGate, Duration)>,
-    bell: Option<SimSemaphore>,
+    pipelined: bool,
+    admission: Option<Admission>,
 }
 
 impl fmt::Debug for ClientBuilder {
@@ -154,9 +153,8 @@ impl fmt::Debug for ClientBuilder {
             .field("config", &self.config)
             .field("queue", &self.queue)
             .field("identity", &self.identity)
-            .field("mode", &self.mode)
-            .field("throttle", &self.throttle.as_ref().map(|(_, p)| p))
-            .field("bell", &self.bell.is_some())
+            .field("pipelined", &self.pipelined)
+            .field("admission", &self.admission.as_ref().map(|a| a.poll))
             .finish()
     }
 }
@@ -169,84 +167,22 @@ impl ClientBuilder {
             config: ProtocolConfig::default(),
             queue: "wal".to_string(),
             identity: None,
-            mode: FlushMode::Blocking,
-            throttle: None,
-            bell: None,
+            pipelined: false,
+            admission: None,
         }
     }
 
-    /// Cloud naming layout (buckets, prefixes, SimpleDB domain).
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.config.layout = layout;
+    /// The protocol tuning config (defaults to
+    /// [`ProtocolConfig::default`], the paper's tuning).
+    pub fn config(mut self, config: ProtocolConfig) -> Self {
+        self.config = config;
         self
     }
 
-    /// Client-side parallel connections for uploads.
-    pub fn upload_concurrency(mut self, n: usize) -> Self {
-        self.config.upload_concurrency = n.max(1);
-        self
-    }
-
-    /// Persist ancestors strictly before descendants (the protocol as
-    /// *specified*; the paper's evaluated implementation uploads in
-    /// parallel).
-    pub fn strict_causal_order(mut self, strict: bool) -> Self {
-        self.config.strict_causal_order = strict;
-        self
-    }
-
-    /// Retries per cloud call before giving up.
-    pub fn retries(mut self, n: usize) -> Self {
-        self.config.retries = n;
-        self
-    }
-
-    /// Crash-injection hook checked at protocol step boundaries.
+    /// Crash-injection hook checked at protocol step boundaries
+    /// (shorthand for setting [`ProtocolConfig::step_hook`]).
     pub fn step_hook(mut self, hook: StepHook) -> Self {
         self.config.step_hook = Some(hook);
-        self
-    }
-
-    /// P3 WAL message payload budget in bytes (≤ the 8 KB SQS limit).
-    pub fn wal_message_limit(mut self, bytes: usize) -> Self {
-        self.config.wal_message_limit = bytes;
-        self
-    }
-
-    /// Items per SimpleDB batch write (≤ the 25-item service limit).
-    pub fn db_batch(mut self, items: usize) -> Self {
-        self.config.db_batch = items;
-        self
-    }
-
-    /// Parallel connections for SimpleDB batch calls.
-    pub fn db_concurrency(mut self, n: usize) -> Self {
-        self.config.db_concurrency = n.max(1);
-        self
-    }
-
-    /// Whether P3's log phase packs WAL messages into SendMessageBatch
-    /// calls (on by default; off reproduces the paper's one-send-per-
-    /// message 2009 client).
-    pub fn wal_batch_send(mut self, on: bool) -> Self {
-        self.config.wal_batch_send = on;
-        self
-    }
-
-    /// Parallel connections P3's commit daemon opens inside one group
-    /// commit (S3 copy/GC fan-out, batched WAL acks). Daemon-side only.
-    pub fn commit_parallelism(mut self, n: usize) -> Self {
-        self.config.commit_parallelism = n.max(1);
-        self
-    }
-
-    /// Whether P3's commit daemon maintains the commit-time ancestry
-    /// index (on by default). Turning it off removes the indexed query
-    /// plan — the planner falls back to SELECTs — and saves the daemon's
-    /// index writes; deployments that never run lineage queries may
-    /// prefer that trade.
-    pub fn ancestry_index(mut self, on: bool) -> Self {
-        self.config.index = on;
         self
     }
 
@@ -266,56 +202,35 @@ impl ClientBuilder {
         self
     }
 
-    /// Installs client-side backpressure: `flush`/`flush_async` re-check
-    /// `gate` every `poll` of virtual time and proceed only once it
-    /// admits. The gate is polled on the *submitting* thread, before the
-    /// batch enters the pipeline.
-    pub fn throttle(mut self, gate: AdmissionGate, poll: Duration) -> Self {
-        self.throttle = Some((gate, poll.max(Duration::from_millis(1))));
+    /// Installs client-side backpressure: `flush`/`flush_async` proceed
+    /// only once `gate` admits, re-checking it on the *submitting*
+    /// thread before the batch enters the pipeline. With a `bell` the
+    /// throttled client parks on it and re-checks whenever it rings —
+    /// the fleet rings it when the commit daemon acknowledges WAL
+    /// messages on the client's shard — and `poll` is only the lost-
+    /// wakeup fallback (a lost ring degrades to polling, never a stuck
+    /// client); without one, `poll` is the re-check cadence.
+    pub fn admission(
+        mut self,
+        gate: AdmissionGate,
+        poll: Duration,
+        bell: Option<SimSemaphore>,
+    ) -> Self {
+        self.admission = Some(Admission {
+            gate,
+            poll: poll.max(Duration::from_millis(1)),
+            bell,
+        });
         self
     }
 
-    /// Installs an admission doorbell: a throttled client parks on this
-    /// semaphore (instead of sleeping a full poll interval) and re-checks
-    /// the gate whenever it rings — the fleet rings it when the commit
-    /// daemon acknowledges WAL messages on the client's shard. A lost
-    /// wakeup degrades to the `throttle` poll fallback, never a stuck
-    /// client. No effect without a throttle gate.
-    pub fn admission_bell(mut self, bell: SimSemaphore) -> Self {
-        self.bell = Some(bell);
-        self
-    }
-
-    /// Whether the pipelined P3 flush path routes eligible objects
-    /// through the fleet-wide content-addressed ancestor store (on by
-    /// default; inert for other protocols and blocking clients).
-    pub fn cas(mut self, on: bool) -> Self {
-        self.config.cas = on;
-        self
-    }
-
-    /// Capacity of the pipelined flusher's cross-batch dedupe set.
-    pub fn dedupe_cap(mut self, cap: usize) -> Self {
-        self.config.dedupe_cap = cap;
-        self
-    }
-
-    /// Selects the non-blocking pipelined flush path.
+    /// Selects the non-blocking pipelined flush path: `flush` enqueues to
+    /// the background flusher and returns immediately, and
+    /// [`ProvenanceClient::sync`]/[`ProvenanceClient::drain`] are the
+    /// durability barriers. The default blocks until the batch is
+    /// durable (the paper's client).
     pub fn pipelined(mut self) -> Self {
-        self.mode = FlushMode::Pipelined;
-        self
-    }
-
-    /// Sets the flush mode explicitly.
-    pub fn flush_mode(mut self, mode: FlushMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Replaces the whole tuning config (escape hatch for harnesses that
-    /// sweep configs; prefer the typed setters).
-    pub fn config(mut self, config: ProtocolConfig) -> Self {
-        self.config = config;
+        self.pipelined = true;
         self
     }
 
@@ -326,12 +241,9 @@ impl ClientBuilder {
             config,
             queue,
             identity,
-            mode,
-            throttle,
-            bell,
+            pipelined,
+            admission,
         } = self;
-        let mut wal_url = None;
-        let mut daemon = None;
         let mut p3_handle = None;
         let inner: Arc<dyn StorageProtocol> = match protocol {
             Protocol::S3fs => Arc::new(S3fsBaseline::new(env, config.clone())),
@@ -340,21 +252,13 @@ impl ClientBuilder {
             Protocol::P3 => {
                 let identity = identity.as_deref().unwrap_or(&queue);
                 let p3 = P3::with_identity(env, config.clone(), &queue, identity);
-                wal_url = Some(p3.wal_url().to_string());
-                daemon = Some(Arc::new(p3.commit_daemon()));
                 p3_handle = Some(p3.clone());
                 Arc::new(p3)
             }
         };
-        let pipeline = match mode {
-            FlushMode::Blocking => None,
-            FlushMode::Pipelined => Some(Pipeline::start(
-                env,
-                inner.clone(),
-                p3_handle.clone(),
-                config.clone(),
-            )),
-        };
+        let daemon = p3_handle.as_ref().map(|p3| Arc::new(p3.commit_daemon()));
+        let pipeline = pipelined
+            .then(|| Pipeline::start(env, inner.clone(), p3_handle.clone(), config.clone()));
         ProvenanceClient {
             env: env.clone(),
             protocol,
@@ -362,11 +266,8 @@ impl ClientBuilder {
             inner,
             daemon,
             p3: p3_handle,
-            wal_url,
-            mode,
             pipeline,
-            throttle,
-            bell,
+            admission,
         }
     }
 }
@@ -382,18 +283,15 @@ pub struct ProvenanceClient {
     /// Concrete P3 handle (shares state with `inner`), for P3-only
     /// instrumentation like the logged-transaction timestamps.
     p3: Option<P3>,
-    wal_url: Option<String>,
-    mode: FlushMode,
     pipeline: Option<Pipeline>,
-    throttle: Option<(AdmissionGate, Duration)>,
-    bell: Option<SimSemaphore>,
+    admission: Option<Admission>,
 }
 
 impl fmt::Debug for ProvenanceClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProvenanceClient")
             .field("protocol", &self.protocol)
-            .field("mode", &self.mode)
+            .field("pipelined", &self.pipeline.is_some())
             .field("config", &self.config)
             .finish()
     }
@@ -408,11 +306,6 @@ impl ProvenanceClient {
     /// Which storage configuration this session uses.
     pub fn protocol(&self) -> Protocol {
         self.protocol
-    }
-
-    /// How `flush` behaves on this session.
-    pub fn flush_mode(&self) -> FlushMode {
-        self.mode
     }
 
     /// The cloud environment the session runs against.
@@ -454,7 +347,7 @@ impl ProvenanceClient {
     /// URL of this session's P3 WAL queue (None for other protocols) —
     /// what a recovery machine needs to commit on this client's behalf.
     pub fn wal_url(&self) -> Option<&str> {
-        self.wal_url.as_deref()
+        self.p3.as_ref().map(P3::wal_url)
     }
 
     /// (transaction id, WAL-durable instant) for every transaction this
@@ -474,12 +367,12 @@ impl ProvenanceClient {
     /// daemon drains the shard) and the poll interval is only the lost-
     /// wakeup fallback. Returns how long admission blocked.
     fn admit(&self) -> Duration {
-        let Some((gate, poll)) = &self.throttle else {
+        let Some(Admission { gate, poll, bell }) = &self.admission else {
             return Duration::ZERO;
         };
         let start = self.env.sim().now();
         while !gate() {
-            match &self.bell {
+            match bell {
                 Some(bell) => {
                     if let Some(permit) = bell.acquire_timeout(*poll) {
                         permit.forget();
@@ -500,7 +393,7 @@ impl ProvenanceClient {
     /// an inline flush returning a resolved ticket, so call sites can be
     /// mode-agnostic.
     ///
-    /// With a [`ClientBuilder::throttle`] gate installed, the call
+    /// With a [`ClientBuilder::admission`] gate installed, the call
     /// blocks until the gate admits — after CAS staging, so ancestor
     /// publishes overlap the throttle wait.
     pub fn flush_async(&self, batch: FlushBatch) -> FlushTicket {
@@ -590,18 +483,12 @@ impl StorageProtocol for ProvenanceClient {
     /// immediately — errors surface at the next barrier or ticket wait.
     /// Either way an installed admission gate is waited out first.
     fn flush(&self, batch: FlushBatch) -> Result<()> {
-        match &self.pipeline {
-            Some(p) => {
-                let refs = p.stage(&batch);
-                let admission = self.admit();
-                p.submit(batch, refs, admission);
-                Ok(())
-            }
-            None => {
-                self.admit();
-                self.inner.flush(batch)
-            }
+        if self.pipeline.is_some() {
+            self.flush_async(batch);
+            return Ok(());
         }
+        self.admit();
+        self.inner.flush(batch)
     }
 
     fn read(&self, key: &str) -> Result<ReadResult> {
@@ -917,14 +804,20 @@ impl PipelineState {
 /// covered objects (waiting out their publishes first, so the WAL never
 /// names a hash that is not durable) and inline uploads only for the
 /// rest.
+#[derive(Clone)]
 struct Pipeline {
     sim: Sim,
     shared: Arc<Mutex<PipelineState>>,
     /// Producer/consumer signal: one release per submitted job plus one
     /// per shutdown request.
     work: SimSemaphore,
-    /// The fleet-wide content-addressed ancestor store (P3 with
-    /// `ProtocolConfig::cas` only).
+    inner: Arc<dyn StorageProtocol>,
+    /// The P3 handle CAS-routed merges log through, and the fleet-wide
+    /// content-addressed ancestor store they reference. CAS routing
+    /// needs the WAL's `CAS`-line vocabulary, so both are `Some` only on
+    /// P3 with `ProtocolConfig::cas`; everything else uploads inline
+    /// with refs all `None`.
+    p3cas: Option<P3>,
     cas: Option<CasStore>,
     config: ProtocolConfig,
 }
@@ -936,50 +829,31 @@ impl Pipeline {
         p3: Option<P3>,
         config: ProtocolConfig,
     ) -> Pipeline {
-        let sim = env.sim().clone();
-        // CAS routing needs the WAL's CAS-line vocabulary, so it is
-        // P3-only; other protocols (and `cas: false`) keep the legacy
-        // inline-upload path with refs all `None`.
-        let p3cas = if config.cas { p3 } else { None };
-        let cas = p3cas.as_ref().map(|_| CasStore::new(env, config.clone()));
-        let shared = Arc::new(Mutex::new(PipelineState::default()));
-        let work = SimSemaphore::new(&sim, 0);
-        {
-            let shared = shared.clone();
-            let work = work.clone();
-            let cas = cas.clone();
-            let config = config.clone();
-            // The handle is deliberately dropped: the flusher exits on
-            // shutdown (or idles, parked on `work`, costing no virtual
-            // time) and is never joined.
-            let sim2 = sim.clone();
-            let _flusher =
-                sim.spawn(move || Self::run(sim2, shared, work, inner, p3cas, cas, config));
-        }
-        Pipeline {
-            sim,
-            shared,
-            work,
-            cas,
+        let p3cas = p3.filter(|_| config.cas);
+        let pipeline = Pipeline {
+            cas: p3cas.as_ref().map(|_| CasStore::new(env, config.clone())),
+            sim: env.sim().clone(),
+            shared: Arc::new(Mutex::new(PipelineState::default())),
+            work: SimSemaphore::new(env.sim(), 0),
+            inner,
+            p3cas,
             config,
-        }
+        };
+        // The handle is deliberately dropped: the flusher exits on
+        // shutdown (or idles, parked on `work`, costing no virtual time)
+        // and is never joined.
+        let flusher = pipeline.clone();
+        let _flusher = pipeline.sim.spawn(move || flusher.run());
+        pipeline
     }
 
-    fn run(
-        sim: Sim,
-        shared: Arc<Mutex<PipelineState>>,
-        work: SimSemaphore,
-        inner: Arc<dyn StorageProtocol>,
-        p3cas: Option<P3>,
-        cas: Option<CasStore>,
-        config: ProtocolConfig,
-    ) {
+    fn run(self) {
         loop {
             // One signal per job; extra wakeups (for jobs a previous
             // iteration already coalesced) find the queue empty.
-            work.acquire().forget();
+            self.work.acquire().forget();
             let (jobs, entries, wait_shas, merged_ids) = {
-                let mut st = shared.lock();
+                let mut st = self.shared.lock();
                 if st.queue.is_empty() {
                     if st.shutdown {
                         break;
@@ -1046,14 +920,14 @@ impl Pipeline {
                     while let Some(job) = pending.pop_back() {
                         st.queue.push_front(job);
                     }
-                    work.release();
+                    self.work.release();
                 }
                 if !entries.is_empty() {
                     st.uploads += 1;
                 }
                 (jobs, entries, wait_shas, seen)
             };
-            let pickup_at = sim.now();
+            let pickup_at = self.sim.now();
             // Dedupe can empty the merge entirely; skip the protocol
             // call then (P3 would otherwise log a phantom empty WAL
             // transaction and every protocol would bill a wasted op).
@@ -1063,18 +937,18 @@ impl Pipeline {
             let result = if entries.is_empty() {
                 Ok(())
             } else {
-                config.step("client:flusher:flush").and_then(|()| {
+                self.config.step("client:flusher:flush").and_then(|()| {
                     // The WAL must never reference a hash whose publish
                     // is not durable yet: wait out (or fail on) every
                     // referenced publish before logging the delta.
-                    if let Some(cas) = &cas {
+                    if let Some(cas) = &self.cas {
                         for sha in &wait_shas {
                             cas.wait(sha)?;
                         }
                     }
-                    match &p3cas {
+                    match &self.p3cas {
                         Some(p3) => p3.flush_with_cas(entries),
-                        None => inner.flush(FlushBatch {
+                        None => self.inner.flush(FlushBatch {
                             objects: entries
                                 .into_iter()
                                 .map(|item| match item {
@@ -1088,8 +962,8 @@ impl Pipeline {
                     }
                 })
             };
-            let durable_at = sim.now();
-            let mut st = shared.lock();
+            let durable_at = self.sim.now();
+            let mut st = self.shared.lock();
             match &result {
                 Ok(()) => {
                     // Latency samples are flush→resolve: a failed merge
@@ -1106,7 +980,7 @@ impl Pipeline {
                             });
                         }
                     }
-                    let cap = config.dedupe_cap;
+                    let cap = self.config.dedupe_cap;
                     st.record_persisted(merged_ids, cap)
                 }
                 Err(e) => {
@@ -1364,7 +1238,10 @@ mod tests {
         ));
         let plain = ProvenanceClient::builder(Protocol::P3)
             .queue("wal-idx-off")
-            .ancestry_index(false)
+            .config(ProtocolConfig {
+                index: false,
+                ..ProtocolConfig::default()
+            })
             .build(&env);
         assert!(matches!(
             plain.provenance_store(),
@@ -1523,7 +1400,10 @@ mod tests {
         let client = ProvenanceClient::builder(Protocol::P3)
             .queue("wal-evict")
             .pipelined()
-            .dedupe_cap(1)
+            .config(ProtocolConfig {
+                dedupe_cap: 1,
+                ..ProtocolConfig::default()
+            })
             .build(&env);
         let ancestor = file_obj(50, 1, "anc", "ancestor-bytes");
         client

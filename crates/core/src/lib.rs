@@ -16,9 +16,10 @@
 //! ([`properties`]) for the §3 properties.
 //!
 //! The public entry point is the [`ProvenanceClient`] session facade:
-//! callers pick a [`Protocol`], tune it through the typed
-//! [`ClientBuilder`], and get one handle bundling the protocol, P3's
-//! commit daemon and the optional non-blocking pipelined flush path.
+//! callers pick a [`Protocol`], hand its tuning — one
+//! [`ProtocolConfig`], the only knob surface — to the [`ClientBuilder`],
+//! and get one handle bundling the protocol, P3's commit daemon and the
+//! optional non-blocking pipelined flush path.
 //! The concrete protocol types remain exported for harnesses that need
 //! to reach under the facade, but every consumer crate (workloads,
 //! benches, examples, integration tests) constructs protocols through
@@ -73,14 +74,16 @@ mod layout;
 mod p1;
 mod p2;
 mod p3;
+mod plane;
 pub mod properties;
 mod protocol;
+mod wal;
 
 pub use cas::{
     cas_domain, cas_object_key, sha256_hex, CasFlushItem, CasRef, CasStore, CAS_OBJECT_PREFIX,
 };
 pub use client::{
-    AdmissionGate, ClientBuilder, FlushMode, FlushSample, FlushTicket, PipelineStats, Protocol,
+    AdmissionGate, ClientBuilder, FlushSample, FlushTicket, PipelineStats, Protocol,
     ProvenanceClient,
 };
 pub use error::{ClientError, ClientResult, ProtocolError, Result};
@@ -89,8 +92,8 @@ pub use layout::{object_metadata, parse_object_metadata, Layout, META_UUID, META
 pub use p1::P1;
 pub use p2::P2;
 pub use p3::{
-    pack_group_writes, CleanerDaemon, CommitDaemon, CommitListener, DaemonHandle, GroupWritePlan,
-    PollOutcome, P3,
+    commit_crash_points, pack_group_writes, CleanerDaemon, CommitDaemon, CommitListener,
+    DaemonHandle, GroupWritePlan, PollOutcome, P3,
 };
 pub use protocol::{
     item_to_records, kill_at_occurrence, retry_cloud, CouplingCheck, FlushBatch, FlushObject,

@@ -24,22 +24,20 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{Blob, CloudEnv, CloudError, Metadata};
+use cloudprov_cloud::{Actor, Blob, CloudEnv, CloudError, Metadata};
 use cloudprov_pass::wire;
 use cloudprov_pass::{Attr, ProvenanceRecord, Uuid};
 
 use crate::error::{ProtocolError, Result};
-use crate::layout::{object_metadata, parse_object_metadata};
+use crate::plane::{DataPlane, Task};
 use crate::protocol::{
-    detect_coupling, retry, CouplingCheck, FlushBatch, FlushObject, ProtocolConfig,
-    ProvenanceStore, ReadResult, StorageProtocol,
+    retry, FlushBatch, FlushObject, ProtocolConfig, ProvenanceStore, ReadResult, StorageProtocol,
 };
 
 /// Protocol P1: provenance and data both as S3 objects.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct P1 {
-    env: CloudEnv,
-    config: ProtocolConfig,
+    plane: DataPlane,
     /// Provenance bytes this client has already written per UUID. Serves
     /// two purposes: knowing whether the provenance object exists (GET +
     /// append vs fresh PUT) and guarding the append against an
@@ -47,18 +45,11 @@ pub struct P1 {
     written: Arc<Mutex<BTreeMap<Uuid, usize>>>,
 }
 
-impl std::fmt::Debug for P1 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("P1").finish()
-    }
-}
-
 impl P1 {
     /// Creates the protocol over a cloud environment.
     pub fn new(env: &CloudEnv, config: ProtocolConfig) -> P1 {
         P1 {
-            env: env.clone(),
-            config,
+            plane: DataPlane::new(env, config, Actor::Client),
             written: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
@@ -77,23 +68,18 @@ impl P1 {
         records
     }
 
-    /// Persists one object: provenance object first, then the data object.
-    fn flush_one(&self, obj: &FlushObject) -> Result<()> {
-        self.flush_prov(obj)?;
-        self.flush_data(obj)
-    }
-
     /// Writes (or appends to) the object's provenance object.
     fn flush_prov(&self, obj: &FlushObject) -> Result<()> {
-        let sim = self.env.sim();
-        let s3 = self.env.s3();
-        let layout = &self.config.layout;
+        let DataPlane { env, config, .. } = &self.plane;
+        let sim = env.sim();
+        let s3 = env.s3();
+        let layout = &config.layout;
         let uuid = obj.node.id.uuid;
         let prov_key = layout.prov_key(uuid);
         let records = Self::object_records(obj);
         let fresh = wire::encode(&records);
 
-        self.config.step(&format!("p1:prov:{}", obj.node.id))?;
+        config.step(&format!("p1:prov:{}", obj.node.id))?;
         let existing_len = self.written.lock().get(&uuid).copied();
         let body = match existing_len {
             None => fresh.to_vec(),
@@ -103,8 +89,8 @@ impl P1 {
                 // until the object is at least as long as what we know we
                 // wrote (we are its only writer).
                 let mut existing = None;
-                for _ in 0..self.config.retries.max(1) + 4 {
-                    match retry(sim, self.config.retries, || {
+                for _ in 0..config.retries.max(1) + 4 {
+                    match retry(sim, config.retries, || {
                         s3.get(&layout.prov_bucket, &prov_key)
                     }) {
                         Ok(obj) => {
@@ -133,7 +119,7 @@ impl P1 {
             }
         };
         let body_len = body.len();
-        retry(sim, self.config.retries, || {
+        retry(sim, config.retries, || {
             s3.put(
                 &layout.prov_bucket,
                 &prov_key,
@@ -145,24 +131,14 @@ impl P1 {
         Ok(())
     }
 
-    /// Writes the primary data object with its provenance-linking
-    /// metadata.
-    fn flush_data(&self, obj: &FlushObject) -> Result<()> {
-        let sim = self.env.sim();
-        let s3 = self.env.s3();
-        let layout = &self.config.layout;
-        if let (Some(key), Some(data)) = (&obj.key, &obj.data) {
-            self.config.step(&format!("p1:data:{key}"))?;
-            retry(sim, self.config.retries, || {
-                s3.put(
-                    &layout.data_bucket,
-                    key,
-                    data.clone(),
-                    object_metadata(obj.node.id),
-                )
-            })?;
-        }
-        Ok(())
+    /// The PUT of the primary data object with its provenance-linking
+    /// metadata (`None` for non-persistent objects: processes, pipes).
+    fn data_put(&self, obj: &FlushObject) -> Option<Task> {
+        let (key, data) = obj.key.clone().zip(obj.data.clone())?;
+        Some(
+            self.plane
+                .put_task("p1:data:", key, data, Some(obj.node.id)),
+        )
     }
 }
 
@@ -172,109 +148,74 @@ impl StorageProtocol for P1 {
     }
 
     fn flush(&self, batch: FlushBatch) -> Result<()> {
-        if self.config.strict_causal_order {
-            // Ancestors strictly first: eventual multi-object causal
-            // ordering holds, at higher latency (§4.3.1 discussion).
+        if self.plane.config.strict_causal_order {
+            // Ancestors strictly first, each object's provenance before
+            // its data: eventual multi-object causal ordering holds, at
+            // higher latency (§4.3.1 discussion).
             for obj in &batch.objects {
-                self.flush_one(obj)?;
-            }
-            Ok(())
-        } else {
-            // The paper's evaluated implementation: data objects,
-            // provenance and ancestors upload in parallel (forfeiting
-            // multi-object causal ordering and data-coupling for P1).
-            // Appends to the same provenance object stay ordered by
-            // chaining versions of one UUID into a single task.
-            let sim = self.env.sim().clone();
-            let mut chains: BTreeMap<Uuid, Vec<FlushObject>> = BTreeMap::new();
-            let mut data_tasks: Vec<FlushObject> = Vec::new();
-            for obj in batch.objects {
-                if obj.key.is_some() {
-                    data_tasks.push(FlushObject {
-                        node: obj.node.clone(),
-                        data: obj.data.clone(),
-                        key: obj.key.clone(),
-                    });
+                self.flush_prov(obj)?;
+                if let Some(put) = self.data_put(obj) {
+                    put()?;
                 }
-                chains.entry(obj.node.id.uuid).or_default().push(obj);
             }
-            let mut tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send>> = Vec::new();
-            for (_uuid, chain) in chains {
-                let this = self.clone();
-                tasks.push(Box::new(move || {
-                    for obj in &chain {
-                        this.flush_prov(obj)?;
-                    }
-                    Ok(())
-                }));
-            }
-            for obj in data_tasks {
-                let this = self.clone();
-                tasks.push(Box::new(move || this.flush_data(&obj)));
-            }
-            let results = sim.run_parallel(self.config.upload_concurrency, tasks);
-            results.into_iter().collect::<Result<Vec<_>>>()?;
-            Ok(())
+            return Ok(());
         }
+        // The paper's evaluated implementation: data objects, provenance
+        // and ancestors upload in parallel (forfeiting multi-object
+        // causal ordering and data-coupling for P1). Appends to the same
+        // provenance object stay ordered by chaining versions of one
+        // UUID into a single task.
+        let data_puts: Vec<Task> = batch
+            .objects
+            .iter()
+            .filter_map(|o| self.data_put(o))
+            .collect();
+        let mut chains: BTreeMap<Uuid, Vec<FlushObject>> = BTreeMap::new();
+        for obj in batch.objects {
+            chains.entry(obj.node.id.uuid).or_default().push(obj);
+        }
+        let mut tasks: Vec<Task> = Vec::new();
+        for chain in chains.into_values() {
+            let this = self.clone();
+            tasks.push(Box::new(move || {
+                chain.iter().try_for_each(|obj| this.flush_prov(obj))
+            }));
+        }
+        tasks.extend(data_puts);
+        self.plane.upload(false, tasks)
     }
 
     fn read(&self, key: &str) -> Result<ReadResult> {
-        let layout = &self.config.layout;
-        let obj = retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().get(&layout.data_bucket, key)
-        })?;
-        let id = parse_object_metadata(&obj.meta);
-        let coupling = match id {
-            None => CouplingCheck::Unlinked,
-            Some(id) => {
-                match retry(self.env.sim(), self.config.retries, || {
-                    self.env
-                        .s3()
-                        .get(&layout.prov_bucket, &layout.prov_key(id.uuid))
-                }) {
-                    Ok(prov) => {
-                        let records =
-                            wire::decode(prov.blob.as_inline().expect("inline provenance"))?;
-                        let version_records: Vec<_> =
-                            records.into_iter().filter(|r| r.subject == id).collect();
-                        detect_coupling(&obj.blob, Some(id), &version_records)
-                    }
-                    Err(CloudError::NoSuchKey { .. }) => CouplingCheck::ProvenanceMissing,
-                    Err(e) => return Err(e.into()),
-                }
+        let DataPlane { env, config, .. } = &self.plane;
+        let layout = &config.layout;
+        self.plane.read(key, |id| {
+            match retry(env.sim(), config.retries, || {
+                env.s3().get(&layout.prov_bucket, &layout.prov_key(id.uuid))
+            }) {
+                Ok(prov) => Ok(
+                    wire::decode(prov.blob.as_inline().expect("inline provenance"))?
+                        .into_iter()
+                        .filter(|r| r.subject == id)
+                        .collect(),
+                ),
+                Err(CloudError::NoSuchKey { .. }) => Ok(Vec::new()),
+                Err(e) => Err(e.into()),
             }
-        };
-        Ok(ReadResult {
-            data: obj.blob,
-            id,
-            coupling,
         })
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        // Only the data object: provenance persists (data-independent
-        // persistence). This is exactly why provenance is not stored as
-        // object metadata (§4.3.1).
-        retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().delete(&self.config.layout.data_bucket, key)
-        })?;
-        Ok(())
+        self.plane.delete(key)
     }
 
     fn stat(&self, key: &str) -> Result<Option<u64>> {
-        match retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().head(&self.config.layout.data_bucket, key)
-        }) {
-            Ok(h) => Ok(Some(h.len)),
-            Err(CloudError::NoSuchKey { .. }) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        self.plane.stat(key)
     }
 
     fn provenance_store(&self) -> Option<ProvenanceStore> {
         Some(ProvenanceStore::S3Objects {
-            bucket: self.config.layout.prov_bucket.clone(),
-            prefix: self.config.layout.prov_prefix.clone(),
+            bucket: self.plane.config.layout.prov_bucket.clone(),
+            prefix: self.plane.config.layout.prov_prefix.clone(),
         })
     }
 }
@@ -282,6 +223,7 @@ impl StorageProtocol for P1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::CouplingCheck;
     use cloudprov_cloud::AwsProfile;
     use cloudprov_pass::{FlushNode, NodeKind, PNodeId};
     use cloudprov_sim::Sim;

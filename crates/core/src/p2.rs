@@ -14,27 +14,19 @@
 //! **efficient query** — SimpleDB indexes every attribute, which is what
 //! produces the order-of-magnitude query speedups of Table 5.
 
-use cloudprov_cloud::{CloudEnv, CloudError, PutItem, BATCH_LIMIT};
-use cloudprov_pass::PNodeId;
+use cloudprov_cloud::{Actor, CloudEnv, PutItem, BATCH_LIMIT};
 
 use crate::error::Result;
-use crate::layout::{object_metadata, parse_object_metadata};
+use crate::plane::{run_tasks, DataPlane};
 use crate::protocol::{
-    detect_coupling, item_to_records, records_to_item, retry, CouplingCheck, FlushBatch,
-    ProtocolConfig, ProvenanceStore, ReadResult, StorageProtocol,
+    db_version_records, records_to_item, retry, FlushBatch, ProtocolConfig, ProvenanceStore,
+    ReadResult, StorageProtocol,
 };
 
 /// Protocol P2: data in S3, provenance in SimpleDB.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct P2 {
-    env: CloudEnv,
-    config: ProtocolConfig,
-}
-
-impl std::fmt::Debug for P2 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("P2").finish()
-    }
+    plane: DataPlane,
 }
 
 impl P2 {
@@ -42,173 +34,70 @@ impl P2 {
     pub fn new(env: &CloudEnv, config: ProtocolConfig) -> P2 {
         env.sdb().create_domain(&config.layout.domain);
         P2 {
-            env: env.clone(),
-            config,
+            plane: DataPlane::new(env, config, Actor::Client),
         }
     }
 
-    /// Builds the SimpleDB items for a batch, spilling oversized values.
-    fn build_items(&self, batch: &FlushBatch) -> Result<Vec<PutItem>> {
-        let mut items = Vec::with_capacity(batch.objects.len());
-        for obj in &batch.objects {
-            if obj.node.records.is_empty() {
-                continue;
-            }
-            self.config.step(&format!("p2:spill:{}", obj.node.id))?;
-            items.push(records_to_item(
-                self.env.sim(),
-                self.env.s3(),
-                &self.config.layout,
-                self.config.retries,
-                obj.node.id,
-                &obj.node.records,
-            )?);
-        }
-        Ok(items)
-    }
-
-    fn put_data(&self, batch: &FlushBatch) -> Result<()> {
-        let sim = self.env.sim().clone();
-        let files: Vec<_> = batch
-            .objects
-            .iter()
-            .filter_map(|o| {
-                o.key
-                    .clone()
-                    .zip(o.data.clone())
-                    .map(|(k, d)| (k, d, o.node.id))
-            })
-            .collect();
-        if self.config.strict_causal_order {
-            for (key, data, id) in files {
-                self.config.step(&format!("p2:data:{key}"))?;
-                retry(&sim, self.config.retries, || {
-                    self.env.s3().put(
-                        &self.config.layout.data_bucket,
-                        &key,
-                        data.clone(),
-                        object_metadata(id),
-                    )
-                })?;
-            }
-            return Ok(());
-        }
-        let tasks: Vec<_> = files
-            .into_iter()
-            .map(|(key, data, id)| {
-                let this = self.clone();
-                move || -> Result<()> {
-                    this.config.step(&format!("p2:data:{key}"))?;
-                    retry(this.env.sim(), this.config.retries, || {
-                        this.env.s3().put(
-                            &this.config.layout.data_bucket,
-                            &key,
-                            data.clone(),
-                            object_metadata(id),
-                        )
-                    })?;
-                    Ok(())
-                }
-            })
-            .collect();
-        let results = sim.run_parallel(self.config.upload_concurrency, tasks);
-        results.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(())
-    }
-
-    /// Fetches the provenance records for one exact version.
-    fn version_records(&self, id: PNodeId) -> Result<Vec<cloudprov_pass::ProvenanceRecord>> {
-        let attrs = retry(self.env.sim(), self.config.retries, || {
-            self.env
-                .sdb()
-                .get_attributes(&self.config.layout.domain, &id.to_string())
-        })?;
-        Ok(item_to_records(&id.to_string(), &attrs))
-    }
-}
-
-impl P2 {
-    fn flush_impl(&self, batch: FlushBatch) -> Result<()> {
-        if self.config.strict_causal_order {
-            // One item at a time in ancestor order, then the data.
-            let items = self.build_items(&batch)?;
-            for item in items {
-                self.config.step("p2:dbput")?;
-                retry(self.env.sim(), self.config.retries, || {
-                    self.env
-                        .sdb()
-                        .put_attributes(&self.config.layout.domain, item.clone())
-                })?;
-            }
-            return self.put_data(&batch);
-        }
-        // The paper's evaluated implementation uploads data objects,
-        // provenance and ancestors in parallel (§5): the provenance
-        // pipeline (spill, then batched SimpleDB writes over the small
-        // database pool) runs concurrently with the data PUTs.
-        let sim = self.env.sim().clone();
-        let this = self.clone();
-        let prov_batch = batch.clone();
-        let prov_thread = sim.spawn(move || this.flush_provenance(&prov_batch));
-        let data_result = self.put_data(&batch);
-        let prov_result = prov_thread.join();
-        prov_result?;
-        data_result
-    }
-}
-
-impl P2 {
-    /// The provenance half of a parallel-mode flush: spills over the
-    /// object-store pool, then batched item writes over the database pool.
-    fn flush_provenance(&self, batch: &FlushBatch) -> Result<()> {
-        let sim = self.env.sim().clone();
-        // Phase 1: build items, spilling >1 KB values (parallel per object).
-        let spill_tasks: Vec<_> = batch
+    /// Builds the batch's SimpleDB items, spilling oversized values —
+    /// one unit of work per object, in ancestor order when `strict`,
+    /// over the object-store pool otherwise.
+    fn build_items(&self, batch: &FlushBatch, strict: bool) -> Result<Vec<PutItem>> {
+        let tasks: Vec<_> = batch
             .objects
             .iter()
             .filter(|o| !o.node.records.is_empty())
-            .cloned()
-            .map(|obj| {
-                let this = self.clone();
+            .map(|o| (o.node.id, o.node.records.clone()))
+            .map(|(id, records)| {
+                let plane = self.plane.clone();
                 move || -> Result<PutItem> {
-                    this.config.step(&format!("p2:spill:{}", obj.node.id))?;
-                    records_to_item(
-                        this.env.sim(),
-                        this.env.s3(),
-                        &this.config.layout,
-                        this.config.retries,
-                        obj.node.id,
-                        &obj.node.records,
-                    )
+                    plane.config.step(&format!("p2:spill:{id}"))?;
+                    records_to_item(&plane, id, &records)
                 }
             })
             .collect();
-        let items = sim
-            .run_parallel(self.config.upload_concurrency, spill_tasks)
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        // Phase 2: batched writes over the database connection pool.
-        let db_batch = self.config.db_batch.clamp(1, BATCH_LIMIT);
-        let batch_tasks: Vec<_> = items
-            .chunks(db_batch)
+        let width = (!strict).then_some(self.plane.config.upload_concurrency);
+        run_tasks(self.plane.env.sim(), width, tasks)
+    }
+
+    /// PUTs the batch's data objects with their version-link metadata.
+    fn put_data(&self, batch: &FlushBatch, strict: bool) -> Result<()> {
+        let tasks = batch
+            .objects
+            .iter()
+            .filter_map(|o| Some((o.key.clone()?, o.data.clone()?, o.node.id)))
+            .map(|(key, data, id)| self.plane.put_task("p2:data:", key, data, Some(id)))
+            .collect();
+        self.plane.upload(strict, tasks)
+    }
+
+    /// The provenance half of a flush: build the items, then store them
+    /// — one item per call in ancestor order when `strict`, else as
+    /// `BatchPutAttributes` chunks over the database pool.
+    fn flush_provenance(&self, batch: &FlushBatch, strict: bool) -> Result<()> {
+        let DataPlane { env, config, .. } = &self.plane;
+        let items = self.build_items(batch, strict)?;
+        let per_call = if strict {
+            1
+        } else {
+            config.db_batch.clamp(1, BATCH_LIMIT)
+        };
+        let tasks: Vec<_> = items
+            .chunks(per_call)
             .map(|chunk| {
-                let this = self.clone();
+                let DataPlane { env, config, .. } = self.plane.clone();
                 let chunk = chunk.to_vec();
                 move || -> Result<()> {
-                    this.config.step("p2:dbput")?;
-                    retry(this.env.sim(), this.config.retries, || {
-                        this.env
-                            .sdb()
-                            .batch_put_attributes(&this.config.layout.domain, chunk.clone())
+                    config.step("p2:dbput")?;
+                    let domain = &config.layout.domain;
+                    retry(env.sim(), config.retries, || {
+                        env.sdb().batch_put_attributes(domain, chunk.clone())
                     })?;
                     Ok(())
                 }
             })
             .collect();
-        sim.run_parallel(self.config.db_concurrency, batch_tasks)
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        Ok(())
+        let width = (!strict).then_some(config.db_concurrency);
+        run_tasks(env.sim(), width, tasks).map(drop)
     }
 }
 
@@ -218,58 +107,46 @@ impl StorageProtocol for P2 {
     }
 
     fn flush(&self, batch: FlushBatch) -> Result<()> {
-        self.flush_impl(batch)
+        if self.plane.config.strict_causal_order {
+            // Provenance strictly before the data it describes.
+            self.flush_provenance(&batch, true)?;
+            return self.put_data(&batch, true);
+        }
+        // The paper's evaluated implementation uploads data objects,
+        // provenance and ancestors in parallel (§5): the provenance
+        // pipeline (spill, then batched SimpleDB writes over the small
+        // database pool) runs concurrently with the data PUTs.
+        let this = self.clone();
+        let prov_batch = batch.clone();
+        let provenance = self
+            .plane
+            .env
+            .sim()
+            .spawn(move || this.flush_provenance(&prov_batch, false));
+        let data_result = self.put_data(&batch, false);
+        provenance.join()?;
+        data_result
     }
 
     fn read(&self, key: &str) -> Result<ReadResult> {
-        let obj = retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().get(&self.config.layout.data_bucket, key)
-        })?;
-        let id = parse_object_metadata(&obj.meta);
-        let coupling = match id {
-            None => CouplingCheck::Unlinked,
-            Some(id) => {
-                // §4.3.2: detect mismatches by comparing the S3 version
-                // with the provenance version; one-item-per-version means
-                // we can "request the specific version of the provenance
-                // we need from SimpleDB".
-                match self.version_records(id) {
-                    Ok(records) => detect_coupling(&obj.blob, Some(id), &records),
-                    Err(crate::error::ProtocolError::Cloud(CloudError::NoSuchDomain(_))) => {
-                        CouplingCheck::ProvenanceMissing
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        Ok(ReadResult {
-            data: obj.blob,
-            id,
-            coupling,
-        })
+        // §4.3.2: detect mismatches by comparing the S3 version with the
+        // provenance version.
+        self.plane
+            .read(key, |id| db_version_records(&self.plane, id))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().delete(&self.config.layout.data_bucket, key)
-        })?;
-        Ok(())
+        self.plane.delete(key)
     }
 
     fn stat(&self, key: &str) -> Result<Option<u64>> {
-        match retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().head(&self.config.layout.data_bucket, key)
-        }) {
-            Ok(h) => Ok(Some(h.len)),
-            Err(CloudError::NoSuchKey { .. }) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        self.plane.stat(key)
     }
 
     fn provenance_store(&self) -> Option<ProvenanceStore> {
         Some(ProvenanceStore::Database {
-            domain: self.config.layout.domain.clone(),
-            spill_bucket: self.config.layout.prov_bucket.clone(),
+            domain: self.plane.config.layout.domain.clone(),
+            spill_bucket: self.plane.config.layout.prov_bucket.clone(),
             // P2 writes items from the client with no commit daemon in
             // the path, so nothing maintains an ancestry index for it.
             index_domain: None,
@@ -281,11 +158,11 @@ impl StorageProtocol for P2 {
 mod tests {
     use super::*;
     use cloudprov_cloud::{AwsProfile, Blob};
-    use cloudprov_pass::{Attr, FlushNode, NodeKind, ProvenanceRecord, Uuid};
+    use cloudprov_pass::{Attr, FlushNode, NodeKind, PNodeId, ProvenanceRecord, Uuid};
     use cloudprov_sim::Sim;
     use std::sync::Arc;
 
-    use crate::protocol::FlushObject;
+    use crate::protocol::{CouplingCheck, FlushObject};
 
     fn setup() -> (Sim, CloudEnv, P2) {
         let sim = Sim::new();

@@ -10,37 +10,24 @@
 //! **Log phase** (client, on close/flush): store each file's data under a
 //! temporary S3 name; chunk the provenance of the object *and all its
 //! not-yet-written ancestors* into ≤8 KB WAL messages tagged with a
-//! transaction id, sequence number and total; send them (parallel sends
-//! are safe — ordering is reconstructed from sequence numbers, which is
-//! how P3 keeps causal ordering without careful upload ordering).
+//! transaction id, sequence number and total ([`crate::wal`]); send them
+//! (parallel sends are safe — ordering is reconstructed from sequence
+//! numbers, which is how P3 keeps causal ordering without careful upload
+//! ordering).
 //!
 //! **Commit phase** (commit daemon, asynchronous): assemble complete
 //! transactions and commit them as a **group**. One poll round drains the
 //! WAL (bounded receive rounds), and every transaction that became
-//! complete commits together (`commit_group`): the per-file `COPY`s of
-//! all group members fan out over `commit_parallelism` connections
-//! (stamping the new version — S3 has no rename, and §4.3.3 notes copies
-//! cost $0.01 per thousand); >1 KB values spill to S3; the base and
-//! index `PutItem`s of **all** members pack into full
-//! `BatchPutAttributes` chunks ([`pack_group_writes`]) written over
-//! `db_concurrency` connections; the temp-object deletes fan out; and
-//! the WAL receipts acknowledge through batched `DeleteMessageBatch`
-//! calls. The §3 ordering survives grouping — see the phase ordering in
-//! `commit_group`: every member's data copies land before any member's
-//! provenance items, index chunks write strictly after all base chunks,
-//! and no receipt is acknowledged until every chunk carrying one of its
-//! transaction's items is durable, so a daemon crash mid-group leaves
-//! each member either fully recommittable (unacknowledged WAL) or
-//! untouched. A transaction whose temp object was lost with a dead
-//! client stalls in the copy phase, before any of *its* provenance
-//! lands; stalled transactions are evicted from the group without
-//! blocking their peers, redeliver, and ultimately expire with SQS
-//! retention.
+//! complete commits together by running the [`STAGES`] table top to
+//! bottom — copy ≺ db ≺ index ≺ gc ≺ ack, the order that carries the §3
+//! invariants across the grouping. A member whose data never arrived is
+//! evicted without blocking its peers.
 //!
 //! **Garbage collection**: SQS deletes messages after 4 days on its own;
 //! a cleaner daemon reaps temporary objects older than 4 days that belong
 //! to transactions that never completed.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,8 +39,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use cloudprov_cloud::{
-    Actor, CloudEnv, CloudError, Database, MetadataDirective, PutItem, TenantId, BATCH_ENTRY_LIMIT,
-    BATCH_LIMIT, MESSAGE_LIMIT, RECEIVE_MAX,
+    Actor, CloudEnv, CloudError, MetadataDirective, PutItem, TenantId, BATCH_ENTRY_LIMIT,
+    BATCH_LIMIT, RECEIVE_MAX,
 };
 use cloudprov_pass::wire;
 use cloudprov_pass::{PNodeId, ProvenanceRecord, Uuid};
@@ -64,13 +51,12 @@ use crate::cas::{self, CasFlushItem};
 use crate::error::{ProtocolError, Result};
 use crate::feed::{extract_touches, CommitEventSink, FeedWriter, StagedTouches};
 use crate::layout::{object_metadata, parse_object_metadata};
+use crate::plane::{DataPlane, Task};
 use crate::protocol::{
-    detect_coupling, item_to_records, records_to_item, retry, CouplingCheck, FlushBatch,
-    ProtocolConfig, ProvenanceStore, ReadResult, StorageProtocol,
+    db_version_records, records_to_item, retry, FlushBatch, ProtocolConfig, ProvenanceStore,
+    ReadResult, StorageProtocol,
 };
-
-/// Room reserved in each WAL message for the `TXN` header line.
-const HEADER_ROOM: usize = 80;
+use crate::wal::{self, Header, Line};
 
 /// Receive rounds one commit-daemon poll performs before committing what
 /// assembled — the group-commit window. Bounded (rather than
@@ -88,8 +74,7 @@ const TXN_LOG_CAP: usize = 1 << 16;
 /// Protocol P3: S3 + SimpleDB + SQS write-ahead log.
 #[derive(Clone)]
 pub struct P3 {
-    env: CloudEnv,
-    config: ProtocolConfig,
+    plane: DataPlane,
     wal_url: String,
     rng: Arc<Mutex<SmallRng>>,
     /// (transaction id, WAL-durable instant) per completed log phase —
@@ -135,8 +120,7 @@ impl P3 {
             seed = seed.wrapping_mul(0x0100_0000_01b3);
         }
         P3 {
-            env: env.clone(),
-            config,
+            plane: DataPlane::new(env, config, Actor::Client),
             wal_url,
             rng: Arc::new(Mutex::new(SmallRng::seed_from_u64(seed))),
             logged: Arc::new(Mutex::new(Vec::new())),
@@ -159,79 +143,16 @@ impl P3 {
     /// Builds the commit daemon for this WAL (run it with
     /// [`CommitDaemon::spawn`] or drive it manually in tests).
     pub fn commit_daemon(&self) -> CommitDaemon {
-        CommitDaemon::new(&self.env, self.config.clone(), &self.wal_url)
+        CommitDaemon::new(&self.plane.env, self.plane.config.clone(), &self.wal_url)
     }
 
     /// Builds the cleaner daemon reaping orphaned temp objects.
     pub fn cleaner_daemon(&self) -> CleanerDaemon {
-        CleanerDaemon::new(&self.env, self.config.clone())
+        CleanerDaemon::new(&self.plane.env, self.plane.config.clone())
     }
 
     fn fresh_txn(&self) -> Uuid {
         Uuid(self.rng.lock().gen())
-    }
-
-    /// Serializes a batch into WAL message bodies.
-    ///
-    /// Lines are object lines (`OBJ\t<temp>\t<final>\t<node>` per file,
-    /// `CAS\t<sha>\t<final>\t<node>\t<d|p>` per content-addressed
-    /// reference, in batch order) or wire-encoded provenance records;
-    /// they are packed greedily into bodies that, with the header, stay
-    /// within the 8 KB SQS limit.
-    fn build_messages(
-        txn: Uuid,
-        tenant: Option<TenantId>,
-        ctx: Option<SpanContext>,
-        obj_lines: &[String],
-        records: &[ProvenanceRecord],
-        message_limit: usize,
-    ) -> Vec<String> {
-        let limit = message_limit.clamp(HEADER_ROOM + 64, MESSAGE_LIMIT) - HEADER_ROOM;
-        let mut lines: Vec<String> = obj_lines.to_vec();
-        for r in records {
-            lines.push(wire::encode_record(r));
-        }
-        let mut bodies: Vec<String> = Vec::new();
-        let mut cur = String::new();
-        for line in lines {
-            assert!(
-                line.len() <= limit,
-                "WAL line of {} bytes exceeds message capacity",
-                line.len()
-            );
-            if !cur.is_empty() && cur.len() + line.len() > limit {
-                bodies.push(std::mem::take(&mut cur));
-            }
-            cur.push_str(&line);
-        }
-        if !cur.is_empty() || bodies.is_empty() {
-            bodies.push(cur);
-        }
-        let total = bodies.len();
-        // A tenant-attributed client stamps its tenant as an optional
-        // header field so daemon-side change-feed events can carry the
-        // originating tenant, and a tracing client appends its root
-        // span context (`ctx:…`) the same way — the propagation seam
-        // that connects the client's trace tree to the daemon's commit
-        // phases. Both fields are optional and self-describing (numeric
-        // vs `ctx:`-prefixed), so shorter headers parse unchanged.
-        let extra = {
-            let mut s = String::new();
-            if let Some(t) = tenant {
-                s.push('\t');
-                s.push_str(&t.0.to_string());
-            }
-            if let Some(c) = ctx {
-                s.push('\t');
-                s.push_str(&c.encode());
-            }
-            s
-        };
-        bodies
-            .into_iter()
-            .enumerate()
-            .map(|(seq, body)| format!("TXN\t{txn}\t{seq}\t{total}{extra}\n{body}"))
-            .collect()
     }
 
     /// The **log phase** for a mixed batch of delta objects and
@@ -252,16 +173,16 @@ impl P3 {
     /// Propagates cloud errors after retries; [`ProtocolError::Crashed`]
     /// when the crash hook fires.
     pub fn flush_with_cas(&self, items: Vec<CasFlushItem>) -> Result<()> {
-        let sim = self.env.sim().clone();
+        let DataPlane { env, config, .. } = &self.plane;
+        let sim = env.sim();
         let txn = self.fresh_txn();
-        let layout = &self.config.layout;
 
         // Trace: open this transaction's lifecycle root (trace id = txn
         // id) and a `flush` child covering the log phase. The guard's
         // scope makes every metered client op inside the fan-out a leaf
         // span, and the root context rides the WAL header to the daemon.
-        let tracer = self.env.tracer();
-        let tenant_tag = self.env.tenant().map(|t| t.0);
+        let tracer = env.tracer();
+        let tenant_tag = env.tenant().map(|t| t.0);
         let root = tracer.open_txn(txn.0, tenant_tag);
         let flush_guard = root.and_then(|r| {
             tracer.phase(
@@ -274,102 +195,80 @@ impl P3 {
             )
         });
 
-        // 1. Collect temp uploads and WAL object lines in item order.
-        let mut uploads: Vec<(String, cloudprov_cloud::Blob)> = Vec::new();
-        let mut obj_lines: Vec<String> = Vec::new();
+        // Temp PUTs and WAL sends run in ONE task pool: temp keys are
+        // known before the PUTs complete, and the paper's implementation
+        // sends packets in parallel — safe because ordering is
+        // reconstructed from sequence numbers and the commit daemon
+        // retries until temp objects become visible.
+        let mut tasks: Vec<Task> = Vec::new();
+        let mut lines: Vec<String> = Vec::new();
         let mut records: Vec<ProvenanceRecord> = Vec::new();
         for (i, item) in items.iter().enumerate() {
             match item {
                 CasFlushItem::Object(o) => {
-                    if let (Some(key), Some(data)) = (o.key.clone(), o.data.clone()) {
-                        let temp = layout.temp_key(txn, i);
-                        obj_lines.push(format!("OBJ\t{temp}\t{key}\t{}\n", o.node.id));
-                        uploads.push((temp, data));
+                    if let (Some(key), Some(data)) = (&o.key, &o.data) {
+                        let temp = config.layout.temp_key(txn, i);
+                        let id = o.node.id;
+                        lines.push(
+                            Line::Obj {
+                                temp: &temp,
+                                key,
+                                id,
+                            }
+                            .encode(),
+                        );
+                        tasks.push(self.plane.put_task("p3:temp:", temp, data.clone(), None));
                     }
                     records.extend(o.node.records.iter().cloned());
                 }
-                CasFlushItem::Ref(r) => {
-                    obj_lines.push(format!(
-                        "CAS\t{}\t{}\t{}\t{}\n",
-                        r.sha,
-                        r.key.as_deref().unwrap_or("-"),
-                        r.id,
-                        if r.has_data { "d" } else { "p" },
-                    ));
-                }
+                CasFlushItem::Ref(r) => lines.push(
+                    Line::Cas {
+                        sha: &r.sha,
+                        key: r.key.as_deref(),
+                        id: r.id,
+                        has_data: r.has_data,
+                    }
+                    .encode(),
+                ),
             }
         }
-        // 2. Build the WAL messages up front (temp keys are known before
-        //    the temp PUTs complete), then run temp PUTs and WAL sends in
-        //    ONE task pool: the paper's implementation sends packets in
-        //    parallel — safe because ordering is reconstructed from
-        //    sequence numbers and the commit daemon retries until temp
-        //    objects become visible.
-        let messages = Self::build_messages(
+        let messages = wal::build_messages(
             txn,
-            self.env.tenant(),
+            env.tenant(),
             root,
-            &obj_lines,
+            lines,
             &records,
-            self.config.wal_message_limit,
+            config.wal_message_limit,
         );
-        let mut tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send>> = Vec::new();
-        for (temp, data) in &uploads {
-            let (temp, data) = (temp.clone(), data.clone());
+        // WAL messages ride in SendMessageBatch calls of up to ten
+        // bodies: one queue round trip (and one billed request) per
+        // batch instead of one per message, with per-entry verdicts
+        // keeping failures precise. The paper's 2009 tool predates
+        // SendMessageBatch; the benchmark rigs reproducing its op counts
+        // turn `wal_batch_send` off and get one send per message.
+        let batched = config.wal_batch_send;
+        let per_call = if batched { BATCH_ENTRY_LIMIT } else { 1 };
+        for (i, chunk) in messages.chunks(per_call).enumerate() {
+            let bodies: Vec<Bytes> = chunk.iter().map(|b| Bytes::from(b.clone())).collect();
             let this = self.clone();
-            tasks.push(Box::new(move || -> Result<()> {
-                this.config.step(&format!("p3:temp:{temp}"))?;
-                retry(this.env.sim(), this.config.retries, || {
-                    this.env.s3().put(
-                        &this.config.layout.data_bucket,
-                        &temp,
-                        data.clone(),
-                        cloudprov_cloud::Metadata::new(),
-                    )
-                })?;
+            tasks.push(Box::new(move || {
+                let DataPlane { env, config, .. } = &this.plane;
+                config.step(&format!("p3:wal:{i}"))?;
+                if batched {
+                    for verdict in retry(env.sim(), config.retries, || {
+                        env.sqs().send_batch(&this.wal_url, bodies.clone())
+                    })? {
+                        verdict?;
+                    }
+                } else {
+                    retry(env.sim(), config.retries, || {
+                        env.sqs().send(&this.wal_url, bodies[0].clone())
+                    })?;
+                }
                 Ok(())
             }));
         }
-        // WAL messages ride in SendMessageBatch calls of up to ten
-        // bodies: one queue round trip (and one billed request) per
-        // batch instead of one per message. Safe for the same reason
-        // parallel sends were — ordering is reconstructed from sequence
-        // numbers — and per-entry verdicts keep failures precise. The
-        // paper's 2009 tool predates SendMessageBatch; the benchmark
-        // rigs reproducing its op counts turn `wal_batch_send` off and
-        // get the original one-send-per-message path.
-        if self.config.wal_batch_send {
-            for (bi, chunk) in messages.chunks(BATCH_ENTRY_LIMIT).enumerate() {
-                let bodies: Vec<Bytes> = chunk.iter().map(|b| Bytes::from(b.clone())).collect();
-                let this = self.clone();
-                tasks.push(Box::new(move || -> Result<()> {
-                    this.config.step(&format!("p3:wal:{bi}"))?;
-                    let results = retry(this.env.sim(), this.config.retries, || {
-                        this.env.sqs().send_batch(&this.wal_url, bodies.clone())
-                    })?;
-                    for r in results {
-                        r?;
-                    }
-                    Ok(())
-                }));
-            }
-        } else {
-            for (seq, body) in messages.into_iter().enumerate() {
-                let this = self.clone();
-                tasks.push(Box::new(move || -> Result<()> {
-                    this.config.step(&format!("p3:wal:{seq}"))?;
-                    retry(this.env.sim(), this.config.retries, || {
-                        this.env
-                            .sqs()
-                            .send(&this.wal_url, Bytes::from(body.clone()))
-                    })?;
-                    Ok(())
-                }));
-            }
-        }
-        sim.run_parallel(self.config.upload_concurrency, tasks)
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
+        self.plane.upload(false, tasks)?;
         let now = sim.now();
         // WAL-durable: the root span's start instant. (On the error
         // path above the guard's drop still emitted the flush span, so
@@ -405,124 +304,411 @@ impl StorageProtocol for P3 {
     }
 
     fn read(&self, key: &str) -> Result<ReadResult> {
-        let obj = retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().get(&self.config.layout.data_bucket, key)
-        })?;
-        let id = parse_object_metadata(&obj.meta);
-        let coupling = match id {
-            None => CouplingCheck::Unlinked,
-            Some(id) => {
-                let attrs = retry(self.env.sim(), self.config.retries, || {
-                    self.env
-                        .sdb()
-                        .get_attributes(&self.config.layout.domain, &id.to_string())
-                })?;
-                let records = item_to_records(&id.to_string(), &attrs);
-                detect_coupling(&obj.blob, Some(id), &records)
-            }
-        };
-        Ok(ReadResult {
-            data: obj.blob,
-            id,
-            coupling,
-        })
+        self.plane
+            .read(key, |id| db_version_records(&self.plane, id))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().delete(&self.config.layout.data_bucket, key)
-        })?;
-        Ok(())
+        self.plane.delete(key)
     }
 
     fn stat(&self, key: &str) -> Result<Option<u64>> {
-        match retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().head(&self.config.layout.data_bucket, key)
-        }) {
-            Ok(h) => Ok(Some(h.len)),
-            Err(CloudError::NoSuchKey { .. }) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        self.plane.stat(key)
     }
 
     fn provenance_store(&self) -> Option<ProvenanceStore> {
+        let config = &self.plane.config;
         Some(ProvenanceStore::Database {
-            domain: self.config.layout.domain.clone(),
-            spill_bucket: self.config.layout.prov_bucket.clone(),
-            index_domain: self
-                .config
+            domain: config.layout.domain.clone(),
+            spill_bucket: config.layout.prov_bucket.clone(),
+            index_domain: config
                 .index
-                .then(|| crate::index::index_domain(&self.config.layout.domain)),
+                .then(|| crate::index::index_domain(&config.layout.domain)),
         })
     }
 }
 
+/// The messages of one transaction received so far.
+#[derive(Default)]
 struct TxnBuf {
-    total: Option<usize>,
+    total: usize,
     tenant: Option<TenantId>,
     ctx: Option<SpanContext>,
     parts: BTreeMap<usize, String>,
     receipts: Vec<String>,
 }
 
+/// One object a member moves into place: `from` (a temp key or a
+/// published `cas/{sha}` object) is copied to the final key `to`,
+/// stamped as version `id`.
+#[derive(Clone)]
+struct FileMove {
+    from: String,
+    to: String,
+    id: PNodeId,
+}
+
 /// One reassembled, parsed member of a commit group.
-struct ParsedTxn {
+struct Member {
     txn: Uuid,
     tenant: Option<TenantId>,
-    /// Root span context carried in the WAL header, when the logging
-    /// client was tracing.
-    ctx: Option<SpanContext>,
-    files: Vec<(String, String, PNodeId)>,
+    /// The member's root span: the context its WAL header carried, or
+    /// the shared tracer's record when the client ran in-process.
+    root: Option<SpanContext>,
+    files: Vec<FileMove>,
     records: Vec<ProvenanceRecord>,
     /// CAS hashes whose registry records this member still needs
     /// (referenced by a `CAS` line and not in this daemon's materialized
-    /// cache). Fetched in phase 0; a hash that never becomes visible
-    /// evicts the member like a stalled copy.
+    /// cache).
     cas_shas: Vec<String>,
     receipts: Vec<String>,
+    /// Evicted from the group (see [`PollOutcome::stalled`]): none of
+    /// its state is written from here on.
+    stalled: bool,
 }
 
-/// What one group commit achieved.
-#[derive(Clone, Copy, Debug, Default)]
-struct GroupOutcome {
-    committed: usize,
-    stalled: usize,
+/// The state one group commit threads through the [`STAGES`].
+struct Group {
+    members: Vec<Member>,
+    /// Members dropped at assembly because their record text failed to
+    /// decode (counted as stalled in the outcome).
+    poisoned: usize,
+    /// The root that parents the phase spans; every other traced member
+    /// gets the same spans mirrored under its own root, so every
+    /// member's root-to-leaf walk is complete.
+    lead: Option<SpanContext>,
+    /// The db phase's packing of every survivor's items; the base and
+    /// index stages each take their half.
+    plan: GroupWritePlan,
+    /// What the group's change-feed events will say (feed-enabled
+    /// daemons only).
+    touches: Vec<StagedTouches>,
 }
 
-/// COPYs one temp object to its permanent name, stamping uuid+version
-/// metadata, with the stall-detection retry loop: a temp that never
+impl Group {
+    /// Reassembles each member in sequence order and parses it. A member
+    /// whose record text fails to decode (corrupt or truncated body from
+    /// a buggy client) is dropped like a stalled member, not an error:
+    /// propagating would abort the whole group before any peer
+    /// committed, and since the poison messages redeliver the shard
+    /// would relive the same failure every poll until the 4-day
+    /// retention.
+    fn assemble(daemon: &CommitDaemon, group: Vec<(Uuid, TxnBuf)>, now: SimTime) -> Group {
+        let tracer = daemon.conn.plane.env.tracer();
+        let mut poisoned = 0;
+        let mut members = Vec::with_capacity(group.len());
+        for (txn, entry) in group {
+            let mut files = Vec::new();
+            let mut cas_shas = Vec::new();
+            let mut record_text = String::new();
+            let lines = entry.parts.values().flat_map(|body| body.lines());
+            for line in lines.filter_map(Line::parse) {
+                match line {
+                    Line::Obj { temp, key, id } => files.push(FileMove {
+                        from: temp.to_string(),
+                        to: key.to_string(),
+                        id,
+                    }),
+                    // The published `cas/{sha}` object joins the copy
+                    // fan-out like a temp object (at its position in
+                    // line order, preserving last-for-key election), and
+                    // the hash's registry records join the member in the
+                    // copy phase's first stage.
+                    Line::Cas {
+                        sha,
+                        key,
+                        id,
+                        has_data,
+                    } => {
+                        if let Some(key) = key.filter(|_| has_data) {
+                            files.push(FileMove {
+                                from: cas::cas_object_key(sha),
+                                to: key.to_string(),
+                                id,
+                            });
+                        }
+                        if !daemon.materialized.lock().contains(sha) {
+                            cas_shas.push(sha.to_string());
+                        }
+                    }
+                    Line::Record(r) => {
+                        record_text.push_str(r);
+                        record_text.push('\n');
+                    }
+                }
+            }
+            let Ok(records) = wire::decode(record_text.as_bytes()) else {
+                poisoned += 1;
+                continue;
+            };
+            let root = entry.ctx.or_else(|| tracer.root_ctx(txn.0));
+            if let Some(c) = root {
+                tracer.register_root(c, entry.tenant.map(|t| t.0));
+                tracer.mark_group_start(c.trace, now);
+            }
+            members.push(Member {
+                txn,
+                tenant: entry.tenant,
+                root,
+                files,
+                records,
+                cas_shas,
+                receipts: entry.receipts,
+                stalled: false,
+            });
+        }
+        Group {
+            lead: members.iter().find_map(|m| m.root),
+            members,
+            poisoned,
+            plan: GroupWritePlan::default(),
+            touches: Vec::new(),
+        }
+    }
+
+    /// The members still committing.
+    fn survivors(&self) -> impl Iterator<Item = &Member> {
+        self.members.iter().filter(|m| !m.stalled)
+    }
+
+    /// Mirrors one finished phase span onto every traced non-lead
+    /// member's root (the lead's copy is emitted by its
+    /// [`cloudprov_trace::PhaseGuard`]).
+    fn mirror_phase(&self, tracer: &Tracer, kind: &'static str, start: SimTime, end: SimTime) {
+        if !tracer.enabled() {
+            return;
+        }
+        for m in &self.members {
+            let Some(root) = m.root.filter(|r| Some(*r) != self.lead) else {
+                continue;
+            };
+            let tenant = m.tenant.map(|t| t.0);
+            tracer.span(
+                root.trace,
+                Some(root.span),
+                kind,
+                kind,
+                tenant,
+                start,
+                end,
+                0.0,
+            );
+        }
+    }
+}
+
+/// What a fan-out task needs from its daemon.
+struct Conn {
+    /// The data plane, billed to [`Actor::CommitDaemon`].
+    plane: DataPlane,
+    wal_url: String,
+}
+
+/// Which of the daemon's connection pools bounds a stage's fan-out.
+#[derive(Clone, Copy)]
+enum Pool {
+    /// `commit_parallelism`: S3 and SQS connections.
+    Commit,
+    /// `db_concurrency`: the far smaller 2009 database pools.
+    Db,
+}
+
+/// What a stage does with the group: turn its state into units, hand
+/// them to [`CommitDaemon::fan_out`], fold the results back.
+type StageFn = fn(&CommitDaemon, &Stage, &mut Group) -> Result<()>;
+
+/// One fan-out of the commit engine — a row of [`STAGES`].
+/// [`CommitDaemon::fan_out`] owns its crash-point check, its pool bound
+/// and its barrier.
+struct Stage {
+    /// The phase span this stage's time is billed to.
+    span: &'static str,
+    /// Crossed once per unit before its work starts; a name ending in
+    /// `:` is completed by the unit's key. Empty: no step a daemon death
+    /// is aimed at.
+    crash_point: &'static str,
+    pool: Pool,
+    run: StageFn,
+}
+
+impl Stage {
+    const fn new(span: &'static str, crash_point: &'static str, pool: Pool, run: StageFn) -> Stage {
+        Stage {
+            span,
+            crash_point,
+            pool,
+            run,
+        }
+    }
+}
+
+/// The group-commit engine, as data. [`CommitDaemon::commit_group`] runs
+/// the rows top to bottom, every stage behind the previous one's
+/// barrier; consecutive rows of one span form a phase — a span on the
+/// lead root, mirrored onto every traced member. Reordering or
+/// pipelining the commit path is an edit of this table. The order
+/// carries the §3 invariants across the grouping:
+///
+/// 1. **copy** — data commits strictly before provenance. A transaction
+///    whose temp object never arrived (the client died after logging
+///    the WAL but before its parallel temp PUT landed) is evicted HERE,
+///    before any of its provenance exists anywhere — so a dead client
+///    can never leave provenance describing data that does not exist
+///    (§3's "old data based on new provenance" hazard). The short window
+///    where data is visible without provenance is ordinary eventual
+///    coupling and closes when the db phase lands (or on recommit). A
+///    daemon that dies in that window AND whose WAL then expires
+///    unrecovered leaves the data permanently ProvenanceMissing — the
+///    *detectable* side of the tradeoff; the reverse order risked the
+///    misleading side, permanent phantom provenance.
+/// 2. **db** — every survivor's base provenance items.
+/// 3. **index** — strictly after *every* base chunk: the ancestry index
+///    never describes provenance that is not stored, for any member.
+/// 4. **ack** — temp GC and change-feed staging, and only then the WAL
+///    receipts: none is acknowledged before every chunk carrying one of
+///    its transaction's items is durable.
+///
+/// A daemon crash anywhere in the group therefore leaves every member's
+/// WAL unacknowledged, or some members fully acked and the rest
+/// recommittable; every write before the ack is idempotent, so the
+/// recommit converges.
+const STAGES: &[Stage] = &[
+    Stage::new("copy", "", Pool::Commit, materialize_cas),
+    Stage::new("copy", "p3:commit:copy:", Pool::Commit, copy_into_place),
+    Stage::new("db", "p3:commit:group:db", Pool::Db, write_base),
+    Stage::new("index", "p3:commit:group:index", Pool::Db, write_index),
+    Stage::new("ack", "p3:commit:group:gc", Pool::Commit, drop_temps),
+    Stage::new("ack", "p3:commit:group:ack", Pool::Commit, feed_and_ack),
+];
+
+/// The crash points of the group-commit engine, in execution order —
+/// what aimed chaos schedules take as input. A name ending in `:` is
+/// keyed: the step a daemon crosses is the name plus the final key of
+/// the object being copied.
+pub fn commit_crash_points() -> Vec<&'static str> {
+    let points = STAGES.iter().map(|s| s.crash_point);
+    points.filter(|p| !p.is_empty()).collect()
+}
+
+/// The crash-point key of a unit that has none.
+fn unkeyed<U>(_: &U) -> &str {
+    ""
+}
+
+/// Copy phase, first stage: fetch each referenced CAS hash's registry
+/// item — once per hash per group — and fold its records into the
+/// referencing members. The client's flusher only logs a reference
+/// after its publish is durable, so a hash that never becomes visible
+/// is either registry eventual consistency that outlived the retry
+/// budget or a corrupt entry; the member evicts like a stalled copy.
+fn materialize_cas(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()> {
+    let mut seen = BTreeSet::new();
+    let all = g.members.iter().flat_map(|m| &m.cas_shas);
+    let needed: Vec<String> = all.filter(|sha| seen.insert(*sha)).cloned().collect();
+    if needed.is_empty() {
+        return Ok(());
+    }
+    let mut fetched: BTreeMap<String, Vec<ProvenanceRecord>> = BTreeMap::new();
+    let results = daemon.fan_out(stage, needed.clone(), unkeyed, fetch_cas_records);
+    for (sha, records) in needed.into_iter().zip(results) {
+        if let Some(records) = records? {
+            fetched.insert(sha, records);
+        }
+    }
+    for m in &mut g.members {
+        for sha in &m.cas_shas {
+            match fetched.get(sha) {
+                Some(records) => m.records.extend(records.iter().cloned()),
+                None => m.stalled = true,
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Fetches one CAS hash's records from the shared registry with the same
+/// bounded visibility-retry discipline as [`copy_file`]: the registry is
+/// eventually consistent, and the publish happened strictly before the
+/// WAL reference, so a short wait closes the common race. `Ok(None)` —
+/// never visible within the budget, or a malformed item.
+fn fetch_cas_records(conn: &Conn, sha: String) -> Result<Option<Vec<ProvenanceRecord>>> {
+    let DataPlane { env, config, .. } = &conn.plane;
+    let sdb = env.sdb().with_actor(Actor::CommitDaemon);
+    let registry = cas::cas_domain(&config.layout.domain);
+    for _ in 0..config.retries.max(1) + 8 {
+        let attrs = retry(env.sim(), config.retries, || {
+            sdb.get_attributes(&registry, &sha)
+        })?;
+        if !attrs.is_empty() {
+            return Ok(cas::decode_registry_item(&attrs).map(|(_, _, _, records)| records));
+        }
+        env.sim().sleep(Duration::from_secs(1));
+    }
+    Ok(None)
+}
+
+/// Copy phase, second stage. Across group members, copies of one final
+/// key are unordered — exactly as cross-transaction commit order always
+/// was (SQS receives sample uniformly). Every interleaving is safe
+/// because a copy moves data and version metadata atomically, so any
+/// winner leaves a self-consistent, coupled object whose provenance the
+/// later phases write.
+///
+/// A transaction's file list can name one final key twice: the closure
+/// may carry a historic version of a file alongside the version being
+/// closed, ancestors first. Copied in list order the LAST entry (the
+/// newest version) would define the final (data, metadata) pair; with
+/// copies fanned out in parallel that ordering would be lost — so only
+/// each key's last entry is copied at all, which also saves the
+/// transient COPY requests. The skipped entries' temp objects still
+/// reach the GC stage.
+fn copy_into_place(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()> {
+    let mut owners: Vec<usize> = Vec::new();
+    let mut units: Vec<(Uuid, FileMove)> = Vec::new();
+    for (mi, m) in g.members.iter().enumerate().filter(|(_, m)| !m.stalled) {
+        let files = m.files.iter().enumerate();
+        let last_for_key: BTreeMap<&str, usize> =
+            files.clone().map(|(fi, f)| (f.to.as_str(), fi)).collect();
+        for (_, f) in files.filter(|(fi, f)| last_for_key[f.to.as_str()] == *fi) {
+            owners.push(mi);
+            units.push((m.txn, f.clone()));
+        }
+    }
+    let results = daemon.fan_out(stage, units, |(_, f)| f.to.as_str(), copy_file);
+    for (mi, copied) in owners.into_iter().zip(results) {
+        match copied {
+            Ok(()) => {}
+            // A stalled member must not block its group peers: evict
+            // it and let redelivery/retention handle it.
+            Err(ProtocolError::CommitStalled(_)) => g.members[mi].stalled = true,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// COPYs one object to its permanent name, stamping uuid+version
+/// metadata (S3 has no rename, and §4.3.3 notes copies cost $0.01 per
+/// thousand), with the stall-detection retry loop: a source that never
 /// becomes copyable (and whose final key does not already carry this
 /// version — another daemon may have committed it) makes the owning
-/// transaction [`ProtocolError::CommitStalled`]. Free function so the
-/// group commit can fan copies out over simulated connections.
-fn copy_into_place(
-    env: &CloudEnv,
-    config: &ProtocolConfig,
-    txn: Uuid,
-    temp: &str,
-    final_key: &str,
-    id: PNodeId,
-) -> Result<()> {
-    config.step(&format!("p3:commit:copy:{final_key}"))?;
+/// transaction [`ProtocolError::CommitStalled`].
+fn copy_file(conn: &Conn, (txn, file): (Uuid, FileMove)) -> Result<()> {
+    let DataPlane { env, config, s3 } = &conn.plane;
     let sim = env.sim();
-    let s3 = env.s3().with_actor(Actor::CommitDaemon);
-    let layout = &config.layout;
+    let bucket = &config.layout.data_bucket;
+    let FileMove { from, to, id } = &file;
     for _ in 0..config.retries.max(1) + 8 {
         match retry(sim, config.retries, || {
-            s3.copy(
-                &layout.data_bucket,
-                temp,
-                &layout.data_bucket,
-                final_key,
-                MetadataDirective::Replace(object_metadata(id)),
-            )
+            let meta = MetadataDirective::Replace(object_metadata(*id));
+            s3.copy(bucket, from, bucket, to, meta)
         }) {
             Ok(()) => return Ok(()),
             Err(CloudError::NoSuchKey { .. }) => {
                 // Either the temp PUT is not yet visible, or another
                 // daemon already committed and deleted it.
-                if let Ok(head) = s3.head(&layout.data_bucket, final_key) {
-                    if parse_object_metadata(&head.meta) == Some(id) {
+                if let Ok(head) = s3.head(bucket, to) {
+                    if parse_object_metadata(&head.meta) == Some(*id) {
                         return Ok(());
                     }
                 }
@@ -532,33 +718,114 @@ fn copy_into_place(
         }
     }
     Err(ProtocolError::CommitStalled(format!(
-        "temp object {temp} for txn {txn} never became copyable"
+        "temp object {from} for txn {txn} never became copyable"
     )))
 }
 
-/// Fetches one CAS hash's records from the shared registry with the same
-/// bounded visibility-retry discipline as [`copy_into_place`]: the
-/// registry is eventually consistent, and the publish happened strictly
-/// before the WAL reference, so a short wait closes the common race.
-/// `Ok(None)` — never visible within the budget, or a malformed item —
-/// evicts the referencing member (redelivery retries the whole group
-/// member); hard cloud errors propagate.
-fn fetch_cas_records(
-    env: &CloudEnv,
-    config: &ProtocolConfig,
-    sha: &str,
-) -> Result<Option<Vec<ProvenanceRecord>>> {
-    let sim = env.sim();
-    let sdb = env.sdb().with_actor(Actor::CommitDaemon);
-    let registry = cas::cas_domain(&config.layout.domain);
-    for _ in 0..config.retries.max(1) + 8 {
-        let attrs = retry(sim, config.retries, || sdb.get_attributes(&registry, sha))?;
-        if !attrs.is_empty() {
-            return Ok(cas::decode_registry_item(&attrs).map(|(_, _, _, records)| records));
+/// Db phase: spill oversized values, pack every survivor's base items —
+/// and the cross-transaction-merged index items — into full
+/// `BatchPutAttributes` chunks ([`pack_group_writes`]), and write the
+/// base half.
+fn write_base(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()> {
+    let config = &daemon.conn.plane.config;
+    let mut base_items: Vec<PutItem> = Vec::new();
+    let mut index_items: Vec<PutItem> = Vec::new();
+    for m in g.members.iter_mut().filter(|m| !m.stalled) {
+        // The records are not needed after this phase: move them out
+        // instead of cloning hundreds of strings per member.
+        let records = std::mem::take(&mut m.records);
+        if daemon.feed.is_some() {
+            let (uuids, programs) = extract_touches(&records);
+            g.touches.push(StagedTouches {
+                txn: m.txn,
+                tenant: m.tenant,
+                uuids,
+                programs,
+            });
         }
-        sim.sleep(Duration::from_secs(1));
+        if config.index {
+            index_items.extend(crate::index::index_updates(&records));
+        }
+        let mut by_subject: BTreeMap<PNodeId, Vec<ProvenanceRecord>> = BTreeMap::new();
+        for r in records {
+            by_subject.entry(r.subject).or_default().push(r);
+        }
+        for (id, recs) in &by_subject {
+            base_items.push(records_to_item(&daemon.conn.plane, *id, recs)?);
+        }
     }
-    Ok(None)
+    g.plan = pack_group_writes(
+        base_items,
+        crate::index::merge_index_items(index_items),
+        config.db_batch.clamp(1, BATCH_LIMIT),
+        config.db_concurrency.max(1),
+    );
+    let chunks = std::mem::take(&mut g.plan.base_chunks);
+    daemon.write_chunks(stage, &config.layout.domain, chunks)
+}
+
+/// Index phase: the index half of the db phase's plan.
+fn write_index(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()> {
+    let domain = crate::index::index_domain(&daemon.conn.plane.config.layout.domain);
+    let chunks = std::mem::take(&mut g.plan.index_chunks);
+    daemon.write_chunks(stage, &domain, chunks)
+}
+
+/// Writes one `BatchPutAttributes` chunk.
+fn put_chunk(conn: &Conn, (domain, chunk): (String, Vec<PutItem>)) -> Result<()> {
+    let DataPlane { env, config, .. } = &conn.plane;
+    let sdb = env.sdb().with_actor(Actor::CommitDaemon);
+    retry(env.sim(), config.retries, || {
+        sdb.batch_put_attributes(&domain, chunk.clone())
+    })?;
+    Ok(())
+}
+
+/// Ack phase, first stage: delete the survivors' temp objects (S3 has
+/// no batch delete in 2009, so the amortization is the parallel
+/// fan-out). A `cas/…` source is shared, fleet-wide published content —
+/// other transactions (on other shards, later) reference the same hash
+/// — and is never GC'd here.
+fn drop_temps(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()> {
+    let temp_prefix = &daemon.conn.plane.config.layout.temp_prefix;
+    let files = g.survivors().flat_map(|m| &m.files);
+    let temps = files.filter(|f| f.from.starts_with(temp_prefix));
+    let units: Vec<String> = temps.map(|f| f.from.clone()).collect();
+    let drop_temp = |conn: &Conn, temp: String| conn.plane.delete(&temp);
+    let results = daemon.fan_out(stage, units, unkeyed, drop_temp);
+    results.into_iter().collect()
+}
+
+/// Ack phase, second stage: durably stage the group's change-feed
+/// events — strictly BEFORE any receipt acknowledges (crash point
+/// `p3:notify:stage`): a crash there leaves the WAL unacked, the group
+/// recommits and restages under fresh sequence numbers, so a consumer
+/// can see a transaction's event twice but never miss it — then
+/// acknowledge the survivors' WAL receipts in `DeleteMessageBatch`
+/// calls. Lenient: a failed acknowledgement redelivers and is dropped
+/// as an already-committed transaction on a later poll.
+fn feed_and_ack(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()> {
+    if let Some(w) = &daemon.feed {
+        w.stage(&g.touches)?;
+    }
+    let receipts: Vec<String> = g
+        .survivors()
+        .flat_map(|m| m.receipts.iter().cloned())
+        .collect();
+    let units: Vec<Vec<String>> = receipts
+        .chunks(BATCH_ENTRY_LIMIT)
+        .map(<[String]>::to_vec)
+        .collect();
+    let ack = |conn: &Conn, receipts: Vec<String>| {
+        let DataPlane { env, config, .. } = &conn.plane;
+        let sqs = env.sqs().with_actor(Actor::CommitDaemon);
+        let _ = retry(env.sim(), config.retries, || {
+            sqs.delete_batch(&conn.wal_url, &receipts)
+        });
+        Ok(())
+    };
+    let results = daemon.fan_out(stage, units, unkeyed, ack);
+    results.into_iter().collect()
 }
 
 /// The two write phases of one group commit, in execution order: every
@@ -658,9 +925,7 @@ pub type CommitListener = Arc<dyn Fn(Uuid) + Send + Sync>;
 
 /// The asynchronous commit daemon (§4.3.3 commit phase).
 pub struct CommitDaemon {
-    env: CloudEnv,
-    config: ProtocolConfig,
-    wal_url: String,
+    conn: Arc<Conn>,
     buf: Mutex<BTreeMap<Uuid, TxnBuf>>,
     committed: Mutex<BTreeSet<Uuid>>,
     /// When each transaction's first WAL message reached this daemon —
@@ -689,7 +954,7 @@ pub struct CommitDaemon {
 impl std::fmt::Debug for CommitDaemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitDaemon")
-            .field("wal", &self.wal_url)
+            .field("wal", &self.conn.wal_url)
             .field("committed", &self.committed_count.load(Ordering::Relaxed))
             .finish()
     }
@@ -714,9 +979,10 @@ impl CommitDaemon {
             .feed
             .then(|| FeedWriter::new(env, config.clone(), &stream));
         CommitDaemon {
-            env: env.clone(),
-            config,
-            wal_url: wal_url.to_string(),
+            conn: Arc::new(Conn {
+                plane: DataPlane::new(env, config, Actor::CommitDaemon),
+                wal_url: wal_url.to_string(),
+            }),
             buf: Mutex::new(BTreeMap::new()),
             committed: Mutex::new(BTreeSet::new()),
             materialized: Mutex::new(BTreeSet::new()),
@@ -779,14 +1045,15 @@ impl CommitDaemon {
     /// transactions are never an error — they are ignored until their
     /// messages expire (crashed clients, §4.3.3).
     pub fn poll_once(&self) -> Result<PollOutcome> {
-        self.config.step("p3:commit:poll")?;
-        let sqs = self.env.sqs().with_actor(Actor::CommitDaemon);
+        let DataPlane { env, config, .. } = &self.conn.plane;
+        config.step("p3:commit:poll")?;
+        let sqs = env.sqs().with_actor(Actor::CommitDaemon);
         let mut outcome = PollOutcome::default();
         let mut ready: Vec<Uuid> = Vec::new();
         let mut drops: Vec<String> = Vec::new();
         for _ in 0..GROUP_RECEIVE_ROUNDS {
-            let msgs = retry(self.env.sim(), self.config.retries, || {
-                sqs.receive(&self.wal_url, RECEIVE_MAX)
+            let msgs = retry(env.sim(), config.retries, || {
+                sqs.receive(&self.conn.wal_url, RECEIVE_MAX)
             })?;
             if msgs.is_empty() {
                 break;
@@ -794,39 +1061,32 @@ impl CommitDaemon {
             outcome.messages += msgs.len();
             let mut buf = self.buf.lock();
             for m in msgs {
-                let body = String::from_utf8_lossy(&m.body).to_string();
-                let Some((txn, seq, total, tenant, ctx, rest)) = parse_header(&body) else {
+                let body = String::from_utf8_lossy(&m.body);
+                let Some((header, rest)) = Header::parse(&body) else {
                     // Garbage message: queue it for the batched drop.
                     drops.push(m.receipt);
                     continue;
                 };
+                let txn = header.txn;
                 if self.committed.lock().contains(&txn) {
                     // Late redelivery of an already-committed transaction.
                     drops.push(m.receipt);
                     continue;
                 }
                 let entry = buf.entry(txn).or_insert_with(|| {
-                    self.first_seen
-                        .lock()
-                        .entry(txn)
-                        .or_insert_with(|| self.env.sim().now());
+                    let now = env.sim().now();
+                    self.first_seen.lock().entry(txn).or_insert(now);
                     // Trace: pickup instant (first mark wins across
                     // daemons, matching the pool's earliest-wins merge).
-                    self.env.tracer().mark_pickup(txn.0, self.env.sim().now());
-                    TxnBuf {
-                        total: None,
-                        tenant: None,
-                        ctx: None,
-                        parts: BTreeMap::new(),
-                        receipts: Vec::new(),
-                    }
+                    env.tracer().mark_pickup(txn.0, now);
+                    TxnBuf::default()
                 });
-                entry.total = Some(total);
-                entry.tenant = entry.tenant.or(tenant);
-                entry.ctx = entry.ctx.or(ctx);
-                entry.parts.insert(seq, rest);
+                entry.total = header.total;
+                entry.tenant = entry.tenant.or(header.tenant);
+                entry.ctx = entry.ctx.or(header.ctx);
+                entry.parts.insert(header.seq, rest.to_string());
                 entry.receipts.push(m.receipt);
-                if entry.parts.len() == total && !ready.contains(&txn) {
+                if entry.parts.len() == entry.total && !ready.contains(&txn) {
                     ready.push(txn);
                 }
             }
@@ -835,8 +1095,8 @@ impl CommitDaemon {
         // traffic: whole-call failures (after retries) surface instead of
         // being discarded, per-entry failures just redeliver.
         for chunk in drops.chunks(BATCH_ENTRY_LIMIT) {
-            let results = retry(self.env.sim(), self.config.retries, || {
-                sqs.delete_batch(&self.wal_url, chunk)
+            let results = retry(env.sim(), config.retries, || {
+                sqs.delete_batch(&self.conn.wal_url, chunk)
             })?;
             outcome.dropped += results.iter().filter(|r| r.is_ok()).count();
         }
@@ -847,9 +1107,7 @@ impl CommitDaemon {
                 .filter_map(|txn| buf.remove(&txn).map(|entry| (txn, entry)))
                 .collect()
         };
-        let g = self.commit_group(group)?;
-        outcome.committed = g.committed;
-        outcome.stalled = g.stalled;
+        (outcome.committed, outcome.stalled) = self.commit_group(group)?;
         // Drain any feed backlog a crashed predecessor staged but never
         // published — even on idle polls, so failover delivery does not
         // wait for new traffic.
@@ -857,561 +1115,119 @@ impl CommitDaemon {
         Ok(outcome)
     }
 
-    /// Commits a group of fully-assembled transactions in five phases
-    /// whose ordering carries the §3 invariants across the grouping
-    /// (plus a phase 0 that materializes content-addressed references:
-    /// each referenced CAS hash's registry records are fetched — once
-    /// per hash per group, in parallel — and folded into the
-    /// referencing members, whose `cas/{sha}` data objects then ride
-    /// the ordinary copy fan-out below; a member whose hash never
-    /// becomes visible evicts before any of its state is written):
-    ///
-    /// 1. **Copy** — every member's temp objects COPY into place, fanned
-    ///    out over `commit_parallelism` connections. A member whose temp
-    ///    never became copyable is evicted (stalled) here, before any of
-    ///    its provenance exists anywhere.
-    /// 2. **Base items** — all survivors' provenance items pack into
-    ///    full `BatchPutAttributes` chunks ([`pack_group_writes`])
-    ///    written over `db_concurrency` connections (crash point
-    ///    `p3:commit:group:db`, once per chunk).
-    /// 3. **Index items** — strictly after *every* base chunk, the
-    ///    cross-transaction-merged ancestry-index chunks write the same
-    ///    way (`p3:commit:group:index`) — the index never describes
-    ///    provenance that is not stored, for any member.
-    /// 4. **GC** — survivors' temp objects delete in parallel
-    ///    (`p3:commit:group:gc`).
-    /// 5. **Ack** — survivors' WAL receipts acknowledge through
-    ///    `DeleteMessageBatch` calls (`p3:commit:group:ack`), strictly
-    ///    after phases 2–3: no receipt is acked before every chunk
-    ///    containing one of its transaction's items is durable.
-    ///
-    /// A daemon crash anywhere in the group therefore leaves every
-    /// member's WAL unacknowledged (phases 1–4) or some members fully
-    /// acked and the rest recommittable; every write in phases 1–3 is
-    /// idempotent, so the recommit converges.
-    fn commit_group(&self, group: Vec<(Uuid, TxnBuf)>) -> Result<GroupOutcome> {
+    /// Commits a group of fully-assembled transactions by running the
+    /// [`STAGES`] table: per phase, a span on the lead root opens, the
+    /// phase's stages run in order (each a barrier), the span closes and
+    /// is mirrored onto every other traced member. An error — a cloud
+    /// failure or a crash point firing — aborts the group where it
+    /// stands, with no receipt of an unfinished member acknowledged.
+    /// Returns how many members (committed, were evicted).
+    fn commit_group(&self, group: Vec<(Uuid, TxnBuf)>) -> Result<(usize, usize)> {
         if group.is_empty() {
-            return Ok(GroupOutcome::default());
+            return Ok((0, 0));
         }
-        let sim = self.env.sim();
-        let tracer = self.env.tracer().clone();
-        let t_group = sim.now();
-        let s3 = self.env.s3().with_actor(Actor::CommitDaemon);
-        let sdb = self.env.sdb().with_actor(Actor::CommitDaemon);
-        let layout = &self.config.layout;
-        let par = self.config.commit_parallelism.max(1);
-
-        // Reassemble each member in sequence order and parse. A member
-        // whose record text fails to decode (corrupt or truncated body
-        // from a buggy client) is EVICTED like a stalled member, not an
-        // error: propagating would abort the whole group before any
-        // peer committed, and since the poison messages redeliver the
-        // shard would relive the same failure every poll until the
-        // 4-day retention — where the serial path at least committed
-        // the healthy transactions ahead of the poison one. Evicted
-        // members' messages redeliver and ultimately expire with SQS
-        // retention, the paper's garbage-collection story.
-        let mut poisoned = 0usize;
-        let mut txns: Vec<ParsedTxn> = Vec::with_capacity(group.len());
-        for (txn, entry) in group {
-            let mut files: Vec<(String, String, PNodeId)> = Vec::new();
-            let mut cas_shas: Vec<String> = Vec::new();
-            let mut record_text = String::new();
-            for body in entry.parts.values() {
-                for line in body.lines() {
-                    if let Some(rest) = line.strip_prefix("OBJ\t") {
-                        let mut it = rest.split('\t');
-                        let (Some(temp), Some(final_key), Some(id)) =
-                            (it.next(), it.next(), it.next())
-                        else {
-                            continue;
-                        };
-                        if let Ok(id) = id.parse::<PNodeId>() {
-                            files.push((temp.to_string(), final_key.to_string(), id));
-                        }
-                    } else if let Some(rest) = line.strip_prefix("CAS\t") {
-                        // A content-addressed reference: the published
-                        // `cas/{sha}` object joins the copy fan-out like
-                        // a temp object (at its position in line order,
-                        // preserving last-for-key election), and the
-                        // hash's registry records join the member in
-                        // phase 0.
-                        let mut it = rest.split('\t');
-                        let (Some(sha), Some(final_key), Some(id), Some(flag)) =
-                            (it.next(), it.next(), it.next(), it.next())
-                        else {
-                            continue;
-                        };
-                        if let Ok(id) = id.parse::<PNodeId>() {
-                            if flag == "d" && final_key != "-" {
-                                files.push((cas::cas_object_key(sha), final_key.to_string(), id));
-                            }
-                            if !self.materialized.lock().contains(sha) {
-                                cas_shas.push(sha.to_string());
-                            }
-                        }
-                    } else {
-                        record_text.push_str(line);
-                        record_text.push('\n');
-                    }
-                }
-            }
-            let Ok(records) = wire::decode(record_text.as_bytes()) else {
-                poisoned += 1;
-                continue;
-            };
-            txns.push(ParsedTxn {
-                txn,
-                tenant: entry.tenant,
-                ctx: entry.ctx,
-                files,
-                records,
-                cas_shas,
-                receipts: entry.receipts,
+        let sim = self.conn.plane.env.sim();
+        let tracer = self.conn.plane.env.tracer();
+        let mut at = sim.now();
+        let mut g = Group::assemble(self, group, at);
+        for phase in STAGES.chunk_by(|a, b| a.span == b.span) {
+            let span = phase[0].span;
+            // The span's scope parents the daemon's metered ops. Dropped
+            // unfinished on an error path, it still closes the tree.
+            let guard = g.lead.and_then(|l| {
+                let scope = Some((SCOPE_COMMIT_DAEMON, None));
+                tracer.phase(l.trace, l.span, span, None, scope, at)
             });
-        }
-
-        // Trace: resolve each member's root (header context, or the
-        // shared tracer's record when the client ran in-process), mark
-        // group entry, and elect a lead root to parent the phase spans.
-        // Non-lead traced members get identical phase spans under their
-        // own roots, so every member's root-to-leaf walk is complete.
-        let roots: Vec<Option<SpanContext>> = txns
-            .iter()
-            .map(|t| {
-                let ctx = t.ctx.or_else(|| tracer.root_ctx(t.txn.0));
-                if let Some(c) = ctx {
-                    tracer.register_root(c, t.tenant.map(|x| x.0));
-                    tracer.mark_group_start(c.trace, t_group);
-                }
-                ctx
-            })
-            .collect();
-        let lead = roots.iter().flatten().next().copied();
-        let member_tenants: Vec<Option<u32>> = txns.iter().map(|t| t.tenant.map(|x| x.0)).collect();
-
-        // Phase 0: materialize CAS references — fetch each referenced
-        // hash's registry item (once per hash per group, fanned out in
-        // parallel) and fold its records into the referencing members.
-        // The client's flusher only logs a reference after its publish
-        // is durable, so a hash that never becomes visible within the
-        // copy-style retry budget is either registry eventual
-        // consistency that outlived the budget or a corrupt entry; the
-        // member evicts like a stalled copy and its messages redeliver.
-        // The `copy` phase span covers phases 0–1 (CAS materialization
-        // + data copies); its scope parents the daemon's metered ops.
-        let g_copy = lead.and_then(|l| {
-            tracer.phase(
-                l.trace,
-                l.span,
-                "copy",
-                None,
-                Some((SCOPE_COMMIT_DAEMON, None)),
-                t_group,
-            )
-        });
-        let mut stalled: Vec<bool> = vec![false; txns.len()];
-        let needed: Vec<String> = {
-            let mut seen = BTreeSet::new();
-            txns.iter()
-                .flat_map(|t| t.cas_shas.iter())
-                .filter(|sha| seen.insert(sha.to_string()))
-                .cloned()
-                .collect()
-        };
-        if !needed.is_empty() {
-            let mut tasks: Vec<CasFetchTask> = Vec::new();
-            for sha in &needed {
-                let env = self.env.clone();
-                let config = self.config.clone();
-                let sha = sha.clone();
-                tasks.push(Box::new(move || fetch_cas_records(&env, &config, &sha)));
+            let evicted_before: Vec<bool> = g.members.iter().map(|m| m.stalled).collect();
+            for stage in phase {
+                (stage.run)(self, stage, &mut g)?;
             }
-            let mut fetched: BTreeMap<String, Vec<ProvenanceRecord>> = BTreeMap::new();
-            for (sha, r) in needed.iter().zip(sim.run_parallel(par, tasks)) {
-                if let Some(records) = r? {
-                    fetched.insert(sha.clone(), records);
-                }
+            let end = sim.now();
+            if let Some(guard) = guard {
+                guard.finish(end);
             }
-            for (ti, t) in txns.iter_mut().enumerate() {
-                for sha in &t.cas_shas {
-                    match fetched.get(sha) {
-                        Some(records) => t.records.extend(records.iter().cloned()),
-                        None => stalled[ti] = true,
-                    }
-                }
-            }
-        }
-
-        // Phase 1: COPY temp -> permanent, stamping uuid+version
-        // metadata, for EVERY member before ANY provenance is written.
-        // Data commits strictly before provenance: a transaction whose
-        // temp object never arrived (the client died after logging the
-        // WAL but before its parallel temp PUT landed) stalls HERE — so
-        // a dead client can never leave provenance describing data that
-        // does not exist (§3's "old data based on new provenance"
-        // hazard). The short window where data is visible without
-        // provenance is ordinary eventual coupling and closes when phase
-        // 2 lands (or on recommit, since the WAL messages are only
-        // acknowledged at the very end). A daemon that dies in that
-        // window AND whose WAL then expires unrecovered leaves the data
-        // permanently ProvenanceMissing — the *detectable* side of the
-        // tradeoff; the reverse order risked the misleading side,
-        // permanent phantom provenance.
-        // Across group members, copies of one final key are unordered —
-        // exactly as cross-transaction commit order always was (the
-        // serial path committed ready transactions in receive order,
-        // and SQS receives sample uniformly). Every interleaving is
-        // safe because a copy moves data and version metadata
-        // atomically, so any winner leaves a self-consistent, coupled
-        // object whose provenance is written by phases 2-3.
-        //
-        // A transaction's file list can name one final key twice: the
-        // closure may carry a historic version of a file alongside the
-        // version being closed, ancestors first. The serial path copied
-        // them in list order, so the LAST entry (the newest version)
-        // always defined the final (data, metadata) pair and the earlier
-        // copies were transient states it immediately overwrote. With
-        // copies fanned out in parallel that ordering would be lost —
-        // so only each key's last entry is copied at all (the winner the
-        // serial path produced), which also saves the transient COPY
-        // requests. The skipped entries' temp objects still reach the
-        // GC phase.
-        let mut owners: Vec<usize> = Vec::new();
-        let mut tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send>> = Vec::new();
-        for (ti, t) in txns.iter().enumerate() {
-            if stalled[ti] {
-                // Evicted in phase 0 (unmaterializable CAS reference):
-                // none of its data commits either.
-                continue;
-            }
-            let mut last_for_key: BTreeMap<&str, usize> = BTreeMap::new();
-            for (fi, (_, final_key, _)) in t.files.iter().enumerate() {
-                last_for_key.insert(final_key, fi);
-            }
-            for (fi, (temp, final_key, id)) in t.files.iter().enumerate() {
-                if last_for_key.get(final_key.as_str()) != Some(&fi) {
-                    continue;
-                }
-                owners.push(ti);
-                let env = self.env.clone();
-                let config = self.config.clone();
-                let (temp, final_key, id, txn) = (temp.clone(), final_key.clone(), *id, t.txn);
-                tasks.push(Box::new(move || {
-                    copy_into_place(&env, &config, txn, &temp, &final_key, id)
-                }));
-            }
-        }
-        for (ti, r) in owners.into_iter().zip(sim.run_parallel(par, tasks)) {
-            match r {
-                Ok(()) => {}
-                // A stalled member must not block its group peers: evict
-                // it and let redelivery/retention handle it.
-                Err(ProtocolError::CommitStalled(_)) => stalled[ti] = true,
-                Err(e) => return Err(e),
-            }
-        }
-        let survivors: Vec<usize> = (0..txns.len()).filter(|ti| !stalled[*ti]).collect();
-
-        let t_copy_end = sim.now();
-        if let Some(g) = g_copy {
-            g.finish(t_copy_end);
-        }
-        emit_member_phase_spans(
-            &tracer,
-            &roots,
-            lead,
-            &member_tenants,
-            "copy",
-            t_group,
-            t_copy_end,
-        );
-        for (ti, s) in stalled.iter().enumerate() {
-            if *s {
-                if let Some(r) = roots[ti] {
+            g.mirror_phase(tracer, span, at, end);
+            for (m, was) in g.members.iter().zip(evicted_before) {
+                if let Some(root) = m.root.filter(|_| m.stalled && !was) {
                     // Evicted members' roots never close; annotate so the
                     // open trace explains itself.
-                    tracer.event(r, "evicted", t_copy_end);
+                    tracer.event(root, "evicted", end);
                 }
             }
+            at = end;
         }
-        // The `db` phase span covers value spills + base-item chunks.
-        let g_db = lead.and_then(|l| {
-            tracer.phase(
-                l.trace,
-                l.span,
-                "db",
-                None,
-                Some((SCOPE_COMMIT_DAEMON, None)),
-                t_copy_end,
-            )
-        });
-
-        // Phases 2+3: spill oversized values, then pack every survivor's
-        // base items — and the cross-transaction-merged index items —
-        // into full chunks, written in parallel with a hard barrier
-        // between the base and index phases.
-        let mut base_items: Vec<PutItem> = Vec::new();
-        let mut index_items: Vec<PutItem> = Vec::new();
-        let mut touches: Vec<StagedTouches> = Vec::new();
-        for &ti in &survivors {
-            // The records are not needed after this phase: move them
-            // out instead of cloning hundreds of strings per member.
-            let records = std::mem::take(&mut txns[ti].records);
-            if self.feed.is_some() {
-                let (uuids, programs) = extract_touches(&records);
-                touches.push(StagedTouches {
-                    txn: txns[ti].txn,
-                    tenant: txns[ti].tenant,
-                    uuids,
-                    programs,
-                });
-            }
-            if self.config.index {
-                index_items.extend(crate::index::index_updates(&records));
-            }
-            let mut by_subject: BTreeMap<PNodeId, Vec<ProvenanceRecord>> = BTreeMap::new();
-            for r in records {
-                by_subject.entry(r.subject).or_default().push(r);
-            }
-            for (id, recs) in &by_subject {
-                base_items.push(records_to_item(
-                    sim,
-                    &s3,
-                    layout,
-                    self.config.retries,
-                    *id,
-                    recs,
-                )?);
-            }
-        }
-        let index_items = crate::index::merge_index_items(index_items);
-        let plan = pack_group_writes(
-            base_items,
-            index_items,
-            self.config.db_batch.clamp(1, BATCH_LIMIT),
-            self.config.db_concurrency.max(1),
-        );
-        self.write_chunks(
-            &sdb,
-            &layout.domain,
-            &plan.base_chunks,
-            "p3:commit:group:db",
-        )?;
-        let t_db_end = sim.now();
-        if let Some(g) = g_db {
-            g.finish(t_db_end);
-        }
-        emit_member_phase_spans(
-            &tracer,
-            &roots,
-            lead,
-            &member_tenants,
-            "db",
-            t_copy_end,
-            t_db_end,
-        );
-        let g_index = lead.and_then(|l| {
-            tracer.phase(
-                l.trace,
-                l.span,
-                "index",
-                None,
-                Some((SCOPE_COMMIT_DAEMON, None)),
-                t_db_end,
-            )
-        });
-        self.write_chunks(
-            &sdb,
-            &crate::index::index_domain(&layout.domain),
-            &plan.index_chunks,
-            "p3:commit:group:index",
-        )?;
-        let t_index_end = sim.now();
-        if let Some(g) = g_index {
-            g.finish(t_index_end);
-        }
-        emit_member_phase_spans(
-            &tracer,
-            &roots,
-            lead,
-            &member_tenants,
-            "index",
-            t_db_end,
-            t_index_end,
-        );
-        // The `ack` phase span covers the commit tail: temp GC, feed
-        // staging, and the WAL acknowledgement batches.
-        let g_ack = lead.and_then(|l| {
-            tracer.phase(
-                l.trace,
-                l.span,
-                "ack",
-                None,
-                Some((SCOPE_COMMIT_DAEMON, None)),
-                t_index_end,
-            )
-        });
-
-        // Phase 4: delete the survivors' temp objects. S3 has no batch
-        // delete in 2009, so the amortization is the parallel fan-out.
-        let mut tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send>> = Vec::new();
-        for &ti in &survivors {
-            for (temp, _, _) in &txns[ti].files {
-                if !temp.starts_with(&layout.temp_prefix) {
-                    // A `cas/…` source is shared, fleet-wide published
-                    // content — other transactions (on other shards,
-                    // later) reference the same hash. Never GC'd here.
-                    continue;
-                }
-                let env = self.env.clone();
-                let config = self.config.clone();
-                let temp = temp.clone();
-                tasks.push(Box::new(move || -> Result<()> {
-                    config.step("p3:commit:group:gc")?;
-                    let s3 = env.s3().with_actor(Actor::CommitDaemon);
-                    retry(env.sim(), config.retries, || {
-                        s3.delete(&config.layout.data_bucket, &temp)
-                    })?;
-                    Ok(())
-                }));
-            }
-        }
-        sim.run_parallel(par, tasks)
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-
-        // Phase 4.5: durably stage the group's change-feed events —
-        // strictly BEFORE any receipt acknowledges (crash point
-        // `p3:notify:stage`). A crash here leaves the WAL unacked; the
-        // group recommits and restages under fresh sequence numbers,
-        // so a consumer can see a transaction's event twice but never
-        // miss it (at-least-once, gap-free).
-        if let Some(w) = &self.feed {
-            w.stage(&touches)?;
-        }
-
-        // Phase 5: acknowledge the survivors' WAL receipts in
-        // DeleteMessageBatch calls — strictly after every chunk carrying
-        // their items was durable. Lenient like the single-delete path
-        // was: a failed acknowledgement redelivers and is dropped as an
-        // already-committed transaction on a later poll.
-        let receipts: Vec<String> = survivors
-            .iter()
-            .flat_map(|&ti| txns[ti].receipts.iter().cloned())
-            .collect();
-        let mut tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send>> = Vec::new();
-        for chunk in receipts.chunks(BATCH_ENTRY_LIMIT) {
-            let env = self.env.clone();
-            let config = self.config.clone();
-            let wal_url = self.wal_url.clone();
-            let chunk = chunk.to_vec();
-            tasks.push(Box::new(move || -> Result<()> {
-                config.step("p3:commit:group:ack")?;
-                let sqs = env.sqs().with_actor(Actor::CommitDaemon);
-                let _ = retry(env.sim(), config.retries, || {
-                    sqs.delete_batch(&wal_url, &chunk)
-                });
-                Ok(())
-            }));
-        }
-        sim.run_parallel(par, tasks)
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-
         // Committed instant. Nothing below advances the virtual clock
         // before the commit listener observes the group, so closing each
         // survivor's root HERE makes root duration exactly equal the
         // measured WAL-durable -> committed latency.
-        let t_committed = sim.now();
-        if let Some(g) = g_ack {
-            g.finish(t_committed);
+        for root in g.survivors().filter_map(|m| m.root) {
+            tracer.close_txn(root.trace, at);
         }
-        emit_member_phase_spans(
-            &tracer,
-            &roots,
-            lead,
-            &member_tenants,
-            "ack",
-            t_index_end,
-            t_committed,
-        );
-        for &ti in &survivors {
-            if let Some(r) = roots[ti] {
-                tracer.close_txn(r.trace, t_committed);
-            }
-        }
-
-        {
-            let mut committed = self.committed.lock();
-            for &ti in &survivors {
-                committed.insert(txns[ti].txn);
-            }
-        }
-        {
-            // Survivors' CAS records are durable in the provenance
-            // domain now — this daemon need not refetch those hashes.
-            let mut materialized = self.materialized.lock();
-            for &ti in &survivors {
-                for sha in &txns[ti].cas_shas {
-                    materialized.insert(sha.clone());
-                }
-            }
-        }
+        self.committed.lock().extend(g.survivors().map(|m| m.txn));
+        // Survivors' CAS records are durable in the provenance domain
+        // now — this daemon need not refetch those hashes.
+        self.materialized
+            .lock()
+            .extend(g.survivors().flat_map(|m| m.cas_shas.iter().cloned()));
+        let committed = g.survivors().count();
         self.committed_count
-            .fetch_add(survivors.len() as u64, Ordering::Relaxed);
+            .fetch_add(committed as u64, Ordering::Relaxed);
         if let Some(l) = self.listener.lock().clone() {
-            for &ti in &survivors {
-                l(txns[ti].txn);
-            }
+            g.survivors().for_each(|m| l(m.txn));
         }
-        // Phase 6: publish the staged events to the sink and advance the
+        // Publish the staged events to the sink and advance the
         // watermark — strictly AFTER the group ack (`p3:notify:publish`,
         // `p3:notify:wm`). A crash in here republishes on the next poll.
         self.flush_feed()?;
-        Ok(GroupOutcome {
-            committed: survivors.len(),
-            stalled: stalled.iter().filter(|s| **s).count() + poisoned,
-        })
+        Ok((committed, g.members.len() - committed + g.poisoned))
     }
 
-    /// Writes one phase's chunks over `db_concurrency` parallel
-    /// connections, checking `step` once per chunk. Returns only when
-    /// every chunk is durable — the barrier between the base and index
-    /// phases, and between the index phase and the acknowledgements.
-    fn write_chunks(
+    /// The runner's fan-out: one task per unit over the stage's
+    /// connection pool, each crossing the stage's crash point (completed
+    /// by the unit's `key`) before its `work`. Returns — results in unit
+    /// order — only when every task has finished: the barrier between
+    /// stages.
+    fn fan_out<U: Send + 'static, T: Send + 'static>(
         &self,
-        sdb: &Database,
-        domain: &str,
-        chunks: &[Vec<PutItem>],
-        step: &'static str,
-    ) -> Result<()> {
+        stage: &Stage,
+        units: Vec<U>,
+        key: fn(&U) -> &str,
+        work: fn(&Conn, U) -> Result<T>,
+    ) -> Vec<Result<T>> {
+        let conn = self.conn.clone();
+        let crash_point = stage.crash_point;
+        let tasks: Vec<_> = units
+            .into_iter()
+            .map(|unit| {
+                let conn = conn.clone();
+                move || {
+                    if !crash_point.is_empty() {
+                        let step = match key(&unit) {
+                            "" => Cow::Borrowed(crash_point),
+                            key => Cow::Owned([crash_point, key].concat()),
+                        };
+                        conn.plane.config.step(&step)?;
+                    }
+                    work(&conn, unit)
+                }
+            })
+            .collect();
+        let config = &self.conn.plane.config;
+        let width = match stage.pool {
+            Pool::Commit => config.commit_parallelism,
+            Pool::Db => config.db_concurrency,
+        };
+        self.conn.plane.env.sim().run_parallel(width.max(1), tasks)
+    }
+
+    /// Writes one stage's chunks to `domain`; no chunks, no round.
+    fn write_chunks(&self, stage: &Stage, domain: &str, chunks: Vec<Vec<PutItem>>) -> Result<()> {
         if chunks.is_empty() {
             return Ok(());
         }
-        let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send>> = chunks
-            .iter()
-            .map(|chunk| {
-                let sdb = sdb.clone();
-                let env = self.env.clone();
-                let config = self.config.clone();
-                let domain = domain.to_string();
-                let chunk = chunk.clone();
-                Box::new(move || -> Result<()> {
-                    config.step(step)?;
-                    retry(env.sim(), config.retries, || {
-                        sdb.batch_put_attributes(&domain, chunk.clone())
-                    })?;
-                    Ok(())
-                }) as Box<dyn FnOnce() -> Result<()> + Send>
-            })
-            .collect();
-        self.env
-            .sim()
-            .run_parallel(self.config.db_concurrency.max(1), tasks)
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        Ok(())
+        let units = chunks.into_iter().map(|c| (domain.to_string(), c));
+        let results = self.fan_out(stage, units.collect(), unkeyed, put_chunk);
+        results.into_iter().collect()
     }
 
     /// Polls until a round yields no messages. Useful for deterministic
@@ -1431,7 +1247,7 @@ impl CommitDaemon {
     pub fn spawn(self: Arc<Self>, poll_interval: Duration) -> DaemonHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let sim = self.env.sim().clone();
+        let sim = self.conn.plane.env.sim().clone();
         let handle = sim.clone().spawn(move || {
             while !stop2.load(Ordering::Relaxed) {
                 match self.poll_once() {
@@ -1442,75 +1258,6 @@ impl CommitDaemon {
             }
         });
         DaemonHandle { stop, handle }
-    }
-}
-
-/// One CAS-blob fetch, boxed for `Sim::run_parallel`.
-type CasFetchTask = Box<dyn FnOnce() -> Result<Option<Vec<ProvenanceRecord>>> + Send>;
-
-type ParsedHeader = (
-    Uuid,
-    usize,
-    usize,
-    Option<TenantId>,
-    Option<SpanContext>,
-    String,
-);
-
-fn parse_header(body: &str) -> Option<ParsedHeader> {
-    let (header, rest) = body.split_once('\n')?;
-    let mut it = header.split('\t');
-    if it.next()? != "TXN" {
-        return None;
-    }
-    let txn: Uuid = it.next()?.parse().ok()?;
-    let seq: usize = it.next()?.parse().ok()?;
-    let total: usize = it.next()?.parse().ok()?;
-    // Optional trailing fields, self-describing so old headers parse
-    // unchanged: a numeric field is the logging client's tenant, a
-    // `ctx:`-prefixed field is its trace context.
-    let mut tenant = None;
-    let mut ctx = None;
-    for field in it {
-        if let Some(c) = SpanContext::decode(field) {
-            ctx = Some(c);
-        } else if let Ok(t) = field.parse() {
-            tenant = Some(TenantId(t));
-        }
-    }
-    Some((txn, seq, total, tenant, ctx, rest.to_string()))
-}
-
-/// Mirrors one group-commit phase span onto every traced non-lead
-/// member's root, so each member's trace tree carries the full phase
-/// sequence (the lead's copy is emitted by its [`cloudprov_trace::PhaseGuard`]).
-fn emit_member_phase_spans(
-    tracer: &Tracer,
-    roots: &[Option<SpanContext>],
-    lead: Option<SpanContext>,
-    tenants: &[Option<u32>],
-    kind: &'static str,
-    t_start: SimTime,
-    t_end: SimTime,
-) {
-    if !tracer.enabled() {
-        return;
-    }
-    for (root, tenant) in roots.iter().zip(tenants) {
-        let Some(root) = root else { continue };
-        if Some(*root) == lead {
-            continue;
-        }
-        tracer.span(
-            root.trace,
-            Some(root.span),
-            kind,
-            kind,
-            *tenant,
-            t_start,
-            t_end,
-            0.0,
-        );
     }
 }
 
@@ -1534,8 +1281,8 @@ impl DaemonHandle {
 /// logging every packet (§4.3.3: "We use a cleaner daemon to remove
 /// temporary objects that have not been accessed for 4 days").
 pub struct CleanerDaemon {
-    env: CloudEnv,
-    config: ProtocolConfig,
+    /// The data plane, billed to [`Actor::CleanerDaemon`].
+    plane: DataPlane,
     max_age: Duration,
 }
 
@@ -1551,8 +1298,7 @@ impl CleanerDaemon {
     /// Creates a cleaner with the paper's 4-day window.
     pub fn new(env: &CloudEnv, config: ProtocolConfig) -> CleanerDaemon {
         CleanerDaemon {
-            env: env.clone(),
-            config,
+            plane: DataPlane::new(env, config, Actor::CleanerDaemon),
             max_age: cloudprov_cloud::RETENTION,
         }
     }
@@ -1566,19 +1312,19 @@ impl CleanerDaemon {
     /// One sweep: lists the temp prefix and deletes expired objects.
     /// Returns how many were reclaimed.
     pub fn clean_once(&self) -> Result<usize> {
-        let s3 = self.env.s3().with_actor(Actor::CleanerDaemon);
-        let layout = &self.config.layout;
-        let keys = retry(self.env.sim(), self.config.retries, || {
-            s3.list_all(&layout.data_bucket, &layout.temp_prefix)
+        let DataPlane { env, config, .. } = &self.plane;
+        let layout = &config.layout;
+        let keys = retry(env.sim(), config.retries, || {
+            self.plane
+                .s3
+                .list_all(&layout.data_bucket, &layout.temp_prefix)
         })?;
-        let now = self.env.sim().now();
+        let now = env.sim().now();
         let mut reclaimed = 0;
         for k in keys {
             if now.saturating_duration_since(k.last_modified) > self.max_age {
-                self.config.step(&format!("p3:clean:{}", k.key))?;
-                retry(self.env.sim(), self.config.retries, || {
-                    s3.delete(&layout.data_bucket, &k.key)
-                })?;
+                config.step(&format!("p3:clean:{}", k.key))?;
+                self.plane.delete(&k.key)?;
                 reclaimed += 1;
             }
         }
@@ -1589,11 +1335,11 @@ impl CleanerDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudprov_cloud::{AwsProfile, Blob};
+    use cloudprov_cloud::{AwsProfile, Blob, MESSAGE_LIMIT};
     use cloudprov_pass::{Attr, FlushNode, NodeKind};
     use cloudprov_sim::Sim;
 
-    use crate::protocol::FlushObject;
+    use crate::protocol::{CouplingCheck, FlushObject};
 
     fn setup() -> (Sim, CloudEnv, P3) {
         let sim = Sim::new();
@@ -1982,7 +1728,7 @@ mod tests {
         let records: Vec<_> = (0..2000)
             .map(|i| ProvenanceRecord::new(id, Attr::Custom(format!("a{i}")), "z".repeat(50)))
             .collect();
-        let msgs = P3::build_messages(Uuid(1), None, None, &[], &records, MESSAGE_LIMIT);
+        let msgs = wal::build_messages(Uuid(1), None, None, Vec::new(), &records, MESSAGE_LIMIT);
         assert!(msgs.len() > 10);
         for m in &msgs {
             assert!(m.len() <= MESSAGE_LIMIT, "message of {} bytes", m.len());
@@ -2217,12 +1963,17 @@ mod tests {
             .unwrap();
         }
         // Valid TXN header, garbage record body (fails wire::decode).
+        let header = Header {
+            txn: Uuid(0x63),
+            seq: 0,
+            total: 1,
+            tenant: None,
+            ctx: None,
+        };
         env.sqs()
             .send(
                 p3.wal_url(),
-                Bytes::from_static(
-                    b"TXN\t00000000000000000000000000000063\t0\t1\nnot-a-wire-record",
-                ),
+                Bytes::from(header.encode() + "not-a-wire-record"),
             )
             .unwrap();
         let daemon = p3.commit_daemon();
@@ -2516,31 +2267,24 @@ mod tests {
     fn wal_headers_parse_with_and_without_trailing_fields() {
         // The trailing header fields are self-describing, so pre-tenant
         // and pre-trace WAL messages (and any mix) all still parse.
-        let uuid = format!("{}", Uuid(0xabc));
-        let bare = format!("TXN\t{uuid}\t0\t2\nbody");
-        let (txn, seq, total, tenant, ctx, rest) = parse_header(&bare).unwrap();
-        assert_eq!((txn, seq, total), (Uuid(0xabc), 0, 2));
-        assert_eq!((tenant, ctx), (None, None));
-        assert_eq!(rest, "body");
-
-        let tenant_only = format!("TXN\t{uuid}\t1\t2\t7\nbody");
-        let (_, _, _, tenant, ctx, _) = parse_header(&tenant_only).unwrap();
-        assert_eq!(tenant, Some(TenantId(7)));
-        assert_eq!(ctx, None);
-
         let span = SpanContext {
             trace: 0xabc,
             span: 5,
         };
-        let ctx_only = format!("TXN\t{uuid}\t0\t2\t{}\nbody", span.encode());
-        let (_, _, _, tenant, ctx, _) = parse_header(&ctx_only).unwrap();
-        assert_eq!(tenant, None);
-        assert_eq!(ctx, Some(span));
-
-        let both = format!("TXN\t{uuid}\t0\t2\t7\t{}\nbody", span.encode());
-        let (_, _, _, tenant, ctx, _) = parse_header(&both).unwrap();
-        assert_eq!(tenant, Some(TenantId(7)));
-        assert_eq!(ctx, Some(span));
+        for tenant in [None, Some(TenantId(7))] {
+            for ctx in [None, Some(span)] {
+                let header = Header {
+                    txn: Uuid(0xabc),
+                    seq: 1,
+                    total: 2,
+                    tenant,
+                    ctx,
+                };
+                let message = header.encode() + "body";
+                assert_eq!(Header::parse(&message), Some((header, "body")));
+            }
+        }
+        assert_eq!(Header::parse("not a WAL message"), None);
 
         // And the writer round-trips through the parser.
         let records = vec![ProvenanceRecord::new(
@@ -2548,18 +2292,19 @@ mod tests {
             Attr::Type,
             "file",
         )];
-        let msgs = P3::build_messages(
+        let msgs = wal::build_messages(
             Uuid(0xabc),
             Some(TenantId(3)),
             Some(span),
-            &[],
+            Vec::new(),
             &records,
             8192,
         );
-        let (txn, _, _, tenant, ctx, _) = parse_header(&msgs[0]).unwrap();
-        assert_eq!(txn, Uuid(0xabc));
-        assert_eq!(tenant, Some(TenantId(3)));
-        assert_eq!(ctx, Some(span));
+        let (header, body) = Header::parse(&msgs[0]).unwrap();
+        assert_eq!((header.txn, header.seq, header.total), (Uuid(0xabc), 0, 1));
+        assert_eq!(header.tenant, Some(TenantId(3)));
+        assert_eq!(header.ctx, Some(span));
+        assert_eq!(wire::decode(body.as_bytes()).unwrap(), records);
     }
 
     #[test]

@@ -6,12 +6,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cloudprov_cloud::{Attributes, Blob, CloudEnv, CloudError, Metadata, ObjectStore, PutItem};
+use cloudprov_cloud::{Actor, Attributes, Blob, CloudEnv, CloudError, Metadata, PutItem};
 use cloudprov_pass::{Attr, AttrValue, FlushNode, PNodeId, ProvenanceRecord};
 use cloudprov_sim::Sim;
 
 use crate::error::{ProtocolError, Result};
 use crate::layout::Layout;
+use crate::plane::DataPlane;
 
 /// One object of a flush: the provenance node plus (for files) its data.
 #[derive(Clone, Debug)]
@@ -373,15 +374,14 @@ pub(crate) use retry_cloud as retry;
 
 /// Converts one node's records into a SimpleDB item, spilling values above
 /// the 1 KB attribute limit into S3 (shared by P2's client path and P3's
-/// commit daemon; `s3` determines which actor pays for the spill PUTs).
+/// commit daemon; the plane's actor pays for the spill PUTs).
 pub(crate) fn records_to_item(
-    sim: &Sim,
-    s3: &ObjectStore,
-    layout: &Layout,
-    retries: usize,
+    plane: &DataPlane,
     id: PNodeId,
     records: &[ProvenanceRecord],
 ) -> Result<PutItem> {
+    let (sim, s3, layout) = (plane.env.sim(), &plane.s3, &plane.config.layout);
+    let retries = plane.config.retries;
     let mut attrs: Attributes = Vec::with_capacity(records.len());
     for (i, r) in records.iter().enumerate() {
         let name = r.attr.as_str().to_string();
@@ -477,20 +477,37 @@ pub(crate) fn detect_coupling(
     }
 }
 
+/// Fetches the provenance records of one exact version from the
+/// SimpleDB domain P2 and P3 share. §4.3.2: one item per version means a
+/// reader can "request the specific version of the provenance we need
+/// from SimpleDB"; a domain nothing has provisioned yet simply holds no
+/// provenance.
+pub(crate) fn db_version_records(plane: &DataPlane, id: PNodeId) -> Result<Vec<ProvenanceRecord>> {
+    let name = id.to_string();
+    match retry(plane.env.sim(), plane.config.retries, || {
+        plane
+            .env
+            .sdb()
+            .get_attributes(&plane.config.layout.domain, &name)
+    }) {
+        Ok(attrs) => Ok(item_to_records(&name, &attrs)),
+        Err(CloudError::NoSuchDomain(_)) => Ok(Vec::new()),
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// The provenance-free baseline: plain S3fs. Uploads data objects only —
 /// the control every overhead in the paper is measured against.
 #[derive(Debug, Clone)]
 pub struct S3fsBaseline {
-    env: CloudEnv,
-    config: ProtocolConfig,
+    plane: DataPlane,
 }
 
 impl S3fsBaseline {
     /// Creates the baseline over a cloud environment.
     pub fn new(env: &CloudEnv, config: ProtocolConfig) -> S3fsBaseline {
         S3fsBaseline {
-            env: env.clone(),
-            config,
+            plane: DataPlane::new(env, config, Actor::Client),
         }
     }
 }
@@ -501,64 +518,32 @@ impl StorageProtocol for S3fsBaseline {
     }
 
     fn flush(&self, batch: FlushBatch) -> Result<()> {
-        let sim = self.env.sim().clone();
-        let files: Vec<(String, Blob)> = batch
+        let tasks = batch
             .objects
             .into_iter()
-            .filter_map(|o| match (o.key, o.data) {
-                (Some(k), Some(d)) => Some((k, d)),
-                _ => None,
-            })
+            .filter_map(|o| o.key.zip(o.data))
+            .map(|(key, data)| self.plane.put_task("s3fs:data:", key, data, None))
             .collect();
-        let bucket = self.config.layout.data_bucket.clone();
-        let retries = self.config.retries;
-        let tasks: Vec<_> = files
-            .into_iter()
-            .map(|(key, data)| {
-                let s3 = self.env.s3().clone();
-                let bucket = bucket.clone();
-                let sim = sim.clone();
-                let config = self.config.clone();
-                move || -> Result<()> {
-                    config.step(&format!("s3fs:data:{key}"))?;
-                    retry(&sim, retries, || {
-                        s3.put(&bucket, &key, data.clone(), Metadata::new())
-                    })?;
-                    Ok(())
-                }
-            })
-            .collect();
-        let results = sim.run_parallel(self.config.upload_concurrency, tasks);
-        results.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(())
+        self.plane.upload(false, tasks)
     }
 
     fn read(&self, key: &str) -> Result<ReadResult> {
-        let obj = retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().get(&self.config.layout.data_bucket, key)
-        })?;
+        // The baseline knows no provenance: whatever link the object
+        // carries, the read is unlinked.
+        let (data, _) = self.plane.get(key)?;
         Ok(ReadResult {
-            data: obj.blob,
+            data,
             id: None,
             coupling: CouplingCheck::Unlinked,
         })
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().delete(&self.config.layout.data_bucket, key)
-        })?;
-        Ok(())
+        self.plane.delete(key)
     }
 
     fn stat(&self, key: &str) -> Result<Option<u64>> {
-        match retry(self.env.sim(), self.config.retries, || {
-            self.env.s3().head(&self.config.layout.data_bucket, key)
-        }) {
-            Ok(h) => Ok(Some(h.len)),
-            Err(CloudError::NoSuchKey { .. }) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        self.plane.stat(key)
     }
 
     fn provenance_store(&self) -> Option<ProvenanceStore> {
@@ -683,7 +668,8 @@ mod tests {
         ];
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let item = records_to_item(&sim, env.s3(), &Layout::default(), 3, id, &records).unwrap();
+        let plane = DataPlane::new(&env, ProtocolConfig::default(), Actor::Client);
+        let item = records_to_item(&plane, id, &records).unwrap();
         assert_eq!(item.name, id.to_string());
         let back = item_to_records(&item.name, &item.attrs);
         assert_eq!(back, records);
@@ -696,8 +682,8 @@ mod tests {
         let records = vec![ProvenanceRecord::new(id, Attr::Env, big_env.clone())];
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let layout = Layout::default();
-        let item = records_to_item(&sim, env.s3(), &layout, 3, id, &records).unwrap();
+        let plane = DataPlane::new(&env, ProtocolConfig::default(), Actor::Client);
+        let item = records_to_item(&plane, id, &records).unwrap();
         let (attr, value) = &item.attrs[0];
         assert_eq!(attr, "env");
         assert!(value.starts_with("@s3:"), "value must be a spill pointer");

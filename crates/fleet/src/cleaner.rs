@@ -8,9 +8,6 @@
 //! prefix **once** and fans the expired keys out to M parallel delete
 //! workers, so LIST cost scales with keys — not keys × shards — while
 //! the deletes (the bulk of a big sweep) parallelize M-wide.
-//! [`ShardedCleaners::clean_shard_once`] is the standalone per-daemon
-//! variant for deployments whose cleaners run on separate machines;
-//! each of those pays for its own listing.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -48,36 +45,9 @@ impl ShardedCleaners {
         self
     }
 
-    /// True iff `key` belongs to partition `shard`.
-    fn owns(&self, shard: u32, key: &str) -> bool {
-        fnv64(key.as_bytes()) % u64::from(self.shards) == u64::from(shard)
-    }
-
-    /// One partition's sweep: lists the temp prefix and deletes expired
-    /// keys that hash into `shard`. Returns how many were reclaimed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cloud errors that survive retries.
-    pub fn clean_shard_once(&self, shard: u32) -> Result<usize> {
-        let s3 = self.env.s3().with_actor(Actor::CleanerDaemon);
-        let layout = &self.config.layout;
-        let keys = cloudprov_core::retry_cloud(self.env.sim(), self.config.retries, || {
-            s3.list_all(&layout.data_bucket, &layout.temp_prefix)
-        })?;
-        let now = self.env.sim().now();
-        let mut reclaimed = 0;
-        for k in keys {
-            if self.owns(shard, &k.key)
-                && now.saturating_duration_since(k.last_modified) > self.max_age
-            {
-                cloudprov_core::retry_cloud(self.env.sim(), self.config.retries, || {
-                    s3.delete(&layout.data_bucket, &k.key)
-                })?;
-                reclaimed += 1;
-            }
-        }
-        Ok(reclaimed)
+    /// The partition `name` hashes into.
+    fn partition_of(&self, name: &str) -> usize {
+        (fnv64(name.as_bytes()) % u64::from(self.shards)) as usize
     }
 
     /// One full sweep: lists the temp prefix once, partitions the
@@ -99,8 +69,7 @@ impl ShardedCleaners {
         let mut partitions: Vec<Vec<String>> = vec![Vec::new(); self.shards as usize];
         for k in keys {
             if now.saturating_duration_since(k.last_modified) > self.max_age {
-                let shard = fnv64(k.key.as_bytes()) % u64::from(self.shards);
-                partitions[shard as usize].push(k.key);
+                partitions[self.partition_of(&k.key)].push(k.key);
             }
         }
         let tasks: Vec<_> = partitions
@@ -195,8 +164,7 @@ impl ShardedCleaners {
         let mut partitions: Vec<Vec<String>> = vec![Vec::new(); self.shards as usize];
         for (name, ids) in per_item {
             if !ids.is_empty() && !ids.iter().any(|i| existing.contains(i)) {
-                let shard = fnv64(name.as_bytes()) % u64::from(self.shards);
-                partitions[shard as usize].push(name);
+                partitions[self.partition_of(&name)].push(name);
             }
         }
         let tasks: Vec<_> = partitions
@@ -235,11 +203,14 @@ mod tests {
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, AwsProfile::instant());
         let cleaners = ShardedCleaners::new(&env, ProtocolConfig::default(), 4);
+        let mut used = BTreeSet::new();
         for k in 0..100 {
             let key = format!("tmp/{k}");
-            let owners: Vec<u32> = (0..4).filter(|s| cleaners.owns(*s, &key)).collect();
-            assert_eq!(owners.len(), 1, "key {key} owned by {owners:?}");
+            let partition = cleaners.partition_of(&key);
+            assert!(partition < 4, "key {key} fell outside the partitions");
+            used.insert(partition);
         }
+        assert_eq!(used.len(), 4, "the hash spreads keys over every partition");
     }
 
     #[test]

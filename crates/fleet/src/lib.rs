@@ -24,9 +24,9 @@
 //!   limit.
 //!
 //! The `cloudprov-workloads` crate drives this plane with hundreds of
-//! simulated clients (`FleetDriver`), and `repro -- fleet` sweeps
-//! clients × shards × daemons into the scaling table future perf PRs are
-//! measured against.
+//! simulated clients (`workloads::fleet::run_fleet`), and `repro -- fleet`
+//! sweeps clients × shards × daemons into the scaling table future perf
+//! PRs are measured against.
 
 #![warn(missing_docs)]
 
@@ -83,10 +83,9 @@ impl Default for FleetConfig {
     }
 }
 
-/// Per-shard adaptive admission: where the old fixed throttle probed
-/// shard depth once per flush, a client that finds headroom below the
-/// bound is granted `headroom - 1` admission *credits*, and clients
-/// sharing the shard spend them on subsequent flushes without
+/// Per-shard adaptive admission: a client that finds headroom below the
+/// depth bound is granted `headroom - 1` admission *credits*, and
+/// clients sharing the shard spend them on subsequent flushes without
 /// re-probing; only an exhausted credit line probes again. The fleet
 /// issues O(depth changes) depth probes instead of O(flushes), and the
 /// batch size adapts by itself: a draining shard hands out big credit
@@ -225,25 +224,20 @@ impl Fleet {
             let url = self.router.wal_url(shard).to_string();
             let admission = self.admission.clone();
             let idx = shard as usize;
-            builder = builder.throttle(
+            // The admission doorbell: the daemon pool's WAL acks
+            // (delete / delete_batch on the shard queue) ring it, so a
+            // throttled client re-checks the instant capacity frees
+            // instead of sleeping out the poll interval.
+            let bell = self
+                .config
+                .push
+                .then(|| SimSemaphore::new(self.env.sim(), 0))
+                .filter(|bell| self.env.sqs().watch_drain(&url, bell.clone()).is_ok());
+            builder = builder.admission(
                 Arc::new(move || admission[idx].try_admit(|| sqs.peek_depth(&url))),
                 self.config.admission_poll,
+                bell,
             );
-            if self.config.push {
-                // The admission doorbell: the daemon pool's WAL acks
-                // (delete / delete_batch on the shard queue) ring it, so
-                // a throttled client re-checks the instant capacity
-                // frees instead of sleeping out the poll interval.
-                let bell = SimSemaphore::new(self.env.sim(), 0);
-                if self
-                    .env
-                    .sqs()
-                    .watch_drain(self.router.wal_url(shard), bell.clone())
-                    .is_ok()
-                {
-                    builder = builder.admission_bell(bell);
-                }
-            }
         }
         builder.build(&env)
     }

@@ -1,4 +1,4 @@
-//! [`FleetDriver`]: hundreds of simulated clients against the sharded
+//! [`run_fleet`]: hundreds of simulated clients against the sharded
 //! commit plane.
 //!
 //! Each run provisions one [`Fleet`] (M WAL shards, lease board, daemon

@@ -5,8 +5,9 @@
 //! inventory.
 //!
 //! The front door is the [`ProvenanceClient`] session facade: pick a
-//! [`Protocol`], tune it through [`ClientBuilder`], and drive workloads,
-//! queries and crash experiments through one handle.
+//! [`Protocol`], hand its tuning (one `ProtocolConfig`) to the
+//! [`ClientBuilder`], and drive workloads, queries and crash experiments
+//! through one handle.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -44,7 +45,7 @@ pub use cloudprov_trace as trace;
 pub use cloudprov_workloads as workloads;
 
 pub use cloudprov_core::{
-    ClientBuilder, ClientError, ClientResult, FlushMode, FlushTicket, PipelineStats, Protocol,
+    ClientBuilder, ClientError, ClientResult, FlushTicket, PipelineStats, Protocol,
     ProvenanceClient,
 };
 pub use cloudprov_query::ProvenanceQueries;

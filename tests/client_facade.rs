@@ -12,7 +12,7 @@ use cloudprov::cloud::{AwsProfile, CloudEnv, RunContext};
 use cloudprov::fs::{LocalIoParams, PaS3fs};
 use cloudprov::pass::ProvenanceRecord;
 use cloudprov::protocols::properties::{causal_report, load_all_records};
-use cloudprov::protocols::{ClientError, FlushMode, Protocol, ProvenanceClient, StorageProtocol};
+use cloudprov::protocols::{ClientError, Protocol, ProvenanceClient, StorageProtocol};
 use cloudprov::query::{Mode, ProvenanceQueries};
 use cloudprov::sim::Sim;
 use cloudprov::workloads::{blast, nightly, replay, BlastParams, NightlyParams, Trace};
@@ -25,15 +25,14 @@ struct Run {
     client_elapsed: Duration,
 }
 
-fn run(protocol: Protocol, mode: FlushMode, profile: AwsProfile, trace: &Trace) -> Run {
+fn run(protocol: Protocol, pipelined: bool, profile: AwsProfile, trace: &Trace) -> Run {
     let sim = Sim::new();
     let env = CloudEnv::new(&sim, profile);
-    let client = Arc::new(
-        ProvenanceClient::builder(protocol)
-            .flush_mode(mode)
-            .queue("wal-facade")
-            .build(&env),
-    );
+    let mut builder = ProvenanceClient::builder(protocol).queue("wal-facade");
+    if pipelined {
+        builder = builder.pipelined();
+    }
+    let client = Arc::new(builder.build(&env));
     let fs = PaS3fs::attach(client.clone(), LocalIoParams::instant(), 0xFACADE);
     let t0 = sim.now();
     replay(&sim, &fs, trace).expect("replay");
@@ -92,13 +91,8 @@ fn record_key(r: &ProvenanceRecord) -> (String, String, String) {
 fn pipelined_drain_is_equivalent_to_blocking_flush_for_every_protocol() {
     let trace = blast(BlastParams::small());
     for protocol in Protocol::ALL {
-        let blocking = run(protocol, FlushMode::Blocking, AwsProfile::instant(), &trace);
-        let pipelined = run(
-            protocol,
-            FlushMode::Pipelined,
-            AwsProfile::instant(),
-            &trace,
-        );
+        let blocking = run(protocol, false, AwsProfile::instant(), &trace);
+        let pipelined = run(protocol, true, AwsProfile::instant(), &trace);
         assert_eq!(
             data_state(&blocking.env),
             data_state(&pipelined.env),
@@ -145,8 +139,8 @@ fn pipelined_flush_beats_blocking_on_blast_wall_clock() {
     let trace = blast(BlastParams::small());
     for protocol in [Protocol::P1, Protocol::P2, Protocol::P3] {
         let profile = AwsProfile::calibrated(RunContext::default());
-        let blocking = run(protocol, FlushMode::Blocking, profile.clone(), &trace);
-        let pipelined = run(protocol, FlushMode::Pipelined, profile, &trace);
+        let blocking = run(protocol, false, profile.clone(), &trace);
+        let pipelined = run(protocol, true, profile, &trace);
         assert!(
             pipelined.client_elapsed < blocking.client_elapsed,
             "{protocol}: pipelined {:?} must beat blocking {:?}",
@@ -162,8 +156,8 @@ fn pipelined_flush_beats_blocking_on_blast_wall_clock() {
 fn pipelined_nightly_also_wins_and_stays_equivalent() {
     let trace = nightly(NightlyParams::small());
     let profile = AwsProfile::calibrated(RunContext::default());
-    let blocking = run(Protocol::P1, FlushMode::Blocking, profile.clone(), &trace);
-    let pipelined = run(Protocol::P1, FlushMode::Pipelined, profile, &trace);
+    let blocking = run(Protocol::P1, false, profile.clone(), &trace);
+    let pipelined = run(Protocol::P1, true, profile, &trace);
     assert!(pipelined.client_elapsed < blocking.client_elapsed);
     assert_eq!(
         data_state(&blocking.env),
@@ -175,12 +169,7 @@ fn pipelined_nightly_also_wins_and_stays_equivalent() {
 #[test]
 fn facade_exposes_queries_without_leaking_the_store() {
     let trace = blast(BlastParams::small());
-    let world = run(
-        Protocol::P2,
-        FlushMode::Pipelined,
-        AwsProfile::instant(),
-        &trace,
-    );
+    let world = run(Protocol::P2, true, AwsProfile::instant(), &trace);
     let engine = world.client.query().expect("P2 stores provenance");
     let out = engine
         .q3_outputs_of("blastall", Mode::Sequential)
@@ -190,12 +179,7 @@ fn facade_exposes_queries_without_leaking_the_store() {
         "blastall outputs must be queryable through client.query()"
     );
 
-    let baseline = run(
-        Protocol::S3fs,
-        FlushMode::Blocking,
-        AwsProfile::instant(),
-        &trace,
-    );
+    let baseline = run(Protocol::S3fs, false, AwsProfile::instant(), &trace);
     assert!(matches!(
         baseline.client.query(),
         Err(ClientError::NoProvenanceStore { .. })
