@@ -6,6 +6,9 @@
 //! * `service_upload/*` — Table 2 (raw service throughput)
 //! * `queries/*` — Table 5 (Q.1/Q.3 on both layouts)
 //! * `workload/*` — Figure 4 (nightly workload end-to-end)
+//! * `cache/*` — the read tier's cost *shape*: an install that forces an
+//!   eviction and a fixed 64-node warm walk, each at 256 / 4096 / 65536
+//!   resident entries. Neither may grow with residency.
 //!
 //! The measured quantity is the wall time of simulating the experiment;
 //! the reported virtual-time results live in the `repro` binary.
@@ -15,6 +18,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use cloudprov_bench::experiments::{micro, queries, services, workload_runs};
 use cloudprov_bench::Which;
 use cloudprov_cloud::{Era, RunContext};
+use cloudprov_pass::{PNodeId, Uuid};
+use cloudprov_query::source::RevAdjacency;
+use cloudprov_query::{AncestryCache, CacheConfig};
+use cloudprov_sim::Sim;
 use cloudprov_workloads::BlastParams;
 
 fn bench_micro_upload(c: &mut Criterion) {
@@ -72,11 +79,85 @@ fn bench_workload(c: &mut Criterion) {
     group.finish();
 }
 
+/// Operations per timed sample: one is too short for the clock.
+const CACHE_BATCH: usize = 256;
+/// First uuid of the walked chain; filler pages count up from 0.
+const CHAIN: u128 = 1 << 100;
+
+fn node(i: u128) -> PNodeId {
+    PNodeId::initial(Uuid(i))
+}
+
+/// A cache exactly full with `resident` one-id entries: the seed lookup
+/// and chain `hit_q4` walks to reach 64 nodes, and filler pages.
+fn full_cache(sim: &Sim, resident: usize) -> AncestryCache {
+    let mut adj = RevAdjacency::default();
+    for i in 0..64 {
+        adj.out.insert(node(CHAIN + i), vec![node(CHAIN + i + 1)]);
+    }
+    adj.out.insert(node(CHAIN + 64), vec![node(CHAIN + 64)]);
+    for i in 0..resident as u128 - 66 {
+        adj.out.insert(node(i), vec![node(i)]);
+    }
+    let capacity = 72 * resident;
+    let cache = AncestryCache::new(
+        sim,
+        CacheConfig {
+            capacity_bytes: capacity,
+            tenant_max_bytes: capacity,
+            tenant_reserved_bytes: 0,
+            ..CacheConfig::default()
+        },
+    );
+    cache.attach();
+    sim.sleep(std::time::Duration::from_secs(1));
+    cache.install_seeds(None, "walk", &[node(CHAIN)], sim.now());
+    cache.install_adjacency(None, &adj, &[], sim.now());
+    let s = cache.stats();
+    assert_eq!((s.entries, s.bytes), (resident, capacity));
+    cache
+}
+
+fn bench_cache(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cache");
+    group.sample_size(10);
+    let sim = Sim::new();
+    for resident in [256, 4096, 65536] {
+        let cache = full_cache(&sim, resident);
+        group.bench_function(format!("hit_q4/{resident}"), |b| {
+            b.iter(|| {
+                for _ in 0..CACHE_BATCH {
+                    assert_eq!(cache.serve_q4("walk").map(|n| n.len()), Some(64));
+                }
+            })
+        });
+        // The cache is full of pages this size: one eviction an install.
+        let mut next = CHAIN << 1;
+        group.bench_function(format!("evict_install/{resident}"), |b| {
+            b.iter(|| {
+                for _ in 0..CACHE_BATCH {
+                    let mut adj = RevAdjacency::default();
+                    adj.out.insert(node(next), vec![node(next)]);
+                    next += 1;
+                    cache.install_adjacency(None, &adj, &[], sim.now());
+                }
+            })
+        });
+        assert_eq!(
+            u128::from(cache.stats().evictions),
+            next - (CHAIN << 1),
+            "one eviction an install"
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_micro_upload,
     bench_service_upload,
     bench_queries,
-    bench_workload
+    bench_workload,
+    bench_cache
 );
 criterion_main!(benches);

@@ -118,32 +118,28 @@ impl Expr {
             Expr::And(a, b) => a.matches(item_name, attrs) && b.matches(item_name, attrs),
             Expr::Not(e) => !e.matches(item_name, attrs),
             Expr::Cmp { operand, op, value } => {
-                operand_values(operand, item_name, attrs).any(|v| cmp_holds(*op, v, value))
+                any_operand(operand, item_name, attrs, |v| cmp_holds(*op, v, value))
             }
             Expr::In { operand, values } => {
-                operand_values(operand, item_name, attrs).any(|v| values.iter().any(|w| w == v))
+                any_operand(operand, item_name, attrs, |v| values.iter().any(|w| w == v))
             }
             Expr::IsNull { operand, negated } => {
-                let exists = operand_values(operand, item_name, attrs).next().is_some();
-                exists == *negated
+                any_operand(operand, item_name, attrs, |_| true) == *negated
             }
         }
     }
 }
 
-fn operand_values<'a>(
-    operand: &'a Operand,
-    item_name: &'a str,
-    attrs: &'a [(String, String)],
-) -> Box<dyn Iterator<Item = &'a str> + 'a> {
+/// Whether any value of `operand` on this item satisfies `holds`.
+fn any_operand(
+    operand: &Operand,
+    item_name: &str,
+    attrs: &[(String, String)],
+    holds: impl Fn(&str) -> bool,
+) -> bool {
     match operand {
-        Operand::ItemName => Box::new(std::iter::once(item_name)),
-        Operand::Attr(name) => Box::new(
-            attrs
-                .iter()
-                .filter(move |(k, _)| k == name)
-                .map(|(_, v)| v.as_str()),
-        ),
+        Operand::ItemName => holds(item_name),
+        Operand::Attr(name) => attrs.iter().any(|(k, v)| k == name && holds(v)),
     }
 }
 
@@ -162,12 +158,12 @@ fn cmp_holds(op: CmpOp, left: &str, right: &str) -> bool {
 /// `%`-wildcard matching: pattern segments between `%`s must appear in
 /// order; anchored at the ends unless the pattern starts/ends with `%`.
 fn like_match(pattern: &str, text: &str) -> bool {
-    let parts: Vec<&str> = pattern.split('%').collect();
-    if parts.len() == 1 {
+    let last = pattern.matches('%').count();
+    if last == 0 {
         return pattern == text;
     }
     let mut pos = 0usize;
-    for (i, part) in parts.iter().enumerate() {
+    for (i, part) in pattern.split('%').enumerate() {
         if part.is_empty() {
             continue;
         }
@@ -176,9 +172,8 @@ fn like_match(pattern: &str, text: &str) -> bool {
                 return false;
             }
             pos = part.len();
-        } else if i == parts.len() - 1 {
-            let tail = &text[pos.min(text.len())..];
-            return tail.ends_with(part) && tail.len() >= part.len();
+        } else if i == last {
+            return text[pos.min(text.len())..].ends_with(part);
         } else {
             match text[pos.min(text.len())..].find(part) {
                 Some(idx) => pos += idx + part.len(),

@@ -34,6 +34,29 @@
 //!   poisons the cache: everything is flushed and every lookup reports
 //!   unusable until the owner re-attaches, so the engine drops to the
 //!   uncached plan rather than serve possibly-stale lineage.
+//!
+//! # Eviction order
+//!
+//! The victim order is a contract — every hit, miss and eviction
+//! count, and so every virtual number downstream, depends on it:
+//!
+//! 1. least recently touched first (one tick per install or lookup);
+//! 2. among entries touched by the same lookup — they share its tick —
+//!    the seed entry before any page, then ascending key;
+//! 3. only entries of the installing owner itself, or of a tenant
+//!    strictly above its reserved share, qualify; the rest are skipped
+//!    for the next-coldest entry.
+//!
+//! # Cost
+//!
+//! With *n* resident entries, no operation scans them:
+//!
+//! * hit — O(nodes visited): map probes and one tick store per node;
+//!   recency filings are left stale and repaired by the next eviction
+//!   that meets them, O(log n) apiece, at most one per touch;
+//! * install, evict — O(log n);
+//! * invalidate — O(pages of the uuid · log n);
+//! * flush — frees everything it drops, nothing more.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -117,12 +140,40 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
+/// What a filing names. The derived order — every seed lookup before
+/// any page, then ascending key — is rule 2 of the eviction order.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Seed(Arc<str>),
+    Page(PNodeId),
+}
+
+/// An entry's place in its owner's recency order: `(tick, key)`.
+type Filing = (u64, Key);
+
 #[derive(Clone, Debug)]
 struct Entry<T> {
     value: T,
     bytes: usize,
     owner: Option<TenantId>,
+    /// Tick of the last install or lookup: the entry's true recency.
     touched: u64,
+    /// Tick the entry is filed under in its owner's `order`. A hit
+    /// stores `touched` only, so this may trail it; it never leads it.
+    filed: u64,
+}
+
+/// One quota owner's share. The row exists only while it has entries.
+#[derive(Default)]
+struct Tenant {
+    bytes: usize,
+    /// The owner's entries, coldest filing first. Filings are lower
+    /// bounds on recency ([`Entry::filed`]); [`AncestryCache::coldest`]
+    /// re-files stale ones before it trusts the front.
+    order: BTreeSet<Filing>,
+    /// This owner's element of [`Inner::heads`]: a copy of
+    /// `order.first()` while `bytes` exceeds the reserved share.
+    listed: Option<Filing>,
 }
 
 #[derive(Default)]
@@ -140,11 +191,14 @@ struct Inner {
     /// Per-stream high sequence marks, mirroring the feed registry's
     /// duplicate/gap accounting.
     high: BTreeMap<String, u64>,
-    seeds: BTreeMap<String, Entry<Vec<PNodeId>>>,
+    seeds: BTreeMap<Arc<str>, Entry<Vec<PNodeId>>>,
     pages: BTreeMap<PNodeId, Entry<RevPage>>,
     quarantined_uuids: BTreeMap<Uuid, SimTime>,
     quarantined_programs: BTreeMap<String, SimTime>,
-    usage: BTreeMap<Option<TenantId>, usize>,
+    owners: BTreeMap<Option<TenantId>, Tenant>,
+    /// The front filing of every owner another tenant may evict from
+    /// (those above their reserved share), coldest first.
+    heads: BTreeSet<(Filing, Option<TenantId>)>,
     bytes: usize,
     tick: u64,
     stats: CacheStats,
@@ -229,7 +283,7 @@ impl AncestryCache {
 
     /// Resident bytes currently charged to `owner` (quota tests).
     pub fn owner_bytes(&self, owner: Option<TenantId>) -> usize {
-        self.inner.lock().usage.get(&owner).copied().unwrap_or(0)
+        self.inner.lock().owner_bytes(owner)
     }
 
     /// Counts one engine-level bypass (cache in play but unusable).
@@ -299,13 +353,13 @@ impl AncestryCache {
                 .map(|(k, _)| *k)
                 .collect();
             for k in span {
-                Self::remove_page(&mut g, k);
+                self.remove_page(&mut g, k);
                 g.stats.invalidations += 1;
             }
             g.quarantined_uuids.insert(uuid, now);
         }
         for program in &ev.programs {
-            if Self::remove_seeds(&mut g, program) {
+            if self.remove_seeds(&mut g, program) {
                 g.stats.invalidations += 1;
             }
             g.quarantined_programs.insert(program.clone(), now);
@@ -403,21 +457,23 @@ impl AncestryCache {
             g.stats.refused_installs += 1;
             return;
         }
-        Self::remove_seeds(&mut g, program);
+        self.remove_seeds(&mut g, program);
         let bytes = entry_bytes(seeds.len());
         if !self.ensure_room(&mut g, owner, bytes) {
             return;
         }
         g.tick += 1;
+        let tick = g.tick;
         let e = Entry {
             value: seeds.to_vec(),
             bytes,
             owner,
-            touched: g.tick,
+            touched: tick,
+            filed: tick,
         };
-        g.bytes += bytes;
-        *g.usage.entry(owner).or_insert(0) += bytes;
-        g.seeds.insert(program.to_string(), e);
+        let program: Arc<str> = program.into();
+        g.seeds.insert(Arc::clone(&program), e);
+        self.charge(&mut g, owner, (tick, Key::Seed(program)), bytes);
         g.stats.installs += 1;
     }
 
@@ -433,53 +489,74 @@ impl AncestryCache {
         touched: &[PNodeId],
         fetch_start: SimTime,
     ) {
+        self.install_fetched(owner, adj.clone(), touched, fetch_start);
+    }
+
+    /// [`install_adjacency`](Self::install_adjacency) for a caller that
+    /// is done with the adjacency: every page takes its edge list
+    /// instead of copying it.
+    pub(crate) fn install_fetched(
+        &self,
+        owner: Option<TenantId>,
+        mut adj: RevAdjacency,
+        touched: &[PNodeId],
+        fetch_start: SimTime,
+    ) {
         let mut g = self.inner.lock();
         if !(g.attached && g.coherent) {
             return;
         }
-        let install = |g: &mut Inner, node: PNodeId, page: RevPage| {
-            let quarantined = g.quarantined_uuids.get(&node.uuid).copied();
-            if !self.admissible(g, fetch_start, quarantined) {
-                g.stats.refused_installs += 1;
-                return;
-            }
-            Self::remove_page(g, node);
-            let bytes = entry_bytes(page.out.len() + page.files.len());
-            if !self.ensure_room(g, owner, bytes) {
-                return;
-            }
-            g.tick += 1;
-            let e = Entry {
-                value: page,
-                bytes,
-                owner,
-                touched: g.tick,
-            };
-            g.bytes += bytes;
-            *g.usage.entry(owner).or_insert(0) += bytes;
-            g.pages.insert(node, e);
-            g.stats.installs += 1;
-        };
-        for (node, out) in &adj.out {
+        for (node, out) in &mut adj.out {
+            let out = std::mem::take(out);
             let files = out
                 .iter()
                 .copied()
                 .filter(|d| adj.files.contains(d))
                 .collect();
-            install(
-                &mut g,
-                *node,
-                RevPage {
-                    out: out.clone(),
-                    files,
-                },
-            );
+            self.install_page(&mut g, owner, *node, RevPage { out, files }, fetch_start);
         }
         for node in touched {
             if !adj.out.contains_key(node) {
-                install(&mut g, *node, RevPage::default());
+                self.install_page(&mut g, owner, *node, RevPage::default(), fetch_start);
             }
         }
+    }
+
+    fn install_page(
+        &self,
+        g: &mut Inner,
+        owner: Option<TenantId>,
+        node: PNodeId,
+        page: RevPage,
+        fetch_start: SimTime,
+    ) {
+        let quarantined = g.quarantined_uuids.get(&node.uuid).copied();
+        if !self.admissible(g, fetch_start, quarantined) {
+            g.stats.refused_installs += 1;
+            return;
+        }
+        let bytes = entry_bytes(page.out.len() + page.files.len());
+        let tick = g.tick + 1;
+        let e = Entry {
+            value: page,
+            bytes,
+            owner,
+            touched: tick,
+            filed: tick,
+        };
+        // One probe both displaces a resident page and seats the new
+        // one. Until it is charged below it has no filing, so the
+        // evictions that make its room cannot pick it.
+        if let Some(old) = g.pages.insert(node, e) {
+            self.uncharge(g, old.owner, &(old.filed, Key::Page(node)), old.bytes);
+        }
+        if !self.ensure_room(g, owner, bytes) {
+            g.pages.remove(&node);
+            return;
+        }
+        g.tick = tick;
+        self.charge(g, owner, (tick, Key::Page(node)), bytes);
+        g.stats.installs += 1;
     }
 
     fn admissible(&self, g: &Inner, fetch_start: SimTime, quarantined: Option<SimTime>) -> bool {
@@ -494,21 +571,20 @@ impl AncestryCache {
     }
 
     fn q3_from(g: &mut Inner, program: &str, touch: bool) -> Option<Vec<PNodeId>> {
-        let seeds = g.seeds.get(program)?.value.clone();
+        let Inner {
+            seeds, pages, tick, ..
+        } = g;
+        let seed = seeds.get_mut(program)?;
         let mut out: BTreeSet<PNodeId> = BTreeSet::new();
-        for s in &seeds {
-            let page = g.pages.get(s)?;
-            out.extend(page.value.files.iter().copied());
+        for s in &seed.value {
+            out.extend(pages.get(s)?.value.files.iter().copied());
         }
         if touch {
-            g.tick += 1;
-            let tick = g.tick;
-            if let Some(e) = g.seeds.get_mut(program) {
-                e.touched = tick;
-            }
-            for s in &seeds {
-                if let Some(e) = g.pages.get_mut(s) {
-                    e.touched = tick;
+            *tick += 1;
+            seed.touched = *tick;
+            for s in &seed.value {
+                if let Some(e) = pages.get_mut(s) {
+                    e.touched = *tick;
                 }
             }
         }
@@ -520,131 +596,192 @@ impl AncestryCache {
     /// resident page is a miss, not a leaf: only an installed empty page
     /// proves it has no dependents.
     fn q4_from(g: &mut Inner, program: &str, touch: bool) -> Option<Vec<PNodeId>> {
-        let seeds = g.seeds.get(program)?.value.clone();
-        let mut seen: BTreeSet<PNodeId> = seeds.iter().copied().collect();
-        let mut queue: Vec<PNodeId> = seeds.clone();
-        let mut out: BTreeSet<PNodeId> = BTreeSet::new();
-        let mut visited: Vec<PNodeId> = seeds.clone();
+        let Inner {
+            seeds, pages, tick, ..
+        } = g;
+        let seed = seeds.get_mut(program)?;
+        let mut seen: BTreeSet<PNodeId> = seed.value.iter().copied().collect();
+        let mut queue: Vec<PNodeId> = seed.value.clone();
+        let mut reached: Vec<PNodeId> = Vec::new();
         while let Some(n) = queue.pop() {
-            let page = g.pages.get(&n)?;
-            for m in page.value.out.clone() {
+            for &m in &pages.get(&n)?.value.out {
                 if seen.insert(m) {
-                    out.insert(m);
+                    reached.push(m);
                     queue.push(m);
-                    visited.push(m);
                 }
             }
         }
         if touch {
-            g.tick += 1;
-            let tick = g.tick;
-            if let Some(e) = g.seeds.get_mut(program) {
-                e.touched = tick;
-            }
-            for n in &visited {
-                if let Some(e) = g.pages.get_mut(n) {
-                    e.touched = tick;
+            *tick += 1;
+            seed.touched = *tick;
+            for n in seed.value.iter().chain(&reached) {
+                if let Some(e) = pages.get_mut(n) {
+                    e.touched = *tick;
                 }
             }
         }
-        Some(out.into_iter().collect())
+        reached.sort_unstable();
+        Some(reached)
     }
 
     /// Makes room for `need` bytes charged to `owner`: evicts `owner`'s
-    /// own LRU entries past its per-tenant ceiling, then global LRU
-    /// entries past capacity — skipping entries whose eviction would
-    /// drop *another* tenant below its reserved share. Returns false
-    /// (install refused) when no evictable entry remains.
+    /// own coldest entries past its per-tenant ceiling, then the coldest
+    /// permitted entries past capacity (module docs, *Eviction order*).
+    /// Returns false (install refused) when no evictable entry remains.
     fn ensure_room(&self, g: &mut Inner, owner: Option<TenantId>, need: usize) -> bool {
         if need > self.cfg.tenant_max_bytes {
             return false;
         }
-        while g.usage.get(&owner).copied().unwrap_or(0) + need > self.cfg.tenant_max_bytes {
-            if !Self::evict_lru(g, |e| e == owner) {
+        while g.owner_bytes(owner) + need > self.cfg.tenant_max_bytes {
+            let Some((_, victim)) = self.coldest(g, owner) else {
                 return false;
-            }
-            g.stats.evictions += 1;
+            };
+            self.evict(g, &victim);
         }
         while g.bytes + need > self.cfg.capacity_bytes {
-            let reserved = self.cfg.tenant_reserved_bytes;
-            let usage = g.usage.clone();
-            let permitted =
-                |e: Option<TenantId>| e == owner || usage.get(&e).copied().unwrap_or(0) > reserved;
-            if !Self::evict_lru(g, permitted) {
+            let Some(victim) = self.coldest_permitted(g, owner) else {
                 return false;
-            }
-            g.stats.evictions += 1;
+            };
+            self.evict(g, &victim);
         }
         true
     }
 
-    /// Evicts the least-recently-touched entry whose owner passes
-    /// `permitted`. Returns false when none qualifies.
-    fn evict_lru(g: &mut Inner, permitted: impl Fn(Option<TenantId>) -> bool) -> bool {
-        let seed_victim = g
-            .seeds
-            .iter()
-            .filter(|(_, e)| permitted(e.owner))
-            .min_by_key(|(_, e)| e.touched)
-            .map(|(k, e)| (k.clone(), e.touched));
-        let page_victim = g
-            .pages
-            .iter()
-            .filter(|(_, e)| permitted(e.owner))
-            .min_by_key(|(_, e)| e.touched)
-            .map(|(k, e)| (*k, e.touched));
-        match (seed_victim, page_victim) {
-            (None, None) => false,
-            (Some((k, _)), None) => {
-                Self::remove_seeds(g, &k);
-                true
+    /// The coldest entry `owner` may evict for room: its own coldest, or
+    /// the coldest of any tenant above its reserved share.
+    fn coldest_permitted(&self, g: &mut Inner, owner: Option<TenantId>) -> Option<Key> {
+        // A listed head is only a lower bound until its owner's front
+        // filing is fresh; freshening relists it, so retry until the
+        // coldest head survives unchanged.
+        let listed = loop {
+            let Some((head, o)) = g.heads.first().cloned() else {
+                break None;
+            };
+            let fresh = self.coldest(g, o);
+            if fresh.as_ref() == Some(&head) {
+                break fresh;
             }
-            (None, Some((k, _))) => {
-                Self::remove_page(g, k);
-                true
-            }
-            (Some((sk, st)), Some((pk, pt))) => {
-                if st <= pt {
-                    Self::remove_seeds(g, &sk);
-                } else {
-                    Self::remove_page(g, pk);
-                }
-                true
-            }
-        }
+        };
+        let own = self.coldest(g, owner);
+        own.into_iter().chain(listed).min().map(|(_, key)| key)
     }
 
-    fn remove_seeds(g: &mut Inner, program: &str) -> bool {
-        match g.seeds.remove(program) {
-            Some(e) => {
-                g.bytes -= e.bytes;
-                if let Some(u) = g.usage.get_mut(&e.owner) {
-                    *u -= e.bytes;
-                }
+    /// `owner`'s coldest entry as `(touched, key)`, after re-filing every
+    /// front filing a hit has left behind its entry.
+    fn coldest(&self, g: &mut Inner, owner: Option<TenantId>) -> Option<Filing> {
+        let Inner {
+            owners,
+            heads,
+            seeds,
+            pages,
+            ..
+        } = g;
+        let t = owners.get_mut(&owner)?;
+        loop {
+            let (filed_at, key) = t.order.first()?;
+            let (touched, filed) = match key {
+                Key::Seed(p) => seeds.get_mut(&**p).map(|e| (e.touched, &mut e.filed)),
+                Key::Page(n) => pages.get_mut(n).map(|e| (e.touched, &mut e.filed)),
+            }
+            .expect("a filing names a resident entry");
+            if touched == *filed_at {
+                break;
+            }
+            *filed = touched;
+            let (_, key) = t.order.pop_first().expect("front filing just read");
+            t.order.insert((touched, key));
+        }
+        self.relist(t, heads, owner);
+        t.order.first().cloned()
+    }
+
+    fn evict(&self, g: &mut Inner, victim: &Key) {
+        match victim {
+            Key::Seed(p) => self.remove_seeds(g, p),
+            Key::Page(n) => self.remove_page(g, *n),
+        };
+        g.stats.evictions += 1;
+    }
+
+    fn remove_seeds(&self, g: &mut Inner, program: &str) -> bool {
+        match g.seeds.remove_entry(program) {
+            Some((program, e)) => {
+                self.uncharge(g, e.owner, &(e.filed, Key::Seed(program)), e.bytes);
                 true
             }
             None => false,
         }
     }
 
-    fn remove_page(g: &mut Inner, node: PNodeId) -> bool {
+    fn remove_page(&self, g: &mut Inner, node: PNodeId) -> bool {
         match g.pages.remove(&node) {
             Some(e) => {
-                g.bytes -= e.bytes;
-                if let Some(u) = g.usage.get_mut(&e.owner) {
-                    *u -= e.bytes;
-                }
+                self.uncharge(g, e.owner, &(e.filed, Key::Page(node)), e.bytes);
                 true
             }
             None => false,
         }
+    }
+
+    /// Charges a newly seated entry to `owner` and files it.
+    fn charge(&self, g: &mut Inner, owner: Option<TenantId>, filing: Filing, bytes: usize) {
+        g.bytes += bytes;
+        let t = g.owners.entry(owner).or_default();
+        t.bytes += bytes;
+        t.order.insert(filing);
+        self.relist(t, &mut g.heads, owner);
+    }
+
+    /// Reverses [`charge`](Self::charge) for a removed entry; an owner
+    /// left with nothing loses its row.
+    fn uncharge(&self, g: &mut Inner, owner: Option<TenantId>, filing: &Filing, bytes: usize) {
+        g.bytes -= bytes;
+        let t = g
+            .owners
+            .get_mut(&owner)
+            .expect("a resident entry's owner has a row");
+        t.bytes -= bytes;
+        t.order.remove(filing);
+        self.relist(t, &mut g.heads, owner);
+        if t.order.is_empty() {
+            g.owners.remove(&owner);
+        }
+    }
+
+    /// Brings `owner`'s element of `heads` back in step with its row.
+    fn relist(
+        &self,
+        t: &mut Tenant,
+        heads: &mut BTreeSet<(Filing, Option<TenantId>)>,
+        owner: Option<TenantId>,
+    ) {
+        let want = if t.bytes > self.cfg.tenant_reserved_bytes {
+            t.order.first()
+        } else {
+            None
+        };
+        if want == t.listed.as_ref() {
+            return;
+        }
+        if let Some(old) = t.listed.take() {
+            heads.remove(&(old, owner));
+        }
+        t.listed = want.cloned();
+        heads.extend(t.listed.iter().map(|f| (f.clone(), owner)));
     }
 
     fn flush(g: &mut Inner) {
         g.seeds.clear();
         g.pages.clear();
-        g.usage.clear();
+        g.owners.clear();
+        g.heads.clear();
         g.bytes = 0;
+    }
+}
+
+impl Inner {
+    fn owner_bytes(&self, owner: Option<TenantId>) -> usize {
+        self.owners.get(&owner).map_or(0, |t| t.bytes)
     }
 }
 
@@ -880,7 +1017,8 @@ mod tests {
         cache.attach();
         sim.sleep(Duration::from_secs(1));
         let t = sim.now();
-        cache.install_seeds(None, "old", &[node(1)], t);
+        let x = Some(TenantId(7));
+        cache.install_seeds(x, "old", &[node(1)], t);
         cache.install_seeds(None, "hot", &[node(2)], t);
         // Touch "hot" so "old" is the LRU victim.
         assert!(cache.seeds_of("hot").is_some());
@@ -889,5 +1027,460 @@ mod tests {
         assert!(cache.seeds_of("hot").is_some());
         assert!(cache.seeds_of("new").is_some());
         assert_eq!(cache.stats().evictions, 1);
+        // Evicted down to nothing, tenant x leaves no usage row behind.
+        assert_eq!(cache.owner_bytes(x), 0);
+        assert!(!cache.inner.lock().owners.contains_key(&x));
+        cache.check_invariants();
+    }
+
+    impl AncestryCache {
+        /// The recency structure's own invariants: every entry is filed
+        /// exactly once, under its owner and no later than its last
+        /// touch; bytes add up three ways; `heads` lists exactly the
+        /// front filing of every tenant above its reserved share.
+        fn check_invariants(&self) {
+            let g = self.inner.lock();
+            let mut filed = 0;
+            let mut heads = BTreeSet::new();
+            for (owner, t) in &g.owners {
+                assert!(!t.order.is_empty(), "{owner:?}: empty row kept");
+                let mut bytes = 0;
+                for (tick, key) in &t.order {
+                    let (e_bytes, e_owner, touched, e_filed) = match key {
+                        Key::Seed(p) => {
+                            let e = &g.seeds[&**p];
+                            (e.bytes, e.owner, e.touched, e.filed)
+                        }
+                        Key::Page(n) => {
+                            let e = &g.pages[n];
+                            (e.bytes, e.owner, e.touched, e.filed)
+                        }
+                    };
+                    assert_eq!((e_owner, e_filed), (*owner, *tick), "{key:?}");
+                    assert!(e_filed <= touched, "{key:?} filed ahead of its touch");
+                    bytes += e_bytes;
+                }
+                assert_eq!(t.bytes, bytes, "{owner:?}");
+                filed += t.order.len();
+                let front = (t.bytes > self.cfg.tenant_reserved_bytes)
+                    .then(|| t.order.first().cloned())
+                    .flatten();
+                assert_eq!(t.listed, front, "{owner:?}");
+                heads.extend(front.map(|f| (f, *owner)));
+            }
+            assert_eq!(filed, g.seeds.len() + g.pages.len());
+            assert_eq!(g.heads, heads);
+            let by_entry: usize = g.seeds.values().map(|e| e.bytes).sum::<usize>()
+                + g.pages.values().map(|e| e.bytes).sum::<usize>();
+            let by_owner: usize = g.owners.values().map(|t| t.bytes).sum();
+            assert_eq!((by_entry, by_owner), (g.bytes, g.bytes));
+        }
+
+        fn resident(&self) -> (Vec<String>, Vec<PNodeId>) {
+            let g = self.inner.lock();
+            (
+                g.seeds.keys().map(|k| k.to_string()).collect(),
+                g.pages.keys().copied().collect(),
+            )
+        }
+    }
+
+    /// The rule this cache replaced, kept as the reference: the victim is
+    /// found by scanning every resident entry for the least `touched` —
+    /// seeds before pages, then ascending key — among the owners the
+    /// quotas permit. Everything else is the plainest possible cache
+    /// over the same operations (always attached, never gapped).
+    #[derive(Default)]
+    struct Model {
+        cfg: CacheConfig,
+        seeds: BTreeMap<String, ModelEntry<Vec<PNodeId>>>,
+        pages: BTreeMap<PNodeId, ModelEntry<RevPage>>,
+        tick: u64,
+        high: Option<u64>,
+        stats: CacheStats,
+    }
+
+    struct ModelEntry<T> {
+        value: T,
+        bytes: usize,
+        owner: Option<TenantId>,
+        touched: u64,
+    }
+
+    impl Model {
+        fn attach(&mut self) {
+            self.seeds.clear();
+            self.pages.clear();
+            self.high = None;
+        }
+
+        fn owner_bytes(&self, owner: Option<TenantId>) -> usize {
+            let seeds = self.seeds.values().filter(|e| e.owner == owner);
+            let pages = self.pages.values().filter(|e| e.owner == owner);
+            seeds.map(|e| e.bytes).sum::<usize>() + pages.map(|e| e.bytes).sum::<usize>()
+        }
+
+        fn bytes(&self) -> usize {
+            self.seeds.values().map(|e| e.bytes).sum::<usize>()
+                + self.pages.values().map(|e| e.bytes).sum::<usize>()
+        }
+
+        fn evict_lru(&mut self, permitted: impl Fn(&Model, Option<TenantId>) -> bool) -> bool {
+            let seed = self
+                .seeds
+                .iter()
+                .filter(|(_, e)| permitted(self, e.owner))
+                .min_by_key(|(_, e)| e.touched)
+                .map(|(k, e)| (k.clone(), e.touched));
+            let page = self
+                .pages
+                .iter()
+                .filter(|(_, e)| permitted(self, e.owner))
+                .min_by_key(|(_, e)| e.touched)
+                .map(|(k, e)| (*k, e.touched));
+            match (seed, page) {
+                (None, None) => return false,
+                (Some((k, st)), Some((_, pt))) if st <= pt => drop(self.seeds.remove(&k)),
+                (Some((k, _)), None) => drop(self.seeds.remove(&k)),
+                (_, Some((k, _))) => drop(self.pages.remove(&k)),
+            }
+            self.stats.evictions += 1;
+            true
+        }
+
+        fn ensure_room(&mut self, owner: Option<TenantId>, need: usize) -> bool {
+            let cfg = self.cfg;
+            if need > cfg.tenant_max_bytes {
+                return false;
+            }
+            while self.owner_bytes(owner) + need > cfg.tenant_max_bytes {
+                if !self.evict_lru(|_, e| e == owner) {
+                    return false;
+                }
+            }
+            while self.bytes() + need > cfg.capacity_bytes {
+                let permitted =
+                    |m: &Model, e| e == owner || m.owner_bytes(e) > cfg.tenant_reserved_bytes;
+                if !self.evict_lru(permitted) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        fn install_seeds(&mut self, owner: Option<TenantId>, program: &str, seeds: &[PNodeId]) {
+            self.seeds.remove(program);
+            let bytes = entry_bytes(seeds.len());
+            if !self.ensure_room(owner, bytes) {
+                return;
+            }
+            self.tick += 1;
+            let e = ModelEntry {
+                value: seeds.to_vec(),
+                bytes,
+                owner,
+                touched: self.tick,
+            };
+            self.seeds.insert(program.to_string(), e);
+            self.stats.installs += 1;
+        }
+
+        fn install_adjacency(
+            &mut self,
+            owner: Option<TenantId>,
+            adj: &RevAdjacency,
+            touched: &[PNodeId],
+        ) {
+            let full = adj.out.iter().map(|(node, out)| {
+                let files = out.iter().copied().filter(|d| adj.files.contains(d));
+                let page = RevPage {
+                    out: out.clone(),
+                    files: files.collect(),
+                };
+                (*node, page)
+            });
+            let empty = touched
+                .iter()
+                .filter(|n| !adj.out.contains_key(n))
+                .map(|n| (*n, RevPage::default()));
+            for (node, page) in full.chain(empty) {
+                self.pages.remove(&node);
+                let bytes = entry_bytes(page.out.len() + page.files.len());
+                if !self.ensure_room(owner, bytes) {
+                    continue;
+                }
+                self.tick += 1;
+                let e = ModelEntry {
+                    value: page,
+                    bytes,
+                    owner,
+                    touched: self.tick,
+                };
+                self.pages.insert(node, e);
+                self.stats.installs += 1;
+            }
+        }
+
+        fn seeds_of(&mut self, program: &str) -> Option<Vec<PNodeId>> {
+            self.tick += 1;
+            let e = self.seeds.get_mut(program)?;
+            e.touched = self.tick;
+            Some(e.value.clone())
+        }
+
+        /// Q.3 (`transitive == false`) or Q.4 from memory; touches what
+        /// it read only on a full hit.
+        fn serve(&mut self, program: &str, transitive: bool) -> Option<Vec<PNodeId>> {
+            let answer = self.walk(program, transitive);
+            match &answer {
+                Some(_) => self.stats.hits += 1,
+                None => self.stats.misses += 1,
+            }
+            let (visited, out) = answer?;
+            self.tick += 1;
+            self.seeds.get_mut(program)?.touched = self.tick;
+            for n in visited {
+                self.pages.get_mut(&n)?.touched = self.tick;
+            }
+            Some(out.into_iter().collect())
+        }
+
+        fn walk(
+            &self,
+            program: &str,
+            transitive: bool,
+        ) -> Option<(Vec<PNodeId>, BTreeSet<PNodeId>)> {
+            let seeds = self.seeds.get(program)?.value.clone();
+            let mut out = BTreeSet::new();
+            if !transitive {
+                for s in &seeds {
+                    out.extend(self.pages.get(s)?.value.files.iter().copied());
+                }
+                return Some((seeds, out));
+            }
+            let mut seen: BTreeSet<PNodeId> = seeds.iter().copied().collect();
+            let mut queue = seeds.clone();
+            let mut visited = seeds;
+            while let Some(n) = queue.pop() {
+                for m in self.pages.get(&n)?.value.out.clone() {
+                    if seen.insert(m) {
+                        out.insert(m);
+                        queue.push(m);
+                        visited.push(m);
+                    }
+                }
+            }
+            Some((visited, out))
+        }
+
+        fn on_event(&mut self, ev: &CommitEvent) {
+            self.stats.events += 1;
+            if self.high.is_some_and(|h| ev.seq <= h) {
+                self.stats.duplicate_events += 1;
+                return;
+            }
+            self.high = Some(ev.seq);
+            for uuid in &ev.uuids {
+                let before = self.pages.len();
+                self.pages.retain(|k, _| k.uuid != *uuid);
+                self.stats.invalidations += (before - self.pages.len()) as u64;
+            }
+            for program in &ev.programs {
+                if self.seeds.remove(program).is_some() {
+                    self.stats.invalidations += 1;
+                }
+            }
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                entries: self.seeds.len() + self.pages.len(),
+                bytes: self.bytes(),
+                ..self.stats
+            }
+        }
+    }
+
+    /// The differential's world: 12 nodes, two versions to a uuid, a
+    /// fixed DAG over them and four programs seeded two nodes each.
+    fn world_node(i: usize) -> PNodeId {
+        PNodeId {
+            uuid: Uuid(1 + i as u128 / 2),
+            version: 1 + i as u32 % 2,
+        }
+    }
+
+    fn world_adjacency(mask: u16) -> RevAdjacency {
+        let mut adj = RevAdjacency::default();
+        for i in (0..8).filter(|i| mask & (1 << i) != 0) {
+            let mut out = vec![world_node(i + 4)];
+            if i < 4 {
+                out.push(world_node(8 + i));
+            }
+            adj.out.insert(world_node(i), out);
+        }
+        adj.files.extend([5, 8, 9, 10, 11].map(world_node));
+        adj
+    }
+
+    const PROGRAMS: [&str; 4] = ["p0", "p1", "p2", "p3"];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The indexed cache and the scanning reference, driven by the
+        /// same operations, agree after every one of them.
+        #[test]
+        fn eviction_matches_the_scanning_reference(
+            ops in proptest::collection::vec(
+                (0u8..16, 0u8..4, any::<u16>(), any::<u16>()),
+                1..160,
+            ),
+        ) {
+            // A full adjacency is ~1 KB: one hydration overflows a
+            // tenant's ceiling, two tenants overflow the cache, and a
+            // tenant down to a page or two sits inside its reserve.
+            let cfg = CacheConfig {
+                capacity_bytes: 1200,
+                tenant_max_bytes: 700,
+                tenant_reserved_bytes: 150,
+                staleness_guard: Duration::ZERO,
+            };
+            let sim = Sim::new();
+            let cache = AncestryCache::new(&sim, cfg);
+            let mut model = Model {
+                cfg,
+                ..Model::default()
+            };
+            cache.attach();
+            let owners = [None, Some(TenantId(1)), Some(TenantId(2)), Some(TenantId(3))];
+            let mut seq = 0;
+            for (kind, owner, a, b) in ops {
+                // Every fetch starts after every earlier invalidation.
+                sim.sleep(Duration::from_secs(1));
+                let t = sim.now();
+                let owner = owners[owner as usize];
+                let p = a as usize % 4;
+                let program = PROGRAMS[p];
+                match kind {
+                    0..=2 => {
+                        let seeds = [world_node(2 * p), world_node(2 * p + 1)];
+                        let seeds = &seeds[..1 + b as usize % 2];
+                        cache.install_seeds(owner, program, seeds, t);
+                        model.install_seeds(owner, program, seeds);
+                    }
+                    3..=6 => {
+                        // Usually the whole adjacency, as the engine
+                        // installs it; sometimes a random part of it.
+                        let adj = world_adjacency(if kind < 6 { !0 } else { b });
+                        let touched: Vec<PNodeId> = (0..12)
+                            .filter(|i| a & (1 << i) != 0)
+                            .map(world_node)
+                            .collect();
+                        cache.install_adjacency(owner, &adj, &touched, t);
+                        model.install_adjacency(owner, &adj, &touched);
+                    }
+                    7..=8 => prop_assert_eq!(cache.serve_q3(program), model.serve(program, false)),
+                    9..=11 => prop_assert_eq!(cache.serve_q4(program), model.serve(program, true)),
+                    12 => prop_assert_eq!(cache.seeds_of(program), model.seeds_of(program)),
+                    13..=14 => {
+                        // A third of the deliveries are replays.
+                        if b % 3 != 0 {
+                            seq += 1;
+                        }
+                        let programs = if b % 2 == 0 { vec![program] } else { vec![] };
+                        let ev = event(seq, vec![Uuid(1 + u128::from(b) % 6)], programs);
+                        cache.on_event(&ev);
+                        model.on_event(&ev);
+                    }
+                    _ => {
+                        cache.attach();
+                        model.attach();
+                        seq = 0;
+                    }
+                }
+                cache.check_invariants();
+                let (seeds, pages) = cache.resident();
+                prop_assert_eq!(seeds, model.seeds.keys().cloned().collect::<Vec<_>>());
+                prop_assert_eq!(pages, model.pages.keys().copied().collect::<Vec<_>>());
+                prop_assert_eq!(cache.stats(), model.stats());
+                for o in owners {
+                    prop_assert_eq!(cache.owner_bytes(o), model.owner_bytes(o));
+                }
+            }
+        }
+    }
+
+    /// Rule 2 of the eviction order: one warm `serve_q4` stamps the seed
+    /// entry and every page it walked with one tick, and forced evictions
+    /// then take the seed entry first and the pages in ascending id order
+    /// — whatever order they were installed or walked in.
+    #[test]
+    fn entries_sharing_a_tick_leave_seed_first_then_ascending_page() {
+        let sim = Sim::new();
+        // Five one-id entries fill the cache exactly.
+        let cfg = CacheConfig {
+            capacity_bytes: 5 * entry_bytes(1),
+            tenant_max_bytes: 5 * entry_bytes(1),
+            tenant_reserved_bytes: 0,
+            staleness_guard: Duration::ZERO,
+        };
+        let cache = AncestryCache::new(&sim, cfg);
+        cache.attach();
+        sim.sleep(Duration::from_secs(1));
+        let t = sim.now();
+        let page = |from: u128, to: u128| {
+            let mut adj = RevAdjacency::default();
+            adj.out.insert(node(from), vec![node(to)]);
+            adj
+        };
+        // etl → 5 → 9 → 7 → 2, installed coldest-last.
+        for (from, to) in [(9, 7), (7, 2), (5, 9), (2, 2)] {
+            cache.install_adjacency(None, &page(from, to), &[], t);
+        }
+        cache.install_seeds(None, "etl", &[node(5)], t);
+        assert_eq!(cache.serve_q4("etl"), Some(vec![node(2), node(7), node(9)]));
+        let mut order = Vec::new();
+        for i in 0..5 {
+            let before = cache.resident();
+            cache.install_adjacency(None, &page(100 + i, 100 + i), &[], t);
+            let after = cache.resident();
+            order.extend(before.0.into_iter().filter(|k| !after.0.contains(k)));
+            let gone = before.1.iter().filter(|k| !after.1.contains(k));
+            order.extend(gone.map(|k| k.uuid.0.to_string()));
+            cache.check_invariants();
+        }
+        assert_eq!(order, ["etl", "2", "5", "7", "9"]);
+    }
+
+    /// Rule 3: with B at its reserved share, A's flood takes A's own
+    /// coldest entry even though B holds a colder one; one byte above
+    /// the reserve, B's is the coldest permitted and goes instead.
+    #[test]
+    fn a_colder_entry_of_a_reserved_tenant_is_skipped() {
+        let (a, b) = (Some(TenantId(1)), Some(TenantId(2)));
+        let survivors = |tenant_reserved_bytes| {
+            let sim = Sim::new();
+            // Three one-id entries fit.
+            let cfg = CacheConfig {
+                capacity_bytes: 3 * entry_bytes(1),
+                tenant_max_bytes: 3 * entry_bytes(1),
+                tenant_reserved_bytes,
+                staleness_guard: Duration::ZERO,
+            };
+            let cache = AncestryCache::new(&sim, cfg);
+            cache.attach();
+            sim.sleep(Duration::from_secs(1));
+            cache.install_seeds(b, "b-cold", &[node(1)], sim.now());
+            for (i, program) in ["a-old", "a-mid", "a-new"].into_iter().enumerate() {
+                cache.install_seeds(a, program, &[node(2 + i as u128)], sim.now());
+            }
+            cache.check_invariants();
+            cache.resident().0
+        };
+        assert_eq!(survivors(entry_bytes(1)), ["a-mid", "a-new", "b-cold"]);
+        assert_eq!(survivors(entry_bytes(1) - 1), ["a-mid", "a-new", "a-old"]);
     }
 }

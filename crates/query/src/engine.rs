@@ -585,7 +585,7 @@ impl QueryEngine {
                 }
             }
         }
-        cache.install_adjacency(self.tenant, &adj, &seeds, t0);
+        cache.install_fetched(self.tenant, adj, &seeds, t0);
         Ok((
             OutputSet {
                 nodes: nodes.into_iter().collect(),
@@ -611,7 +611,7 @@ impl QueryEngine {
         let nodes = local::walk(&seeds, |n| adj.out.get(&n).cloned().unwrap_or_default());
         let mut touched = seeds.clone();
         touched.extend(nodes.iter().copied());
-        cache.install_adjacency(self.tenant, &adj, &touched, t0);
+        cache.install_fetched(self.tenant, adj, &touched, t0);
         Ok((nodes, CacheOutcome::Miss))
     }
 
