@@ -1,83 +1,17 @@
-//! Criterion benches tracking scaled-down variants of the paper's
-//! experiments. Wall-clock cost is small (virtual time is free); these
-//! exist to catch performance *shape* regressions:
+//! Criterion bench for the read tier's cost *shape*: an install that
+//! forces an eviction and a fixed 64-node warm walk, each at 256 / 4096 /
+//! 65536 resident entries. Neither may grow with residency.
 //!
-//! * `micro_upload/*` — Figure 3 (per-protocol upload of the Blast corpus)
-//! * `service_upload/*` — Table 2 (raw service throughput)
-//! * `queries/*` — Table 5 (Q.1/Q.3 on both layouts)
-//! * `workload/*` — Figure 4 (nightly workload end-to-end)
-//! * `cache/*` — the read tier's cost *shape*: an install that forces an
-//!   eviction and a fixed 64-node warm walk, each at 256 / 4096 / 65536
-//!   resident entries. Neither may grow with residency.
-//!
-//! The measured quantity is the wall time of simulating the experiment;
-//! the reported virtual-time results live in the `repro` binary.
+//! The measured quantity is host wall time; the paper's experiments are
+//! timed (in virtual time) by the `repro` binary and, per layer, by the
+//! repo benchmark under `benchmark/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cloudprov_bench::experiments::{micro, queries, services, workload_runs};
-use cloudprov_bench::Which;
-use cloudprov_cloud::{Era, RunContext};
 use cloudprov_pass::{PNodeId, Uuid};
 use cloudprov_query::source::RevAdjacency;
 use cloudprov_query::{AncestryCache, CacheConfig};
 use cloudprov_sim::Sim;
-use cloudprov_workloads::BlastParams;
-
-fn bench_micro_upload(c: &mut Criterion) {
-    let corpus = micro::capture(BlastParams::small());
-    let mut group = c.benchmark_group("micro_upload");
-    group.sample_size(10);
-    for which in Which::ALL {
-        group.bench_function(which.name(), |b| {
-            b.iter(|| {
-                let rig = cloudprov_bench::Rig::new(
-                    which,
-                    micro::contexts()[0].1,
-                    cloudprov_core::ProtocolConfig::default(),
-                );
-                cloudprov_bench::uploader::upload(&rig, &corpus, 8)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_service_upload(c: &mut Criterion) {
-    let mut group = c.benchmark_group("service_upload");
-    group.sample_size(10);
-    let ctx = RunContext::default();
-    let records = cloudprov_workloads::linux_compile_provenance(256 << 10);
-    group.bench_function("s3", |b| b.iter(|| services::upload_s3(&records, 150, ctx)));
-    group.bench_function("simpledb", |b| {
-        b.iter(|| services::upload_sdb(&records, 40, ctx))
-    });
-    group.bench_function("sqs", |b| {
-        b.iter(|| services::upload_sqs(&records, 150, ctx))
-    });
-    group.finish();
-}
-
-fn bench_queries(c: &mut Criterion) {
-    let mut group = c.benchmark_group("queries");
-    group.sample_size(10);
-    group.bench_function("table5_small", |b| {
-        b.iter(|| queries::table5(BlastParams::small()))
-    });
-    group.finish();
-}
-
-fn bench_workload(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workload");
-    group.sample_size(10);
-    let ctx = RunContext::ec2(Era::Sept2009);
-    for which in Which::ALL {
-        group.bench_function(format!("nightly_small_{}", which.name()), |b| {
-            b.iter(|| workload_runs::run_cell(workload_runs::Workload::Nightly, which, ctx, false))
-        });
-    }
-    group.finish();
-}
 
 /// Operations per timed sample: one is too short for the clock.
 const CACHE_BATCH: usize = 256;
@@ -152,12 +86,5 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_micro_upload,
-    bench_service_upload,
-    bench_queries,
-    bench_workload,
-    bench_cache
-);
+criterion_group!(benches, bench_cache);
 criterion_main!(benches);

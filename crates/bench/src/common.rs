@@ -2,7 +2,6 @@
 //! result formatting helpers.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use cloudprov_cloud::{AwsProfile, CloudEnv, RunContext};
 use cloudprov_core::{ProtocolConfig, ProvenanceClient};
@@ -73,11 +72,6 @@ impl Rig {
     pub fn drain_commits(&self) {
         self.client.drain().expect("session drain");
     }
-}
-
-/// Formats a duration as seconds with one decimal.
-pub fn secs(d: Duration) -> String {
-    format!("{:.1}", d.as_secs_f64())
 }
 
 /// Percentage overhead of `value` relative to `base`.

@@ -1,6 +1,6 @@
 //! Fleet experiment: sweep clients × shards × daemons over the sharded
-//! commit plane and produce the scaling table (plus `BENCH_fleet.json`)
-//! that future performance PRs are measured against.
+//! commit plane and produce the scaling table `repro -- fleet` judges
+//! (invariants and shape only — numbers are bounded by `benchmark/`).
 //!
 //! The sweep is a pure function of its seed: every cell report is
 //! reproducible bit-for-bit, and `repro -- fleet` re-runs one cell to
@@ -31,52 +31,26 @@ const FULL: &[Cell] = &[
     (288, 12, 8, 4, 24),
 ];
 
-/// Delivery-mode knobs for a sweep: push on/off and an optional
-/// fallback-poll override (`repro -- fleet --polling --poll-ms N`).
-#[derive(Clone, Copy, Debug)]
-pub struct SweepMode {
-    /// Push delivery (doorbells + change feed); `false` reproduces the
-    /// pure polling plane.
-    pub push: bool,
-    /// Poll interval (push mode: fallback cadence) in milliseconds, or
-    /// `None` for the driver default.
-    pub poll_ms: Option<u64>,
-}
-
-impl Default for SweepMode {
-    fn default() -> SweepMode {
-        SweepMode {
-            push: true,
-            poll_ms: None,
-        }
-    }
-}
-
 /// Parameters for one cell of the sweep.
-pub fn cell_params(cell: Cell, seed: u64, mode: SweepMode) -> FleetParams {
+pub fn cell_params(cell: Cell, seed: u64) -> FleetParams {
     let (clients, tenants, shards, daemons, script_len) = cell;
-    let mut params = FleetParams {
+    FleetParams {
         clients,
         tenants,
         shards,
         daemons,
         script_len,
         seed,
-        push: mode.push,
         profile: AwsProfile::calibrated(Default::default()),
         trace: true,
         ..FleetParams::default()
-    };
-    if let Some(ms) = mode.poll_ms {
-        params.poll_interval = std::time::Duration::from_millis(ms.max(1));
     }
-    params
 }
 
 /// The latency-probe cell: one lightly loaded fleet (clients ≤ shards,
 /// daemons == shards) where the plane never saturates, so the
 /// WAL-durable → pickup dwell measures pure delivery latency rather
-/// than backlog queueing. The push-mode gate (`pickup p50 < 1 s`) runs
+/// than backlog queueing. The pickup gate (`pickup p50 < 1 s`) runs
 /// here: in the scaling cells the burst workload deliberately swamps
 /// the plane and pickup is dominated by the queue, not the doorbell.
 const LATENCY_SMOKE: Cell = (4, 4, 4, 4, 12);
@@ -84,11 +58,11 @@ const LATENCY_SMOKE: Cell = (4, 4, 4, 4, 12);
 /// shard count.
 const LATENCY_FULL: Cell = (8, 8, 8, 8, 24);
 
-/// Runs the latency probe cell (appended to the sweep's table and
-/// JSON; identified there by `clients <= shards`).
-pub fn latency_probe(small: bool, seed: u64, mode: SweepMode) -> FleetReport {
+/// Runs the latency probe cell (appended to the sweep's table;
+/// identified there by `clients <= shards`).
+pub fn latency_probe(small: bool, seed: u64) -> FleetReport {
     let cell = if small { LATENCY_SMOKE } else { LATENCY_FULL };
-    run_fleet(&cell_params(cell, seed, mode))
+    run_fleet(&cell_params(cell, seed))
 }
 
 /// Whether a report is the sweep's latency probe (unsaturated cell).
@@ -99,12 +73,12 @@ pub fn is_latency_probe(r: &FleetReport) -> bool {
 /// Runs the sweep. `small` selects the CI smoke grid. Every cell is
 /// traced; only the first cell exports Chrome trace JSON (the sampled
 /// cell `repro -- fleet --trace-out` writes to disk).
-pub fn sweep(small: bool, seed: u64, mode: SweepMode) -> Vec<FleetReport> {
+pub fn sweep(small: bool, seed: u64) -> Vec<FleetReport> {
     let grid = if small { SMOKE } else { FULL };
     grid.iter()
         .enumerate()
         .map(|(i, c)| {
-            let mut params = cell_params(*c, seed, mode);
+            let mut params = cell_params(*c, seed);
             params.trace_export = i == 0;
             run_fleet(&params)
         })
@@ -114,257 +88,35 @@ pub fn sweep(small: bool, seed: u64, mode: SweepMode) -> Vec<FleetReport> {
 /// Re-runs the first cell of the grid (the determinism proof). Exports
 /// the trace so the `again == reports[0]` check also proves the trace
 /// JSON is bit-identical across runs.
-pub fn rerun_first(small: bool, seed: u64, mode: SweepMode) -> FleetReport {
+pub fn rerun_first(small: bool, seed: u64) -> FleetReport {
     let grid = if small { SMOKE } else { FULL };
-    let mut params = cell_params(grid[0], seed, mode);
+    let mut params = cell_params(grid[0], seed);
     params.trace_export = true;
     run_fleet(&params)
-}
-
-/// The seed a committed `BENCH_fleet*.json` was generated with. The
-/// perf gate only compares runs against a baseline of the SAME seed —
-/// different seeds run different workloads.
-pub fn baseline_seed(json: &str) -> Option<u64> {
-    json.split("\"seed\":")
-        .nth(1)?
-        .split(',')
-        .next()?
-        .trim()
-        .parse()
-        .ok()
-}
-
-/// Extracts the per-cell throughput trajectory from a committed
-/// `BENCH_fleet*.json` — the perf-regression gate's baseline. Hand-
-/// rolled like [`to_json`] (the workspace is offline, no serde): pulls
-/// every `"throughput_txn_per_s"` value in cell order.
-pub fn baseline_throughputs(json: &str) -> Vec<f64> {
-    json.split("\"throughput_txn_per_s\":")
-        .skip(1)
-        .filter_map(|rest| rest.split(',').next()?.trim().parse::<f64>().ok())
-        .collect()
-}
-
-/// Per-cell commit p50 (ms) from a committed `BENCH_fleet*.json` — the
-/// latency half of the perf gate: push-mode commit latency must never
-/// creep back toward the parked polling numbers.
-pub fn baseline_commit_p50s(json: &str) -> Vec<f64> {
-    json.split("\"commit_p50_ms\":")
-        .skip(1)
-        .filter_map(|rest| rest.split(',').next()?.trim().parse::<f64>().ok())
-        .collect()
-}
-
-fn json_escape_free(s: &str) -> String {
-    // Everything we emit is numeric or ASCII identifiers; keep it simple.
-    s.chars().filter(|c| *c != '"' && *c != '\\').collect()
-}
-
-/// Machine-readable dump of the sweep — the `BENCH_fleet.json` perf
-/// trajectory file. Hand-rolled JSON: the workspace is offline and
-/// serde is not among the vendored crates.
-pub fn to_json(seed: u64, small: bool, reports: &[FleetReport]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"bench\": \"fleet\",\n  \"seed\": {seed},\n  \"smoke\": {small},\n  \"cells\": [\n"
-    ));
-    for (i, r) in reports.iter().enumerate() {
-        let tenants: Vec<String> = r
-            .per_tenant
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tenant\": {}, \"ops\": {}, \"mb\": {:.3}, \"usd\": {:.6}}}",
-                    t.tenant, t.ops, t.mb, t.usd
-                )
-            })
-            .collect();
-        let violations: Vec<String> = r
-            .violations()
-            .iter()
-            .map(|v| format!("\"{}\"", json_escape_free(v)))
-            .collect();
-        out.push_str(&format!(
-            concat!(
-                "    {{\"clients\": {}, \"tenants\": {}, \"shards\": {}, \"daemons\": {}, ",
-                "\"logged_txns\": {}, \"committed\": {}, \"double_commits\": {}, ",
-                "\"client_phase_s\": {:.3}, \"elapsed_s\": {:.3}, ",
-                "\"throughput_txn_per_s\": {:.4}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, ",
-                "\"admission_p50_ms\": {:.3}, \"admission_p99_ms\": {:.3}, ",
-                "\"queue_p99_ms\": {:.3}, \"upload_p99_ms\": {:.3}, ",
-                "\"commit_p50_ms\": {:.3}, \"commit_p99_ms\": {:.3}, ",
-                "\"pickup_p50_ms\": {:.3}, \"pickup_p99_ms\": {:.3}, ",
-                "\"samples\": {}, \"cost_usd\": {:.6}, \"lease_acquisitions\": {}, ",
-                "\"lease_losses\": {}, \"handoffs\": {}, \"idle_releases\": {}, ",
-                "\"push\": {}, \"wakeups\": {}, \"feed_events\": {}, \"feed_gaps\": {}, ",
-                "\"dropped\": {}, \"dedupe_evictions\": {}, ",
-                "\"trace_spans\": {}, \"trace_orphans\": {}, ",
-                "\"phase_dwell_ms\": {:.3}, \"phase_lease_ms\": {:.3}, ",
-                "\"phase_copy_ms\": {:.3}, \"phase_db_ms\": {:.3}, ",
-                "\"phase_index_ms\": {:.3}, \"phase_ack_ms\": {:.3}, ",
-                "\"phase_feed_ms\": {:.3}, ",
-                "\"violations\": [{}], \"per_tenant\": [{}]}}{}\n"
-            ),
-            r.clients,
-            r.tenants,
-            r.shards,
-            r.daemons,
-            r.logged_txns,
-            r.committed,
-            r.double_commits,
-            r.client_phase.as_secs_f64(),
-            r.elapsed.as_secs_f64(),
-            r.throughput,
-            r.p50.as_secs_f64() * 1e3,
-            r.p99.as_secs_f64() * 1e3,
-            r.admission_p50.as_secs_f64() * 1e3,
-            r.admission_p99.as_secs_f64() * 1e3,
-            r.queue_p99.as_secs_f64() * 1e3,
-            r.upload_p99.as_secs_f64() * 1e3,
-            r.commit_p50.as_secs_f64() * 1e3,
-            r.commit_p99.as_secs_f64() * 1e3,
-            r.pickup_p50.as_secs_f64() * 1e3,
-            r.pickup_p99.as_secs_f64() * 1e3,
-            r.samples,
-            r.total_cost_usd,
-            r.pool.acquisitions,
-            r.pool.losses,
-            r.pool.handoffs,
-            r.pool.idle_releases,
-            r.push,
-            r.pool.wakeups,
-            r.feed_events,
-            r.feed_gaps,
-            r.pool.dropped,
-            r.dedupe_evictions,
-            r.trace_spans,
-            r.trace_orphans,
-            r.breakdown.unwrap_or_default().dwell.as_secs_f64() * 1e3,
-            r.breakdown.unwrap_or_default().lease.as_secs_f64() * 1e3,
-            r.breakdown.unwrap_or_default().copy.as_secs_f64() * 1e3,
-            r.breakdown.unwrap_or_default().db.as_secs_f64() * 1e3,
-            r.breakdown.unwrap_or_default().index.as_secs_f64() * 1e3,
-            r.breakdown.unwrap_or_default().ack.as_secs_f64() * 1e3,
-            r.breakdown.unwrap_or_default().feed.as_secs_f64() * 1e3,
-            violations.join(", "),
-            tenants.join(", "),
-            if i + 1 == reports.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn smoke_cells_share_the_workload_shape() {
         // All smoke cells differ only in daemon count, so the logged
         // transaction totals must match — the throughput comparison is
         // apples-to-apples.
-        let a = cell_params(SMOKE[0], 1, SweepMode::default());
-        let b = cell_params(SMOKE[2], 1, SweepMode::default());
+        let a = cell_params(SMOKE[0], 1);
+        let b = cell_params(SMOKE[2], 1);
         assert_eq!(a.clients, b.clients);
         assert_eq!(a.shards, b.shards);
         assert_ne!(a.daemons, b.daemons);
-        assert!(a.push, "push delivery is the default plane");
-    }
-
-    #[test]
-    fn sweep_mode_overrides_push_and_poll() {
-        let m = SweepMode {
-            push: false,
-            poll_ms: Some(250),
-        };
-        let p = cell_params(SMOKE[0], 1, m);
-        assert!(!p.push);
-        assert_eq!(p.poll_interval, Duration::from_millis(250));
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let r = FleetReport {
-            clients: 2,
-            tenants: 1,
-            shards: 1,
-            daemons: 1,
-            logged_txns: 3,
-            committed: 3,
-            unique_committed: 3,
-            double_commits: 0,
-            client_phase: Duration::from_secs(1),
-            elapsed: Duration::from_secs(2),
-            throughput: 1.5,
-            p50: Duration::from_millis(10),
-            p99: Duration::from_millis(20),
-            samples: 3,
-            admission_p50: Duration::from_millis(1),
-            admission_p99: Duration::from_millis(5),
-            queue_p50: Duration::from_millis(2),
-            queue_p99: Duration::from_millis(6),
-            upload_p50: Duration::from_millis(8),
-            upload_p99: Duration::from_millis(15),
-            commit_p50: Duration::from_millis(100),
-            commit_p99: Duration::from_millis(200),
-            commit_samples: 3,
-            pickup_p50: Duration::from_millis(40),
-            pickup_p99: Duration::from_millis(80),
-            wal_leftover: 0,
-            temp_leftover: 0,
-            missing_durable: 0,
-            coupling_violations: 0,
-            failed_checks: vec![],
-            durable_checked: 2,
-            client_errors: 0,
-            total_cost_usd: 0.01,
-            per_tenant: vec![],
-            push: true,
-            feed_events: 3,
-            feed_duplicates: 0,
-            feed_gaps: 0,
-            feed_missing: 0,
-            dedupe_evictions: 0,
-            traced: false,
-            trace_spans: 0,
-            trace_orphans: 0,
-            trace_root_mismatches: 0,
-            breakdown: None,
-            trace_json: None,
-            pool: Default::default(),
-        };
-        let j = to_json(42, true, &[r]);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"throughput_txn_per_s\": 1.5000"));
-        assert!(j.contains("\"push\": true"));
-        assert!(j.contains("\"feed_events\": 3"));
-        assert!(j.contains("\"pickup_p50_ms\": 40.000"));
-        assert!(j.contains("\"admission_p99_ms\": 5.000"));
-        assert!(j.contains("\"upload_p99_ms\": 15.000"));
-        assert!(j.contains("\"dropped\": 0"));
-        assert!(j.contains("\"dedupe_evictions\": 0"));
-        assert!(j.contains("\"trace_orphans\": 0"));
-        assert!(j.contains("\"phase_ack_ms\": 0.000"));
-        // The perf gate's baseline parsers round-trip the writer.
-        assert_eq!(baseline_throughputs(&j), vec![1.5]);
-        assert!(baseline_throughputs("not json").is_empty());
-        assert_eq!(baseline_commit_p50s(&j), vec![100.0]);
-        assert!(baseline_commit_p50s("not json").is_empty());
-        assert_eq!(baseline_seed(&j), Some(42));
-        assert_eq!(baseline_seed("not json"), None);
     }
 
     #[test]
     fn latency_probe_cell_is_unsaturated_and_detectable() {
-        let p = cell_params(LATENCY_SMOKE, 1, SweepMode::default());
+        let p = cell_params(LATENCY_SMOKE, 1);
         assert!(p.clients <= p.shards as usize, "probe must never saturate");
         assert_eq!(p.daemons, p.shards as usize, "one worker per shard");
-        let f = cell_params(LATENCY_FULL, 1, SweepMode::default());
+        let f = cell_params(LATENCY_FULL, 1);
         assert!(f.clients <= f.shards as usize);
         // No scaling-grid cell can be mistaken for the probe.
         for c in SMOKE.iter().chain(FULL) {

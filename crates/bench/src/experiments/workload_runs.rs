@@ -15,7 +15,7 @@ use cloudprov_workloads::{
     blast, challenge, nightly, replay, BlastParams, ChallengeParams, NightlyParams, Trace,
 };
 
-use crate::common::{Rig, Which};
+use crate::common::{overhead_pct, Rig, Which};
 
 /// The three evaluation workloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,6 +136,61 @@ pub fn figure4(full_scale: bool) -> Vec<WorkloadResult> {
     out
 }
 
+/// What Figure 4 claims, as predicates over [`run_cell`] results grouped
+/// by workload × context (a group needs its S3fs bar). At both scales P2
+/// is the slowest provenance protocol of every group. At full scale, at
+/// least two thirds of the protocol results sit within 10% of S3fs
+/// (paper: 29/36) and none costs 36% or more (the paper's maximum). The
+/// scaled-down traces are provenance-dominated, so there only Nightly is
+/// held to a band: within jitter of the baseline below (±8% service
+/// jitter plus concurrent upload can beat it on tiny runs), under 60%
+/// above, and never cheaper than it. Returns the predicates that
+/// failed; empty means the figure has the paper's shape.
+pub fn figure4_shape(results: &[WorkloadResult], full_scale: bool) -> Vec<String> {
+    let mut failed = Vec::new();
+    let (mut within10, mut total, mut max_pct) = (0, 0, f64::MIN);
+    for base in results.iter().filter(|r| r.which == Which::S3fs) {
+        let cell = format!("{} / {:?}", base.workload.name(), base.context);
+        let group: Vec<(&WorkloadResult, f64)> = results
+            .iter()
+            .filter(|r| {
+                r.which != Which::S3fs && r.workload == base.workload && r.context == base.context
+            })
+            .map(|r| {
+                let pct = overhead_pct(base.elapsed.as_secs_f64(), r.elapsed.as_secs_f64());
+                (r, pct)
+            })
+            .collect();
+        if let Some((p2, _)) = group.iter().find(|(r, _)| r.which == Which::P2) {
+            if group.iter().any(|(r, _)| r.elapsed > p2.elapsed) {
+                failed.push(format!("{cell}: P2 is not the slowest protocol"));
+            }
+        }
+        for (r, pct) in group {
+            total += 1;
+            within10 += usize::from(pct < 10.0);
+            max_pct = max_pct.max(pct);
+            if !full_scale && base.workload == Workload::Nightly {
+                if !(-12.0..60.0).contains(&pct) {
+                    failed.push(format!("{cell}: {} overhead {pct:.1}%", r.which.name()));
+                }
+                if r.cost_usd < base.cost_usd {
+                    failed.push(format!("{cell}: {} is cheaper than S3fs", r.which.name()));
+                }
+            }
+        }
+    }
+    if full_scale && within10 * 3 < total * 2 {
+        failed.push(format!(
+            "only {within10}/{total} results within 10% of S3fs"
+        ));
+    }
+    if full_scale && max_pct >= 36.0 {
+        failed.push(format!("max overhead {max_pct:.1}% is not under 36%"));
+    }
+    failed
+}
+
 /// Table 4: cost per benchmark per protocol (taken from the EC2 Sept-2009
 /// runs, including commit-daemon activity).
 pub fn table4(full_scale: bool) -> Vec<WorkloadResult> {
@@ -152,21 +207,12 @@ pub fn table4(full_scale: bool) -> Vec<WorkloadResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::overhead_pct;
 
     #[test]
     fn overheads_are_modest_at_small_scale() {
         let context = RunContext::ec2(Era::Sept2009);
-        let base = run_cell(Workload::Nightly, Which::S3fs, context, false);
-        for which in [Which::P1, Which::P2, Which::P3] {
-            let r = run_cell(Workload::Nightly, which, context, false);
-            let pct = overhead_pct(base.elapsed.as_secs_f64(), r.elapsed.as_secs_f64());
-            // Jitter (±8%) plus concurrent provenance upload can make a
-            // protocol marginally beat the baseline on tiny runs.
-            assert!(pct >= -12.0, "{which:?} implausibly faster than baseline");
-            assert!(pct < 60.0, "{which:?} overhead {pct:.1}% too large");
-            assert!(r.cost_usd >= base.cost_usd);
-        }
+        let cells = Which::ALL.map(|which| run_cell(Workload::Nightly, which, context, false));
+        assert_eq!(figure4_shape(&cells, false), Vec::<String>::new());
     }
 
     #[test]

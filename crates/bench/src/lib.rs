@@ -23,4 +23,4 @@ pub mod common;
 pub mod experiments;
 pub mod uploader;
 
-pub use common::{overhead_pct, secs, Rig, Which};
+pub use common::{overhead_pct, Rig, Which};

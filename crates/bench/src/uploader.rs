@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use cloudprov_cloud::{Actor, Blob, Metadata, Op, Service};
+use cloudprov_cloud::{Blob, Metadata};
 use cloudprov_core::{object_metadata, FlushBatch, FlushObject, StorageProtocol};
 use cloudprov_pass::wire;
 use cloudprov_pass::Uuid;
@@ -198,28 +198,10 @@ pub fn upload(rig: &Rig, run: &OfflineRun, concurrency: usize) -> UploadReport {
     report
 }
 
-/// Ops-by-kind summary for diagnostics.
-pub fn op_breakdown(rig: &Rig) -> Vec<(String, u64)> {
-    let usage = rig.env.usage();
-    usage
-        .ops
-        .iter()
-        .map(|((a, s, o), st)| (format!("{a:?}/{}/{o:?}", Service::name(*s)), st.count))
-        .collect()
-}
-
-/// Returns client PUT count against the data bucket (sanity checks).
-pub fn data_puts(rig: &Rig) -> u64 {
-    rig.env
-        .usage()
-        .get(Actor::Client, Service::ObjectStore, Op::Put)
-        .count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudprov_cloud::AwsProfile;
+    use cloudprov_cloud::{Actor, AwsProfile, Op, Service};
     use cloudprov_core::ProtocolConfig;
     use cloudprov_workloads::{blast, collect, BlastParams};
 

@@ -410,26 +410,11 @@ impl ProvenanceClient {
         }
     }
 
-    /// Flush→resolve latencies observed so far (capped; empty on a
-    /// blocking-mode client): for each submitted batch, the virtual time
-    /// from `flush`/`flush_async` enqueue to the moment its ticket
-    /// resolved — immediately for batches the content-addressed store
-    /// fully covered, at merged-upload durability for batches carrying a
-    /// delta. The fleet benchmark's p50/p99 columns aggregate these
-    /// across clients.
-    pub fn flush_latencies(&self) -> Vec<Duration> {
-        self.pipeline
-            .as_ref()
-            .map(|p| p.shared.lock().samples.iter().map(|s| s.total).collect())
-            .unwrap_or_default()
-    }
-
-    /// The per-flush latency split behind [`flush_latencies`]
-    /// (same order, same cap): admission wait, flusher-queue dwell and
-    /// upload time per sample, so the tail's composition is measurable
-    /// rather than guessed.
-    ///
-    /// [`flush_latencies`]: ProvenanceClient::flush_latencies
+    /// One [`FlushSample`] per batch whose merged upload succeeded so far
+    /// (capped; empty on a blocking-mode client), in the order the
+    /// flusher made them durable: enqueue → WAL-durable, split into
+    /// flusher-queue dwell and upload, with the admission wait beside
+    /// it — so a tail's composition is measurable rather than guessed.
     pub fn flush_breakdown(&self) -> Vec<FlushSample> {
         self.pipeline
             .as_ref()
@@ -553,26 +538,33 @@ pub struct PipelineStats {
 }
 
 /// One flush's latency split, reported by
-/// [`ProvenanceClient::flush_breakdown`]. `total` is what
-/// [`ProvenanceClient::flush_latencies`] aggregates; `admission` is the
-/// backpressure wait *before* enqueue and is deliberately not part of
-/// `total` (the fleet reports it as its own column).
+/// [`ProvenanceClient::flush_breakdown`] and sampled once per batch, by
+/// the flusher, when the merged upload the batch rode in is durable —
+/// whatever moment the batch's [`FlushTicket`] resolved. `total` =
+/// `queued` + `upload`; `admission` is the backpressure wait *before*
+/// enqueue and is deliberately not part of `total` (the fleet reports it
+/// as its own column).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushSample {
-    /// Enqueue → ticket resolve. Zero for a batch the content-addressed
-    /// store fully covered (its ticket resolves at submit).
+    /// Enqueue → the batch's merged upload durable (for P3: its WAL
+    /// transaction logged, every content-addressed publish it references
+    /// fenced first).
     pub total: Duration,
     /// Admission-gate wait before enqueue.
     pub admission: Duration,
-    /// Enqueue → flusher pickup (queue dwell; zero for CAS-settled
-    /// batches).
+    /// Enqueue → flusher pickup (queue dwell).
     pub queued: Duration,
-    /// Flusher pickup → merged upload durable (zero for CAS-settled
-    /// batches).
+    /// Flusher pickup → merged upload durable.
     pub upload: Duration,
 }
 
-/// Handle to one asynchronous flush; resolves when the batch is durable.
+/// Handle to one asynchronous flush. A ticket for a batch carrying
+/// inline objects resolves when the merged upload it rode in is durable
+/// (or failed). A ticket for a fully CAS-routed batch resolves `Ok` at
+/// submit and promises **nothing** about durability: the content
+/// publishes and the WAL delta are still in flight, and their failure
+/// surfaces only at [`ProvenanceClient::sync`] / `drain`, which stay the
+/// durability barrier.
 #[derive(Debug)]
 pub struct FlushTicket {
     state: Arc<TicketState>,
@@ -589,12 +581,14 @@ impl FlushTicket {
         }
     }
 
-    /// True once the batch is durable (or failed).
+    /// True once the ticket has resolved: the batch is durable or failed
+    /// — or it was fully CAS-routed and settled at submit (see the type
+    /// docs: durable only after `sync`).
     pub fn is_done(&self) -> bool {
         self.state.result.lock().is_some()
     }
 
-    /// Blocks (in virtual time) until the batch is durable.
+    /// Blocks (in virtual time) until the ticket resolves.
     ///
     /// # Errors
     ///
@@ -657,14 +651,10 @@ struct Job {
     /// takes the legacy inline-upload path.
     refs: Vec<Option<CasRef>>,
     ticket: Arc<TicketState>,
-    /// Virtual instant the batch was enqueued, for flush→resolve latency.
+    /// Virtual instant the batch was enqueued, for flush→durable latency.
     submitted_at: SimTime,
     /// How long the admission gate blocked before enqueue.
     admission: Duration,
-    /// Fully CAS-routed: the ticket resolved (and the latency sample was
-    /// recorded) at submit; the flusher must not resolve or sample it
-    /// again.
-    early: bool,
 }
 
 /// Content digest of one flush object: node id, pending records, data.
@@ -966,12 +956,11 @@ impl Pipeline {
             let mut st = self.shared.lock();
             match &result {
                 Ok(()) => {
-                    // Latency samples are flush→resolve: a failed merge
-                    // never resolved Ok, so it contributes no sample (it
-                    // surfaces as an error at the barrier instead), and
-                    // early jobs sampled at submit already.
+                    // Latency samples are enqueue→durable: a failed merge
+                    // made nothing durable, so it contributes no sample
+                    // (it surfaces as an error at the barrier instead).
                     for job in &jobs {
-                        if !job.early && st.samples.len() < LATENCY_CAP {
+                        if st.samples.len() < LATENCY_CAP {
                             st.samples.push(FlushSample {
                                 total: durable_at.saturating_duration_since(job.submitted_at),
                                 admission: job.admission,
@@ -1003,8 +992,7 @@ impl Pipeline {
             });
             drop(st);
             for job in jobs {
-                // Idempotent: early jobs keep the Ok they resolved at
-                // submit.
+                // Idempotent: a ticket settled at submit keeps its Ok.
                 job.ticket.resolve(result.clone());
             }
         }
@@ -1070,21 +1058,12 @@ impl Pipeline {
         {
             let mut st = self.shared.lock();
             st.submitted += 1;
-            if early && st.samples.len() < LATENCY_CAP {
-                st.samples.push(FlushSample {
-                    total: Duration::ZERO,
-                    admission,
-                    queued: Duration::ZERO,
-                    upload: Duration::ZERO,
-                });
-            }
             st.queue.push_back(Job {
                 batch,
                 refs,
                 ticket: ticket.clone(),
                 submitted_at: self.sim.now(),
                 admission,
-                early,
             });
         }
         self.work.release();
@@ -1382,13 +1361,18 @@ mod tests {
         // `sync` is the real durability barrier: it waits out the
         // speculative publish and the WAL delta.
         client.sync().unwrap();
-        assert!(sim.now() > t0, "durability still takes cloud time");
+        let durable = sim.now().saturating_duration_since(t0);
+        assert!(
+            durable > Duration::ZERO,
+            "durability still takes cloud time"
+        );
         let stats = client.pipeline_stats().unwrap();
         assert_eq!(stats.cas_publishes, 1);
-        assert_eq!(client.flush_latencies(), vec![Duration::ZERO]);
+        // The sample measures enqueue -> WAL-durable, not the ticket.
         let breakdown = client.flush_breakdown();
         assert_eq!(breakdown.len(), 1);
-        assert_eq!(breakdown[0].upload, Duration::ZERO);
+        assert_eq!(breakdown[0].total, durable);
+        assert!(breakdown[0].upload > Duration::ZERO);
         client.drain().unwrap();
         assert!(env.s3().peek_committed("data", "fast").is_some());
     }

@@ -690,6 +690,50 @@ mod tests {
     }
 
     #[test]
+    fn polling_pool_drains_on_the_timer_without_doorbells() {
+        // `push: false` is the plane the doorbells replaced: no watcher
+        // is registered, so an arrival waits out the worker's sleep and
+        // the commit lands on the poll_interval timer — later, never
+        // stuck.
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let router = Arc::new(ShardRouter::provision(&env, 1));
+        let board = LeaseBoard::provision(&env, 1, Duration::from_secs(3600));
+        let poll_interval = Duration::from_secs(10);
+        let spawned_at = sim.now();
+        let pool = DaemonPool::spawn(
+            &env,
+            ProtocolConfig::default(),
+            router.clone(),
+            board,
+            PoolConfig {
+                daemons: 1,
+                poll_interval,
+                push: false,
+                ..PoolConfig::default()
+            },
+        );
+        // Let the worker lease the shard, find it empty, and go to sleep.
+        sim.sleep(Duration::from_secs(2));
+        assert_eq!(env.sqs().peek_watchers(router.wal_url(0)), 0);
+        let client = shard_client(&env, &router, 0, "polled");
+        flush_one(&client, 44, "polled-arrival");
+        let deadline = sim.now() + Duration::from_secs(60);
+        while router.total_depth(&env) > 0 && sim.now() < deadline {
+            sim.sleep(Duration::from_millis(500));
+        }
+        assert_eq!(router.total_depth(&env), 0, "the timer must drain it");
+        let (_, committed_at) = pool.commit_times()[0];
+        assert!(
+            committed_at >= spawned_at + poll_interval,
+            "nothing but the timer can wake a polling worker: {committed_at:?}"
+        );
+        let stats = pool.stop();
+        assert_eq!(stats.committed, 1);
+        assert_eq!(stats.wakeups, 0, "no doorbells in polling mode");
+    }
+
+    #[test]
     fn dropped_wakeups_degrade_to_polling_never_a_stuck_shard() {
         // Every watcher ring is lost: delivery must fall back to the
         // poll_interval cadence — slower, but the shard still drains.

@@ -18,7 +18,7 @@
 //! * no client died or saw a pipeline error.
 //!
 //! The report carries the scaling metrics (aggregate commit throughput,
-//! p50/p99 flush→durable latency) and per-tenant op/byte/dollar
+//! p50/p99 enqueue→WAL-durable flush latency) and per-tenant op/byte/dollar
 //! attribution — the `repro -- fleet` table is rows of these.
 
 use std::sync::Arc;
@@ -58,12 +58,9 @@ pub struct FleetParams {
     pub seed: u64,
     /// Per-shard WAL depth bound (0 disables backpressure).
     pub max_shard_depth: usize,
-    /// Push mode: daemons ride WAL arrival notifications and the driver
-    /// rides the commit feed; `poll_interval` degrades to the fallback
-    /// cadence for lost wakeups. `false` reproduces the pure polling
-    /// plane of the earlier benchmark tables.
-    pub push: bool,
-    /// Commit-daemon poll interval (push mode: fallback cadence).
+    /// Commit-daemon fallback poll cadence: daemons ride WAL arrival
+    /// notifications and the driver rides the commit feed, so this only
+    /// paces recovery from a lost wakeup.
     pub poll_interval: Duration,
     /// Commit-lease TTL.
     pub lease_ttl: Duration,
@@ -92,7 +89,6 @@ impl Default for FleetParams {
             script_len: 24,
             seed: 0,
             max_shard_depth: 64,
-            push: true,
             poll_interval: Duration::from_secs(5),
             lease_ttl: Duration::from_secs(120),
             profile: AwsProfile::calibrated(Default::default()),
@@ -135,14 +131,13 @@ pub struct FleetReport {
     pub unique_committed: u64,
     /// Transactions committed more than once (§3 invariant: must be 0).
     pub double_commits: u64,
-    /// Virtual time from start until every client had synced its WAL.
-    pub client_phase: Duration,
     /// Virtual time from start until the commit plane fully quiesced.
     pub elapsed: Duration,
     /// Aggregate commit throughput: committed transactions per virtual
     /// second over the whole run.
     pub throughput: f64,
-    /// Median flush→durable (WAL-logged) latency across all clients.
+    /// Median flush latency across all clients: enqueue → WAL-durable
+    /// (see `FlushSample::total`).
     pub p50: Duration,
     /// 99th-percentile flush→durable latency.
     pub p99: Duration,
@@ -155,16 +150,12 @@ pub struct FleetReport {
     pub admission_p50: Duration,
     /// 99th-percentile admission wait.
     pub admission_p99: Duration,
-    /// Median flusher-queue dwell (submit → flusher pickup) — the part
-    /// of flush latency spent waiting behind earlier merges.
-    pub queue_p50: Duration,
-    /// 99th-percentile flusher-queue dwell.
+    /// 99th-percentile flusher-queue dwell (submit → flusher pickup) —
+    /// the part of flush latency spent waiting behind earlier merges.
     pub queue_p99: Duration,
-    /// Median upload component (flusher pickup → WAL durable) — the
-    /// delta upload itself; content-addressed ancestors ride background
-    /// publishes and contribute nothing here.
-    pub upload_p50: Duration,
-    /// 99th-percentile upload component.
+    /// 99th-percentile upload component (flusher pickup → WAL durable):
+    /// the fence on the batch's content-addressed publishes, then the
+    /// delta upload itself.
     pub upload_p99: Duration,
     /// Median per-transaction commit latency: WAL-durable → committed
     /// by the daemon pool (the commit plane's own contribution, which
@@ -180,8 +171,6 @@ pub struct FleetReport {
     /// 2009-calibrated latencies put at several seconds per group, is
     /// `commit_p50 - pickup_p50`).
     pub pickup_p50: Duration,
-    /// 99th-percentile pickup dwell.
-    pub pickup_p99: Duration,
     /// WAL messages left after the quiesce deadline (must be 0).
     pub wal_leftover: usize,
     /// Temp objects left after commit + cleaner sweep (must be 0).
@@ -201,8 +190,6 @@ pub struct FleetReport {
     pub total_cost_usd: f64,
     /// Per-tenant attribution, tenant order.
     pub per_tenant: Vec<TenantUsage>,
-    /// Whether the run used push delivery (doorbells + commit feed).
-    pub push: bool,
     /// Commit events the driver's feed subscription observed.
     pub feed_events: u64,
     /// Duplicate feed deliveries (allowed by the at-least-once contract,
@@ -211,7 +198,7 @@ pub struct FleetReport {
     /// Feed sequence gaps plus out-of-order deliveries (must be 0).
     pub feed_gaps: u64,
     /// Committed transactions that never surfaced on the feed (must be
-    /// 0 in push mode: at-least-once means *at least* once).
+    /// 0: at-least-once means *at least* once).
     pub feed_missing: u64,
     /// Objects clients' pipelines dropped because an earlier batch
     /// already persisted them (dedupe-set evictions, summed).
@@ -345,7 +332,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         env.tracer().enable(params.seed);
     }
     let protocol_config = ProtocolConfig {
-        feed: params.push,
+        feed: true,
         ..ProtocolConfig::default()
     };
     let fleet = Fleet::provision(
@@ -356,20 +343,17 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
             lease_ttl: params.lease_ttl,
             max_shard_depth: params.max_shard_depth,
             admission_poll: Duration::from_millis(200),
-            push: params.push,
+            push: true,
         },
     );
     let pool = fleet.spawn_pool(params.daemons, params.poll_interval);
-    // Push mode: the driver is itself a feed consumer — an all-events
-    // subscription whose deliveries replace the blind quiesce sweep.
-    let subs = params.push.then(|| Subscriptions::new(&sim));
-    let monitor = subs.as_ref().map(|s| {
-        let sub = s
-            .subscribe(None, Predicate::All)
-            .expect("fresh registry cannot be over quota");
-        pool.set_event_sink(s.sink());
-        sub
-    });
+    // The driver is itself a feed consumer — an all-events subscription
+    // whose deliveries replace a blind quiesce sweep.
+    let subs = Subscriptions::new(&sim);
+    let monitor = subs
+        .subscribe(None, Predicate::All)
+        .expect("fresh registry cannot be over quota");
+    pool.set_event_sink(subs.sink());
     let t0 = sim.now();
 
     // Client phase: C simulated threads, each replaying its script in a
@@ -406,24 +390,17 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         })
         .collect();
     let outcomes: Vec<ClientOutcome> = handles.into_iter().map(|h| h.join()).collect();
-    let client_phase = sim.now().saturating_duration_since(t0);
 
     // Quiesce: wait for every shard WAL to drain (bounded — SQS itself
     // would garbage-collect at 4 days, so a healthy plane is long done).
-    // Push mode rides the change feed: each commit event wakes the
-    // driver, so the depth re-check happens at delivery granularity
-    // instead of the poll interval; a quiet interval falls back to the
-    // same cadence as polling (lost wakeups degrade, never hang).
+    // Each commit event wakes the driver, so the depth re-check happens
+    // at delivery granularity; a quiet interval falls back to the poll
+    // cadence (lost wakeups degrade, never hang).
     let mut feed_events: Vec<CommitEvent> = Vec::new();
     let deadline = sim.now() + Duration::from_secs(24 * 3600);
     while fleet.total_depth() > 0 && sim.now() < deadline {
-        match &monitor {
-            Some(sub) => {
-                if let Some(ev) = sub.next_timeout(params.poll_interval) {
-                    feed_events.push(ev);
-                }
-            }
-            None => sim.sleep(params.poll_interval),
+        if let Some(ev) = monitor.next_timeout(params.poll_interval) {
+            feed_events.push(ev);
         }
     }
     let elapsed = sim.now().saturating_duration_since(t0);
@@ -434,10 +411,8 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         pool.pickup_times().into_iter().collect();
     let pool_stats = pool.stop();
     // Drain deliveries that raced the final depth check.
-    if let Some(sub) = &monitor {
-        while let Some(ev) = sub.try_next() {
-            feed_events.push(ev);
-        }
+    while let Some(ev) = monitor.try_next() {
+        feed_events.push(ev);
     }
     // A healthy run has nothing for the cleaners; sweeping anyway keeps
     // the reclamation paths (temp objects AND ancestry-index garbage)
@@ -482,7 +457,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
     let mut durable_checked = 0;
     let mut client_errors = 0;
     // All run percentiles live in ONE metrics registry — one sorting
-    // and rounding convention for the table, the JSON and the gates.
+    // and rounding convention for the table and the gates.
     let mut reg = Registry::new();
     // (commit latency, txn) pairs: the registry carries the percentiles,
     // the pairs identify the p50 transaction for the phase breakdown.
@@ -565,19 +540,9 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
     // Feed accounting: the bus's own gap/duplicate counters plus the
     // at-least-once join — every committed transaction must have shown
     // up on the monitor subscription at least once.
-    let (feed_duplicates, feed_gaps) = match (&subs, &monitor) {
-        (Some(s), Some(sub)) => {
-            let st = s.stats();
-            (st.duplicates, st.gaps + sub.out_of_order())
-        }
-        _ => (0, 0),
-    };
-    let feed_missing = if params.push {
-        let seen: std::collections::BTreeSet<Uuid> = feed_events.iter().map(|e| e.txn).collect();
-        commit_times.keys().filter(|t| !seen.contains(t)).count() as u64
-    } else {
-        0
-    };
+    let feed_stats = subs.stats();
+    let seen: std::collections::BTreeSet<Uuid> = feed_events.iter().map(|e| e.txn).collect();
+    let feed_missing = commit_times.keys().filter(|t| !seen.contains(t)).count() as u64;
 
     let secs = elapsed.as_secs_f64();
     FleetReport {
@@ -589,7 +554,6 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         committed: pool_stats.committed,
         unique_committed: pool_stats.unique_committed,
         double_commits: pool_stats.double_commits,
-        client_phase,
         elapsed,
         throughput: if secs > 0.0 {
             pool_stats.committed as f64 / secs
@@ -601,15 +565,12 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         samples: reg.count("flush.total"),
         admission_p50: reg.percentile("flush.admission", 50.0),
         admission_p99: reg.percentile("flush.admission", 99.0),
-        queue_p50: reg.percentile("flush.queue", 50.0),
         queue_p99: reg.percentile("flush.queue", 99.0),
-        upload_p50: reg.percentile("flush.upload", 50.0),
         upload_p99: reg.percentile("flush.upload", 99.0),
         commit_p50: reg.percentile("commit.latency", 50.0),
         commit_p99: reg.percentile("commit.latency", 99.0),
         commit_samples: reg.count("commit.latency"),
         pickup_p50: reg.percentile("commit.pickup", 50.0),
-        pickup_p99: reg.percentile("commit.pickup", 99.0),
         wal_leftover,
         temp_leftover,
         missing_durable,
@@ -619,10 +580,9 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         client_errors,
         total_cost_usd,
         per_tenant,
-        push: params.push,
         feed_events: feed_events.len() as u64,
-        feed_duplicates,
-        feed_gaps,
+        feed_duplicates: feed_stats.duplicates,
+        feed_gaps: feed_stats.gaps + monitor.out_of_order(),
         feed_missing,
         dedupe_evictions: reg.counter("client.dedupe_evictions"),
         traced: params.trace,
@@ -669,9 +629,8 @@ mod tests {
             r.commit_samples as u64 == r.unique_committed,
             "every committed txn should have a matched commit latency"
         );
-        // Push mode: the driver's feed subscription saw every commit,
-        // in order, with no holes.
-        assert!(r.push);
+        // The driver's feed subscription saw every commit, in order,
+        // with no holes.
         assert!(
             r.feed_events >= r.unique_committed,
             "at-least-once: {} events for {} commits",
@@ -689,19 +648,6 @@ mod tests {
             r.pickup_p50,
             r.commit_p50
         );
-    }
-
-    #[test]
-    fn polling_mode_still_drains_without_a_feed() {
-        let r = run_fleet(&FleetParams {
-            push: false,
-            ..small()
-        });
-        assert_eq!(r.violations(), Vec::<String>::new());
-        assert!(!r.push);
-        assert_eq!(r.feed_events, 0, "polling plane publishes no feed");
-        assert_eq!(r.pool.wakeups, 0, "no doorbells in polling mode");
-        assert!(r.committed > 0);
     }
 
     #[test]

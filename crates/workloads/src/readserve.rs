@@ -13,17 +13,16 @@
 //! Round 0 is committed and quiesced first (there is something to
 //! query), then Q query tenants run mixed Q.1–Q.4 scripts *while* the
 //! writers keep committing rounds 1..R. Every cache **hit** is verified
-//! on the spot against the uncached index plan; a mismatch is retried
-//! across a settle window (a racing commit explains it — the
-//! invalidation event lands and the next cached read rehydrates) and
-//! only counted as a **stale result** when it persists, which the gate
-//! requires to be zero. After the plane drains, a final quiescent pass
+//! on the spot against the uncached index plan; a mismatch is re-read
+//! for as long as a racing commit can explain it (the invalidation
+//! event lands and the next cached read rehydrates) and only counted as
+//! a **stale result** once it survives a whole quiet window, which the
+//! gate requires to be zero. After the plane drains, a final quiescent pass
 //! replays every program's Q.3/Q.4 through the warm cache and compares
 //! against ground truth evaluated locally over the base records.
 //!
-//! All percentiles come from one [`Registry`] — the same convention as
-//! the fleet benchmark — and the cache's own counters are re-emitted as
-//! `query.cache.{hit,miss,evict,invalidate}`.
+//! Percentiles come from a [`Registry`] — the same convention as the
+//! fleet driver.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -126,25 +125,19 @@ pub struct ReadServeReport {
     pub cache: CacheStats,
     /// `hits / (hits + misses)` over the cached-eligible queries.
     pub hit_rate: f64,
-    /// Median in-memory (cache-hit) Q.3/Q.4 latency.
-    pub warm_p50: Duration,
-    /// 99th-percentile cache-hit latency.
-    pub warm_p99: Duration,
-    /// Median cold (hydrating miss) Q.3/Q.4 latency.
+    /// Median cold (hydrating miss) Q.3/Q.4 latency. A hit costs zero
+    /// virtual time by construction, so it has no percentile here: its
+    /// host cost is the repo benchmark's `warm_hit_host_us`.
     pub cold_p50: Duration,
     /// 99th-percentile cold latency.
     pub cold_p99: Duration,
-    /// Hit / miss samples behind the percentiles.
-    pub warm_samples: usize,
     /// Cold samples behind the percentiles.
     pub cold_samples: usize,
-    /// `cold_p50 / warm_p50`, warm clamped to one sim tick (a hit costs
-    /// zero virtual time — the clamp keeps the ratio finite).
-    pub cached_speedup: f64,
-    /// Cache hits verified against the uncached index plan.
+    /// Cache hits the tenants were served — each one verified on the
+    /// spot against the uncached index plan.
     pub verified: u64,
-    /// Verifications that disagreed after the settle retries (a served
-    /// stale result — must be 0).
+    /// Verifications that still disagreed after a whole quiet settle
+    /// window (a served stale result — must be 0).
     pub stale_results: u64,
     /// Verify retries taken (racing commits, resolved by settling).
     pub verify_retries: u64,
@@ -208,7 +201,7 @@ impl ReadServeReport {
                 self.wal_leftover
             ));
         }
-        if self.warm_samples == 0 {
+        if self.verified == 0 {
             v.push("no query ever hit the cache".into());
         }
         v
@@ -243,7 +236,6 @@ fn writer_round(fs: &PaS3fs, w: usize, programs: usize, round: usize) -> bool {
 
 struct TenantOutcome {
     counts: [u64; 4],
-    warm: Vec<Duration>,
     cold: Vec<Duration>,
     verified: u64,
     stale: u64,
@@ -261,18 +253,30 @@ fn run_q(engine: &QueryEngine, q: usize, prog: &str) -> Result<QueryOutput, ()> 
     r.map_err(|_| ())
 }
 
-/// Verifies a cache hit against the uncached index plan, retrying
-/// across settle windows while racing commits explain the difference.
-/// Returns `(verified_clean, retries)`.
+/// Bound on [`verify_hit`]'s settle windows — far more than any run
+/// drains in; it only keeps a wedged plane from spinning forever.
+const MAX_SETTLE_WINDOWS: usize = 120;
+
+/// Verifies a cache hit against the uncached index plan. The cache may
+/// trail the index by exactly one thing: a commit whose index write has
+/// landed but whose feed event has not been delivered yet. So a
+/// difference is re-read, one `settle` window apart, for as long as such
+/// a commit can exist — a WAL message is still queued, or an
+/// invalidation arrived since the last look — and is a served **stale
+/// result** once it survives a whole window in which the plane was empty
+/// and the cache heard nothing. Returns `(verified_clean, retries)`.
 fn verify_hit(
     env: &CloudEnv,
+    fleet: &Fleet,
+    cache: &AncestryCache,
     engine: &QueryEngine,
     q: usize,
     prog: &str,
     settle: Duration,
 ) -> (bool, u64) {
     let mut retries = 0u64;
-    for attempt in 0..4 {
+    let mut quiet_epoch = None;
+    for _ in 0..MAX_SETTLE_WINDOWS {
         // Re-read BOTH sides each attempt: after an invalidation event
         // lands, the cached read rehydrates fresh and the sides agree.
         let got = run_q(engine, q, prog);
@@ -287,10 +291,17 @@ fn verify_hit(
             }
             _ => return (false, retries),
         }
-        if attempt + 1 < 4 {
-            retries += 1;
-            env.sim().sleep(settle);
+        let epoch = cache.epoch();
+        if fleet.total_depth() == 0 {
+            if quiet_epoch == Some(epoch) {
+                return (false, retries);
+            }
+            quiet_epoch = Some(epoch);
+        } else {
+            quiet_epoch = None;
         }
+        retries += 1;
+        env.sim().sleep(settle);
     }
     (false, retries)
 }
@@ -408,15 +419,15 @@ pub fn run_readserve(params: &ReadServeParams) -> ReadServeReport {
             let store = store.clone();
             let data_bucket = data_bucket.clone();
             let cache = cache.clone();
+            let fleet = fleet.clone();
             let params = params.clone();
             sim.spawn(move || {
                 let engine = QueryEngine::new(&env, store, &data_bucket)
                     .with_tenant(TenantId(1000 + t as u32))
-                    .with_cache(cache);
+                    .with_cache(cache.clone());
                 let mut rng = mix64(params.seed ^ mix64(0x0F00_D000 ^ t as u64));
                 let mut out = TenantOutcome {
                     counts: [0; 4],
-                    warm: Vec::new(),
                     cold: Vec::new(),
                     verified: 0,
                     stale: 0,
@@ -450,10 +461,16 @@ pub fn run_readserve(params: &ReadServeParams) -> ReadServeReport {
                             Err(()) => out.errors += 1,
                             Ok(r) => match r.plan.cache {
                                 Some(CacheOutcome::Hit) => {
-                                    out.warm.push(r.metrics.elapsed);
                                     out.verified += 1;
-                                    let (ok, retries) =
-                                        verify_hit(&env, &engine, q, &prog, params.poll_interval);
+                                    let (ok, retries) = verify_hit(
+                                        &env,
+                                        &fleet,
+                                        &cache,
+                                        &engine,
+                                        q,
+                                        &prog,
+                                        params.poll_interval,
+                                    );
                                     out.retries += retries;
                                     if !ok {
                                         out.stale += 1;
@@ -509,7 +526,7 @@ pub fn run_readserve(params: &ReadServeParams) -> ReadServeReport {
     }
     let elapsed = sim.now().saturating_duration_since(t0);
 
-    // One registry carries every percentile and the cache counters.
+    // The registry's nearest-rank convention carries the percentiles.
     let mut reg = Registry::new();
     let mut counts = [0u64; 4];
     let mut verified = 0u64;
@@ -524,21 +541,12 @@ pub fn run_readserve(params: &ReadServeParams) -> ReadServeReport {
         stale_results += o.stale;
         verify_retries += o.retries;
         query_errors += o.errors;
-        for d in &o.warm {
-            reg.record("query.warm", *d);
-        }
         for d in &o.cold {
             reg.record("query.cold", *d);
         }
     }
     let stats = cache.stats();
-    reg.add("query.cache.hit", stats.hits);
-    reg.add("query.cache.miss", stats.misses);
-    reg.add("query.cache.evict", stats.evictions);
-    reg.add("query.cache.invalidate", stats.invalidations);
     let queries: u64 = counts.iter().sum();
-    let warm_p50 = reg.percentile("query.warm", 50.0);
-    let cold_p50 = reg.percentile("query.cold", 50.0);
     let served = stats.hits + stats.misses;
     let secs = query_phase.as_secs_f64();
     ReadServeReport {
@@ -553,14 +561,9 @@ pub fn run_readserve(params: &ReadServeParams) -> ReadServeReport {
         } else {
             0.0
         },
-        warm_p50,
-        warm_p99: reg.percentile("query.warm", 99.0),
-        cold_p50,
+        cold_p50: reg.percentile("query.cold", 50.0),
         cold_p99: reg.percentile("query.cold", 99.0),
-        warm_samples: reg.count("query.warm"),
         cold_samples: reg.count("query.cold"),
-        cached_speedup: cold_p50.as_secs_f64()
-            / warm_p50.max(Duration::from_micros(1)).as_secs_f64(),
         verified,
         stale_results,
         verify_retries,
@@ -612,8 +615,27 @@ mod tests {
         assert_eq!(r.ground_truth_mismatches, 0);
         assert!(r.hit_rate > 0.0 && r.hit_rate <= 1.0);
         assert!(r.verified > 0, "every hit is verified");
-        // A hit costs zero virtual time; a miss pays the store.
-        assert!(r.warm_p50 <= r.cold_p50);
+    }
+
+    /// A busy 4x2 plane's index -> ack -> feed tail outlasts any fixed
+    /// number of settle windows: a verifier that gives up while a commit
+    /// is still in flight reports a stale cache that never was (this
+    /// shape read "2 stale" under a four-window rule).
+    #[test]
+    fn busy_plane_is_not_mistaken_for_a_stale_cache() {
+        let r = run_readserve(&ReadServeParams {
+            query_tenants: 240,
+            queries_per_tenant: 10,
+            writers: 32,
+            programs: 24,
+            rounds: 8,
+            shards: 4,
+            daemons: 2,
+            seed: 7,
+            ..ReadServeParams::default()
+        });
+        assert_eq!(r.stale_results, 0);
+        assert_eq!(r.violations(), Vec::<String>::new(), "{r:?}");
     }
 
     #[test]
