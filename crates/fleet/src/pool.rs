@@ -153,7 +153,9 @@ impl PoolShared {
     }
 
     /// The shared per-shard commit daemon, created (with the fleet-wide
-    /// double-commit listener) on first use.
+    /// double-commit listener) on first use. The pool owns its daemons and
+    /// each daemon owns its listener, so the listener's way back to the
+    /// pool is weak: a strong one is a cycle no `stop()` ever frees.
     fn daemon_for(
         self: &Arc<Self>,
         env: &CloudEnv,
@@ -173,9 +175,12 @@ impl PoolShared {
                 if let Some(sink) = self.sink.lock().clone() {
                     d.set_event_sink(sink);
                 }
-                let shared = self.clone();
+                let shared = Arc::downgrade(self);
                 let sim = env.sim().clone();
                 d.set_commit_listener(Arc::new(move |txn| {
+                    let Some(shared) = shared.upgrade() else {
+                        return;
+                    };
                     shared.committed.fetch_add(1, Ordering::Relaxed);
                     if shared.committed_txns.lock().insert(txn) {
                         shared.commit_times.lock().push((txn, sim.now()));
@@ -841,6 +846,62 @@ mod tests {
         // Stopped workers tore their watches down.
         assert_eq!(env.sqs().peek_watchers(router.wal_url(0)), 0);
         assert_eq!(env.sqs().peek_watchers(router.wal_url(1)), 0);
+    }
+
+    /// Commits one transaction through a fleet client — after a lease
+    /// steal when `steal` — then stops the pool and drops the world.
+    /// Returns what is left of the pool's shared state.
+    fn pool_state_after_its_world_is_dropped(steal: bool) -> std::sync::Weak<PoolShared> {
+        use crate::{Fleet, FleetConfig};
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let config = FleetConfig {
+            shards: 1,
+            lease_ttl: Duration::from_secs(30),
+            ..FleetConfig::default()
+        };
+        let fleet = Fleet::provision(&env, ProtocolConfig::default(), config);
+        // A holder that never renews: the pool's worker can only get the
+        // shard — and build its daemon — by taking the expired lease over.
+        let dead = steal.then(|| fleet.board().acquire().expect("dead holder's lease"));
+        let pool = fleet.spawn_pool(2, Duration::from_secs(2));
+        let client = fleet.client("tenant-a", None);
+        flush_one(&client, 9001, "leak-check");
+        client.sync().unwrap();
+        let deadline = sim.now() + Duration::from_secs(600);
+        while fleet.total_depth() > 0 && sim.now() < deadline {
+            sim.sleep(Duration::from_secs(5));
+        }
+        if let Some(dead) = &dead {
+            assert!(
+                !fleet.board().renew(dead),
+                "the lease must have been stolen"
+            );
+        }
+        assert_eq!(pool.shared.daemons.lock().len(), 1);
+        let shared = Arc::downgrade(&pool.shared);
+        let stats = pool.stop();
+        assert_eq!(
+            stats.committed, 1,
+            "the listener must still count: {stats:?}"
+        );
+        drop((client, fleet, env, sim));
+        shared
+    }
+
+    #[test]
+    fn a_stopped_pool_is_freed_with_its_daemons() {
+        // `PoolShared` owns the shard daemons and each daemon owns its
+        // commit listener; were the listener to own `PoolShared` back, no
+        // world that ever committed through a pool would be freed.
+        let shared = pool_state_after_its_world_is_dropped(false);
+        assert!(shared.upgrade().is_none(), "PoolShared leaked");
+    }
+
+    #[test]
+    fn a_pool_that_stole_a_lease_is_freed_too() {
+        let shared = pool_state_after_its_world_is_dropped(true);
+        assert!(shared.upgrade().is_none(), "PoolShared leaked");
     }
 
     #[test]

@@ -14,69 +14,87 @@
 //! All wakeups are mediated by the event queue: waking a thread always means
 //! scheduling an event (possibly at the current instant), never handing off
 //! directly. This is what serializes execution and makes runs reproducible.
+//!
+//! # The wake-order contract
+//!
+//! * Events fire in `(at, seq)` order; `seq` is assigned at `schedule`, so
+//!   among equal instants the wake scheduled first fires first.
+//! * Exactly one simulated thread is runnable. A thread that blocks gives
+//!   that up (`runnable` drops to 0, which is why `park` has nothing to wait
+//!   for before it dispatches) and fires the next event itself; if that
+//!   event is its own — a lone sleeper — it just carries on.
+//! * A wake is *decided* under the kernel lock and *delivered* after it is
+//!   released: `dispatch_one` picks the event and sets its waiter's `woken`
+//!   (Release); the caller drops the guard, then `unpark`s the owner, which
+//!   reads the flag without the lock (Acquire) — one futex wake and one
+//!   futex wait per hand-off, and nobody wakes into a held mutex. Every wait
+//!   loops on the flag, so a stray `unpark` token (std's mpsc parks too) is
+//!   harmless, and an event whose waiter is already woken is stale: skipped.
+//! * [`Sim::run_parallel`]'s caller is the last worker of its own fan-out:
+//!   its `yield_now` takes the `(now, seq)` slot the last worker's start
+//!   event had (whichever worker starts *k*-th claims task *k*, so which OS
+//!   thread that is does not matter). It is also still the fan-out's joiner.
+//!   The joiner waits on one worker at a time, in index order, the caller's
+//!   own share last; a worker that finishes while the joiner waits on it
+//!   schedules the joiner's wake, and the joiner, when that event *fires*,
+//!   moves on to the next unfinished worker. The caller may be busy in a
+//!   task just then, so `dispatch_one` takes that step for it and keeps
+//!   going; only the wake that finds every worker finished resumes the
+//!   caller — in the slot a thread-per-worker fan-out resumes it in.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::time::SimTime;
 
-/// A waiting simulated thread: the condvar it parks on and the flag that
-/// releases it. The flag is only mutated while holding the kernel lock.
+/// A waiting simulated thread: the OS thread to unpark and the flag that
+/// releases it. The flag is only written while holding the kernel lock.
 pub(crate) struct Waiter {
-    cv: Condvar,
+    thread: Thread,
     woken: AtomicBool,
+    /// For a fan-out's joiner, the join slots it waits on in order and how
+    /// many it has moved past; empty for every other waiter.
+    fan: Vec<usize>,
+    passed: AtomicUsize,
 }
 
 impl Waiter {
+    /// A waiter for the calling thread.
     pub(crate) fn new() -> Arc<Waiter> {
+        Waiter::of(thread::current(), Vec::new())
+    }
+
+    fn of(thread: Thread, fan: Vec<usize>) -> Arc<Waiter> {
         Arc::new(Waiter {
-            cv: Condvar::new(),
+            thread,
             woken: AtomicBool::new(false),
+            fan,
+            passed: AtomicUsize::new(0),
         })
     }
 }
 
-/// A scheduled wakeup on the virtual clock.
-struct Event {
-    at: SimTime,
-    seq: u64,
-    waiter: Arc<Waiter>,
-}
+/// What a simulated thread ended with: its boxed result, or its panic.
+type Outcome = thread::Result<Box<dyn Any + Send>>;
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Completion state of a spawned simulated thread.
+/// Completion state of a spawned simulated thread (or of a fan-out
+/// caller's own share).
 enum JoinState {
     Running {
         waiter: Option<Arc<Waiter>>,
     },
-    Done(Box<dyn std::any::Any + Send>),
-    Panicked(Box<dyn std::any::Any + Send>),
-    /// The result has been taken by `join`.
-    Consumed,
+    Finished(Outcome),
+    /// No handle will ask: a thread that finishes into this recycles the
+    /// slot instead of storing its result. Also what a free slot holds.
+    Detached,
 }
 
 pub(crate) struct SemState {
@@ -91,22 +109,26 @@ pub(crate) struct SimState {
     /// event-mediated wakeups this is always 0 or 1; kept as a counter for
     /// clarity and debug assertions.
     runnable: usize,
-    /// Spawned-but-unjoined simulated threads (excluding the root thread).
+    /// Spawned simulated threads that have not finished (excluding root).
     live: usize,
-    events: BinaryHeap<Reverse<Event>>,
+    /// Scheduled wakeups on the virtual clock, keyed by `(at, seq)`.
+    events: BTreeMap<(SimTime, u64), Arc<Waiter>>,
     joins: Vec<JoinState>,
+    /// Slots in `joins` that were joined or abandoned, available for reuse.
+    free_joins: Vec<usize>,
     pub(crate) sems: Vec<SemState>,
     /// Slots in `sems` whose semaphore was dropped, available for reuse.
     pub(crate) free_sems: Vec<usize>,
 }
 
 impl SimState {
-    /// Fires the earliest pending event, advancing the clock. Must only be
-    /// called when no simulated thread is runnable.
-    fn dispatch_one(&mut self) {
+    /// Fires the earliest pending event, advancing the clock, and returns
+    /// the waiter it woke for the caller to `unpark` once it has released
+    /// the lock. Must only be called when no simulated thread is runnable.
+    fn dispatch_one(&mut self) -> Arc<Waiter> {
         debug_assert_eq!(self.runnable, 0, "dispatch while a thread is runnable");
         loop {
-            let Reverse(ev) = self.events.pop().unwrap_or_else(|| {
+            let ((at, _), waiter) = self.events.pop_first().unwrap_or_else(|| {
                 panic!(
                     "simulation deadlock at t={}: no runnable threads and no pending \
                      events ({} spawned threads still live; check for semaphore waits \
@@ -118,43 +140,91 @@ impl SimState {
             // whose permit arrived before its deadline, or vice versa)
             // leaves its other event behind; discard such stale events
             // without advancing the clock.
-            if ev.waiter.woken.load(Ordering::Relaxed) {
+            if waiter.woken.load(Ordering::Relaxed) {
                 continue;
             }
-            debug_assert!(ev.at >= self.now, "event scheduled in the past");
-            self.now = ev.at;
-            ev.waiter.woken.store(true, Ordering::Relaxed);
+            debug_assert!(at >= self.now, "event scheduled in the past");
+            self.now = at;
+            // A fan-out joiner with a worker still running waits on that
+            // one next; its caller is not resumed (see the module doc).
+            if self.join_next(&waiter) {
+                continue;
+            }
+            waiter.woken.store(true, Ordering::Release);
             self.runnable += 1;
-            ev.waiter.cv.notify_one();
-            return;
+            return waiter;
         }
+    }
+
+    /// Registers fan-out joiner `w` on the next of its workers still
+    /// running; false if there is none (always, for an ordinary waiter).
+    fn join_next(&mut self, w: &Arc<Waiter>) -> bool {
+        let from = w.passed.load(Ordering::Relaxed);
+        let running = |&i: &usize| matches!(self.joins[w.fan[i]], JoinState::Running { .. });
+        let Some(i) = (from..w.fan.len()).find(running) else {
+            return false;
+        };
+        w.passed.store(i + 1, Ordering::Relaxed);
+        self.joins[w.fan[i]] = JoinState::Running {
+            waiter: Some(w.clone()),
+        };
+        true
     }
 
     /// Schedules `waiter` to wake at time `at`.
     pub(crate) fn schedule(&mut self, at: SimTime, waiter: Arc<Waiter>) {
         self.seq += 1;
-        self.events.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            waiter,
-        }));
+        self.events.insert((at, self.seq), waiter);
     }
 
     /// Parks the current thread until `waiter` is woken. The caller must
     /// currently be runnable; on return the thread is runnable again.
-    pub(crate) fn park(mut guard: MutexGuard<'_, SimState>, waiter: &Waiter) {
+    pub(crate) fn park(mut guard: MutexGuard<'_, SimState>, waiter: &Arc<Waiter>) {
         guard.runnable -= 1;
-        loop {
-            if waiter.woken.load(Ordering::Relaxed) {
-                break;
-            }
-            if guard.runnable == 0 {
-                guard.dispatch_one();
-            } else {
-                waiter.cv.wait(&mut guard);
+        let next = guard.dispatch_one();
+        drop(guard);
+        if !Arc::ptr_eq(&next, waiter) {
+            next.thread.unpark();
+            // Whoever wakes us increments `runnable` on our behalf.
+            while !waiter.woken.load(Ordering::Acquire) {
+                thread::park();
             }
         }
-        // Whoever woke us incremented `runnable` on our behalf.
+    }
+
+    /// Claims a join slot in the `Running` state.
+    fn alloc_join(&mut self) -> usize {
+        let slot = self.free_joins.pop().unwrap_or_else(|| {
+            self.joins.push(JoinState::Detached);
+            self.joins.len() - 1
+        });
+        self.joins[slot] = JoinState::Running { waiter: None };
+        slot
+    }
+
+    /// Returns `slot` to the free list, handing back what it held. Drop
+    /// that only after releasing the kernel lock: a result may own sim
+    /// objects whose own `Drop` takes it.
+    fn free_join(&mut self, slot: usize) -> JoinState {
+        self.free_joins.push(slot);
+        std::mem::replace(&mut self.joins[slot], JoinState::Detached)
+    }
+
+    /// Records that the thread owning `slot` finished, scheduling its
+    /// joiner's wake if one waits. Returns the result nobody will ask for
+    /// (see [`SimState::free_join`]) when the handle is already gone.
+    fn finish(&mut self, slot: usize, result: Outcome) -> Option<JoinState> {
+        match std::mem::replace(&mut self.joins[slot], JoinState::Finished(result)) {
+            JoinState::Running { waiter } => {
+                if let Some(w) = waiter {
+                    let at = self.now;
+                    self.schedule(at, w);
+                }
+                None
+            }
+            JoinState::Detached => Some(self.free_join(slot)),
+            JoinState::Finished(_) => unreachable!("thread finished twice"),
+        }
     }
 }
 
@@ -214,8 +284,9 @@ impl Sim {
                     seq: 0,
                     runnable: 1, // the root thread
                     live: 0,
-                    events: BinaryHeap::new(),
+                    events: BTreeMap::new(),
                     joins: Vec::new(),
+                    free_joins: Vec::new(),
                     sems: Vec::new(),
                     free_sems: Vec::new(),
                 }),
@@ -260,51 +331,43 @@ impl Sim {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let start = Waiter::new();
-        let slot;
-        {
-            let mut guard = self.lock();
-            slot = guard.joins.len();
-            guard.joins.push(JoinState::Running { waiter: None });
-            guard.live += 1;
-            let at = guard.now;
-            guard.schedule(at, start.clone());
-        }
+        let slot = self.lock().alloc_join();
+        // The start waiter must name the new OS thread, so it can only be
+        // made — and scheduled — once that thread exists.
+        let start = Arc::new(OnceLock::<Arc<Waiter>>::new());
         let sim = self.clone();
-        thread::Builder::new()
+        let os_thread = thread::Builder::new()
             .name(format!("sim-{slot}"))
-            .spawn(move || {
-                // Wait to be scheduled: the start event makes us runnable
-                // only when every other simulated thread has blocked.
-                {
-                    let mut guard = sim.lock();
-                    while !start.woken.load(Ordering::Relaxed) {
-                        start.cv.wait(&mut guard);
+            .spawn({
+                let start = start.clone();
+                move || {
+                    // Wait to be scheduled: the start event makes us
+                    // runnable only when every other simulated thread has
+                    // blocked.
+                    while !start.get().is_some_and(|w| w.woken.load(Ordering::Acquire)) {
+                        thread::park();
                     }
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(f));
-                let mut guard = sim.lock();
-                guard.live -= 1;
-                guard.runnable -= 1;
-                let joiner = match std::mem::replace(
-                    &mut guard.joins[slot],
-                    match result {
-                        Ok(v) => JoinState::Done(Box::new(v)),
-                        Err(p) => JoinState::Panicked(p),
-                    },
-                ) {
-                    JoinState::Running { waiter } => waiter,
-                    _ => unreachable!("thread finished twice"),
-                };
-                if let Some(w) = joiner {
-                    let at = guard.now;
-                    guard.schedule(at, w);
-                }
-                if guard.runnable == 0 && !guard.events.is_empty() {
-                    guard.dispatch_one();
+                    let result = panic::catch_unwind(AssertUnwindSafe(f));
+                    let mut guard = sim.lock();
+                    guard.live -= 1;
+                    guard.runnable -= 1;
+                    let orphan = guard.finish(slot, result.map(|v| Box::new(v) as _));
+                    let next = (!guard.events.is_empty()).then(|| guard.dispatch_one());
+                    drop(guard);
+                    if let Some(next) = next {
+                        next.thread.unpark();
+                    }
+                    drop(orphan);
                 }
             })
             .expect("failed to spawn simulation thread");
+        let waiter = Waiter::of(os_thread.thread().clone(), Vec::new());
+        let _ = start.set(waiter.clone());
+        let mut guard = self.lock();
+        guard.live += 1;
+        let at = guard.now;
+        guard.schedule(at, waiter);
+        drop(guard);
         SimHandle {
             sim: self.clone(),
             slot,
@@ -312,8 +375,8 @@ impl Sim {
         }
     }
 
-    /// Runs `tasks` on up to `concurrency` simulated worker threads and
-    /// returns their results in task order.
+    /// Runs `tasks` on up to `concurrency` simulated workers and returns
+    /// their results in task order. The caller is one of the workers.
     ///
     /// This models a client opening `concurrency` parallel connections, as
     /// the paper's uploader tool does, and is the building block for every
@@ -324,45 +387,80 @@ impl Sim {
         F: FnOnce() -> T + Send + 'static,
     {
         assert!(concurrency > 0, "concurrency must be at least 1");
-        let n = tasks.len();
-        let shared: Arc<Mutex<Vec<Option<F>>>> =
-            Arc::new(Mutex::new(tasks.into_iter().map(Some).collect()));
-        let next = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let results: Arc<Mutex<Vec<Option<T>>>> =
-            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-        let workers = concurrency.min(n.max(1));
-        let handles: Vec<SimHandle<()>> = (0..workers)
-            .map(|_| {
-                let shared = shared.clone();
-                let next = next.clone();
-                let results = results.clone();
-                self.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let task = shared.lock()[i].take().expect("task taken twice");
-                    let r = task();
-                    results.lock()[i] = Some(r);
-                })
-            })
-            .collect();
+        let workers = concurrency.min(tasks.len().max(1));
+        let fan = FanOut::new(tasks);
+        let spawn_worker = |_| {
+            let fan = fan.clone();
+            self.spawn(move || fan.work())
+        };
+        let handles: Vec<SimHandle<()>> = (1..workers).map(spawn_worker).collect();
+        // The caller is the last worker and the joiner (module doc): it
+        // starts in the last worker's slot and finishes as a thread would.
+        let mut guard = self.lock();
+        let own = guard.alloc_join();
+        let slots = handles.iter().map(|h| h.slot).chain([own]).collect();
+        let joiner = Waiter::of(thread::current(), slots);
+        guard.join_next(&joiner);
+        drop(guard);
+        self.yield_now();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| fan.work()));
+        let mut guard = self.lock();
+        guard.finish(own, Ok(Box::new(())));
+        SimState::park(guard, &joiner);
+        // (A unit result: nothing whose drop needs the lock released.)
+        self.lock().free_join(own);
+        // Everyone has finished: these only collect, and re-raise a
+        // worker's panic in index order — the caller's own last.
         for h in handles {
             h.join();
         }
-        Arc::try_unwrap(results)
-            .unwrap_or_else(|_| panic!("worker leaked results handle"))
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("task did not run"))
-            .collect()
+        if let Err(p) = result {
+            panic::resume_unwind(p);
+        }
+        fan.into_results()
+    }
+}
+
+/// One fan-out's shared state: each worker claims the next unclaimed task
+/// until none is left.
+struct FanOut<T, F> {
+    tasks: Mutex<Vec<Option<F>>>,
+    next: AtomicUsize,
+    results: Mutex<Vec<Option<T>>>,
+}
+
+impl<T: Send + 'static, F: FnOnce() -> T + Send + 'static> FanOut<T, F> {
+    fn new(tasks: Vec<F>) -> Arc<Self> {
+        Arc::new(FanOut {
+            results: Mutex::new(tasks.iter().map(|_| None).collect()),
+            tasks: Mutex::new(tasks.into_iter().map(Some).collect()),
+            next: AtomicUsize::new(0),
+        })
+    }
+
+    fn work(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = self.tasks.lock().get_mut(i).map(Option::take) else {
+                break;
+            };
+            let r = task.expect("task taken twice")();
+            self.results.lock()[i] = Some(r);
+        }
+    }
+
+    fn into_results(self: Arc<Self>) -> Vec<T> {
+        let fan = Arc::try_unwrap(self).unwrap_or_else(|_| panic!("worker leaked its fan-out"));
+        let results = fan.results.into_inner().into_iter();
+        results.map(|r| r.expect("task did not run")).collect()
     }
 }
 
 /// Owned handle to a spawned simulated thread. Join it to retrieve the
-/// thread's result in virtual time.
+/// thread's result in virtual time; dropping it detaches the thread.
 pub struct SimHandle<T> {
     sim: Sim,
+    /// `usize::MAX` once joined.
     slot: usize,
     _marker: PhantomData<fn() -> T>,
 }
@@ -382,7 +480,7 @@ impl<T: Send + 'static> SimHandle<T> {
     /// # Panics
     ///
     /// Re-raises any panic from the joined thread.
-    pub fn join(self) -> T {
+    pub fn join(mut self) -> T {
         let mut guard = self.sim.lock();
         if let JoinState::Running { waiter } = &mut guard.joins[self.slot] {
             let w = Waiter::new();
@@ -390,14 +488,12 @@ impl<T: Send + 'static> SimHandle<T> {
             SimState::park(guard, &w);
             guard = self.sim.lock();
         }
-        match std::mem::replace(&mut guard.joins[self.slot], JoinState::Consumed) {
-            JoinState::Done(v) => *v.downcast::<T>().expect("join result type mismatch"),
-            JoinState::Panicked(p) => {
-                drop(guard);
-                panic::resume_unwind(p)
-            }
-            JoinState::Running { .. } => unreachable!("woken before thread finished"),
-            JoinState::Consumed => unreachable!("join result already consumed"),
+        let done = guard.free_join(std::mem::replace(&mut self.slot, usize::MAX));
+        drop(guard);
+        match done {
+            JoinState::Finished(Ok(v)) => *v.downcast::<T>().expect("join result type mismatch"),
+            JoinState::Finished(Err(p)) => panic::resume_unwind(p),
+            _ => unreachable!("woken before thread finished"),
         }
     }
 
@@ -407,9 +503,28 @@ impl<T: Send + 'static> SimHandle<T> {
     }
 }
 
+impl<T> Drop for SimHandle<T> {
+    fn drop(&mut self) {
+        if self.slot == usize::MAX {
+            return;
+        }
+        let mut guard = self.sim.lock();
+        let orphan = match guard.joins[self.slot] {
+            // Still running: the finishing thread recycles the slot.
+            JoinState::Running { .. } => {
+                std::mem::replace(&mut guard.joins[self.slot], JoinState::Detached)
+            }
+            _ => guard.free_join(self.slot),
+        };
+        drop(guard);
+        drop(orphan);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimSemaphore;
 
     #[test]
     fn clock_starts_at_zero() {
@@ -537,5 +652,381 @@ mod tests {
         let _h = sim.spawn(move || flag2.store(true, Ordering::Relaxed));
         sim.yield_now();
         assert!(flag.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation deadlock at t=0.000000s: no runnable threads")]
+    fn deadlock_panics_with_its_message_instead_of_hanging() {
+        let sim = Sim::new();
+        let never = SimSemaphore::new(&sim, 0);
+        // Unwinding must not free a semaphore that still has its waiter.
+        std::mem::forget(never.clone());
+        never.acquire().forget();
+    }
+
+    #[test]
+    fn a_stray_unpark_token_does_not_end_a_wait_early() {
+        let sim = Sim::new();
+        let h = sim.spawn({
+            let sim = sim.clone();
+            move || {
+                sim.sleep(Duration::from_secs(1));
+                sim.now().as_secs_f64()
+            }
+        });
+        // What std's mpsc (it parks too) can leave behind on this thread.
+        thread::current().unpark();
+        sim.sleep(Duration::from_secs(2));
+        assert_eq!(sim.now().as_secs_f64(), 2.0);
+        assert_eq!(h.join(), 1.0);
+    }
+
+    #[test]
+    fn joined_and_dropped_handles_recycle_their_slot() {
+        let sim = Sim::new();
+        for i in 0..5_000 {
+            assert_eq!(sim.spawn(move || i).join(), i);
+        }
+        // Dropped while running (not even started): the thread finishes
+        // detached and frees the slot, and its result, itself.
+        let peak_live = 50;
+        for i in 0..5_000 {
+            drop(sim.spawn(move || vec![i; 4]));
+            if (i + 1) % peak_live == 0 {
+                sim.yield_now();
+            }
+        }
+        // Dropped after finishing: the handle frees it.
+        let done = sim.spawn(|| 7u8);
+        sim.yield_now();
+        assert!(done.is_finished());
+        drop(done);
+        let guard = sim.lock();
+        assert!(
+            guard.joins.len() <= peak_live,
+            "{} slots for at most {peak_live} live threads",
+            guard.joins.len()
+        );
+        assert_eq!(guard.free_joins.len(), guard.joins.len(), "a slot leaked");
+    }
+
+    #[test]
+    fn an_abandoned_result_is_dropped_outside_the_kernel_lock() {
+        // The last handle to a semaphore takes the kernel lock to free its
+        // slot, so whoever drops an unjoined result must not be holding it.
+        let sim = Sim::new();
+        let sem_in = |sim: &Sim| {
+            let sim = sim.clone();
+            move || SimSemaphore::new(&sim, 1)
+        };
+        drop(sim.spawn(sem_in(&sim))); // the finishing thread drops it
+        sim.yield_now();
+        let finished = sim.spawn(sem_in(&sim));
+        sim.yield_now();
+        drop(finished); // the handle drops it
+        let guard = sim.lock();
+        assert_eq!(
+            guard.free_sems.len(),
+            guard.sems.len(),
+            "a semaphore survived"
+        );
+    }
+
+    // ---- the fan-out against its thread-per-worker reference ----
+
+    /// `run_parallel` as it was before the caller became a worker: every
+    /// worker a spawned thread, joined in index order.
+    fn run_parallel_spawning<T, F>(sim: &Sim, concurrency: usize, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        assert!(concurrency > 0, "concurrency must be at least 1");
+        let workers = concurrency.min(tasks.len().max(1));
+        let fan = FanOut::new(tasks);
+        let spawn_worker = |_| {
+            let fan = fan.clone();
+            sim.spawn(move || fan.work())
+        };
+        let handles: Vec<SimHandle<()>> = (0..workers).map(spawn_worker).collect();
+        for h in handles {
+            h.join();
+        }
+        fan.into_results()
+    }
+
+    type Task = Box<dyn FnOnce() -> usize + Send>;
+    type Fan = fn(&Sim, usize, Vec<Task>) -> Vec<usize>;
+    const CALLER_WORKS: Fan = |sim, concurrency, tasks| sim.run_parallel(concurrency, tasks);
+    const ALL_SPAWNED: Fan = run_parallel_spawning;
+
+    /// One step of an actor's script: `(kind, arg)`, see [`World::act`].
+    type Step = (u8, u8);
+    /// `(sim.now(), "actor step")` in the order it happened.
+    type Log = Vec<(SimTime, String)>;
+
+    fn ms(n: u8) -> Duration {
+        Duration::from_millis(u64::from(n))
+    }
+
+    #[derive(Clone)]
+    struct World {
+        sim: Sim,
+        sem: SimSemaphore,
+        log: Arc<Mutex<Log>>,
+        fan: Fan,
+    }
+
+    impl World {
+        fn new(permits: usize, fan: Fan) -> World {
+            let sim = Sim::new();
+            let sem = SimSemaphore::new(&sim, permits);
+            let log = Arc::default();
+            World { sim, sem, log, fan }
+        }
+
+        fn note(&self, actor: &str, what: &str) {
+            let entry = (self.sim.now(), format!("{actor} {what}"));
+            self.log.lock().push(entry);
+        }
+
+        /// Runs `steps` as `actor`, noting each. Every instant is a whole
+        /// millisecond, so actors keep landing on one another's.
+        fn act(&self, actor: &str, steps: &[Step], nest: bool) {
+            for (i, &(kind, arg)) in steps.iter().enumerate() {
+                match kind {
+                    0 => self.sim.yield_now(),
+                    1 => self.sim.sleep(ms(1)),
+                    2 => self.sim.sleep(ms(arg)),
+                    3 => {
+                        let _held = self.sem.acquire();
+                        self.note(actor, "acquired");
+                        self.sim.sleep(ms(arg % 3));
+                    }
+                    4 => {
+                        let got = self.sem.acquire_timeout(ms(arg % 3));
+                        self.note(actor, if got.is_some() { "got it" } else { "timed out" });
+                        if got.is_some() {
+                            self.sim.sleep(ms(1));
+                        }
+                    }
+                    _ if nest => {
+                        let tasks = (0..arg % 4)
+                            .map(|j| {
+                                self.task(format!("{actor}.{j}"), vec![((arg + j) % 5, j)], false)
+                            })
+                            .collect();
+                        (self.fan)(&self.sim, 1 + usize::from(arg / 4), tasks);
+                    }
+                    _ => self.sim.sleep(ms(1)),
+                }
+                self.note(actor, &format!("step {i}"));
+            }
+        }
+
+        fn task(&self, actor: String, steps: Vec<Step>, nest: bool) -> Task {
+            let world = self.clone();
+            Box::new(move || {
+                world.act(&actor, &steps, nest);
+                steps.len()
+            })
+        }
+    }
+
+    struct Program {
+        permits: usize,
+        concurrency: usize,
+        tasks: Vec<Vec<Step>>,
+        bystanders: Vec<Vec<Step>>,
+    }
+
+    /// Plays `program` with `fan` as its fan-out (nested ones too) and
+    /// returns everything an observer could tell the two fan-outs apart by.
+    fn play(program: &Program, fan: Fan) -> (Log, SimTime, Vec<usize>) {
+        let world = World::new(program.permits, fan);
+        let bystanders: Vec<SimHandle<()>> = (program.bystanders.iter().enumerate())
+            .map(|(b, steps)| {
+                let (world, steps) = (world.clone(), steps.clone());
+                (world.sim.clone()).spawn(move || world.act(&format!("b{b}"), &steps, true))
+            })
+            .collect();
+        let tasks = (program.tasks.iter().enumerate())
+            .map(|(t, steps)| world.task(format!("t{t}"), steps.clone(), true))
+            .collect();
+        let results = fan(&world.sim, program.concurrency, tasks);
+        world.note("caller", "resumed");
+        world.sim.yield_now();
+        world.note("caller", "yielded");
+        for b in bystanders {
+            b.join();
+        }
+        world.note("caller", "done");
+        let log = world.log.lock().clone();
+        (log, world.sim.now(), results)
+    }
+
+    fn assert_fans_agree(program: &Program) -> Log {
+        let ours = play(program, CALLER_WORKS);
+        assert_eq!(ours, play(program, ALL_SPAWNED));
+        ours.0
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// No observer — task, bystander at the same instants, or the
+        /// caller afterwards — can tell the caller-works fan-out from the
+        /// spawn-every-worker one.
+        #[test]
+        fn fan_out_matches_the_spawning_reference(
+            permits in 1usize..3,
+            concurrency in 1usize..6,
+            tasks in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, 0u8..12), 0..5), 0..9),
+            bystanders in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, 0u8..12), 0..6), 0..4),
+        ) {
+            let program = Program { permits, concurrency, tasks, bystanders };
+            prop_assert_eq!(play(&program, CALLER_WORKS), play(&program, ALL_SPAWNED));
+        }
+    }
+
+    #[test]
+    fn degenerate_fan_outs_take_the_reference_slots_without_a_thread() {
+        let bystanders = vec![vec![(0, 0), (1, 0), (0, 0)], vec![(1, 0), (0, 0)]];
+        for (concurrency, tasks) in [
+            (3, vec![]),                                         // nothing to run
+            (3, vec![vec![(1, 0), (0, 0)]]),                     // one task
+            (1, vec![vec![(1, 0)], vec![(0, 0)], vec![(2, 2)]]), // one worker
+        ] {
+            let program = Program {
+                permits: 1,
+                concurrency,
+                tasks,
+                bystanders: bystanders.clone(),
+            };
+            assert_fans_agree(&program);
+            let world = World::new(1, CALLER_WORKS);
+            let tasks = (program.tasks.iter().cloned())
+                .map(|steps| world.task("t".into(), steps, false))
+                .collect();
+            (world.fan)(&world.sim, concurrency, tasks);
+            // The one join slot is the caller's own share.
+            assert_eq!(world.sim.lock().joins.len(), 1, "a thread was spawned");
+        }
+    }
+
+    #[test]
+    fn the_caller_resumes_in_the_joiner_slot_not_a_later_one() {
+        // t0 finishes first and schedules the joiner's wake; the caller's
+        // own task (t1) then hands b0 a permit at the same instant. The
+        // joiner's wake was scheduled first, so the caller resumes first —
+        // which it would not, had it merely yielded after its own share.
+        let log = assert_fans_agree(&Program {
+            permits: 1,
+            concurrency: 2,
+            tasks: vec![vec![(2, 2)], vec![(3, 2)]],
+            bystanders: vec![vec![(1, 0), (3, 0)]],
+        });
+        let at = |what: &str| log.iter().position(|(_, w)| w == what).expect(what);
+        assert!(at("caller resumed") < at("b0 acquired"), "{log:?}");
+        // And with three workers: t0 finishes, then the caller's t2, then
+        // t1 wakes b0 — all at 2 ms, all before the joiner's wake fires.
+        let log = assert_fans_agree(&Program {
+            permits: 1,
+            concurrency: 3,
+            tasks: vec![vec![(2, 2)], vec![(1, 0), (3, 1)], vec![(2, 2)]],
+            bystanders: vec![vec![(2, 2), (3, 0)]],
+        });
+        let at = |what: &str| log.iter().position(|(_, w)| w == what).expect(what);
+        assert!(at("caller resumed") < at("b0 acquired"), "{log:?}");
+    }
+
+    #[test]
+    fn a_permit_and_a_deadline_on_one_instant_leave_no_ghost() {
+        // The holder releases at 2 ms, the waiter's deadline is 2 ms.
+        for deadline_first in [false, true] {
+            let run = |fan: Fan| {
+                let world = World::new(1, fan);
+                let holder = world.clone();
+                let waiter = world.clone();
+                let tasks: Vec<Task> = vec![
+                    Box::new(move || {
+                        let held = holder.sem.acquire();
+                        if deadline_first {
+                            // Two hops: the last is scheduled at 1 ms,
+                            // after the deadline was.
+                            holder.sim.sleep(ms(1));
+                            holder.sim.sleep(ms(1));
+                        } else {
+                            holder.sim.sleep(ms(2));
+                        }
+                        drop(held);
+                        holder.note("holder", "released");
+                        0
+                    }),
+                    Box::new(move || {
+                        let got = waiter.sem.acquire_timeout(ms(2));
+                        waiter.note("waiter", if got.is_some() { "got it" } else { "timed out" });
+                        usize::from(got.is_some())
+                    }),
+                ];
+                let got = fan(&world.sim, 2, tasks)[1];
+                // The loser's event is stale: sleeping past it wakes no
+                // ghost, and the permit is back exactly once.
+                world.sim.sleep(ms(10));
+                assert_eq!(world.sem.available(), 1);
+                let log = world.log.lock().clone();
+                (got, log, world.sim.now())
+            };
+            let ours = run(CALLER_WORKS);
+            assert_eq!(ours, run(ALL_SPAWNED));
+            assert_eq!(ours.0, usize::from(!deadline_first));
+            assert_eq!(ours.2.as_micros(), 12_000);
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_surfaces_from_the_fan_out_like_the_reference() {
+        // (panicking tasks, the message the fan-out must re-raise): the
+        // caller runs t2, and an earlier worker's panic beats its own.
+        for (panicking, expected) in [
+            (vec![0usize, 2], "boom t0"),
+            (vec![2], "boom t2"),
+            (vec![1], "boom t1"),
+        ] {
+            let run = |fan: Fan| {
+                let world = World::new(1, fan);
+                let tasks: Vec<Task> = (0..6usize)
+                    .map(|t| {
+                        let (world, panics) = (world.clone(), panicking.contains(&t));
+                        Box::new(move || {
+                            world.act(&format!("t{t}"), &[(1, 0), (3, 1)], false);
+                            if panics {
+                                panic!("boom t{t}");
+                            }
+                            t
+                        }) as Task
+                    })
+                    .collect();
+                let sim = world.sim.clone();
+                let panic = panic::catch_unwind(AssertUnwindSafe(|| fan(&sim, 3, tasks)))
+                    .expect_err("the fan-out must re-raise");
+                // The reference leaves the other workers running detached;
+                // ours has waited for them. Either way every task runs.
+                world.sim.sleep(ms(50));
+                let log = world.log.lock().clone();
+                (panic.downcast_ref::<String>().cloned(), log)
+            };
+            let ours = run(CALLER_WORKS);
+            assert_eq!(ours, run(ALL_SPAWNED));
+            assert_eq!(ours.0.as_deref(), Some(expected));
+            assert_eq!(
+                ours.1.iter().filter(|(_, w)| w.ends_with("step 1")).count(),
+                6
+            );
+        }
     }
 }
