@@ -1,6 +1,7 @@
 //! Criterion bench for the read tier's cost *shape*: an install that
 //! forces an eviction and a fixed 64-node warm walk, each at 256 / 4096 /
-//! 65536 resident entries. Neither may grow with residency.
+//! 65536 resident entries (`cache`), and a selective SimpleDB SELECT at
+//! 1 000 / 10 000 / 100 000 items (`sdb`). None may grow with size.
 //!
 //! The measured quantity is host wall time; the paper's experiments are
 //! timed (in virtual time) by the `repro` binary and, per layer, by the
@@ -8,6 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem, BATCH_LIMIT};
 use cloudprov_pass::{PNodeId, Uuid};
 use cloudprov_query::source::RevAdjacency;
 use cloudprov_query::{AncestryCache, CacheConfig};
@@ -86,5 +88,70 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache);
+/// SELECTs per timed sample.
+const SELECT_BATCH: usize = 64;
+
+fn item_name(n: usize) -> String {
+    format!("{n:032x}_1")
+}
+
+/// A SimpleDB domain of `items` items shaped like P2's provenance: every
+/// other one a file, item `n` an `input` edge to item `n / 2`.
+fn provenance_domain(sim: &Sim, items: usize) -> CloudEnv {
+    let env = CloudEnv::new(sim, AwsProfile::instant());
+    env.sdb().create_domain("prov");
+    let all: Vec<usize> = (0..items).collect();
+    for batch in all.chunks(BATCH_LIMIT) {
+        let puts = batch
+            .iter()
+            .map(|&n| PutItem {
+                name: item_name(n),
+                attrs: vec![
+                    ("type".into(), ["file", "process"][n % 2].into()),
+                    ("name".into(), format!("/bench/f{n}")),
+                    ("input".into(), item_name(n / 2)),
+                ],
+                replace: false,
+            })
+            .collect();
+        env.sdb()
+            .batch_put_attributes("prov", puts)
+            .expect("fixture domain loads");
+    }
+    env
+}
+
+fn bench_sdb(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sdb");
+    group.sample_size(10);
+    let sim = Sim::new();
+    for items in [1000, 10_000, 100_000] {
+        let env = provenance_domain(&sim, items);
+        let k = items / 4;
+        // Q.3's shape: the one file with an edge to item k (item 2k).
+        let eq = format!(
+            "select * from prov where type = 'file' and input = '{}'",
+            item_name(k)
+        );
+        // Q.4's frontier shape: the 40 items with an edge into k..k+20.
+        let ids: Vec<String> = (k..k + 20).map(|n| format!("'{}'", item_name(n))).collect();
+        let in20 = format!(
+            "select itemName() from prov where input in ({})",
+            ids.join(", ")
+        );
+        for (id, query, matches) in [("select_eq", &eq, 1), ("select_in20", &in20, 40)] {
+            group.bench_function(format!("{id}/{items}"), |b| {
+                b.iter(|| {
+                    for _ in 0..SELECT_BATCH {
+                        let page = env.sdb().select(query, None).expect("select runs");
+                        assert_eq!((page.items.len(), page.next_token), (matches, None));
+                    }
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_sdb);
 criterion_main!(benches);

@@ -468,16 +468,14 @@ impl ObjectStore {
     }
 
     /// Instrumentation: number of committed (non-deleted) objects with a
-    /// prefix, bypassing the API model.
+    /// prefix, bypassing the API model. Visits only the prefix's key
+    /// range, as [`ObjectStore::list`] does.
     pub fn peek_count(&self, bucket: &str, prefix: &str) -> usize {
         let st = self.state.lock();
         st.objects
-            .iter()
-            .filter(|((b, k), h)| {
-                b == bucket
-                    && k.starts_with(prefix)
-                    && h.latest().is_some_and(|v| v.object.is_some())
-            })
+            .range((bucket.to_string(), prefix.to_string())..)
+            .take_while(|((b, k), _)| b == bucket && k.starts_with(prefix))
+            .filter(|(_, h)| h.latest().is_some_and(|v| v.object.is_some()))
             .count()
     }
 }
@@ -670,5 +668,36 @@ mod tests {
         s3.put("b", "k", Blob::from("x"), Metadata::new()).unwrap();
         assert!(s3.peek_committed("b", "k").is_some());
         assert_eq!(s3.peek_count("b", ""), 1);
+    }
+
+    #[test]
+    fn peek_count_counts_only_its_bucket_and_prefix() {
+        let (_sim, s3) = store(AwsProfile::instant());
+        for (bucket, key) in [
+            ("a", "p/zz"),
+            ("b", "o/1"),
+            ("b", "p"),
+            ("b", "p/1"),
+            ("b", "p/2"),
+            ("b", "p/3"),
+            ("b", "p0"),
+            ("b", "q/1"),
+            ("c", "p/1"),
+        ] {
+            s3.put(bucket, key, Blob::from("x"), Metadata::new())
+                .unwrap();
+        }
+        s3.delete("b", "p/3").unwrap();
+        assert_eq!(
+            s3.peek_count("b", "p/"),
+            2,
+            "neighbours and the deleted key excluded"
+        );
+        assert_eq!(s3.peek_count("b", "p"), 4);
+        assert_eq!(s3.peek_count("b", ""), 6);
+        assert_eq!(s3.peek_count("a", "p/"), 1);
+        assert_eq!(s3.peek_count("c", ""), 1);
+        assert_eq!(s3.peek_count("d", ""), 0);
+        assert_eq!(s3.peek_count("b", "r"), 0);
     }
 }

@@ -13,7 +13,7 @@
 
 pub mod select;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -24,7 +24,7 @@ use crate::error::{CloudError, Result};
 use crate::meter::{Actor, Op, Service, TenantId};
 use crate::service::ServiceCore;
 
-use select::{Output, Select};
+use select::{Expr, Output, Select};
 
 /// SimpleDB's limit on attribute names and values, in bytes.
 pub const ATTRIBUTE_LIMIT: usize = 1024;
@@ -144,9 +144,170 @@ impl ItemHistory {
     }
 }
 
+/// One attribute's posting lists: value → names of the items carrying it.
+type Postings = BTreeMap<String, BTreeSet<String>>;
+
+#[derive(Default)]
+struct Domain {
+    items: BTreeMap<String, ItemHistory>,
+    /// Posting lists of the attributes a SELECT has narrowed on, built on
+    /// first use. Each holds every `(value, item)` pair of every retained
+    /// version — a stale read may be served any of them — and never
+    /// shrinks, so it over-approximates what `visible_at` can return.
+    postings: BTreeMap<String, Postings>,
+}
+
+fn post(list: &mut Postings, value: &str, item: &str) {
+    match list.get_mut(value) {
+        Some(names) => {
+            if !names.contains(item) {
+                names.insert(item.to_string());
+            }
+        }
+        None => {
+            list.insert(value.to_string(), BTreeSet::from([item.to_string()]));
+        }
+    }
+}
+
+impl Domain {
+    /// Adds a put's pairs to the attributes already indexed. The new
+    /// version holds only pairs of the previous one and of the put, and
+    /// the previous one is already posted.
+    fn post_put(&mut self, item: &PutItem) {
+        for (attr, value) in &item.attrs {
+            if let Some(list) = self.postings.get_mut(attr) {
+                post(list, value, &item.name);
+            }
+        }
+    }
+
+    /// Builds the posting list of every narrowing attribute not yet
+    /// indexed, from every retained version of every item.
+    fn index(&mut self, terms: &[(&str, &[String])]) {
+        for &(attr, _) in terms {
+            if self.postings.contains_key(attr) {
+                continue;
+            }
+            let mut list = Postings::new();
+            for (name, hist) in &self.items {
+                for attrs in hist.versions.iter().filter_map(|v| v.attrs.as_ref()) {
+                    for (_, value) in attrs.iter().filter(|(k, _)| k == attr) {
+                        post(&mut list, value, name);
+                    }
+                }
+            }
+            self.postings.insert(attr.to_string(), list);
+        }
+    }
+
+    /// The posting lists of `attr`'s `values`, one per value posted.
+    fn lists(&self, attr: &str, values: &[String]) -> Vec<&BTreeSet<String>> {
+        let list = &self.postings[attr];
+        values.iter().filter_map(|v| list.get(v)).collect()
+    }
+
+    /// The items the most selective term admits, in name order; `None`
+    /// when no term narrows and the whole domain must be walked. Every
+    /// term must already be indexed.
+    fn candidates(&self, terms: &[(&str, &[String])]) -> Option<Vec<&str>> {
+        let lists = terms
+            .iter()
+            .map(|&(attr, values)| self.lists(attr, values))
+            .min_by_key(|lists| lists.iter().map(|names| names.len()).sum::<usize>())?;
+        let mut names: Vec<&str> = lists.into_iter().flatten().map(String::as_str).collect();
+        names.sort_unstable();
+        names.dedup();
+        Some(names)
+    }
+
+    /// One page of `query` as seen at `horizon`, resuming after the
+    /// first `start` matches, with the bytes it bills.
+    fn select_page(&mut self, query: &Select, start: usize, horizon: SimTime) -> (SelectPage, u64) {
+        let terms = query
+            .predicate
+            .as_ref()
+            .map(Expr::narrowing_terms)
+            .unwrap_or_default();
+        self.index(&terms);
+        match self.candidates(&terms) {
+            Some(names) => {
+                let items = names
+                    .into_iter()
+                    .filter_map(|n| self.items.get_key_value(n));
+                page(query, start, horizon, items)
+            }
+            None => page(query, start, horizon, self.items.iter()),
+        }
+    }
+}
+
+/// Evaluates `query` over `items` (in name order, a superset of the
+/// matches) at `horizon`: the page, its `next_token` and billed bytes.
+fn page<'a>(
+    query: &Select,
+    start: usize,
+    horizon: SimTime,
+    items: impl Iterator<Item = (&'a String, &'a ItemHistory)>,
+) -> (SelectPage, u64) {
+    let mut selected = Vec::new();
+    let mut bytes: u64 = 0;
+    let mut matched = 0usize;
+    let mut next = None;
+    let limit = query.limit.unwrap_or(usize::MAX);
+    for (name, hist) in items {
+        let Some(attrs) = hist.visible_at(horizon) else {
+            continue;
+        };
+        let matches = query
+            .predicate
+            .as_ref()
+            .is_none_or(|p| p.matches(name, attrs));
+        if !matches {
+            continue;
+        }
+        matched += 1;
+        if matched <= start {
+            continue;
+        }
+        if query.output == Output::Count {
+            continue;
+        }
+        if matched - start > limit {
+            break;
+        }
+        let item_bytes = name.len() as u64
+            + if query.output == Output::All {
+                attrs_size(attrs)
+            } else {
+                0
+            };
+        if selected.len() >= SELECT_PAGE_ITEMS || bytes + item_bytes > SELECT_PAGE_BYTES {
+            next = Some(matched - 1); // resume before this item
+            break;
+        }
+        bytes += item_bytes;
+        selected.push(SelectedItem {
+            name: name.clone(),
+            attrs: if query.output == Output::All {
+                attrs.clone()
+            } else {
+                Vec::new()
+            },
+        });
+    }
+    let count = (query.output == Output::Count).then_some(matched);
+    let page = SelectPage {
+        items: selected,
+        count,
+        next_token: next.map(|n| n.to_string()),
+    };
+    (page, bytes.max(16))
+}
+
 #[derive(Default)]
 struct DbState {
-    domains: BTreeMap<String, BTreeMap<String, ItemHistory>>,
+    domains: BTreeMap<String, Domain>,
 }
 
 /// Handle to the simulated database. Cloning is cheap; see
@@ -194,8 +355,7 @@ fn validate_item(item: &PutItem) -> Result<()> {
 fn apply_put(existing: Option<&Attributes>, item: &PutItem) -> Attributes {
     let mut attrs = existing.cloned().unwrap_or_default();
     if item.replace {
-        let names: std::collections::BTreeSet<&str> =
-            item.attrs.iter().map(|(k, _)| k.as_str()).collect();
+        let names: BTreeSet<&str> = item.attrs.iter().map(|(k, _)| k.as_str()).collect();
         attrs.retain(|(k, _)| !names.contains(k.as_str()));
     }
     for (k, v) in &item.attrs {
@@ -295,7 +455,8 @@ impl Database {
                     .get_mut(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
                 for item in items {
-                    let hist = dom.entry(item.name.clone()).or_default();
+                    dom.post_put(&item);
+                    let hist = dom.items.entry(item.name.clone()).or_default();
                     let merged = apply_put(hist.latest(), &item);
                     hist.versions.push(ItemVersion {
                         published: now,
@@ -334,6 +495,7 @@ impl Database {
                     .get(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
                 let attrs = dom
+                    .items
                     .get(&item_name)
                     .and_then(|h| h.visible_at(horizon))
                     .cloned()
@@ -356,7 +518,7 @@ impl Database {
                     .domains
                     .get_mut(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
-                if let Some(hist) = dom.get_mut(&item_name) {
+                if let Some(hist) = dom.items.get_mut(&item_name) {
                     hist.versions.push(ItemVersion {
                         published: now,
                         attrs: None,
@@ -396,64 +558,12 @@ impl Database {
                 let horizon = SimTime::from_micros(
                     now.as_micros().saturating_sub(staleness.as_micros() as u64),
                 );
-                let st = state.lock();
+                let mut st = state.lock();
                 let dom = st
                     .domains
-                    .get(&query.domain)
+                    .get_mut(&query.domain)
                     .ok_or_else(|| CloudError::NoSuchDomain(query.domain.clone()))?;
-                let mut items = Vec::new();
-                let mut bytes: u64 = 0;
-                let mut matched = 0usize;
-                let mut next = None;
-                let limit = query.limit.unwrap_or(usize::MAX);
-                for (name, hist) in dom.iter() {
-                    let Some(attrs) = hist.visible_at(horizon) else {
-                        continue;
-                    };
-                    let matches = query
-                        .predicate
-                        .as_ref()
-                        .is_none_or(|p| p.matches(name, attrs));
-                    if !matches {
-                        continue;
-                    }
-                    matched += 1;
-                    if matched <= start {
-                        continue;
-                    }
-                    if query.output == Output::Count {
-                        continue;
-                    }
-                    if matched - start > limit {
-                        break;
-                    }
-                    let item_bytes = name.len() as u64
-                        + if query.output == Output::All {
-                            attrs_size(attrs)
-                        } else {
-                            0
-                        };
-                    if items.len() >= SELECT_PAGE_ITEMS || bytes + item_bytes > SELECT_PAGE_BYTES {
-                        next = Some(matched - 1); // resume before this item
-                        break;
-                    }
-                    bytes += item_bytes;
-                    items.push(SelectedItem {
-                        name: name.clone(),
-                        attrs: if query.output == Output::All {
-                            attrs.clone()
-                        } else {
-                            Vec::new()
-                        },
-                    });
-                }
-                let count = (query.output == Output::Count).then_some(matched);
-                let page = SelectPage {
-                    items,
-                    count,
-                    next_token: next.map(|n| n.to_string()),
-                };
-                Ok((page, bytes.max(16)))
+                Ok(dom.select_page(&query, start, horizon))
             },
         )
     }
@@ -479,6 +589,7 @@ impl Database {
         let st = self.state.lock();
         st.domains
             .get(domain)?
+            .items
             .get(item_name)
             .and_then(|h| h.latest())
             .cloned()
@@ -493,7 +604,8 @@ impl Database {
         st.domains
             .get(domain)
             .map(|d| {
-                d.iter()
+                d.items
+                    .iter()
                     .filter_map(|(name, h)| h.latest().map(|a| (name.clone(), a.clone())))
                     .collect()
             })
@@ -505,7 +617,7 @@ impl Database {
         let st = self.state.lock();
         st.domains
             .get(domain)
-            .map(|d| d.values().filter(|h| h.latest().is_some()).count())
+            .map(|d| d.items.values().filter(|h| h.latest().is_some()).count())
             .unwrap_or(0)
     }
 }
@@ -805,5 +917,299 @@ mod tests {
         let items = vec![item("a", &[("x", "1")]), item("b", &[("x", "2")])];
         db.batch_put_attributes("prov", items).unwrap();
         assert_eq!(db.peek_item_count("prov"), 2);
+    }
+
+    // --- posting lists against the full walk -----------------------------
+
+    type Pages = Vec<(SelectPage, u64)>;
+
+    /// Pages `expr` at `horizon` from `start` to its last page, narrowed
+    /// and by the reference full walk: `(narrowed, walked)`.
+    fn both_ways(db: &Database, expr: &str, start: usize, horizon: SimTime) -> (Pages, Pages) {
+        let query = select::parse(expr).unwrap();
+        let mut st = db.state.lock();
+        let dom = st.domains.get_mut("prov").unwrap();
+        let (mut narrowed, mut walked) = (Vec::new(), Vec::new());
+        let mut at = Some(start);
+        while let Some(start) = at {
+            narrowed.push(dom.select_page(&query, start, horizon));
+            let page = page(&query, start, horizon, dom.items.iter());
+            at = page.0.next_token.as_ref().map(|t| t.parse().unwrap());
+            walked.push(page);
+        }
+        (narrowed, walked)
+    }
+
+    /// `(attr, value, item)` of a retained version missing from its
+    /// attribute's posting list.
+    fn unposted(db: &Database) -> Vec<(String, String, String)> {
+        let st = db.state.lock();
+        let dom = &st.domains["prov"];
+        let mut out = Vec::new();
+        for (attr, list) in &dom.postings {
+            for (name, hist) in &dom.items {
+                for attrs in hist.versions.iter().filter_map(|v| v.attrs.as_ref()) {
+                    for (_, value) in attrs.iter().filter(|(k, _)| k == attr) {
+                        if !list.get(value).is_some_and(|names| names.contains(name)) {
+                            out.push((attr.clone(), value.clone(), name.clone()));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn names(pages: &Pages) -> Vec<&str> {
+        pages
+            .iter()
+            .flat_map(|(p, _)| p.items.iter().map(|i| i.name.as_str()))
+            .collect()
+    }
+
+    fn ago(sim: &Sim, secs: u64) -> SimTime {
+        SimTime::from_micros(sim.now().as_micros().saturating_sub(secs * 1_000_000))
+    }
+
+    fn eventual(secs: u64) -> AwsProfile {
+        let mut profile = AwsProfile::instant();
+        profile.consistency =
+            crate::profile::ConsistencyParams::eventual(std::time::Duration::from_secs(secs));
+        profile
+    }
+
+    #[test]
+    fn a_value_replaced_away_is_still_found_by_a_stale_read() {
+        let (sim, db) = db(eventual(10));
+        db.put_attributes("prov", item("i", &[("a", "1"), ("b", "x")]))
+            .unwrap();
+        sim.sleep(std::time::Duration::from_secs(5));
+        let mut replace = item("i", &[("a", "2")]);
+        replace.replace = true;
+        db.put_attributes("prov", replace).unwrap();
+        // The first narrowing SELECT builds `a`'s list after the replace:
+        // from both retained versions, not only the latest.
+        let (narrowed, walked) =
+            both_ways(&db, "select * from prov where a = '1'", 0, ago(&sim, 3));
+        assert_eq!(narrowed, walked);
+        assert_eq!(names(&narrowed), ["i"]);
+        let (narrowed, walked) = both_ways(&db, "select * from prov where a = '1'", 0, sim.now());
+        assert_eq!(narrowed, walked);
+        assert!(names(&narrowed).is_empty());
+        assert!(unposted(&db).is_empty());
+    }
+
+    #[test]
+    fn an_attribute_indexed_after_its_items_were_written() {
+        let (sim, db) = db(AwsProfile::instant());
+        for i in 0..6 {
+            let name = if i % 3 == 0 { "x" } else { "y" };
+            db.put_attributes("prov", item(&format!("i{i}"), &[("name", name)]))
+                .unwrap();
+        }
+        assert!(db.state.lock().domains["prov"].postings.is_empty());
+        let q = "select itemName() from prov where name = 'x'";
+        let (narrowed, walked) = both_ways(&db, q, 0, sim.now());
+        assert_eq!(narrowed, walked);
+        assert_eq!(names(&narrowed), ["i0", "i3"]);
+        // Later puts extend the list the SELECT built.
+        db.put_attributes("prov", item("i1", &[("name", "x")]))
+            .unwrap();
+        assert_eq!(
+            names(&both_ways(&db, q, 0, sim.now()).0),
+            ["i0", "i1", "i3"]
+        );
+        assert_eq!(
+            db.select_all(q).unwrap().len(),
+            3,
+            "through the service as well"
+        );
+        assert!(unposted(&db).is_empty());
+    }
+
+    #[test]
+    fn a_deleted_item_drops_out_of_narrowed_results_but_not_stale_ones() {
+        let (sim, db) = db(eventual(10));
+        db.put_attributes("prov", item("i", &[("a", "1")])).unwrap();
+        db.put_attributes("prov", item("j", &[("a", "1")])).unwrap();
+        let q = "select itemName() from prov where a in ('1', '9')";
+        sim.sleep(std::time::Duration::from_secs(5));
+        assert_eq!(names(&both_ways(&db, q, 0, sim.now()).0), ["i", "j"]);
+        db.delete_item("prov", "i").unwrap();
+        for horizon in [sim.now(), ago(&sim, 2)] {
+            let (narrowed, walked) = both_ways(&db, q, 0, horizon);
+            assert_eq!(narrowed, walked);
+            let want: &[&str] = if horizon == sim.now() {
+                &["j"]
+            } else {
+                &["i", "j"]
+            };
+            assert_eq!(names(&narrowed), want);
+        }
+        // The list never shrinks: the deleted item is still posted.
+        assert!(db.state.lock().domains["prov"].postings["a"]["1"].contains("i"));
+    }
+
+    #[test]
+    fn type_and_name_narrow_on_name_in_either_order() {
+        let (sim, db) = db(AwsProfile::instant());
+        for chunk in 0..2 {
+            let items = (0..20)
+                .map(|i| {
+                    let n = chunk * 20 + i;
+                    let kind = if n % 2 == 0 { "process" } else { "file" };
+                    item(
+                        &format!("p{n:02}"),
+                        &[("type", kind), ("name", &format!("prog{}", n % 4))],
+                    )
+                })
+                .collect();
+            db.batch_put_attributes("prov", items).unwrap();
+        }
+        for q in [
+            "select itemName() from prov where type = 'process' and name = 'prog2'",
+            "select itemName() from prov where name = 'prog2' and type = 'process'",
+        ] {
+            let (narrowed, walked) = both_ways(&db, q, 0, sim.now());
+            assert_eq!(narrowed, walked);
+            assert_eq!(names(&narrowed).len(), 10);
+            let query = select::parse(q).unwrap();
+            let terms = query.predicate.as_ref().unwrap().narrowing_terms();
+            let st = db.state.lock();
+            let candidates = st.domains["prov"].candidates(&terms).unwrap();
+            assert_eq!(candidates.len(), 10, "{q}: narrowed on type, not name");
+        }
+    }
+
+    #[test]
+    fn narrowed_pages_cut_where_the_walk_does() {
+        let (sim, db) = db(AwsProfile::instant());
+        let chunk = "v".repeat(1000);
+        for batch in 0..40 {
+            let items = (0..25)
+                .map(|i| {
+                    let n = batch * 25 + i;
+                    let mut attrs =
+                        vec![("type".to_string(), ["file", "process"][n % 2].to_string())];
+                    // Files are ~6 KB: `select *` pages are byte-capped,
+                    // `select itemName()` pages item-capped.
+                    if n % 2 == 0 {
+                        attrs.extend((0..6).map(|j| (format!("data{j}"), chunk.clone())));
+                    }
+                    PutItem {
+                        name: format!("i{n:04}"),
+                        attrs,
+                        replace: false,
+                    }
+                })
+                .collect();
+            db.batch_put_attributes("prov", items).unwrap();
+        }
+        for (q, pages) in [
+            ("select * from prov where type = 'file'", 3),
+            ("select itemName() from prov where type = 'file'", 2),
+            ("select count(*) from prov where type = 'file'", 1),
+            ("select * from prov where type = 'file' limit 100", 1),
+        ] {
+            for start in [0, 3] {
+                let (narrowed, walked) = both_ways(&db, q, start, sim.now());
+                assert_eq!(narrowed, walked, "{q} from {start}");
+                assert_eq!(narrowed.len(), pages, "{q} from {start}");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+    use proptest::strategy::TestRng;
+
+    const ITEMS: usize = 12;
+    const ATTRS: [&str; 4] = ["type", "name", "input", "a"];
+    const VALUES: [&str; 5] = ["file", "process", "0", "1", "2"];
+
+    fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+        from[rng.usize_in(0..from.len())]
+    }
+
+    /// A random WHERE expression, AND-heavy so that narrowing terms sit
+    /// at every depth, over the grammar's every predicate form.
+    fn expr(rng: &mut TestRng, depth: u32) -> String {
+        if depth > 0 && rng.usize_in(0..3) > 0 {
+            let (a, b) = (expr(rng, depth - 1), expr(rng, depth - 1));
+            return match rng.usize_in(0..5) {
+                0..=2 => format!("({a} and {b})"),
+                3 => format!("({a} or {b})"),
+                _ => format!("not {a}"),
+            };
+        }
+        let attr = pick(rng, &ATTRS);
+        match rng.usize_in(0..9) {
+            0..=2 => format!("{attr} = '{}'", pick(rng, &VALUES)),
+            3 => format!(
+                "{attr} in ('{}', '{}')",
+                pick(rng, &VALUES),
+                pick(rng, &VALUES)
+            ),
+            4 => format!("{attr} != '{}'", pick(rng, &VALUES)),
+            5 => format!("{attr} like '{}%'", &pick(rng, &VALUES)[..1]),
+            6 => format!("{attr} is {}null", ["", "not "][rng.usize_in(0..2)]),
+            7 => format!("itemName() = 'i{}'", rng.usize_in(0..ITEMS)),
+            _ => "itemName() like 'i1%'".to_string(),
+        }
+    }
+
+    fn query(rng: &mut TestRng) -> String {
+        let mut q = format!(
+            "select {} from prov",
+            pick(rng, &["*", "itemName()", "count(*)"])
+        );
+        if rng.usize_in(0..6) > 0 {
+            q += &format!(" where {}", expr(rng, 3));
+        }
+        if rng.usize_in(0..4) == 0 {
+            q += &format!(" limit {}", rng.usize_in(1..5));
+        }
+        q
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Narrowed SELECTs and the full walk, over the same randomly
+        /// written, deleted and aged domain, return the same pages at
+        /// every horizon a read may be served; and every retained
+        /// version stays posted.
+        #[test]
+        fn narrowed_select_matches_the_full_walk(
+            ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..40),
+        ) {
+            let (sim, db) = db(eventual(4));
+            for (kind, seed) in ops {
+                let mut rng = TestRng::new(seed);
+                match kind {
+                    0..=3 => {
+                        let items = (0..rng.usize_in(1..4))
+                            .map(|_| PutItem {
+                                name: format!("i{}", rng.usize_in(0..ITEMS)),
+                                attrs: (0..rng.usize_in(1..4))
+                                    .map(|_| (pick(&mut rng, &ATTRS).into(), pick(&mut rng, &VALUES).into()))
+                                    .collect(),
+                                replace: rng.usize_in(0..2) == 0,
+                            })
+                            .collect();
+                        db.batch_put_attributes("prov", items).unwrap();
+                    }
+                    4 => db.delete_item("prov", &format!("i{}", rng.usize_in(0..ITEMS))).unwrap(),
+                    _ => sim.sleep(std::time::Duration::from_millis(rng.usize_in(0..3000) as u64)),
+                }
+                for _ in 0..2 {
+                    let q = query(&mut rng);
+                    let start = rng.usize_in(0..4);
+                    let horizon = ago(&sim, rng.usize_in(0..6) as u64);
+                    let (narrowed, walked) = both_ways(&db, &q, start, horizon);
+                    prop_assert_eq!(narrowed, walked, "{} from {}", q, start);
+                }
+                prop_assert_eq!(unposted(&db), Vec::<(String, String, String)>::new());
+            }
+        }
     }
 }

@@ -128,6 +128,30 @@ impl Expr {
             }
         }
     }
+
+    /// The conjuncts a posting list can answer: every `attr = 'v'` and
+    /// `attr IN (…)` reachable through `AND`s alone, as `(attr, values)`.
+    /// An item matches only if it carries `attr` with one of `values`.
+    pub(crate) fn narrowing_terms(&self) -> Vec<(&str, &[String])> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            match e {
+                Expr::And(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
+                Expr::Cmp {
+                    operand: Operand::Attr(attr),
+                    op: CmpOp::Eq,
+                    value,
+                } => out.push((attr.as_str(), std::slice::from_ref(value))),
+                Expr::In {
+                    operand: Operand::Attr(attr),
+                    values,
+                } => out.push((attr.as_str(), values.as_slice())),
+                _ => {}
+            }
+        }
+        out
+    }
 }
 
 /// Whether any value of `operand` on this item satisfies `holds`.
@@ -663,6 +687,37 @@ mod tests {
         assert!(parse("select * from d where a = ").is_err());
         assert!(parse("select * from d where a = 'x' garbage").is_err());
         assert!(parse("select * from d where a = 'unterminated").is_err());
+    }
+
+    #[test]
+    fn only_equalities_reached_through_and_narrow() {
+        let terms = |where_: &str| {
+            let q = parse(&format!("select * from d where {where_}")).unwrap();
+            let p = q.predicate.unwrap();
+            p.narrowing_terms()
+                .into_iter()
+                .map(|(a, v)| format!("{a}:{}", v.join("|")))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(terms("a = '1'"), ["a:1"]);
+        assert_eq!(terms("a in ('1', '2')"), ["a:1|2"]);
+        assert_eq!(
+            terms("a = '1' and (b in ('2') and c != '3') and (d = '4' or e = '5')"),
+            ["a:1", "b:2"]
+        );
+        for walks in [
+            "a = '1' or b = '2'",
+            "not a = '1'",
+            "a != '1'",
+            "a < '1'",
+            "a like '1%'",
+            "a is null",
+            "a is not null",
+            "itemName() = 'i'",
+            "itemName() in ('i', 'j')",
+        ] {
+            assert!(terms(walks).is_empty(), "{walks}");
+        }
     }
 
     #[test]

@@ -499,8 +499,9 @@ impl QueryEngine {
             // this requires a scan of all provenance objects").
             Plan::S3Scan => {
                 let records = self.scan_source().all_records(mode)?;
-                let procs = local::processes_named(&records, program);
-                let (nodes, records) = local::direct_outputs(&records, &procs);
+                let kinds = local::kinds(&records);
+                let procs = local::processes_named_in(&records, program, &kinds);
+                let (nodes, records) = local::direct_outputs_in(&records, &procs, &kinds);
                 Ok(crate::source::OutputSet { nodes, records })
             }
             Plan::SdbSelect | Plan::Index => {

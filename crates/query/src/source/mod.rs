@@ -211,7 +211,8 @@ pub fn resolve_spill(env: &CloudEnv, pointer: &str) -> Result<Vec<u8>> {
 /// logic every scan-style plan (and the S3 source's selective answers)
 /// shares.
 pub mod local {
-    use cloudprov_pass::{Attr, NodeKind, PNodeId, ProvenanceRecord};
+    use cloudprov_pass::{Attr, AttrValue, NodeKind, PNodeId, ProvenanceRecord};
+    use std::borrow::Cow;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Distinct subjects of a record set, sorted.
@@ -220,12 +221,28 @@ pub mod local {
         set.into_iter().collect()
     }
 
+    /// A value's stored text, borrowed; only an xref is formatted.
+    fn text(value: &AttrValue) -> Cow<'_, str> {
+        match value {
+            AttrValue::Text(s) => Cow::Borrowed(s),
+            AttrValue::Xref(id) => Cow::Owned(id.to_string()),
+        }
+    }
+
     /// Process nodes named `program`.
     pub fn processes_named(records: &[ProvenanceRecord], program: &str) -> Vec<PNodeId> {
+        processes_named_in(records, program, &kinds(records))
+    }
+
+    /// [`processes_named`] with the record set's [`kinds`] already built.
+    pub(crate) fn processes_named_in(
+        records: &[ProvenanceRecord],
+        program: &str,
+        kinds: &BTreeMap<PNodeId, NodeKind>,
+    ) -> Vec<PNodeId> {
         let mut named: BTreeSet<PNodeId> = BTreeSet::new();
-        let kinds = kinds(records);
         for r in records {
-            if r.attr == Attr::Name && r.value.to_text() == program {
+            if r.attr == Attr::Name && text(&r.value) == program {
                 named.insert(r.subject);
             }
         }
@@ -238,7 +255,7 @@ pub mod local {
         let mut out = BTreeMap::new();
         for r in records {
             if r.attr == Attr::Type {
-                let k = match r.value.to_text().as_str() {
+                let k = match &*text(&r.value) {
                     "process" => NodeKind::Process,
                     "pipe" => NodeKind::Pipe,
                     _ => NodeKind::File,
@@ -255,8 +272,16 @@ pub mod local {
         records: &[ProvenanceRecord],
         procs: &[PNodeId],
     ) -> (Vec<PNodeId>, Vec<ProvenanceRecord>) {
+        direct_outputs_in(records, procs, &kinds(records))
+    }
+
+    /// [`direct_outputs`] with the record set's [`kinds`] already built.
+    pub(crate) fn direct_outputs_in(
+        records: &[ProvenanceRecord],
+        procs: &[PNodeId],
+        kinds: &BTreeMap<PNodeId, NodeKind>,
+    ) -> (Vec<PNodeId>, Vec<ProvenanceRecord>) {
         let procs: BTreeSet<PNodeId> = procs.iter().copied().collect();
-        let kinds = kinds(records);
         let mut out_nodes = BTreeSet::new();
         for r in records {
             if let (Attr::Input, Some(to)) = (&r.attr, r.value.as_xref()) {
