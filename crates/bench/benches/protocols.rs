@@ -1,7 +1,10 @@
 //! Criterion bench for the read tier's cost *shape*: an install that
 //! forces an eviction and a fixed 64-node warm walk, each at 256 / 4096 /
-//! 65536 resident entries (`cache`), and a selective SimpleDB SELECT at
-//! 1 000 / 10 000 / 100 000 items (`sdb`). None may grow with size.
+//! 65536 resident entries (`cache`), and SimpleDB SELECTs at 1 000 /
+//! 10 000 / 100 000 items (`sdb`): two answered from posting lists, one
+//! from an item-name prefix range, and a full first page of `select *`
+//! that hands out stored versions without copying them. None may grow
+//! with size.
 //!
 //! The measured quantity is host wall time; the paper's experiments are
 //! timed (in virtual time) by the `repro` binary and, per layer, by the
@@ -139,12 +142,26 @@ fn bench_sdb(c: &mut Criterion) {
             "select itemName() from prov where input in ({})",
             ids.join(", ")
         );
-        for (id, query, matches) in [("select_eq", &eq, 1), ("select_in20", &in20, 40)] {
+        // The P3 index's `rev_%` shape: the 16 items sharing 31 hex digits.
+        let prefix16 = format!(
+            "select * from prov where itemName() like '{:031x}%'",
+            k / 16
+        );
+        let all = "select * from prov".to_string();
+        for (id, query, matches, more) in [
+            ("select_eq", &eq, 1, false),
+            ("select_in20", &in20, 40, false),
+            ("select_prefix16", &prefix16, 16, false),
+            ("select_page250", &all, 250, true),
+        ] {
             group.bench_function(format!("{id}/{items}"), |b| {
                 b.iter(|| {
                     for _ in 0..SELECT_BATCH {
                         let page = env.sdb().select(query, None).expect("select runs");
-                        assert_eq!((page.items.len(), page.next_token), (matches, None));
+                        assert_eq!(
+                            (page.items.len(), page.next_token.is_some()),
+                            (matches, more)
+                        );
                     }
                 })
             });

@@ -14,6 +14,7 @@
 pub mod select;
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -92,8 +93,11 @@ pub struct PutItem {
 pub struct SelectedItem {
     /// Item name.
     pub name: String,
-    /// Attributes (empty for `select itemName()`).
-    pub attrs: Attributes,
+    /// Attributes (empty for `select itemName()`). The `Arc` is the
+    /// stored version itself, shared rather than copied: a published
+    /// version never changes, so this is a snapshot of the item as the
+    /// read saw it, and a later put publishes a new version beside it.
+    pub attrs: Arc<Attributes>,
 }
 
 /// One page of SELECT results.
@@ -110,8 +114,9 @@ pub struct SelectPage {
 #[derive(Clone, Default)]
 struct ItemVersion {
     published: SimTime,
-    /// `None` is a deletion tombstone; `Some` is the full attribute state.
-    attrs: Option<Attributes>,
+    /// `None` is a deletion tombstone; `Some` is the full attribute state,
+    /// immutable once published and shared with every SELECT that sees it.
+    attrs: Option<Arc<Attributes>>,
 }
 
 #[derive(Default)]
@@ -120,7 +125,7 @@ struct ItemHistory {
 }
 
 impl ItemHistory {
-    fn visible_at(&self, horizon: SimTime) -> Option<&Attributes> {
+    fn visible_at(&self, horizon: SimTime) -> Option<&Arc<Attributes>> {
         self.versions
             .iter()
             .rev()
@@ -128,7 +133,7 @@ impl ItemHistory {
             .and_then(|v| v.attrs.as_ref())
     }
 
-    fn latest(&self) -> Option<&Attributes> {
+    fn latest(&self) -> Option<&Arc<Attributes>> {
         self.versions.last().and_then(|v| v.attrs.as_ref())
     }
 
@@ -230,11 +235,20 @@ impl Domain {
             .map(Expr::narrowing_terms)
             .unwrap_or_default();
         self.index(&terms);
-        match self.candidates(&terms) {
-            Some(names) => {
-                let items = names
-                    .into_iter()
-                    .filter_map(|n| self.items.get_key_value(n));
+        if let Some(names) = self.candidates(&terms) {
+            let items = names
+                .into_iter()
+                .filter_map(|n| self.items.get_key_value(n));
+            return page(query, start, horizon, items);
+        }
+        match query.predicate.as_ref().and_then(Expr::name_prefix) {
+            // The names an item-name prefix admits are one contiguous
+            // run of the name order.
+            Some(prefix) => {
+                let items = self
+                    .items
+                    .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                    .take_while(|(name, _)| name.starts_with(prefix));
                 page(query, start, horizon, items)
             }
             None => page(query, start, horizon, self.items.iter()),
@@ -251,6 +265,7 @@ fn page<'a>(
     items: impl Iterator<Item = (&'a String, &'a ItemHistory)>,
 ) -> (SelectPage, u64) {
     let mut selected = Vec::new();
+    let none = Arc::new(Attributes::new());
     let mut bytes: u64 = 0;
     let mut matched = 0usize;
     let mut next = None;
@@ -289,11 +304,11 @@ fn page<'a>(
         bytes += item_bytes;
         selected.push(SelectedItem {
             name: name.clone(),
-            attrs: if query.output == Output::All {
-                attrs.clone()
+            attrs: Arc::clone(if query.output == Output::All {
+                attrs
             } else {
-                Vec::new()
-            },
+                &none
+            }),
         });
     }
     let count = (query.output == Output::Count).then_some(matched);
@@ -457,10 +472,10 @@ impl Database {
                 for item in items {
                     dom.post_put(&item);
                     let hist = dom.items.entry(item.name.clone()).or_default();
-                    let merged = apply_put(hist.latest(), &item);
+                    let merged = apply_put(hist.latest().map(Arc::as_ref), &item);
                     hist.versions.push(ItemVersion {
                         published: now,
-                        attrs: Some(merged),
+                        attrs: Some(Arc::new(merged)),
                     });
                     let horizon = SimTime::from_micros(
                         now.as_micros()
@@ -498,7 +513,7 @@ impl Database {
                     .items
                     .get(&item_name)
                     .and_then(|h| h.visible_at(horizon))
-                    .cloned()
+                    .map(|a| Attributes::clone(a))
                     .unwrap_or_default();
                 let bytes = attrs_size(&attrs);
                 Ok((attrs, bytes))
@@ -592,7 +607,7 @@ impl Database {
             .items
             .get(item_name)
             .and_then(|h| h.latest())
-            .cloned()
+            .map(|a| Attributes::clone(a))
     }
 
     /// Instrumentation: every committed item (name + latest attributes)
@@ -606,7 +621,9 @@ impl Database {
             .map(|d| {
                 d.items
                     .iter()
-                    .filter_map(|(name, h)| h.latest().map(|a| (name.clone(), a.clone())))
+                    .filter_map(|(name, h)| {
+                        h.latest().map(|a| (name.clone(), Attributes::clone(a)))
+                    })
                     .collect()
             })
             .unwrap_or_default()
@@ -1119,15 +1136,174 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_select_shares_the_stored_version_and_keeps_its_snapshot() {
+        let (sim, db) = db(eventual(10));
+        let old = item("i", &[("a", "1"), ("b", "x")]).attrs;
+        db.put_attributes("prov", item("i", &[("a", "1"), ("b", "x")]))
+            .unwrap();
+        sim.sleep(std::time::Duration::from_secs(11));
+        let q = "select * from prov where itemName() = 'i'";
+        let first = db.select_all(q).unwrap().remove(0);
+        let second = db.select_all(q).unwrap().remove(0);
+        assert!(
+            Arc::ptr_eq(&first.attrs, &second.attrs),
+            "shared, not copied"
+        );
+
+        let mut got = db.get_attributes("prov", "i").unwrap();
+        assert_eq!(got, old);
+        got.clear();
+        assert_eq!(*first.attrs, old, "get_attributes hands out its own copy");
+
+        let mut replace = item("i", &[("a", "2")]);
+        replace.replace = true;
+        db.put_attributes("prov", replace).unwrap();
+        let new = item("i", &[("b", "x"), ("a", "2")]).attrs;
+        assert_eq!(*first.attrs, old, "a held item is a snapshot");
+        let stale = (0..200)
+            .map(|_| db.select_all(q).unwrap().remove(0))
+            .find(|i| *i.attrs == old)
+            .expect("a stale read within 200 tries");
+        assert!(Arc::ptr_eq(&stale.attrs, &first.attrs));
+        sim.sleep(std::time::Duration::from_secs(11));
+        let fresh = db.select_all(q).unwrap().remove(0);
+        assert_eq!(*fresh.attrs, new);
+        assert_eq!(*first.attrs, old);
+    }
+
+    /// `count` items named `{prefix}{n:04}`, every other one ~12 KB:
+    /// a `select *` page of them is cut by bytes, not by count.
+    fn load(db: &Database, prefix: &str, count: usize) {
+        let chunk = "v".repeat(1000);
+        for batch in (0..count).collect::<Vec<_>>().chunks(BATCH_LIMIT) {
+            let items = batch
+                .iter()
+                .map(|&n| {
+                    let mut attrs =
+                        vec![("type".to_string(), ["file", "process"][n % 2].to_string())];
+                    if n % 2 == 0 {
+                        attrs.extend((0..12).map(|j| (format!("data{j}"), chunk.clone())));
+                    }
+                    PutItem {
+                        name: format!("{prefix}{n:04}"),
+                        attrs,
+                        replace: false,
+                    }
+                })
+                .collect();
+            db.batch_put_attributes("prov", items).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_like_prefix_keeps_rev_1_apart_from_its_neighbours() {
+        let (sim, db) = db(AwsProfile::instant());
+        for name in [
+            "rev_", "rev_1", "rev_10", "rev_100", "rev_1a", "rev_2", "name_x~0",
+        ] {
+            db.put_attributes("prov", item(name, &[("type", "file")]))
+                .unwrap();
+        }
+        for (like, want) in [
+            ("rev_1%", &["rev_1", "rev_10", "rev_100", "rev_1a"][..]),
+            ("rev_1", &["rev_1"]),
+            ("rev_10%", &["rev_10", "rev_100"]),
+            ("rev_1%0", &["rev_10", "rev_100"]),
+            ("rev_1%a", &["rev_1a"]),
+            (
+                "rev_%",
+                &["rev_", "rev_1", "rev_10", "rev_100", "rev_1a", "rev_2"],
+            ),
+            ("rev_3%", &[]),
+            ("s%", &[]),
+        ] {
+            let q = format!("select itemName() from prov where itemName() like '{like}'");
+            let (narrowed, walked) = both_ways(&db, &q, 0, sim.now());
+            assert_eq!(narrowed, walked, "{like}");
+            assert_eq!(names(&narrowed), want, "{like}");
+        }
+    }
+
+    #[test]
+    fn a_name_range_cuts_pages_where_the_walk_does() {
+        let (sim, db) = db(AwsProfile::instant());
+        load(&db, "a", 100);
+        load(&db, "r", 1000);
+        load(&db, "s", 100);
+        for (q, pages) in [
+            ("select * from prov where itemName() like 'r%'", 6),
+            ("select itemName() from prov where itemName() like 'r%'", 4),
+            ("select itemName() from prov where itemName() like 'r0%'", 4),
+            ("select count(*) from prov where itemName() like 'r%'", 1),
+            ("select * from prov where itemName() like 'r%' limit 100", 1),
+            (
+                "select * from prov where itemName() like 'r%' and type = 'file'",
+                6,
+            ),
+        ] {
+            for start in [0, 3] {
+                let (narrowed, walked) = both_ways(&db, q, start, sim.now());
+                assert_eq!(narrowed, walked, "{q} from {start}");
+                assert_eq!(narrowed.len(), pages, "{q} from {start}");
+            }
+        }
+        let first = |q: &str| both_ways(&db, q, 0, sim.now()).0.remove(0).0;
+        let page = first("select * from prov where itemName() like 'r%'");
+        assert!(page.items.len() < SELECT_PAGE_ITEMS, "cut by bytes");
+        let page = first("select itemName() from prov where itemName() like 'r%'");
+        assert_eq!(page.items.len(), SELECT_PAGE_ITEMS, "cut by count");
+        let page = first("select count(*) from prov where itemName() like 'r%'");
+        assert_eq!(page.count, Some(1000));
+        let page = first("select itemName() from prov where itemName() like 'r%' limit 7");
+        let names: Vec<_> = page.items.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["r0000", "r0001", "r0002", "r0003", "r0004", "r0005", "r0006"]
+        );
+    }
+
     use proptest::prelude::*;
     use proptest::strategy::TestRng;
 
     const ITEMS: usize = 12;
     const ATTRS: [&str; 4] = ["type", "name", "input", "a"];
     const VALUES: [&str; 5] = ["file", "process", "0", "1", "2"];
+    /// Names beyond `i0`..`i11`: quotes, and the index's own neighbours.
+    const ODD_NAMES: [&str; 4] = ["o'b", "o'b1", "rev_1", "rev_10"];
 
     fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
         from[rng.usize_in(0..from.len())]
+    }
+
+    fn item_name(rng: &mut TestRng) -> String {
+        if rng.usize_in(0..4) == 0 {
+            pick(rng, &ODD_NAMES).to_string()
+        } else {
+            format!("i{}", rng.usize_in(0..ITEMS))
+        }
+    }
+
+    /// An `itemName() like` predicate drawn from a stored name: the whole
+    /// name, a strict prefix, one character past it, past every name, a
+    /// bare `%`, no `%` at all, or a `%` in the middle.
+    fn name_like(rng: &mut TestRng) -> String {
+        let name = item_name(rng);
+        let (head, tail) = name.split_at(rng.usize_in(0..name.len()));
+        let mut bumped = name.clone().into_bytes();
+        *bumped.last_mut().unwrap() += 1;
+        let bumped = String::from_utf8(bumped).unwrap();
+        let pattern = match rng.usize_in(0..8) {
+            0 => quote_like_prefix(&name, "%"),
+            1 => quote_like_prefix(head, "%"),
+            2 => quote_like_prefix(&format!("{name}0"), "%"),
+            3 => quote_like_prefix(&bumped, "%"),
+            4 => quote_like_prefix("z", "%"),
+            5 => quote_like_prefix("", "%"),
+            6 => quote_like_prefix(&name, ""),
+            _ => quote_like_prefix(&format!("{head}%{tail}"), ""),
+        };
+        format!("itemName() like {pattern}")
     }
 
     /// A random WHERE expression, AND-heavy so that narrowing terms sit
@@ -1142,7 +1318,7 @@ mod tests {
             };
         }
         let attr = pick(rng, &ATTRS);
-        match rng.usize_in(0..9) {
+        match rng.usize_in(0..10) {
             0..=2 => format!("{attr} = '{}'", pick(rng, &VALUES)),
             3 => format!(
                 "{attr} in ('{}', '{}')",
@@ -1152,8 +1328,8 @@ mod tests {
             4 => format!("{attr} != '{}'", pick(rng, &VALUES)),
             5 => format!("{attr} like '{}%'", &pick(rng, &VALUES)[..1]),
             6 => format!("{attr} is {}null", ["", "not "][rng.usize_in(0..2)]),
-            7 => format!("itemName() = 'i{}'", rng.usize_in(0..ITEMS)),
-            _ => "itemName() like 'i1%'".to_string(),
+            7 => format!("itemName() = {}", quote_literal(&item_name(rng))),
+            _ => name_like(rng),
         }
     }
 
@@ -1163,7 +1339,13 @@ mod tests {
             pick(rng, &["*", "itemName()", "count(*)"])
         );
         if rng.usize_in(0..6) > 0 {
-            q += &format!(" where {}", expr(rng, 3));
+            let e = expr(rng, 3);
+            q += &match rng.usize_in(0..5) {
+                0 => format!(" where {} and {e}", name_like(rng)),
+                1 => format!(" where {} and {}", name_like(rng), expr(rng, 0)),
+                2 => format!(" where {} or {e}", name_like(rng)),
+                _ => format!(" where {e}"),
+            };
         }
         if rng.usize_in(0..4) == 0 {
             q += &format!(" limit {}", rng.usize_in(1..5));
@@ -1174,10 +1356,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Narrowed SELECTs and the full walk, over the same randomly
-        /// written, deleted and aged domain, return the same pages at
-        /// every horizon a read may be served; and every retained
-        /// version stays posted.
+        /// SELECTs narrowed by posting list or by item-name range and the
+        /// full walk, over the same randomly written, deleted and aged
+        /// domain, return the same pages at every horizon a read may be
+        /// served; and every retained version stays posted.
         #[test]
         fn narrowed_select_matches_the_full_walk(
             ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..40),
@@ -1189,7 +1371,7 @@ mod tests {
                     0..=3 => {
                         let items = (0..rng.usize_in(1..4))
                             .map(|_| PutItem {
-                                name: format!("i{}", rng.usize_in(0..ITEMS)),
+                                name: item_name(&mut rng),
                                 attrs: (0..rng.usize_in(1..4))
                                     .map(|_| (pick(&mut rng, &ATTRS).into(), pick(&mut rng, &VALUES).into()))
                                     .collect(),
@@ -1198,7 +1380,7 @@ mod tests {
                             .collect();
                         db.batch_put_attributes("prov", items).unwrap();
                     }
-                    4 => db.delete_item("prov", &format!("i{}", rng.usize_in(0..ITEMS))).unwrap(),
+                    4 => db.delete_item("prov", &item_name(&mut rng)).unwrap(),
                     _ => sim.sleep(std::time::Duration::from_millis(rng.usize_in(0..3000) as u64)),
                 }
                 for _ in 0..2 {

@@ -152,6 +152,32 @@ impl Expr {
         }
         out
     }
+
+    /// The longest literal text before the first `%` of any
+    /// `itemName() like '…'` conjunct reachable through `AND`s alone.
+    /// `LIKE` has no other wildcard and no escape, so every item the
+    /// expression matches has a name starting with it.
+    pub(crate) fn name_prefix(&self) -> Option<&str> {
+        let mut best: Option<&str> = None;
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            match e {
+                Expr::And(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
+                Expr::Cmp {
+                    operand: Operand::ItemName,
+                    op: CmpOp::Like,
+                    value,
+                } => {
+                    let prefix = value.split('%').next().unwrap_or_default();
+                    if best.is_none_or(|b| prefix.len() > b.len()) {
+                        best = Some(prefix);
+                    }
+                }
+                _ => {}
+            }
+        }
+        best
+    }
 }
 
 /// Whether any value of `operand` on this item satisfies `holds`.
@@ -717,6 +743,40 @@ mod tests {
             "itemName() in ('i', 'j')",
         ] {
             assert!(terms(walks).is_empty(), "{walks}");
+        }
+    }
+
+    #[test]
+    fn only_like_prefixes_through_and_narrow_by_name() {
+        let prefix = |where_: &str| {
+            let q = parse(&format!("select * from d where {where_}")).unwrap();
+            q.predicate.unwrap().name_prefix().map(str::to_string)
+        };
+        assert_eq!(prefix("itemName() like 'rev_%'").as_deref(), Some("rev_"));
+        assert_eq!(prefix("itemName() like 'rev_1'").as_deref(), Some("rev_1"));
+        assert_eq!(prefix("itemName() like 'a%b'").as_deref(), Some("a"));
+        assert_eq!(prefix("itemName() like 'it''s%'").as_deref(), Some("it's"));
+        assert_eq!(prefix("itemName() like '%'").as_deref(), Some(""));
+        assert_eq!(
+            prefix("a = '1' and itemName() like 'x%'").as_deref(),
+            Some("x")
+        );
+        assert_eq!(
+            prefix("itemName() like 'r%' and (b != '2' and itemName() like 'rev_1%')").as_deref(),
+            Some("rev_1"),
+            "the longest of several"
+        );
+        for walks in [
+            "itemName() like 'r%' or a = '1'",
+            "itemName() like 'r%' or itemName() like 's%'",
+            "not itemName() like 'r%'",
+            "a like 'r%'",
+            "a = '1'",
+            "itemName() = 'r'",
+            "itemName() >= 'r'",
+            "itemName() in ('r', 's')",
+        ] {
+            assert_eq!(prefix(walks), None, "{walks}");
         }
     }
 

@@ -249,7 +249,7 @@ impl FeedWriter {
                 uuids: Vec::new(),
                 programs: Vec::new(),
             };
-            for (k, v) in &item.attrs {
+            for (k, v) in item.attrs.iter() {
                 match k.as_str() {
                     "tenant" => ev.tenant = v.parse().ok().map(TenantId),
                     "uuid" => {

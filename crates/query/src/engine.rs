@@ -609,7 +609,7 @@ impl QueryEngine {
         let seeds = self.cached_seeds(cache, &idx, program, mode)?;
         let t0 = self.env.sim().now();
         let adj = idx.adjacency()?;
-        let nodes = local::walk(&seeds, |n| adj.out.get(&n).cloned().unwrap_or_default());
+        let nodes = local::walk(&seeds, |n| adj.out.get(&n).map_or(&[], Vec::as_slice));
         let mut touched = seeds.clone();
         touched.extend(nodes.iter().copied());
         cache.install_fetched(self.tenant, adj, &touched, t0);

@@ -82,7 +82,7 @@ impl IndexSource {
             let Some(ancestor) = schema::parse_rev_item(&item.name) else {
                 continue;
             };
-            for (attr, value) in &item.attrs {
+            for (attr, value) in item.attrs.iter() {
                 let Ok(dep) = value.parse::<PNodeId>() else {
                     continue;
                 };
@@ -130,7 +130,7 @@ impl GraphSource for IndexSource {
             if schema::parse_name_item(&item.name) != Some(program) {
                 continue;
             }
-            for (attr, value) in &item.attrs {
+            for (attr, value) in item.attrs.iter() {
                 if attr == schema::ATTR_PROC {
                     if let Ok(id) = value.parse() {
                         out.insert(id);
@@ -164,7 +164,7 @@ impl GraphSource for IndexSource {
         // materialized reverse edges.
         let adj = self.adjacency()?;
         Ok(local::walk(seeds, |n| {
-            adj.out.get(&n).cloned().unwrap_or_default()
+            adj.out.get(&n).map_or(&[], Vec::as_slice)
         }))
     }
 

@@ -309,16 +309,17 @@ pub mod local {
                 rdeps.entry(to).or_default().push(r.subject);
             }
         }
-        walk(seeds, |n| rdeps.get(&n).cloned().unwrap_or_default())
+        walk(seeds, |n| rdeps.get(&n).map_or(&[], Vec::as_slice))
     }
 
-    /// Generic reverse walk shared by every descendant evaluation.
-    pub fn walk(seeds: &[PNodeId], next: impl Fn(PNodeId) -> Vec<PNodeId>) -> Vec<PNodeId> {
+    /// Generic reverse walk shared by every descendant evaluation;
+    /// `next` lends each node's neighbours rather than copying them.
+    pub fn walk<'a>(seeds: &[PNodeId], next: impl Fn(PNodeId) -> &'a [PNodeId]) -> Vec<PNodeId> {
         let mut seen: BTreeSet<PNodeId> = seeds.iter().copied().collect();
         let mut queue: Vec<PNodeId> = seeds.to_vec();
         let mut out: BTreeSet<PNodeId> = BTreeSet::new();
         while let Some(n) = queue.pop() {
-            for m in next(n) {
+            for &m in next(n) {
                 if seen.insert(m) {
                     out.insert(m);
                     queue.push(m);
