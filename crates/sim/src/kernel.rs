@@ -3,8 +3,9 @@
 //!
 //! # Model
 //!
-//! Simulated activities run on real OS threads, but **at most one simulated
-//! thread executes at a time**. A thread runs until it blocks — on
+//! Simulated threads are stackful coroutines (`coro.rs`) on the OS
+//! thread that created the [`Sim`], so **exactly one simulated thread
+//! executes at a time**. A thread runs until it blocks — on
 //! [`Sim::sleep`], on a [`SimSemaphore`](crate::SimSemaphore) wait, or on a
 //! [`SimHandle::join`] — at which point the earliest pending event on the
 //! virtual clock fires and wakes its owner. Virtual time therefore advances
@@ -24,15 +25,17 @@
 //!   for before it dispatches) and fires the next event itself; if that
 //!   event is its own — a lone sleeper — it just carries on.
 //! * A wake is *decided* under the kernel lock and *delivered* after it is
-//!   released: `dispatch_one` picks the event and sets its waiter's `woken`
-//!   (Release); the caller drops the guard, then `unpark`s the owner, which
-//!   reads the flag without the lock (Acquire) — one futex wake and one
-//!   futex wait per hand-off, and nobody wakes into a held mutex. Every wait
-//!   loops on the flag, so a stray `unpark` token (std's mpsc parks too) is
-//!   harmless, and an event whose waiter is already woken is stale: skipped.
+//!   released: `dispatch_one` picks the event and sets its waiter's
+//!   `woken`; the caller drops the guard, then switches stacks to the
+//!   owner — a register swap, no system call, and nobody wakes into a held
+//!   mutex. A coroutine resumes only when switched to, so no wake is
+//!   spurious; an event whose waiter is already woken is stale: skipped.
+//! * A deadlock — a thread blocks or finishes and no event is left to fire
+//!   — switches to the root, which panics with "simulation deadlock". A
+//!   hang is therefore always a bug, never a stuck simulation.
 //! * [`Sim::run_parallel`]'s caller is the last worker of its own fan-out:
 //!   its `yield_now` takes the `(now, seq)` slot the last worker's start
-//!   event had (whichever worker starts *k*-th claims task *k*, so which OS
+//!   event had (whichever worker starts *k*-th claims task *k*, so which
 //!   thread that is does not matter). It is also still the fan-out's joiner.
 //!   The joiner waits on one worker at a time, in index order, the caller's
 //!   own share last; a worker that finishes while the joiner waits on it
@@ -41,24 +44,39 @@
 //!   task just then, so `dispatch_one` takes that step for it and keeps
 //!   going; only the wake that finds every worker finished resumes the
 //!   caller — in the slot a thread-per-worker fan-out resumes it in.
+//!
+//! # What running on one OS thread asks of the code it runs
+//!
+//! * A `Sim` is driven from the OS thread that created it; a wait on any
+//!   other panics before it touches the kernel state.
+//! * Unwinding never crosses a switch: each coroutine's entry has its own
+//!   `catch_unwind`, and a panic that escapes it aborts.
+//! * No `Drop` blocks in virtual time: std's panic count is per OS thread,
+//!   so a drop that switched while unwinding would make the next coroutine
+//!   look like it is panicking. None does today.
+//! * A stack overflow in a simulated thread is a plain SIGSEGV on its
+//!   guard page, not Rust's "has overflowed its stack" message, and a
+//!   backtrace from one ends at the coroutine's trampoline.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, Thread};
+use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::coro::{Context, Coroutines};
 use crate::time::SimTime;
 
-/// A waiting simulated thread: the OS thread to unpark and the flag that
-/// releases it. The flag is only written while holding the kernel lock.
+/// A waiting simulated thread: the coroutine to switch to and the flag
+/// that releases it. The flag is only written while holding the kernel
+/// lock.
 pub(crate) struct Waiter {
-    thread: Thread,
+    ctx: Context,
     woken: AtomicBool,
     /// For a fan-out's joiner, the join slots it waits on in order and how
     /// many it has moved past; empty for every other waiter.
@@ -68,13 +86,13 @@ pub(crate) struct Waiter {
 
 impl Waiter {
     /// A waiter for the calling thread.
-    pub(crate) fn new() -> Arc<Waiter> {
-        Waiter::of(thread::current(), Vec::new())
+    pub(crate) fn new(state: &SimState) -> Arc<Waiter> {
+        Waiter::of(state.coros.current(), Vec::new())
     }
 
-    fn of(thread: Thread, fan: Vec<usize>) -> Arc<Waiter> {
+    fn of(ctx: Context, fan: Vec<usize>) -> Arc<Waiter> {
         Arc::new(Waiter {
-            thread,
+            ctx,
             woken: AtomicBool::new(false),
             fan,
             passed: AtomicUsize::new(0),
@@ -119,23 +137,20 @@ pub(crate) struct SimState {
     pub(crate) sems: Vec<SemState>,
     /// Slots in `sems` whose semaphore was dropped, available for reuse.
     pub(crate) free_sems: Vec<usize>,
+    /// The running coroutine, the root's, and the pooled stacks.
+    coros: Coroutines,
 }
 
 impl SimState {
     /// Fires the earliest pending event, advancing the clock, and returns
-    /// the waiter it woke for the caller to `unpark` once it has released
-    /// the lock. Must only be called when no simulated thread is runnable.
-    fn dispatch_one(&mut self) -> Arc<Waiter> {
+    /// the waiter it woke for the caller to switch to once it has released
+    /// the lock — or `None` if nothing is left to fire: a deadlock, which
+    /// the root raises (see [`Sim::park`]). Must only be called when no
+    /// simulated thread is runnable.
+    fn dispatch_one(&mut self) -> Option<Arc<Waiter>> {
         debug_assert_eq!(self.runnable, 0, "dispatch while a thread is runnable");
         loop {
-            let ((at, _), waiter) = self.events.pop_first().unwrap_or_else(|| {
-                panic!(
-                    "simulation deadlock at t={}: no runnable threads and no pending \
-                     events ({} spawned threads still live; check for semaphore waits \
-                     that can never be released)",
-                    self.now, self.live
-                )
-            });
+            let ((at, _), waiter) = self.events.pop_first()?;
             // A waiter woken through another path (a timed semaphore wait
             // whose permit arrived before its deadline, or vice versa)
             // leaves its other event behind; discard such stale events
@@ -152,8 +167,26 @@ impl SimState {
             }
             waiter.woken.store(true, Ordering::Release);
             self.runnable += 1;
-            return waiter;
+            return Some(waiter);
         }
+    }
+
+    /// Fires the next event and names the coroutine to run: its waiter's,
+    /// or on a deadlock the root's.
+    fn next_context(&mut self) -> Context {
+        match self.dispatch_one() {
+            Some(waiter) => waiter.ctx,
+            None => self.coros.root(),
+        }
+    }
+
+    fn deadlock(&self) -> ! {
+        panic!(
+            "simulation deadlock at t={}: no runnable threads and no pending \
+             events ({} spawned threads still live; check for semaphore waits \
+             that can never be released)",
+            self.now, self.live
+        )
     }
 
     /// Registers fan-out joiner `w` on the next of its workers still
@@ -175,21 +208,6 @@ impl SimState {
     pub(crate) fn schedule(&mut self, at: SimTime, waiter: Arc<Waiter>) {
         self.seq += 1;
         self.events.insert((at, self.seq), waiter);
-    }
-
-    /// Parks the current thread until `waiter` is woken. The caller must
-    /// currently be runnable; on return the thread is runnable again.
-    pub(crate) fn park(mut guard: MutexGuard<'_, SimState>, waiter: &Arc<Waiter>) {
-        guard.runnable -= 1;
-        let next = guard.dispatch_one();
-        drop(guard);
-        if !Arc::ptr_eq(&next, waiter) {
-            next.thread.unpark();
-            // Whoever wakes us increments `runnable` on our behalf.
-            while !waiter.woken.load(Ordering::Acquire) {
-                thread::park();
-            }
-        }
     }
 
     /// Claims a join slot in the `Running` state.
@@ -289,6 +307,7 @@ impl Sim {
                     free_joins: Vec::new(),
                     sems: Vec::new(),
                     free_sems: Vec::new(),
+                    coros: Coroutines::new(),
                 }),
             }),
         }
@@ -296,6 +315,25 @@ impl Sim {
 
     pub(crate) fn lock(&self) -> MutexGuard<'_, SimState> {
         self.inner.state.lock()
+    }
+
+    /// Suspends the running thread, `guard` being this Sim's lock, until
+    /// `waiter` is woken. The caller must currently be runnable; on return
+    /// the thread is runnable again.
+    pub(crate) fn park(&self, mut guard: MutexGuard<'_, SimState>, waiter: &Waiter) {
+        guard.runnable -= 1;
+        let next = guard.next_context();
+        // Whoever wakes us increments `runnable` on our behalf.
+        let switch = guard.coros.hand_off(next);
+        drop(guard);
+        if let Some(switch) = switch {
+            switch.run();
+        }
+        // Nothing switches to a waiter it has not woken, except to the
+        // root on a deadlock.
+        if !waiter.woken.load(Ordering::Acquire) {
+            self.lock().deadlock();
+        }
     }
 
     /// The current virtual time.
@@ -308,11 +346,11 @@ impl Sim {
     /// Other simulated threads run while this one sleeps; if none are
     /// runnable the clock jumps forward.
     pub fn sleep(&self, d: Duration) {
-        let waiter = Waiter::new();
         let mut guard = self.lock();
+        let waiter = Waiter::new(&guard);
         let at = guard.now + d;
         guard.schedule(at, waiter.clone());
-        SimState::park(guard, &waiter);
+        self.park(guard, &waiter);
     }
 
     /// Yields to any other simulated thread scheduled at the current
@@ -331,42 +369,26 @@ impl Sim {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let slot = self.lock().alloc_join();
-        // The start waiter must name the new OS thread, so it can only be
-        // made — and scheduled — once that thread exists.
-        let start = Arc::new(OnceLock::<Arc<Waiter>>::new());
         let sim = self.clone();
-        let os_thread = thread::Builder::new()
-            .name(format!("sim-{slot}"))
-            .spawn({
-                let start = start.clone();
-                move || {
-                    // Wait to be scheduled: the start event makes us
-                    // runnable only when every other simulated thread has
-                    // blocked.
-                    while !start.get().is_some_and(|w| w.woken.load(Ordering::Acquire)) {
-                        thread::park();
-                    }
-                    let result = panic::catch_unwind(AssertUnwindSafe(f));
-                    let mut guard = sim.lock();
-                    guard.live -= 1;
-                    guard.runnable -= 1;
-                    let orphan = guard.finish(slot, result.map(|v| Box::new(v) as _));
-                    let next = (!guard.events.is_empty()).then(|| guard.dispatch_one());
-                    drop(guard);
-                    if let Some(next) = next {
-                        next.thread.unpark();
-                    }
-                    drop(orphan);
-                }
-            })
-            .expect("failed to spawn simulation thread");
-        let waiter = Waiter::of(os_thread.thread().clone(), Vec::new());
-        let _ = start.set(waiter.clone());
         let mut guard = self.lock();
+        let slot = guard.alloc_join();
+        // Runs once the start event makes it runnable, when every other
+        // simulated thread has blocked.
+        let ctx = guard.coros.spawn(Box::new(move || {
+            let result = panic::catch_unwind(AssertUnwindSafe(f));
+            let mut guard = sim.lock();
+            guard.live -= 1;
+            guard.runnable -= 1;
+            let orphan = guard.finish(slot, result.map(|v| Box::new(v) as _));
+            let next = guard.next_context();
+            let last = guard.coros.exit(next);
+            drop(guard);
+            drop(orphan);
+            last
+        }));
         guard.live += 1;
         let at = guard.now;
-        guard.schedule(at, waiter);
+        guard.schedule(at, Waiter::of(ctx, Vec::new()));
         drop(guard);
         SimHandle {
             sim: self.clone(),
@@ -399,14 +421,14 @@ impl Sim {
         let mut guard = self.lock();
         let own = guard.alloc_join();
         let slots = handles.iter().map(|h| h.slot).chain([own]).collect();
-        let joiner = Waiter::of(thread::current(), slots);
+        let joiner = Waiter::of(guard.coros.current(), slots);
         guard.join_next(&joiner);
         drop(guard);
         self.yield_now();
         let result = panic::catch_unwind(AssertUnwindSafe(|| fan.work()));
         let mut guard = self.lock();
         guard.finish(own, Ok(Box::new(())));
-        SimState::park(guard, &joiner);
+        self.park(guard, &joiner);
         // (A unit result: nothing whose drop needs the lock released.)
         self.lock().free_join(own);
         // Everyone has finished: these only collect, and re-raise a
@@ -482,10 +504,12 @@ impl<T: Send + 'static> SimHandle<T> {
     /// Re-raises any panic from the joined thread.
     pub fn join(mut self) -> T {
         let mut guard = self.sim.lock();
-        if let JoinState::Running { waiter } = &mut guard.joins[self.slot] {
-            let w = Waiter::new();
-            *waiter = Some(w.clone());
-            SimState::park(guard, &w);
+        if let JoinState::Running { .. } = guard.joins[self.slot] {
+            let w = Waiter::new(&guard);
+            guard.joins[self.slot] = JoinState::Running {
+                waiter: Some(w.clone()),
+            };
+            self.sim.park(guard, &w);
             guard = self.sim.lock();
         }
         let done = guard.free_join(std::mem::replace(&mut self.slot, usize::MAX));
@@ -665,20 +689,45 @@ mod tests {
     }
 
     #[test]
-    fn a_stray_unpark_token_does_not_end_a_wait_early() {
+    #[should_panic(expected = "simulation deadlock at t=0.000000s: no runnable threads")]
+    fn a_deadlock_found_by_a_finishing_thread_panics_on_the_root() {
         let sim = Sim::new();
-        let h = sim.spawn({
+        let never = SimSemaphore::new(&sim, 0);
+        std::mem::forget(never.clone());
+        let _finishes = sim.spawn(|| 1u8);
+        never.acquire().forget();
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation deadlock at t=1.000000s: no runnable threads")]
+    fn a_deadlock_found_by_a_waiting_thread_panics_on_the_root() {
+        let sim = Sim::new();
+        let never = SimSemaphore::new(&sim, 0);
+        std::mem::forget(never.clone());
+        let waits = sim.spawn({
             let sim = sim.clone();
             move || {
                 sim.sleep(Duration::from_secs(1));
-                sim.now().as_secs_f64()
+                never.acquire().forget();
             }
         });
-        // What std's mpsc (it parks too) can leave behind on this thread.
-        thread::current().unpark();
+        waits.join();
+    }
+
+    #[test]
+    fn a_sim_is_driven_only_from_the_os_thread_that_created_it() {
+        let sim = Sim::new();
+        let elsewhere = sim.clone();
+        let err = std::thread::spawn(move || elsewhere.sleep(Duration::from_secs(1)))
+            .join()
+            .expect_err("sleeping on another OS thread must panic");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"a Sim is driven from the OS thread that created it")
+        );
+        // It panicked before touching the clock or the event queue.
         sim.sleep(Duration::from_secs(2));
         assert_eq!(sim.now().as_secs_f64(), 2.0);
-        assert_eq!(h.join(), 1.0);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Three ideas:
 //!
-//! 1. **Simulated threads** ([`Sim::spawn`]) are real OS threads scheduled
-//!    cooperatively: exactly one runs at a time, and control transfers only
-//!    when the running thread blocks.
+//! 1. **Simulated threads** ([`Sim::spawn`]) are stackful coroutines on the
+//!    OS thread that created the [`Sim`], scheduled cooperatively: exactly
+//!    one runs at a time, and control transfers — by a stack switch, not a
+//!    system call — only when the running thread blocks. x86_64 Linux only.
 //! 2. **All blocking is virtual**: [`Sim::sleep`] schedules a wakeup on the
 //!    event queue; [`SimSemaphore`] queues behind a bounded resource;
 //!    [`SimHandle::join`] waits for a thread. When every thread is blocked,
@@ -48,6 +49,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod coro;
 mod kernel;
 mod sync;
 mod time;

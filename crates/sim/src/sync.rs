@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::kernel::{SemState, Sim, SimState, Waiter};
+use crate::kernel::{SemState, Sim, Waiter};
 
 /// A counting semaphore whose waits consume virtual time, not wall time.
 ///
@@ -111,9 +111,9 @@ impl SimSemaphore {
         if guard.sems[self.slot.idx].permits > 0 {
             guard.sems[self.slot.idx].permits -= 1;
         } else {
-            let w = Waiter::new();
+            let w = Waiter::new(&guard);
             guard.sems[self.slot.idx].queue.push_back(w.clone());
-            SimState::park(guard, &w);
+            self.slot.sim.park(guard, &w);
         }
         SemPermit { sem: self }
     }
@@ -142,11 +142,11 @@ impl SimSemaphore {
             guard.sems[self.slot.idx].permits -= 1;
             return Some(SemPermit { sem: self });
         }
-        let w = Waiter::new();
+        let w = Waiter::new(&guard);
         guard.sems[self.slot.idx].queue.push_back(w.clone());
         let at = guard.now + timeout;
         guard.schedule(at, w.clone());
-        SimState::park(guard, &w);
+        self.slot.sim.park(guard, &w);
         // Woken either by the deadline event or by a release() that popped
         // us off the queue and handed us a permit. Which one happened is
         // visible in the queue: still queued means the deadline fired.
