@@ -257,6 +257,34 @@ impl Meter {
         }
     }
 
+    /// `(ops, bytes in + out)` of `tenant`'s line when given — every
+    /// actor's calls labelled with it — else of `actor`'s calls. The
+    /// same sums as [`UsageReport::tenant_ops_total`] and
+    /// [`UsageReport::total_ops`], without copying the report.
+    pub fn totals(&self, actor: Actor, tenant: Option<TenantId>) -> (u64, u64) {
+        // The least (service, op) in derived order: both are their
+        // enum's first variant.
+        const FIRST: (Service, Op) = (Service::ObjectStore, Op::Put);
+        fn sum<'a>(rows: impl Iterator<Item = &'a OpStats>) -> (u64, u64) {
+            rows.fold((0, 0), |(ops, bytes), s| {
+                (ops + s.count, bytes + s.bytes_in + s.bytes_out)
+            })
+        }
+        let st = self.state.lock();
+        match tenant {
+            Some(t) => sum(st
+                .tenant_ops
+                .range((t, FIRST.0, FIRST.1)..)
+                .take_while(|((row, _, _), _)| *row == t)
+                .map(|(_, s)| s)),
+            None => sum(st
+                .ops
+                .range((actor, FIRST.0, FIRST.1)..)
+                .take_while(|((a, _, _), _)| *a == actor)
+                .map(|(_, s)| s)),
+        }
+    }
+
     /// Records a change in stored bytes (positive on PUT, negative on
     /// DELETE/overwrite), used for the storage-time cost integral.
     pub fn record_storage_delta(&self, service: Service, now: SimTime, delta: i64) {
@@ -467,6 +495,54 @@ mod tests {
         assert_eq!(view.total_ops(|_, _, _| true), 2);
         assert_eq!(view.tenants(), vec![a]);
         assert!(view.storage_gb_months.is_empty());
+    }
+
+    use proptest::prelude::*;
+    use proptest::strategy::TestRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `Meter::totals` sums what the report's filters sum, for every
+        /// actor, tenant line and untenanted aggregate.
+        #[test]
+        fn totals_match_the_report(seed in any::<u64>()) {
+            let services = [Service::ObjectStore, Service::Database, Service::Queue];
+            let actors = [
+                Actor::Client,
+                Actor::CommitDaemon,
+                Actor::CleanerDaemon,
+                Actor::Query,
+            ];
+            let m = Meter::new();
+            let mut rng = TestRng::new(seed);
+            for _ in 0..rng.usize_in(0..300) {
+                let tenant = match rng.usize_in(0..4) {
+                    0 => None,
+                    t => Some(TenantId(t as u32)),
+                };
+                m.record(
+                    actors[rng.usize_in(0..actors.len())],
+                    tenant,
+                    services[rng.usize_in(0..services.len())],
+                    Op::ALL[rng.usize_in(0..Op::ALL.len())],
+                    rng.usize_in(0..500) as u64,
+                    rng.usize_in(0..500) as u64,
+                );
+            }
+            let r = m.report(SimTime::ZERO);
+            for actor in actors {
+                let want = (
+                    r.total_ops(|a, _, _| a == actor),
+                    r.total_bytes(|a, _, _| a == actor),
+                );
+                prop_assert_eq!(m.totals(actor, None), want);
+                for t in (1..5).map(TenantId) {
+                    let want = (r.tenant_ops_total(t), r.tenant_bytes_total(t));
+                    prop_assert_eq!(m.totals(actor, Some(t)), want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,8 +55,15 @@
 //!   recency filings are left stale and repaired by the next eviction
 //!   that meets them, O(log n) apiece, at most one per touch;
 //! * install, evict — O(log n);
+//! * miss — one parse per set of stored index versions: a fetch handing
+//!   back the very versions the last decode saw reuses its pages, and
+//!   entries are installed by reference to them;
 //! * invalidate — O(pages of the uuid · log n);
 //! * flush — frees everything it drops, nothing more.
+//!
+//! `capacity_bytes` and the quotas count modelled bytes (`entry_bytes`
+//! per entry), not host memory: a page entry is charged in full though
+//! its page is shared with the decoded snapshot.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -64,7 +71,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::TenantId;
+use cloudprov_cloud::{Attributes, SelectedItem, TenantId};
 use cloudprov_core::feed::{CommitEvent, CommitEventSink};
 use cloudprov_pass::{PNodeId, Uuid};
 use cloudprov_sim::{Sim, SimTime};
@@ -111,6 +118,45 @@ pub struct RevPage {
     pub files: Vec<PNodeId>,
 }
 
+/// One decoded snapshot of the `rev_` index: a page per ancestor, its
+/// `files` already localized, shared by reference with every cache entry
+/// installed from it.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct IndexPages {
+    pub(crate) pages: BTreeMap<PNodeId, Arc<RevPage>>,
+}
+
+impl IndexPages {
+    /// Splits `adj` into pages: each ancestor's dependents, and those of
+    /// them that are files.
+    pub(crate) fn new(adj: RevAdjacency) -> IndexPages {
+        let RevAdjacency { out, files } = adj;
+        let pages = out
+            .into_iter()
+            .map(|(node, out)| {
+                let files = out.iter().copied().filter(|d| files.contains(d)).collect();
+                (node, Arc::new(RevPage { out, files }))
+            })
+            .collect();
+        IndexPages { pages }
+    }
+
+    /// `node`'s page, if the index stores one.
+    pub(crate) fn get(&self, node: &PNodeId) -> Option<&RevPage> {
+        self.pages.get(node).map(Arc::as_ref)
+    }
+}
+
+/// The last index snapshot [`AncestryCache::decode`] built, and the
+/// stored versions it was built from. Holding the versions keeps their
+/// addresses from being reused by newer ones.
+#[derive(Default)]
+struct Decoded {
+    versions: Vec<Arc<Attributes>>,
+    pages: Arc<IndexPages>,
+    decodes: u64,
+}
+
 /// Counters the cache exposes for reports (`query.cache.*`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -134,6 +180,9 @@ pub struct CacheStats {
     pub duplicate_events: u64,
     /// Sequence gaps observed — each one poisons the cache.
     pub gaps: u64,
+    /// Index fetches that had to be parsed: their stored versions were
+    /// not the ones the previous decode saw.
+    pub decodes: u64,
     /// Resident entries right now.
     pub entries: usize,
     /// Resident bytes right now.
@@ -192,7 +241,7 @@ struct Inner {
     /// duplicate/gap accounting.
     high: BTreeMap<String, u64>,
     seeds: BTreeMap<Arc<str>, Entry<Vec<PNodeId>>>,
-    pages: BTreeMap<PNodeId, Entry<RevPage>>,
+    pages: BTreeMap<PNodeId, Entry<Arc<RevPage>>>,
     quarantined_uuids: BTreeMap<Uuid, SimTime>,
     quarantined_programs: BTreeMap<String, SimTime>,
     owners: BTreeMap<Option<TenantId>, Tenant>,
@@ -210,6 +259,8 @@ pub struct AncestryCache {
     sim: Sim,
     cfg: CacheConfig,
     inner: Mutex<Inner>,
+    /// A pure memo of immutable inputs, so flushes leave it alone.
+    decoded: Mutex<Decoded>,
 }
 
 /// Rough resident cost of an entry holding `ids` node ids.
@@ -233,6 +284,7 @@ impl AncestryCache {
                 coherent: false,
                 ..Inner::default()
             }),
+            decoded: Mutex::default(),
         }
     }
 
@@ -274,10 +326,12 @@ impl AncestryCache {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
+        let decodes = self.decoded.lock().decodes;
         let g = self.inner.lock();
         let mut s = g.stats;
         s.entries = g.seeds.len() + g.pages.len();
         s.bytes = g.bytes;
+        s.decodes = decodes;
         s
     }
 
@@ -489,16 +543,36 @@ impl AncestryCache {
         touched: &[PNodeId],
         fetch_start: SimTime,
     ) {
-        self.install_fetched(owner, adj.clone(), touched, fetch_start);
+        let pages = IndexPages::new(adj.clone());
+        self.install_fetched(owner, &pages, touched, fetch_start);
     }
 
-    /// [`install_adjacency`](Self::install_adjacency) for a caller that
-    /// is done with the adjacency: every page takes its edge list
-    /// instead of copying it.
+    /// The decoded form of a `rev_` fetch. When `items` are, in order,
+    /// the very stored versions the last decode saw, that decode is
+    /// handed back: a published version never changes and belongs to one
+    /// item, so the parse would rebuild the same pages.
+    pub(crate) fn decode(&self, items: &[SelectedItem]) -> Arc<IndexPages> {
+        let mut memo = self.decoded.lock();
+        let unchanged = memo.versions.len() == items.len()
+            && memo
+                .versions
+                .iter()
+                .zip(items)
+                .all(|(v, item)| Arc::ptr_eq(v, &item.attrs));
+        if !unchanged {
+            memo.pages = Arc::new(IndexPages::new(RevAdjacency::decode(items)));
+            memo.versions = items.iter().map(|item| Arc::clone(&item.attrs)).collect();
+            memo.decodes += 1;
+        }
+        Arc::clone(&memo.pages)
+    }
+
+    /// [`install_adjacency`](Self::install_adjacency) from decoded
+    /// pages: every entry shares its page instead of copying it.
     pub(crate) fn install_fetched(
         &self,
         owner: Option<TenantId>,
-        mut adj: RevAdjacency,
+        pages: &IndexPages,
         touched: &[PNodeId],
         fetch_start: SimTime,
     ) {
@@ -506,18 +580,13 @@ impl AncestryCache {
         if !(g.attached && g.coherent) {
             return;
         }
-        for (node, out) in &mut adj.out {
-            let out = std::mem::take(out);
-            let files = out
-                .iter()
-                .copied()
-                .filter(|d| adj.files.contains(d))
-                .collect();
-            self.install_page(&mut g, owner, *node, RevPage { out, files }, fetch_start);
+        for (node, page) in &pages.pages {
+            self.install_page(&mut g, owner, *node, Arc::clone(page), fetch_start);
         }
+        let empty = Arc::new(RevPage::default());
         for node in touched {
-            if !adj.out.contains_key(node) {
-                self.install_page(&mut g, owner, *node, RevPage::default(), fetch_start);
+            if !pages.pages.contains_key(node) {
+                self.install_page(&mut g, owner, *node, Arc::clone(&empty), fetch_start);
             }
         }
     }
@@ -527,7 +596,7 @@ impl AncestryCache {
         g: &mut Inner,
         owner: Option<TenantId>,
         node: PNodeId,
-        page: RevPage,
+        page: Arc<RevPage>,
         fetch_start: SimTime,
     ) {
         let quarantined = g.quarantined_uuids.get(&node.uuid).copied();
@@ -1083,6 +1152,14 @@ mod tests {
                 g.pages.keys().copied().collect(),
             )
         }
+
+        fn resident_pages(&self) -> BTreeMap<PNodeId, Arc<RevPage>> {
+            let g = self.inner.lock();
+            g.pages
+                .iter()
+                .map(|(n, e)| (*n, Arc::clone(&e.value)))
+                .collect()
+        }
     }
 
     /// The rule this cache replaced, kept as the reference: the victim is
@@ -1296,6 +1373,8 @@ mod tests {
             CacheStats {
                 entries: self.seeds.len() + self.pages.len(),
                 bytes: self.bytes(),
+                // Only a store fetch decodes; the model installs adjacencies.
+                decodes: 0,
                 ..self.stats
             }
         }
@@ -1482,5 +1561,168 @@ mod tests {
         };
         assert_eq!(survivors(entry_bytes(1)), ["a-mid", "a-new", "b-cold"]);
         assert_eq!(survivors(entry_bytes(1) - 1), ["a-mid", "a-new", "a-old"]);
+    }
+
+    use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem};
+    use cloudprov_core::index as schema;
+    use cloudprov_core::ProvenanceStore;
+
+    use crate::source::IndexSource;
+    use crate::{CacheOutcome, Mode, Plan, QueryEngine};
+
+    const INDEX: &str = "prov_idx";
+
+    /// Writes `ancestor`'s edges to `deps`, each `(dependent, is_file)`.
+    fn put_edges(env: &CloudEnv, ancestor: PNodeId, deps: &[(PNodeId, bool)], replace: bool) {
+        let items = deps
+            .iter()
+            .map(|&(dep, file)| {
+                let mut attrs = vec![(schema::ATTR_OUT.to_string(), dep.to_string())];
+                if file {
+                    attrs.push((schema::ATTR_FILE.to_string(), dep.to_string()));
+                }
+                PutItem {
+                    name: schema::rev_item_name(ancestor, dep),
+                    attrs,
+                    replace,
+                }
+            })
+            .collect();
+        env.sdb().batch_put_attributes(INDEX, items).unwrap();
+    }
+
+    /// An engine over a hand-written index, behind an attached cache:
+    /// `etl` seeds process 1 and `load` process 2; 1 wrote file 3, which
+    /// process 4 read to write file 5.
+    fn indexed() -> (CloudEnv, QueryEngine, Arc<AncestryCache>) {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        env.sdb().create_domain("prov");
+        env.sdb().create_domain(INDEX);
+        for (program, proc) in [("etl", node(1)), ("load", node(2))] {
+            let item = PutItem {
+                name: schema::name_item_name(program, proc),
+                attrs: vec![(schema::ATTR_PROC.into(), proc.to_string())],
+                replace: false,
+            };
+            env.sdb().put_attributes(INDEX, item).unwrap();
+        }
+        put_edges(&env, node(1), &[(node(3), true)], false);
+        put_edges(&env, node(3), &[(node(4), false)], false);
+        put_edges(&env, node(4), &[(node(5), true)], false);
+        let store = ProvenanceStore::Database {
+            domain: "prov".into(),
+            spill_bucket: "spill".into(),
+            index_domain: Some(INDEX.into()),
+        };
+        let cache = Arc::new(AncestryCache::new(&sim, CacheConfig::default()));
+        cache.attach();
+        let engine = QueryEngine::new(&env, store, "data").with_cache(Arc::clone(&cache));
+        (env, engine, cache)
+    }
+
+    /// Asserts `program`'s Q.3 and Q.4 both miss the cache and equal the
+    /// uncached index plan's answers.
+    fn assert_misses_match_the_index(engine: &QueryEngine, cache: &AncestryCache, program: &str) {
+        let index = engine.with_plan_ref(Plan::Index);
+        cache.attach();
+        let q3 = engine.q3_outputs_of(program, Mode::Sequential).unwrap();
+        assert_eq!(q3.plan.cache, Some(CacheOutcome::Miss), "{program}");
+        let want = index.q3_outputs_of(program, Mode::Sequential).unwrap();
+        assert_eq!(q3.nodes, want.nodes, "{program} Q.3");
+        cache.attach();
+        let q4 = engine.q4_descendants_of(program, Mode::Sequential).unwrap();
+        assert_eq!(q4.plan.cache, Some(CacheOutcome::Miss), "{program}");
+        let want = index.q4_descendants_of(program, Mode::Sequential).unwrap();
+        assert_eq!(q4.nodes, want.nodes, "{program} Q.4");
+    }
+
+    #[test]
+    fn a_repeat_miss_reuses_the_decoded_index() {
+        let (_env, engine, cache) = indexed();
+        let first = engine.q4_descendants_of("etl", Mode::Sequential).unwrap();
+        assert_eq!(first.plan.cache, Some(CacheOutcome::Miss));
+        assert_eq!(first.nodes, vec![node(3), node(4), node(5)]);
+        let seated = cache.resident_pages();
+        // A flush drops the entries, not the decoded snapshot.
+        cache.attach();
+        let second = engine.q4_descendants_of("etl", Mode::Sequential).unwrap();
+        assert_eq!(second.plan.cache, Some(CacheOutcome::Miss));
+        assert_eq!(second.nodes, first.nodes);
+        assert_eq!(cache.stats().decodes, 1, "one decode for one index state");
+        let reseated = cache.resident_pages();
+        for n in [1, 3, 4].map(node) {
+            assert!(Arc::ptr_eq(&seated[&n], &reseated[&n]), "{n}: page shared");
+        }
+        // The leaf's empty page is the install's, not the index's.
+        assert_eq!(*reseated[&node(5)], RevPage::default());
+    }
+
+    #[test]
+    fn an_index_write_forces_a_fresh_decode() {
+        let (env, engine, cache) = indexed();
+        engine.q4_descendants_of("etl", Mode::Sequential).unwrap();
+        assert_eq!(cache.stats().decodes, 1);
+        // `load` now also writes file 3, which is file-marked under
+        // process 1's item only: Q.3's filter is index-wide.
+        put_edges(&env, node(2), &[(node(3), false)], false);
+        let q4 = engine.q4_descendants_of("load", Mode::Sequential).unwrap();
+        assert_eq!(q4.plan.cache, Some(CacheOutcome::Miss));
+        assert_eq!(cache.stats().decodes, 2, "a new version decodes afresh");
+        assert_eq!(q4.nodes, vec![node(3), node(4), node(5)]);
+        assert_misses_match_the_index(&engine, &cache, "load");
+        assert_misses_match_the_index(&engine, &cache, "etl");
+        let q3 = engine.q3_outputs_of("load", Mode::Sequential).unwrap();
+        assert_eq!(q3.nodes, vec![node(3)], "a file under two ancestors");
+        assert_eq!(cache.stats().decodes, 2, "and only once");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Under random puts, replaces and deletes of `rev_` items, read
+        /// back through eventually-consistent SELECTs, the memoized
+        /// decode equals a fresh one after every fetch, and it parses
+        /// exactly when the fetched versions are not the last decoded.
+        #[test]
+        fn the_decode_memo_matches_a_fresh_decode(
+            ops in proptest::collection::vec((0u8..8, any::<u16>()), 1..60),
+        ) {
+            let sim = Sim::new();
+            let mut profile = AwsProfile::instant();
+            profile.consistency =
+                cloudprov_cloud::ConsistencyParams::eventual(Duration::from_secs(4));
+            let env = CloudEnv::new(&sim, profile);
+            env.sdb().create_domain(INDEX);
+            let idx = IndexSource::new(&env, "prov", INDEX, 1, 20);
+            let cache = AncestryCache::new(&sim, CacheConfig::default());
+            let mut last: Vec<Arc<Attributes>> = Vec::new();
+            let mut decodes = 0;
+            for (kind, r) in ops {
+                let ancestor = node(1 + u128::from(r % 4));
+                let dep = node(5 + u128::from(r / 4 % 6));
+                match kind {
+                    0..=2 => put_edges(&env, ancestor, &[(dep, r & 0x100 != 0)], r & 0x200 != 0),
+                    3 => env
+                        .sdb()
+                        .delete_item(INDEX, &schema::rev_item_name(ancestor, dep))
+                        .unwrap(),
+                    4 => sim.sleep(Duration::from_millis(u64::from(r % 3000))),
+                    _ => {
+                        let items = idx.rev_items().unwrap();
+                        let memo = cache.decode(&items);
+                        let fresh = IndexPages::new(RevAdjacency::decode(&items));
+                        prop_assert_eq!(&*memo, &fresh);
+                        let same = last.len() == items.len()
+                            && last.iter().zip(&items).all(|(v, i)| Arc::ptr_eq(v, &i.attrs));
+                        if !same {
+                            decodes += 1;
+                            last = items.iter().map(|i| Arc::clone(&i.attrs)).collect();
+                        }
+                        prop_assert_eq!(cache.stats().decodes, decodes);
+                    }
+                }
+            }
+        }
     }
 }

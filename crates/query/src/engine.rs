@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{Actor, CloudEnv, TenantId, UsageReport};
+use cloudprov_cloud::{Actor, CloudEnv, TenantId};
 use cloudprov_core::{CommitEvent, CommitEventSink, ProtocolError, ProvenanceStore};
 use cloudprov_pass::{PNodeId, ProvenanceRecord, Uuid};
 
@@ -131,13 +131,6 @@ impl std::fmt::Debug for QueryEngine {
             .field("force", &self.force)
             .finish()
     }
-}
-
-fn usage_totals(u: &UsageReport) -> (u64, u64) {
-    (
-        u.total_ops(|a, _, _| a == Actor::Query),
-        u.total_bytes(|a, _, _| a == Actor::Query),
-    )
 }
 
 impl QueryEngine {
@@ -399,11 +392,7 @@ impl QueryEngine {
     /// — immune to concurrent engines on other sim threads — else the
     /// global query-actor totals.
     fn metered_totals(&self) -> (u64, u64) {
-        let u = self.env.usage();
-        match self.tenant {
-            Some(t) => (u.tenant_ops_total(t), u.tenant_bytes_total(t)),
-            None => usage_totals(&u),
-        }
+        self.env.meter().totals(Actor::Query, self.tenant)
     }
 
     fn measure<R>(&self, f: impl FnOnce() -> Result<R>) -> Result<(R, QueryMetrics)> {
@@ -577,16 +566,14 @@ impl QueryEngine {
         let idx = self.index_source();
         let seeds = self.cached_seeds(cache, &idx, program, mode)?;
         let t0 = self.env.sim().now();
-        let adj = idx.adjacency()?;
+        let pages = cache.decode(&idx.rev_items()?);
         let mut nodes: BTreeSet<PNodeId> = BTreeSet::new();
         for p in &seeds {
-            for dep in adj.out.get(p).map(Vec::as_slice).unwrap_or(&[]) {
-                if adj.files.contains(dep) {
-                    nodes.insert(*dep);
-                }
+            if let Some(page) = pages.get(p) {
+                nodes.extend(page.files.iter().copied());
             }
         }
-        cache.install_fetched(self.tenant, adj, &seeds, t0);
+        cache.install_fetched(self.tenant, &pages, &seeds, t0);
         Ok((
             OutputSet {
                 nodes: nodes.into_iter().collect(),
@@ -608,11 +595,11 @@ impl QueryEngine {
         let idx = self.index_source();
         let seeds = self.cached_seeds(cache, &idx, program, mode)?;
         let t0 = self.env.sim().now();
-        let adj = idx.adjacency()?;
-        let nodes = local::walk(&seeds, |n| adj.out.get(&n).map_or(&[], Vec::as_slice));
+        let pages = cache.decode(&idx.rev_items()?);
+        let nodes = local::walk(&seeds, |n| pages.get(&n).map_or(&[], |p| p.out.as_slice()));
         let mut touched = seeds.clone();
         touched.extend(nodes.iter().copied());
-        cache.install_fetched(self.tenant, adj, &touched, t0);
+        cache.install_fetched(self.tenant, &pages, &touched, t0);
         Ok((nodes, CacheOutcome::Miss))
     }
 

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cloudprov_cloud::{quote_like_prefix, Actor, CloudEnv};
+use cloudprov_cloud::{quote_like_prefix, Actor, CloudEnv, SelectedItem};
 use cloudprov_core::index as schema;
 use cloudprov_pass::{PNodeId, ProvenanceRecord};
 
@@ -68,7 +68,19 @@ impl IndexSource {
     ///
     /// Propagates cloud errors.
     pub fn adjacency(&self) -> Result<RevAdjacency> {
-        let items = self
+        Ok(RevAdjacency::decode(&self.rev_items()?))
+    }
+
+    /// The stored `rev_%` item versions [`adjacency`](Self::adjacency)
+    /// decodes. The SELECT is `select *`, so each item's `attrs` is its
+    /// stored version's own `Arc`, which the read tier's decode memo
+    /// compares by identity.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cloud errors.
+    pub fn rev_items(&self) -> Result<Vec<SelectedItem>> {
+        Ok(self
             .env
             .sdb()
             .with_actor(Actor::Query)
@@ -76,7 +88,13 @@ impl IndexSource {
                 "select * from {} where itemName() like '{}%'",
                 self.index_domain,
                 schema::REV_PREFIX
-            ))?;
+            ))?)
+    }
+}
+
+impl RevAdjacency {
+    /// Parses fetched `rev_` items into the adjacency they store.
+    pub fn decode(items: &[SelectedItem]) -> RevAdjacency {
         let mut adj = RevAdjacency::default();
         for item in items {
             let Some(ancestor) = schema::parse_rev_item(&item.name) else {
@@ -95,7 +113,7 @@ impl IndexSource {
                 }
             }
         }
-        Ok(adj)
+        adj
     }
 }
 
