@@ -4,19 +4,21 @@
 //! 10 000 / 100 000 items (`sdb`): two answered from posting lists, one
 //! from an item-name prefix range, and a full first page of `select *`
 //! that hands out stored versions without copying them. None may grow
-//! with size.
+//! with size. `wire` times the P1 scan's per-object cost: `decode` and
+//! `visit` over one Blast-shaped process object.
 //!
 //! The measured quantity is host wall time; the paper's experiments are
 //! timed (in virtual time) by the `repro` binary and, per layer, by the
 //! repo benchmark under `benchmark/`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem, BATCH_LIMIT};
-use cloudprov_pass::{PNodeId, Uuid};
+use cloudprov_pass::{wire, Attr, PNodeId, ProvenanceRecord, Uuid};
 use cloudprov_query::source::RevAdjacency;
 use cloudprov_query::{AncestryCache, CacheConfig};
 use cloudprov_sim::Sim;
+use cloudprov_workloads::synthetic_env;
 
 /// Operations per timed sample: one is too short for the clock.
 const CACHE_BATCH: usize = 256;
@@ -170,5 +172,62 @@ fn bench_sdb(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache, bench_sdb);
+/// Objects decoded per timed sample.
+const WIRE_BATCH: usize = 256;
+
+/// A Blast-shaped P1 process object, as the observer records an exec:
+/// `type`, `name`, `pid`, `argv`, about 4 KB of `env` (one escaped
+/// newline every 55 bytes or so), `exectime`, and eight `input` edges.
+fn blast_process_object() -> Vec<u8> {
+    let id = node(7);
+    let env: Vec<String> = synthetic_env(4096, 7)
+        .into_iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    let mut records = vec![
+        ProvenanceRecord::new(id, Attr::Type, "process"),
+        ProvenanceRecord::new(id, Attr::Name, "blastall"),
+        ProvenanceRecord::new(id, Attr::Pid, "4242"),
+        ProvenanceRecord::new(
+            id,
+            Attr::Argv,
+            "blastall -p blastp -d /blast/db/nr -i /blast/q17.fa",
+        ),
+        ProvenanceRecord::new(id, Attr::Env, env.join("\n")),
+        ProvenanceRecord::new(id, Attr::ExecTime, "1700000000"),
+    ];
+    records.extend((0..8).map(|i| ProvenanceRecord::new(id, Attr::Input, node(100 + i))));
+    wire::encode(&records).to_vec()
+}
+
+fn bench_wire(c: &mut Criterion) {
+    const RECORDS: usize = 14;
+    let mut group = c.benchmark_group("wire");
+    group.sample_size(10);
+    let object = blast_process_object();
+    group.bench_function("decode/blast_process", |b| {
+        b.iter(|| {
+            for _ in 0..WIRE_BATCH {
+                let records = wire::decode(black_box(&object)).expect("fixture decodes");
+                assert_eq!(records.len(), RECORDS);
+            }
+        })
+    });
+    group.bench_function("visit/blast_process", |b| {
+        b.iter(|| {
+            for _ in 0..WIRE_BATCH {
+                let mut records = 0;
+                wire::visit(black_box(&object), |r| {
+                    black_box(r);
+                    records += 1;
+                })
+                .expect("fixture decodes");
+                assert_eq!(records, RECORDS);
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_sdb, bench_wire);
 criterion_main!(benches);

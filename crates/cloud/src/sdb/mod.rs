@@ -160,6 +160,10 @@ struct Domain {
     /// version — a stale read may be served any of them — and never
     /// shrinks, so it over-approximates what `visible_at` can return.
     postings: BTreeMap<String, Postings>,
+    /// Items whose latest version is not a tombstone (the planner's item
+    /// count). `prune` never drops the latest version, so only a pushed
+    /// version can change it.
+    live: usize,
 }
 
 fn post(list: &mut Postings, value: &str, item: &str) {
@@ -472,6 +476,9 @@ impl Database {
                 for item in items {
                     dom.post_put(&item);
                     let hist = dom.items.entry(item.name.clone()).or_default();
+                    if hist.latest().is_none() {
+                        dom.live += 1;
+                    }
                     let merged = apply_put(hist.latest().map(Arc::as_ref), &item);
                     hist.versions.push(ItemVersion {
                         published: now,
@@ -534,6 +541,9 @@ impl Database {
                     .get_mut(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
                 if let Some(hist) = dom.items.get_mut(&item_name) {
+                    if hist.latest().is_some() {
+                        dom.live -= 1;
+                    }
                     hist.versions.push(ItemVersion {
                         published: now,
                         attrs: None,
@@ -632,10 +642,7 @@ impl Database {
     /// Instrumentation: number of committed items in a domain.
     pub fn peek_item_count(&self, domain: &str) -> usize {
         let st = self.state.lock();
-        st.domains
-            .get(domain)
-            .map(|d| d.items.values().filter(|h| h.latest().is_some()).count())
-            .unwrap_or(0)
+        st.domains.get(domain).map_or(0, |d| d.live)
     }
 }
 
@@ -1391,6 +1398,35 @@ mod tests {
                     prop_assert_eq!(narrowed, walked, "{} from {}", q, start);
                 }
                 prop_assert_eq!(unposted(&db), Vec::<(String, String, String)>::new());
+            }
+        }
+
+        /// The live-item counter the planner reads equals a walk over
+        /// every item's latest version after every put, delete and
+        /// clock advance.
+        #[test]
+        fn the_live_count_matches_the_walk(
+            ops in proptest::collection::vec((0u8..6, any::<u64>()), 1..60),
+        ) {
+            let (sim, db) = db(eventual(4));
+            for (kind, seed) in ops {
+                let mut rng = TestRng::new(seed);
+                match kind {
+                    0..=2 => {
+                        let items = (0..rng.usize_in(1..4))
+                            .map(|_| item(&item_name(&mut rng), &[("a", pick(&mut rng, &VALUES))]))
+                            .collect();
+                        db.batch_put_attributes("prov", items).unwrap();
+                    }
+                    3 | 4 => db.delete_item("prov", &item_name(&mut rng)).unwrap(),
+                    _ => sim.sleep(std::time::Duration::from_millis(rng.usize_in(0..6000) as u64)),
+                }
+                let walked = db.state.lock().domains["prov"]
+                    .items
+                    .values()
+                    .filter(|h| h.latest().is_some())
+                    .count();
+                prop_assert_eq!(db.peek_item_count("prov"), walked);
             }
         }
     }

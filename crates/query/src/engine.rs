@@ -486,13 +486,7 @@ impl QueryEngine {
         let (out, metrics) = self.measure(|| match chosen {
             // No indexes: scan everything, filter locally (§5.3: "In S3,
             // this requires a scan of all provenance objects").
-            Plan::S3Scan => {
-                let records = self.scan_source().all_records(mode)?;
-                let kinds = local::kinds(&records);
-                let procs = local::processes_named_in(&records, program, &kinds);
-                let (nodes, records) = local::direct_outputs_in(&records, &procs, &kinds);
-                Ok(crate::source::OutputSet { nodes, records })
-            }
+            Plan::S3Scan => self.scan_source().outputs_of_program(program, mode),
             Plan::SdbSelect | Plan::Index => {
                 let source = self.source(chosen);
                 let procs = source.processes_named(program, mode)?;
@@ -524,11 +518,7 @@ impl QueryEngine {
         let chosen = plan.plan.expect("planner always picks");
         let (nodes, metrics) = self.measure(|| match chosen {
             // One scan, then the traversal is local.
-            Plan::S3Scan => {
-                let records = self.scan_source().all_records(mode)?;
-                let procs = local::processes_named(&records, program);
-                Ok(local::descendants(&records, &procs))
-            }
+            Plan::S3Scan => self.scan_source().descendants_of_program(program, mode),
             Plan::SdbSelect | Plan::Index => {
                 let source = self.source(chosen);
                 let procs = source.processes_named(program, mode)?;

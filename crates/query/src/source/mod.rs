@@ -208,12 +208,14 @@ pub fn resolve_spill(env: &CloudEnv, pointer: &str) -> Result<Vec<u8>> {
 }
 
 /// Pure, layout-blind evaluation over materialized record sets — the
-/// logic every scan-style plan (and the S3 source's selective answers)
-/// shares.
+/// logic every scan-style plan shares, and the reference the S3 source's
+/// folded answers (`ScanFold`) must match.
 pub mod local {
+    use cloudprov_cloud::Blob;
+    use cloudprov_pass::wire::{self, RecordRef, WireError};
     use cloudprov_pass::{Attr, AttrValue, NodeKind, PNodeId, ProvenanceRecord};
     use std::borrow::Cow;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     /// Distinct subjects of a record set, sorted.
     pub fn subjects(records: &[ProvenanceRecord]) -> Vec<PNodeId> {
@@ -229,17 +231,18 @@ pub mod local {
         }
     }
 
-    /// Process nodes named `program`.
-    pub fn processes_named(records: &[ProvenanceRecord], program: &str) -> Vec<PNodeId> {
-        processes_named_in(records, program, &kinds(records))
+    /// The node kind a `type` value names; anything unknown is a file.
+    fn kind(text: &str) -> NodeKind {
+        match text {
+            "process" => NodeKind::Process,
+            "pipe" => NodeKind::Pipe,
+            _ => NodeKind::File,
+        }
     }
 
-    /// [`processes_named`] with the record set's [`kinds`] already built.
-    pub(crate) fn processes_named_in(
-        records: &[ProvenanceRecord],
-        program: &str,
-        kinds: &BTreeMap<PNodeId, NodeKind>,
-    ) -> Vec<PNodeId> {
+    /// Process nodes named `program`.
+    pub fn processes_named(records: &[ProvenanceRecord], program: &str) -> Vec<PNodeId> {
+        let kinds = kinds(records);
         let mut named: BTreeSet<PNodeId> = BTreeSet::new();
         for r in records {
             if r.attr == Attr::Name && text(&r.value) == program {
@@ -250,17 +253,12 @@ pub mod local {
         named.into_iter().collect()
     }
 
-    /// Node kinds recorded in a record set.
-    pub fn kinds(records: &[ProvenanceRecord]) -> BTreeMap<PNodeId, NodeKind> {
+    /// Node kinds recorded in a record set: the last `type` per subject.
+    fn kinds(records: &[ProvenanceRecord]) -> BTreeMap<PNodeId, NodeKind> {
         let mut out = BTreeMap::new();
         for r in records {
             if r.attr == Attr::Type {
-                let k = match &*text(&r.value) {
-                    "process" => NodeKind::Process,
-                    "pipe" => NodeKind::Pipe,
-                    _ => NodeKind::File,
-                };
-                out.insert(r.subject, k);
+                out.insert(r.subject, kind(&text(&r.value)));
             }
         }
         out
@@ -272,15 +270,7 @@ pub mod local {
         records: &[ProvenanceRecord],
         procs: &[PNodeId],
     ) -> (Vec<PNodeId>, Vec<ProvenanceRecord>) {
-        direct_outputs_in(records, procs, &kinds(records))
-    }
-
-    /// [`direct_outputs`] with the record set's [`kinds`] already built.
-    pub(crate) fn direct_outputs_in(
-        records: &[ProvenanceRecord],
-        procs: &[PNodeId],
-        kinds: &BTreeMap<PNodeId, NodeKind>,
-    ) -> (Vec<PNodeId>, Vec<ProvenanceRecord>) {
+        let kinds = kinds(records);
         let procs: BTreeSet<PNodeId> = procs.iter().copied().collect();
         let mut out_nodes = BTreeSet::new();
         for r in records {
@@ -296,6 +286,124 @@ pub mod local {
             .cloned()
             .collect();
         (out_nodes.into_iter().collect(), records_out)
+    }
+
+    /// An S3 provenance object's bytes (P1 never spills them).
+    pub(crate) fn payload(blob: &Blob) -> &[u8] {
+        blob.as_inline().expect("inline provenance")
+    }
+
+    /// Q.3/Q.4 folded over a scan one lent record at a time, by the rules
+    /// of [`processes_named`], [`direct_outputs`] and [`descendants`]. It
+    /// reads only `type`, `name` and `input` records, and holds each
+    /// object so that Q.3 can copy out its output nodes' records.
+    pub(crate) struct ScanFold<'p> {
+        program: Option<&'p str>,
+        /// The last `type` seen per subject.
+        kinds: HashMap<PNodeId, NodeKind>,
+        /// Subjects with a `name` equal to `program`.
+        named: BTreeSet<PNodeId>,
+        /// `(subject, input)` of every `input` edge.
+        edges: Vec<(PNodeId, PNodeId)>,
+        objects: Vec<Blob>,
+        /// `(subject, object)` for each run of one subject's records in
+        /// one object, in scan order.
+        runs: Vec<(PNodeId, usize)>,
+    }
+
+    impl<'p> ScanFold<'p> {
+        /// An empty fold; `program` names Q.3/Q.4's seed processes.
+        pub(crate) fn new(program: Option<&'p str>) -> ScanFold<'p> {
+            ScanFold {
+                program,
+                kinds: HashMap::new(),
+                named: BTreeSet::new(),
+                edges: Vec::new(),
+                objects: Vec::new(),
+                runs: Vec::new(),
+            }
+        }
+
+        /// Folds in the next object of the scan.
+        pub(crate) fn object(&mut self, blob: Blob) -> Result<(), WireError> {
+            let at = self.objects.len();
+            wire::visit(payload(&blob), |r| self.record(at, r))?;
+            self.objects.push(blob);
+            Ok(())
+        }
+
+        fn record(&mut self, object: usize, r: RecordRef<'_>) {
+            if self.runs.last() != Some(&(r.subject, object)) {
+                self.runs.push((r.subject, object));
+            }
+            match &*r.attr() {
+                "type" => {
+                    self.kinds.insert(r.subject, kind(&r.text()));
+                }
+                "name" if self.program.is_some_and(|p| r.text() == p) => {
+                    self.named.insert(r.subject);
+                }
+                "input" => {
+                    if let Some(to) = r.xref() {
+                        self.edges.push((r.subject, to));
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// Process nodes named `program`, sorted.
+        pub(crate) fn processes_named(&self) -> Vec<PNodeId> {
+            self.named
+                .iter()
+                .copied()
+                .filter(|n| self.kinds.get(n) == Some(&NodeKind::Process))
+                .collect()
+        }
+
+        /// Q.3: file nodes with an `input` edge to any of `procs`, and
+        /// their records in scan order — copied out of only the objects
+        /// that hold them.
+        pub(crate) fn direct_outputs(
+            &self,
+            procs: &[PNodeId],
+        ) -> (Vec<PNodeId>, Vec<ProvenanceRecord>) {
+            let procs: BTreeSet<PNodeId> = procs.iter().copied().collect();
+            let nodes: BTreeSet<PNodeId> = self
+                .edges
+                .iter()
+                .filter(|(from, to)| {
+                    procs.contains(to) && self.kinds.get(from) == Some(&NodeKind::File)
+                })
+                .map(|&(from, _)| from)
+                .collect();
+            let holding: BTreeSet<usize> = self
+                .runs
+                .iter()
+                .filter(|(subject, _)| nodes.contains(subject))
+                .map(|&(_, object)| object)
+                .collect();
+            let mut records = Vec::new();
+            for object in holding {
+                wire::visit(payload(&self.objects[object]), |r| {
+                    if nodes.contains(&r.subject) {
+                        records.push(r.to_owned());
+                    }
+                })
+                .expect("the scan has checked this object");
+            }
+            (nodes.into_iter().collect(), records)
+        }
+
+        /// Q.4: every transitive dependent of `seeds` over `input` edges,
+        /// excluding the seeds.
+        pub(crate) fn descendants(&self, seeds: &[PNodeId]) -> Vec<PNodeId> {
+            let mut rdeps: HashMap<PNodeId, Vec<PNodeId>> = HashMap::new();
+            for &(from, to) in &self.edges {
+                rdeps.entry(to).or_default().push(from);
+            }
+            walk(seeds, |n| rdeps.get(&n).map_or(&[], Vec::as_slice))
+        }
     }
 
     /// Q.4 over a full record set: BFS over reverse `input` edges from
