@@ -168,7 +168,7 @@ fn file_with_ancestor(i: u128) -> Vec<FlushObject> {
     vec![proc, file]
 }
 
-/// Runs one aimed schedule: log [`TXNS`] transactions from distinct
+/// Runs one aimed schedule: log six (`TXNS`) transactions from distinct
 /// client identities onto one shared queue, kill a daemon at the aimed
 /// group-commit step, wait out the visibility window, recover with a
 /// fresh daemon, and check convergence.
@@ -338,8 +338,8 @@ impl NotifyCrashOutcome {
     }
 }
 
-/// Runs one aimed change-feed schedule: log [`TXNS`] transactions, run a
-/// feed-enabled daemon wired to a live [`Subscriptions`] bus, kill it at
+/// Runs one aimed change-feed schedule: log six (`TXNS`) transactions,
+/// run a feed-enabled daemon wired to a live [`Subscriptions`] bus, kill it at
 /// the aimed `p3:notify:*` occurrence, recover with a fresh feed-enabled
 /// daemon on the same bus, and check the delivery contract end to end —
 /// every committed transaction seen at least once, in sequence order,
@@ -537,8 +537,8 @@ impl CasCrashOutcome {
 }
 
 /// Runs one aimed CAS crash schedule: a pipelined CAS-enabled client
-/// flushes [`TXNS`] batches (one `sync` barrier each, so acknowledgement
-/// is per-batch), dies at the aimed `client:cas:*` occurrence, and is
+/// flushes six (`TXNS`) batches (one `sync` barrier each, so
+/// acknowledgement is per-batch), dies at the aimed `client:cas:*` occurrence, and is
 /// abandoned mid-run; after the visibility window a fresh daemon drains
 /// whatever the dead client logged, and the outcome checks the publish
 /// ordering contract — every acknowledged flush recommits, nothing a

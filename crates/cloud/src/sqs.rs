@@ -67,8 +67,7 @@ struct QueueState {
     /// bell. Throttled producers park on these instead of sleeping out
     /// a poll interval; like arrival watchers, a ring is a best-effort
     /// hint (`notify_drop_probability` may lose it) and claims nothing.
-    drain_watchers: Vec<(u64, SimSemaphore)>,
-    next_drain: u64,
+    drain_watchers: Vec<SimSemaphore>,
 }
 
 #[derive(Default)]
@@ -166,7 +165,7 @@ impl QueueService {
     /// of sleeping out its poll interval. Best-effort like `ring` — the
     /// fault plan may drop a ring, and watchers keep a polling fallback.
     fn ring_drain(core: &ServiceCore, q: &mut QueueState) {
-        for (_, w) in &q.drain_watchers {
+        for w in &q.drain_watchers {
             if !core.draw_notify_drop() {
                 w.release();
             }
@@ -350,41 +349,19 @@ impl QueueService {
     /// control-plane wiring inside the simulated delivery fabric, not a
     /// billable API call. Retention expiry does not ring (it is not an
     /// acknowledgement; expiring WAL entries must not look like
-    /// capacity).
-    ///
-    /// Returns a watch id for [`QueueService::unwatch_drain`].
+    /// capacity). A drain watcher stays registered for the queue's life.
     ///
     /// # Errors
     ///
     /// [`CloudError::NoSuchQueue`] for unknown queue URLs.
-    pub fn watch_drain(&self, queue_url: &str, signal: SimSemaphore) -> Result<u64> {
+    pub fn watch_drain(&self, queue_url: &str, signal: SimSemaphore) -> Result<()> {
         let mut st = self.state.lock();
         let q = st
             .queues
             .get_mut(queue_url)
             .ok_or_else(|| CloudError::NoSuchQueue(queue_url.to_string()))?;
-        let id = q.next_drain;
-        q.next_drain += 1;
-        q.drain_watchers.push((id, signal));
-        Ok(id)
-    }
-
-    /// Removes a drain watcher. Unknown ids and queues are a no-op.
-    pub fn unwatch_drain(&self, queue_url: &str, id: u64) {
-        let mut st = self.state.lock();
-        if let Some(q) = st.queues.get_mut(queue_url) {
-            q.drain_watchers.retain(|(wid, _)| *wid != id);
-        }
-    }
-
-    /// Instrumentation: number of registered drain watchers. For tests.
-    pub fn peek_drain_watchers(&self, queue_url: &str) -> usize {
-        self.state
-            .lock()
-            .queues
-            .get(queue_url)
-            .map(|q| q.drain_watchers.len())
-            .unwrap_or(0)
+        q.drain_watchers.push(signal);
+        Ok(())
     }
 
     /// Sends up to [`BATCH_ENTRY_LIMIT`] messages in one request
@@ -1067,7 +1044,7 @@ mod tests {
         let (sim, q) = sqs(AwsProfile::instant());
         let url = q.create_queue("wal");
         let bell = SimSemaphore::new(&sim, 0);
-        let id = q.watch_drain(&url, bell.clone()).unwrap();
+        q.watch_drain(&url, bell.clone()).unwrap();
         for i in 0..3 {
             q.send(&url, Bytes::from(format!("m{i}"))).unwrap();
         }
@@ -1088,12 +1065,6 @@ mod tests {
         let results = q.delete_batch(&url, &receipts[1..3]).unwrap();
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(bell.available(), 2);
-        q.unwatch_drain(&url, id);
-        q.send(&url, Bytes::from_static(b"again")).unwrap();
-        let m = q.receive(&url, 1).unwrap();
-        q.delete(&url, &m[0].receipt).unwrap();
-        assert_eq!(bell.available(), 2, "unwatched: no more rings");
-        assert_eq!(q.peek_drain_watchers(&url), 0);
     }
 
     #[test]

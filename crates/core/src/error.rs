@@ -74,8 +74,7 @@ pub type Result<T> = std::result::Result<T, ProtocolError>;
 /// The one error type surfaced by the [`ProvenanceClient`] facade.
 ///
 /// Callers of the session API handle this single enum instead of
-/// juggling [`ProtocolError`], [`CloudError`], [`WireError`] and
-/// [`DiscloseError`](cloudprov_pass::dpapi::DiscloseError) separately;
+/// juggling [`ProtocolError`], [`CloudError`] and [`WireError`];
 /// the `From` impls flatten nested protocol errors so a cloud failure
 /// is always [`ClientError::Cloud`] no matter which layer raised it.
 ///
@@ -90,8 +89,6 @@ pub enum ClientError {
     Cloud(CloudError),
     /// Provenance bytes failed to decode.
     Wire(WireError),
-    /// An application disclosure was rejected.
-    Disclose(cloudprov_pass::dpapi::DiscloseError),
     /// A query was requested from a protocol that stores no queryable
     /// provenance (the S3fs baseline).
     NoProvenanceStore {
@@ -106,7 +103,6 @@ impl fmt::Display for ClientError {
             ClientError::Protocol(e) => write!(f, "{e}"),
             ClientError::Cloud(e) => write!(f, "cloud service error: {e}"),
             ClientError::Wire(e) => write!(f, "{e}"),
-            ClientError::Disclose(e) => write!(f, "{e}"),
             ClientError::NoProvenanceStore { protocol } => {
                 write!(f, "{protocol} stores no queryable provenance")
             }
@@ -120,7 +116,6 @@ impl std::error::Error for ClientError {
             ClientError::Protocol(e) => Some(e),
             ClientError::Cloud(e) => Some(e),
             ClientError::Wire(e) => Some(e),
-            ClientError::Disclose(e) => Some(e),
             ClientError::NoProvenanceStore { .. } => None,
         }
     }
@@ -145,12 +140,6 @@ impl From<CloudError> for ClientError {
 impl From<WireError> for ClientError {
     fn from(e: WireError) -> Self {
         ClientError::Wire(e)
-    }
-}
-
-impl From<cloudprov_pass::dpapi::DiscloseError> for ClientError {
-    fn from(e: cloudprov_pass::dpapi::DiscloseError) -> Self {
-        ClientError::Disclose(e)
     }
 }
 

@@ -47,11 +47,6 @@ impl Layout {
         format!("{}{uuid}", self.prov_prefix)
     }
 
-    /// Extracts the UUID from a P1 provenance-object key.
-    pub fn uuid_of_prov_key(&self, key: &str) -> Option<Uuid> {
-        key.strip_prefix(&self.prov_prefix)?.parse().ok()
-    }
-
     /// Key of a spilled attribute value.
     pub fn spill_key(&self, node: PNodeId, attr: &str, idx: usize) -> String {
         format!("{}{node}/{attr}/{idx}", self.spill_prefix)
@@ -100,8 +95,8 @@ mod tests {
         let l = Layout::default();
         let u = Uuid(0xdead_beef);
         let key = l.prov_key(u);
-        assert_eq!(l.uuid_of_prov_key(&key), Some(u));
-        assert!(l.uuid_of_prov_key("other/xyz").is_none());
+        let parsed: Uuid = key.strip_prefix(&l.prov_prefix).unwrap().parse().unwrap();
+        assert_eq!(parsed, u);
     }
 
     #[test]

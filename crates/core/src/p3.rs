@@ -67,6 +67,13 @@ use crate::wal::{self, Header, Line};
 /// commit-lease TTL.
 const GROUP_RECEIVE_ROUNDS: usize = 4;
 
+/// Parallel connections the commit daemon opens inside one group commit:
+/// the per-file S3 COPY fan-out, the temp-object GC delete fan-out and
+/// the batched WAL-acknowledgement fan-out are all bounded by this
+/// (SimpleDB chunk writes use `ProtocolConfig::db_concurrency`, matching
+/// the far smaller 2009 database pools).
+const COMMIT_PARALLELISM: usize = 16;
+
 /// Cap on the per-client (txn, logged-at) samples kept for commit-
 /// latency measurement.
 const TXN_LOG_CAP: usize = 1 << 16;
@@ -507,7 +514,7 @@ struct Conn {
 /// Which of the daemon's connection pools bounds a stage's fan-out.
 #[derive(Clone, Copy)]
 enum Pool {
-    /// `commit_parallelism`: S3 and SQS connections.
+    /// [`COMMIT_PARALLELISM`]: S3 and SQS connections.
     Commit,
     /// `db_concurrency`: the far smaller 2009 database pools.
     Db,
@@ -1000,7 +1007,8 @@ impl CommitDaemon {
     }
 
     /// Installs the change-feed sink receiving every published
-    /// [`CommitEvent`]. No-op unless the config enables the feed.
+    /// [`CommitEvent`](crate::CommitEvent). No-op unless the config
+    /// enables the feed.
     pub fn set_event_sink(&self, sink: CommitEventSink) {
         *self.sink.lock() = Some(sink);
     }
@@ -1034,10 +1042,10 @@ impl CommitDaemon {
             .collect()
     }
 
-    /// One **group-commit round**: drains up to [`GROUP_RECEIVE_ROUNDS`]
-    /// receives from the WAL, discards garbage and late redeliveries
-    /// through the batched delete path, and commits every transaction
-    /// that became complete as one group (`commit_group`).
+    /// One **group-commit round**: drains up to four receives
+    /// (`GROUP_RECEIVE_ROUNDS`) from the WAL, discards garbage and late
+    /// redeliveries through the batched delete path, and commits every
+    /// transaction that became complete as one group (`commit_group`).
     ///
     /// # Errors
     ///
@@ -1212,12 +1220,11 @@ impl CommitDaemon {
                 }
             })
             .collect();
-        let config = &self.conn.plane.config;
         let width = match stage.pool {
-            Pool::Commit => config.commit_parallelism,
-            Pool::Db => config.db_concurrency,
+            Pool::Commit => COMMIT_PARALLELISM,
+            Pool::Db => self.conn.plane.config.db_concurrency.max(1),
         };
-        self.conn.plane.env.sim().run_parallel(width.max(1), tasks)
+        self.conn.plane.env.sim().run_parallel(width, tasks)
     }
 
     /// Writes one stage's chunks to `domain`; no chunks, no round.

@@ -205,13 +205,6 @@ pub struct ProtocolConfig {
     /// `SendMessageBatch` did not exist then, and Table 2/3 op counts
     /// assume one request per packet.
     pub wal_batch_send: bool,
-    /// Parallel connections the P3 commit daemon opens inside one group
-    /// commit: the per-file S3 COPY fan-out, the temp-object GC delete
-    /// fan-out and the batched WAL-acknowledgement fan-out are all
-    /// bounded by this (SimpleDB chunk writes use `db_concurrency`,
-    /// matching the far smaller 2009 database pools). Daemon-side only —
-    /// client op counts and latencies are unchanged.
-    pub commit_parallelism: usize,
     /// Whether P3's commit daemon maintains the live change feed
     /// (`crate::feed`): staging a [`CommitEvent`](crate::feed::CommitEvent)
     /// per committed transaction before the WAL ack and publishing it to
@@ -252,7 +245,6 @@ impl std::fmt::Debug for ProtocolConfig {
             .field("db_concurrency", &self.db_concurrency)
             .field("index", &self.index)
             .field("wal_batch_send", &self.wal_batch_send)
-            .field("commit_parallelism", &self.commit_parallelism)
             .field("feed", &self.feed)
             .field("cas", &self.cas)
             .field("dedupe_cap", &self.dedupe_cap)
@@ -273,7 +265,6 @@ impl Default for ProtocolConfig {
             db_concurrency: 4,
             index: true,
             wal_batch_send: true,
-            commit_parallelism: 16,
             feed: false,
             cas: true,
             dedupe_cap: 32_768,
@@ -713,7 +704,6 @@ mod tests {
             "db_concurrency",
             "index",
             "wal_batch_send",
-            "commit_parallelism",
             "feed",
             "cas",
             "dedupe_cap",

@@ -254,17 +254,6 @@ impl Subscriptions {
         Arc::new(move |event: CommitEvent| this.publish(event))
     }
 
-    /// This registry's sink fanned in with additional consumers (a
-    /// read-tier cache's invalidation sink, a tracing tap): the daemon
-    /// pool takes exactly one sink, so co-subscribers must share one.
-    /// Every sink sees every event, in the same order, on the
-    /// publisher's thread.
-    pub fn sink_with(&self, others: Vec<CommitEventSink>) -> CommitEventSink {
-        let mut sinks = vec![self.sink()];
-        sinks.extend(others);
-        fanout(sinks)
-    }
-
     /// Current bus-level accounting.
     pub fn stats(&self) -> FeedStats {
         self.inner.lock().stats
@@ -382,7 +371,7 @@ mod tests {
             let seen = seen.clone();
             Arc::new(move |ev: CommitEvent| seen.lock().push(ev.seq)) as CommitEventSink
         };
-        let sink = subs.sink_with(vec![tap]);
+        let sink = fanout(vec![subs.sink(), tap]);
         for seq in 1..=3 {
             sink(event("wal-a", seq, seq as u128));
         }

@@ -71,11 +71,6 @@ impl LeaseBoard {
         LeaseBoard { sqs, url, ttl }
     }
 
-    /// The lease TTL (the token's visibility timeout).
-    pub fn ttl(&self) -> Duration {
-        self.ttl
-    }
-
     /// Tries to acquire any available shard lease. `None` when every
     /// shard is currently held (or the receive itself failed — callers
     /// retry next poll round either way).

@@ -86,11 +86,6 @@ impl ShardRouter {
         &self.urls[shard as usize]
     }
 
-    /// All shard queue URLs, indexed by shard id.
-    pub fn urls(&self) -> &[String] {
-        &self.urls
-    }
-
     /// Instrumentation: messages currently stored in shard `shard`'s WAL.
     pub fn depth(&self, env: &CloudEnv, shard: u32) -> usize {
         env.sqs().peek_depth(self.wal_url(shard))

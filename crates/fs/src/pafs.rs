@@ -1,7 +1,7 @@
 //! PA-S3fs: the provenance-aware user-level file system (§4.2).
 //!
-//! In the paper this is a FUSE file system (a fork of s3fs) wired to the
-//! PASS kernel through the Disclosed Provenance API. Here the FUSE
+//! In the paper this is a FUSE file system (a fork of s3fs) that the
+//! PASS kernel hands its provenance to. Here the FUSE
 //! boundary is a plain method API: workloads issue `exec`/`fork`/`read`/
 //! `write`/`close` calls; data lands in the local [`Vfs`] cache and
 //! provenance accumulates in the PASS [`Observer`]; on `close` (or

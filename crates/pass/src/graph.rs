@@ -191,30 +191,6 @@ impl ProvGraph {
         go(self, id, &mut BTreeMap::new())
     }
 
-    /// Maximum dependency depth across all nodes.
-    pub fn max_depth(&self) -> usize {
-        let mut memo = BTreeMap::new();
-        fn go(g: &ProvGraph, n: PNodeId, memo: &mut BTreeMap<PNodeId, usize>) -> usize {
-            if let Some(d) = memo.get(&n) {
-                return *d;
-            }
-            memo.insert(n, 0);
-            let d = g
-                .deps(n)
-                .iter()
-                .map(|m| 1 + go(g, *m, memo))
-                .max()
-                .unwrap_or(0);
-            memo.insert(n, d);
-            d
-        }
-        self.nodes
-            .keys()
-            .map(|n| go(self, *n, &mut memo))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Verifies the DAG invariant: no node is its own ancestor (§2: "The
     /// provenance graph, by definition, is acyclic"). Returns an offending
     /// cycle witness if one exists.
@@ -338,7 +314,6 @@ mod tests {
     fn depth_measures_longest_path() {
         let g = chain();
         assert_eq!(g.depth_from(nid(3, 1)), 2);
-        assert_eq!(g.max_depth(), 2);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod dilute;
-pub mod dpapi;
 mod graph;
 mod id;
 mod model;

@@ -67,7 +67,8 @@ pub enum Attr {
     ForkParent,
     /// Hash of the file data this version describes (coupling detection).
     DataHash,
-    /// Extension point for application-disclosed attributes (DPAPI).
+    /// Any other attribute, stored under its own name (the Linux-compile
+    /// workload's split `env0`/`env1` values, say).
     Custom(String),
 }
 

@@ -541,78 +541,6 @@ impl Observer {
         out
     }
 
-    /// DPAPI support: records a disclosed attribute on `subject` (graph +
-    /// pending flush queue) and returns the record.
-    pub(crate) fn record_disclosed(
-        &mut self,
-        subject: PNodeId,
-        attr: Attr,
-        value: AttrValue,
-    ) -> ProvenanceRecord {
-        let rec = ProvenanceRecord::new(subject, attr, value);
-        self.graph.apply(&rec);
-        self.pending
-            .entry(subject)
-            .or_default()
-            .records
-            .push(rec.clone());
-        rec
-    }
-
-    /// DPAPI support: adds a disclosed dependency `u -> w` through the
-    /// causality-based versioning machinery and returns the (possibly
-    /// bumped) version of `u`, updating the live-object table.
-    pub(crate) fn disclose_edge(&mut self, u: PNodeId, w: PNodeId) -> PNodeId {
-        let mut kind = NodeKind::File;
-        let mut name = None;
-        let mut frozen = false;
-        let mut live_key: Option<(u8, String, Pid, PipeId)> = None;
-        for (path, live) in self.files.iter() {
-            if live.cur == u {
-                kind = live.kind;
-                name = live.name.clone();
-                frozen = live.frozen;
-                live_key = Some((0, path.clone(), Pid(0), PipeId(0)));
-                break;
-            }
-        }
-        if live_key.is_none() {
-            for (pid, live) in self.procs.iter() {
-                if live.cur == u {
-                    kind = live.kind;
-                    name = live.name.clone();
-                    frozen = live.frozen;
-                    live_key = Some((1, String::new(), *pid, PipeId(0)));
-                    break;
-                }
-            }
-        }
-        if live_key.is_none() {
-            if let Some(data) = self.graph.node(u) {
-                kind = data.kind.unwrap_or(NodeKind::File);
-                name = data.name().map(str::to_string);
-                frozen = true; // historic version: immutable
-            }
-        }
-        let new_u = self.add_dependency(u, w, kind, name, frozen);
-        match live_key {
-            Some((0, path, _, _)) => {
-                if let Some(live) = self.files.get_mut(&path) {
-                    live.cur = new_u;
-                    live.frozen = false;
-                }
-            }
-            Some((1, _, pid, _)) => {
-                if let Some(live) = self.procs.get_mut(&pid) {
-                    live.cur = new_u;
-                    live.frozen = false;
-                }
-            }
-            _ => {}
-        }
-        new_u
-    }
-
     /// Total provenance records emitted so far (graph-wide).
     pub fn record_count(&self) -> usize {
         self.graph.edge_count()

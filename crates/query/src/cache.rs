@@ -274,7 +274,7 @@ fn entry_bytes(ids: usize) -> usize {
 const QUARANTINE_SLACK: Duration = Duration::from_secs(60);
 
 impl AncestryCache {
-    /// A detached cache on `sim`'s clock. Call [`attach`](Self::attach)
+    /// An unattached cache on `sim`'s clock. Call [`attach`](Self::attach)
     /// once the feed sink is wired; until then every lookup bypasses.
     pub fn new(sim: &Sim, cfg: CacheConfig) -> AncestryCache {
         AncestryCache {
@@ -302,14 +302,6 @@ impl AncestryCache {
         g.coherent = true;
         g.floor = self.sim.now();
         g.high.clear();
-        Self::flush(&mut g);
-    }
-
-    /// Declares the subscription lapsed: flushes and bypasses until
-    /// re-attached.
-    pub fn detach(&self) {
-        let mut g = self.inner.lock();
-        g.attached = false;
         Self::flush(&mut g);
     }
 
@@ -1022,16 +1014,16 @@ mod tests {
     }
 
     #[test]
-    fn detach_flushes_and_bypasses() {
+    fn an_unattached_cache_bypasses_and_refuses_installs() {
         let sim = Sim::new();
-        let cache = seeded(&sim, CacheConfig::default());
-        cache.detach();
+        let cache = AncestryCache::new(&sim, CacheConfig::default());
         assert!(!cache.usable());
         assert_eq!(cache.probe(QueryKind::Q3, "etl"), None);
-        assert_eq!(cache.stats().entries, 0);
-        // Events during the lapse are ignored, installs refused.
+        // Events before the subscription is live are ignored, installs
+        // refused.
         cache.on_event(&event(1, vec![Uuid(1)], vec![]));
         cache.install_seeds(None, "etl", &[node(1)], sim.now());
+        assert_eq!(cache.stats().events, 0);
         assert_eq!(cache.stats().entries, 0);
     }
 

@@ -28,8 +28,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use cloudprov_cloud::{Actor, CloudEnv, TenantId};
-use cloudprov_core::{CommitEvent, CommitEventSink, ProtocolError, ProvenanceStore};
-use cloudprov_pass::{PNodeId, ProvenanceRecord, Uuid};
+use cloudprov_core::{ProtocolError, ProvenanceStore};
+use cloudprov_pass::{PNodeId, ProvenanceRecord};
 
 use crate::cache::AncestryCache;
 use crate::planner::{
@@ -69,25 +69,26 @@ pub struct QueryOutput {
     pub plan: PlanReport,
 }
 
+/// Parallel connections for [`Mode::Parallel`] (the paper's query tool
+/// achieved ≈7× on Q.1 over S3).
+const PARALLELISM: usize = 8;
+
+/// IDs per IN-list when batching frontier expansions (Q.4 over SimpleDB;
+/// the 2009 service capped predicates at 20).
+const IN_BATCH: usize = 20;
+
 /// The query engine over a provenance store.
 ///
-/// Construct with [`QueryEngine::new`] and tune through the builder
-/// setters — the tuning fields are private so the planner's invariants
-/// (parallelism ≥ 1, IN batches ≥ 1) cannot be bypassed into
-/// inconsistent states.
+/// Construct with [`QueryEngine::new`] and scope it through the builder
+/// setters.
 pub struct QueryEngine {
     env: CloudEnv,
     store: ProvenanceStore,
     data_bucket: String,
-    parallelism: usize,
-    in_batch: usize,
     force: Option<Plan>,
     /// Shared with pinned views ([`QueryEngine::with_plan_ref`]): a
     /// measurement taken through any view feeds every view's planner.
     history: Arc<Mutex<PlanHistory>>,
-    /// Change-feed invalidations accumulated through
-    /// [`QueryEngine::invalidation_sink`]; shared across pinned views.
-    invalidations: Arc<Mutex<Invalidations>>,
     /// The shared read-tier cache, when attached
     /// ([`QueryEngine::with_cache`]); the planner offers `Plan::Cached`
     /// only while it is usable.
@@ -98,36 +99,10 @@ pub struct QueryEngine {
     tenant: Option<TenantId>,
 }
 
-/// What the change feed has invalidated since the last drain: the keys a
-/// result cache layered over this engine would evict. The
-/// [`AncestryCache`] consumes the same events directly (with sequence
-/// accounting); this accumulator remains so consumers and tests can
-/// observe raw commit-to-invalidation flow.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Invalidations {
-    /// Object uuids whose lineage grew (invalidates Q.1/Q.2 answers
-    /// touching them and any ancestry walk through them).
-    pub uuids: std::collections::BTreeSet<Uuid>,
-    /// Program names with new process nodes (invalidates Q.3/Q.4
-    /// answers seeded by them).
-    pub programs: std::collections::BTreeSet<String>,
-    /// Feed events consumed since the last drain.
-    pub events: u64,
-}
-
-impl Invalidations {
-    /// True when nothing was invalidated.
-    pub fn is_empty(&self) -> bool {
-        self.uuids.is_empty() && self.programs.is_empty()
-    }
-}
-
 impl std::fmt::Debug for QueryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryEngine")
             .field("store", &self.store)
-            .field("parallelism", &self.parallelism)
-            .field("in_batch", &self.in_batch)
             .field("force", &self.force)
             .finish()
     }
@@ -141,11 +116,8 @@ impl QueryEngine {
             env: env.clone(),
             store,
             data_bucket: data_bucket.to_string(),
-            parallelism: 8,
-            in_batch: 20,
             force: None,
             history: Arc::new(Mutex::new(PlanHistory::default())),
-            invalidations: Arc::new(Mutex::new(Invalidations::default())),
             cache: None,
             tenant: None,
         }
@@ -169,47 +141,6 @@ impl QueryEngine {
         self
     }
 
-    /// A [`CommitEventSink`] recording which uuids and programs each
-    /// committed transaction touched — wire it to a commit daemon (or a
-    /// subscription registry) to keep the engine informed of provenance
-    /// growth. Accumulated edits drain through
-    /// [`QueryEngine::take_invalidations`].
-    pub fn invalidation_sink(&self) -> CommitEventSink {
-        let inv = self.invalidations.clone();
-        Arc::new(move |event: CommitEvent| {
-            let mut inv = inv.lock();
-            inv.events += 1;
-            inv.uuids.extend(event.uuids.iter().copied());
-            inv.programs.extend(event.programs.iter().cloned());
-        })
-    }
-
-    /// Drains and returns everything the feed invalidated since the
-    /// last call.
-    pub fn take_invalidations(&self) -> Invalidations {
-        std::mem::take(&mut self.invalidations.lock())
-    }
-
-    /// Feed events consumed since the last drain.
-    pub fn pending_invalidations(&self) -> u64 {
-        self.invalidations.lock().events
-    }
-
-    /// Parallel connections for [`Mode::Parallel`] (the paper's query
-    /// tool achieved ≈7× on Q.1 over S3). Clamped to ≥ 1.
-    pub fn with_parallelism(mut self, n: usize) -> QueryEngine {
-        self.parallelism = n.max(1);
-        self
-    }
-
-    /// IDs per IN-list when batching frontier expansions (Q.4 over
-    /// SimpleDB; the 2009 service capped predicates at 20). Clamped to
-    /// ≥ 1.
-    pub fn with_in_batch(mut self, n: usize) -> QueryEngine {
-        self.in_batch = n.max(1);
-        self
-    }
-
     /// Pins every subsequent query to one access path (benchmarks
     /// comparing paths). Paths the layout lacks are ignored and planning
     /// resumes.
@@ -218,13 +149,7 @@ impl QueryEngine {
         self
     }
 
-    /// Returns to cost-based planning after [`QueryEngine::with_plan`].
-    pub fn with_auto_plan(mut self) -> QueryEngine {
-        self.force = None;
-        self
-    }
-
-    /// A borrowed-style pinned view: same store, same tuning, same
+    /// A borrowed-style pinned view: same store, cache and tenant, same
     /// (shared) meter history, but every query forced through `plan`.
     /// Benchmarks use this to measure each path on one corpus.
     pub fn with_plan_ref(&self, plan: Plan) -> QueryEngine {
@@ -232,24 +157,11 @@ impl QueryEngine {
             env: self.env.clone(),
             store: self.store.clone(),
             data_bucket: self.data_bucket.clone(),
-            parallelism: self.parallelism,
-            in_batch: self.in_batch,
             force: Some(plan),
             history: self.history.clone(),
-            invalidations: self.invalidations.clone(),
             cache: self.cache.clone(),
             tenant: self.tenant,
         }
-    }
-
-    /// Current parallel-connection setting.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Current IN-list batch setting.
-    pub fn in_batch(&self) -> usize {
-        self.in_batch
     }
 
     /// The plans this store's layout supports. `Cached` appears only
@@ -339,7 +251,7 @@ impl QueryEngine {
     fn scan_source(&self) -> S3ScanSource {
         match &self.store {
             ProvenanceStore::S3Objects { bucket, prefix } => {
-                S3ScanSource::new(&self.env, bucket, prefix, self.parallelism)
+                S3ScanSource::new(&self.env, bucket, prefix, PARALLELISM)
             }
             ProvenanceStore::Database { .. } => unreachable!("scan plan on a database store"),
         }
@@ -348,7 +260,7 @@ impl QueryEngine {
     fn select_source(&self) -> SdbSelectSource {
         match &self.store {
             ProvenanceStore::Database { domain, .. } => {
-                SdbSelectSource::new(&self.env, domain, self.parallelism, self.in_batch)
+                SdbSelectSource::new(&self.env, domain, PARALLELISM, IN_BATCH)
             }
             ProvenanceStore::S3Objects { .. } => unreachable!("select plan on an S3 store"),
         }
@@ -360,14 +272,12 @@ impl QueryEngine {
                 domain,
                 index_domain: Some(idx),
                 ..
-            } => IndexSource::new(&self.env, domain, idx, self.parallelism, self.in_batch),
+            } => IndexSource::new(&self.env, domain, idx, PARALLELISM, IN_BATCH),
             _ => unreachable!("index plan without an index domain"),
         }
     }
 
-    /// The chosen plan's backend, as the layout-blind trait object. This
-    /// is also the entry point for graph consumers ([`crate::regen`],
-    /// [`crate::hints`]): `engine.source(plan).graph()?`.
+    /// The chosen plan's backend, as the layout-blind trait object.
     pub fn source(&self, plan: Plan) -> Box<dyn GraphSource> {
         match plan {
             Plan::S3Scan => Box::new(self.scan_source()),
@@ -378,9 +288,9 @@ impl QueryEngine {
         }
     }
 
-    /// The best source for materializing the whole graph (scan for S3,
-    /// base-domain select otherwise).
-    pub fn graph_source(&self) -> Box<dyn GraphSource> {
+    /// The source that fetches whole records: scan for S3, base-domain
+    /// select otherwise.
+    fn graph_source(&self) -> Box<dyn GraphSource> {
         match &self.store {
             ProvenanceStore::S3Objects { .. } => self.source(Plan::S3Scan),
             ProvenanceStore::Database { .. } => self.source(Plan::SdbSelect),
@@ -641,9 +551,9 @@ mod tests {
     use super::*;
     use crate::client::ProvenanceQueries;
     use cloudprov_cloud::AwsProfile;
-    use cloudprov_core::{Protocol, ProvenanceClient};
+    use cloudprov_core::{CommitEvent, Protocol, ProvenanceClient};
     use cloudprov_fs::{LocalIoParams, PaS3fs};
-    use cloudprov_pass::{Pid, ProcessInfo};
+    use cloudprov_pass::{Pid, ProcessInfo, Uuid};
     use cloudprov_sim::Sim;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -1084,47 +994,5 @@ mod tests {
         let rewarm = engine.q4_descendants_of("root", Mode::Sequential).unwrap();
         assert_eq!(rewarm.plan.cache, Some(CacheOutcome::Hit));
         assert_eq!(rewarm.nodes, vec![child]);
-    }
-
-    #[test]
-    fn invalidation_sink_tracks_feed_events_end_to_end() {
-        use cloudprov_core::{FlushBatch, FlushObject, ProtocolConfig, StorageProtocol, P3};
-        use cloudprov_pass::{Attr, FlushNode, NodeKind, ProvenanceRecord};
-
-        let sim = Sim::new();
-        let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let cfg = ProtocolConfig {
-            feed: true,
-            ..ProtocolConfig::default()
-        };
-        let p3 = P3::new(&env, cfg, "wal-inval");
-        let proc_id = cloudprov_pass::PNodeId::initial(Uuid(500));
-        let proc = FlushObject::provenance_only(FlushNode {
-            id: proc_id,
-            kind: NodeKind::Process,
-            name: Some("refresher".into()),
-            records: vec![
-                ProvenanceRecord::new(proc_id, Attr::Type, "process"),
-                ProvenanceRecord::new(proc_id, Attr::Name, "refresher"),
-            ],
-            data_hash: None,
-        });
-        p3.flush(FlushBatch {
-            objects: vec![proc],
-        })
-        .unwrap();
-
-        let engine = QueryEngine::new(&env, p3.provenance_store().unwrap(), "data");
-        assert_eq!(engine.pending_invalidations(), 0);
-        let daemon = p3.commit_daemon();
-        daemon.set_event_sink(engine.invalidation_sink());
-        daemon.run_until_idle().unwrap();
-
-        assert_eq!(engine.pending_invalidations(), 1);
-        let inv = engine.take_invalidations();
-        assert!(inv.uuids.contains(&Uuid(500)));
-        assert!(inv.programs.contains("refresher"));
-        // Drained: the next read starts clean.
-        assert!(engine.take_invalidations().is_empty());
     }
 }

@@ -13,24 +13,17 @@
 //! * [`QueryEngine`] — plans, executes, and reports per-query cost
 //!   metrics (elapsed virtual time, operations, bytes) plus the chosen
 //!   plan: the Table 5 columns and the new "indexed" column.
-//!
-//! Also implements two of the paper's §7 research-challenge directions as
-//! library features: [`regen`] (store vs regenerate-on-demand economics)
-//! and [`hints`] (provenance-guided replication/placement hints) — both
-//! consume a [`GraphSource`] rather than fetching records themselves.
 
 #![warn(missing_docs)]
 
 pub mod cache;
 mod client;
 mod engine;
-pub mod hints;
 pub mod planner;
-pub mod regen;
 pub mod source;
 
 pub use cache::{AncestryCache, CacheConfig, CacheStats};
 pub use client::ProvenanceQueries;
-pub use engine::{Invalidations, QueryEngine, QueryMetrics, QueryOutput};
+pub use engine::{QueryEngine, QueryMetrics, QueryOutput};
 pub use planner::{CacheOutcome, CacheState, DomainStats, Plan, PlanReport, QueryKind};
 pub use source::{GraphSource, IndexSource, Mode, OutputSet, S3ScanSource, SdbSelectSource};

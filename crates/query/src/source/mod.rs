@@ -5,8 +5,7 @@
 //! [`GraphSource`] answers graph-shaped questions (all records, a
 //! node's records, process seeds, reverse-edge expansion) against one
 //! physical layout, and everything above it — the cost-based planner,
-//! the Table 5 metrics, `ProvGraph` construction, the §7 analyses in
-//! [`regen`](crate::regen)/[`hints`](crate::hints) — is layout-blind.
+//! the Table 5 metrics and result hydration — is layout-blind.
 //!
 //! Three backends:
 //!
@@ -34,8 +33,8 @@ pub use scan::S3ScanSource;
 pub use select::SdbSelectSource;
 
 use cloudprov_cloud::{Actor, CloudEnv};
-use cloudprov_core::{ProtocolError, ProvenanceStore};
-use cloudprov_pass::{PNodeId, ProvGraph, ProvenanceRecord};
+use cloudprov_core::ProtocolError;
+use cloudprov_pass::{PNodeId, ProvenanceRecord};
 
 pub(crate) type Result<T> = std::result::Result<T, ProtocolError>;
 
@@ -72,7 +71,7 @@ pub trait GraphSource: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Every provenance record in the store (the Q.1 scan, and the
-    /// substrate for local evaluation and [`GraphSource::graph`]).
+    /// substrate for local evaluation).
     ///
     /// # Errors
     ///
@@ -117,61 +116,6 @@ pub trait GraphSource: Send + Sync {
     ///
     /// Propagates cloud errors.
     fn fetch_records(&self, nodes: &[PNodeId], mode: Mode) -> Result<Vec<ProvenanceRecord>>;
-
-    /// Materializes the whole provenance DAG. The shared entry point for
-    /// consumers that analyze the graph rather than query it
-    /// ([`crate::regen`], [`crate::hints`], ground-truth checks).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cloud errors.
-    fn graph(&self) -> Result<ProvGraph> {
-        Ok(ProvGraph::from_records(
-            self.all_records(Mode::Sequential)?.iter(),
-        ))
-    }
-}
-
-/// Builds every source the store's layout supports, scan/select first,
-/// index (when maintained) last.
-pub fn sources_for(
-    env: &CloudEnv,
-    store: &ProvenanceStore,
-    parallelism: usize,
-    in_batch: usize,
-) -> Vec<Box<dyn GraphSource>> {
-    match store {
-        ProvenanceStore::S3Objects { bucket, prefix } => {
-            vec![Box::new(S3ScanSource::new(
-                env,
-                bucket,
-                prefix,
-                parallelism,
-            ))]
-        }
-        ProvenanceStore::Database {
-            domain,
-            index_domain,
-            ..
-        } => {
-            let mut out: Vec<Box<dyn GraphSource>> = vec![Box::new(SdbSelectSource::new(
-                env,
-                domain,
-                parallelism,
-                in_batch,
-            ))];
-            if let Some(idx) = index_domain {
-                out.push(Box::new(IndexSource::new(
-                    env,
-                    domain,
-                    idx,
-                    parallelism,
-                    in_batch,
-                )));
-            }
-            out
-        }
-    }
 }
 
 /// Reads the provenance link out of a data object's metadata (Q.2's

@@ -38,12 +38,6 @@ impl S3ScanSource {
         }
     }
 
-    /// Number of provenance objects currently listed (planner statistic;
-    /// models S3's free keyspace metadata, unmetered).
-    pub fn object_count(&self) -> usize {
-        self.env.s3().peek_count(&self.bucket, &self.prefix)
-    }
-
     /// LISTs the provenance objects and hands each one's payload to `f`,
     /// in key order. Sequential mode hands an object over before the next
     /// GET, so an error from `f` ends the scan after the GETs made so far.

@@ -166,11 +166,6 @@ impl SimSemaphore {
         self.slot.sim.lock().sems[self.slot.idx].permits
     }
 
-    /// True if `other` is a handle to the same underlying semaphore.
-    pub fn same(&self, other: &SimSemaphore) -> bool {
-        Arc::ptr_eq(&self.slot, &other.slot)
-    }
-
     /// Adds one permit without having acquired one first, waking the
     /// longest waiter if any. Together with [`SemPermit::forget`] this
     /// turns the semaphore into a producer/consumer signal: producers

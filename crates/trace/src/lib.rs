@@ -110,7 +110,7 @@ impl SpanRecord {
 pub struct TraceStats {
     /// Retained spans (after finalization).
     pub spans: u64,
-    /// Spans discarded past [`SPAN_CAP`].
+    /// Spans discarded past the 2²⁰-span retention cap (`SPAN_CAP`).
     pub dropped: u64,
     /// Transaction roots opened.
     pub roots: u64,

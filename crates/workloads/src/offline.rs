@@ -41,15 +41,6 @@ pub struct OfflineRun {
 }
 
 impl OfflineRun {
-    /// Total wire-encoded provenance bytes.
-    pub fn provenance_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .flat_map(|n| &n.records)
-            .map(|r| r.wire_len())
-            .sum()
-    }
-
     /// Total file payload bytes.
     pub fn data_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.size).sum()
@@ -181,12 +172,21 @@ mod tests {
     use super::*;
     use crate::blast::{blast, BlastParams};
 
+    /// Total wire-encoded provenance bytes of a run.
+    fn provenance_bytes(run: &OfflineRun) -> usize {
+        run.nodes
+            .iter()
+            .flat_map(|n| &n.records)
+            .map(|r| r.wire_len())
+            .sum()
+    }
+
     #[test]
     fn collect_produces_nodes_and_files() {
         let run = collect(&blast(BlastParams::small()));
         assert!(!run.nodes.is_empty());
         assert!(!run.files.is_empty());
-        assert!(run.provenance_bytes() > 0);
+        assert!(provenance_bytes(&run) > 0);
         assert!(run.data_bytes() > 0);
         assert!(run.graph.find_cycle().is_none());
     }
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn blast_full_scale_provenance_volume() {
         let run = collect(&blast(BlastParams::default()));
-        let mb = run.provenance_bytes() as f64 / 1e6;
+        let mb = provenance_bytes(&run) as f64 / 1e6;
         // Table 3 implies 2-6 MB of provenance for the Blast upload set.
         assert!((1.5..8.0).contains(&mb), "got {mb} MB of provenance");
     }

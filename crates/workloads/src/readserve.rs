@@ -5,7 +5,7 @@
 //! delivery): W writers each run a *named program* over several rounds,
 //! so every round commits new lineage for the programs the readers
 //! chase. The read side is the memory-resident
-//! [`AncestryCache`](cloudprov_query::AncestryCache), shared by every
+//! [`AncestryCache`], shared by every
 //! query tenant and kept coherent by the same commit feed the daemons
 //! publish — the pool's event sink fans out to the cache and to the
 //! driver's monitor subscription.
