@@ -497,11 +497,11 @@ fn chaos_replay(which: Which, seed: u64) -> bool {
     println!(
         "  promised: {:?}\n  coupling: {:?}\n  dangling: {}  broken promises: {}  wal left: {}  temps left: {}",
         first.promised,
-        first.coupling,
-        first.dangling_edges,
-        first.broken_promises,
-        first.wal_leftover,
-        first.temp_leftover
+        first.audit.coupling,
+        first.audit.dangling_edges,
+        first.audit.broken_promises,
+        first.audit.wal_leftover,
+        first.audit.temp_leftover
     );
     let violations = first.violations();
     if violations.is_empty() {
@@ -560,12 +560,12 @@ fn chaos_table(small: bool, seed_arg: Option<u64>) -> bool {
             s.seeds,
             s.crashes,
             s.faulty_seeds,
-            s.coupling_violations,
-            s.dangling_edges,
-            s.broken_promises,
-            s.wal_leftover,
-            s.temp_leftover,
-            s.index_inconsistencies,
+            s.audit.coupling.detected_violations(),
+            s.audit.dangling_edges,
+            s.audit.broken_promises,
+            s.audit.wal_leftover,
+            s.audit.temp_leftover,
+            s.audit.index_inconsistencies,
             if ok { "PASS" } else { "FAIL" }
         );
         if let Some((seed, violations)) = &s.minimal_failure {
@@ -599,9 +599,23 @@ fn chaos_table(small: bool, seed_arg: Option<u64>) -> bool {
     println!(
         "\nNote: 'Coupl.vio' and 'Dangling' are DETECTED violations — expected for P1/P2\n(no write-time coupling, parallel uploads); the PASS/FAIL verdict only gates the\nguarantees each protocol actually makes. P3 must stay at zero everywhere."
     );
-    // Aimed group-commit schedules: kill the daemon at each named
-    // p3:commit:group:* step inside a cross-transaction group and check
-    // that recovery recommits every member exactly once.
+    // Aimed schedules, one table per crash-point family. Each row kills
+    // a daemon or client at a named step occurrence and audits the
+    // recovery like a seed; `cells` formats the family's columns.
+    let aimed = chaos::aimed();
+    let mut table = |family: chaos::Family, cells: &dyn Fn(&chaos::AimedOutcome) -> String| {
+        for o in aimed.iter().filter(|o| o.aim.family == family) {
+            let violations = o.violations();
+            let ok = violations.is_empty();
+            all_ok &= ok;
+            println!("  {}   {}", cells(o), if ok { "PASS" } else { "FAIL" });
+            for v in violations {
+                println!("          violation: {v}");
+            }
+        }
+    };
+    // Group commit: every member of a cross-transaction group recommits
+    // exactly once.
     println!(
         "\nAimed group-commit crash schedules (daemon killed mid-group; recovery daemon\nrecommits after the visibility window):"
     );
@@ -609,29 +623,22 @@ fn chaos_table(small: bool, seed_arg: Option<u64>) -> bool {
         "  {:<26} {:>4} {:>10} {:>9} {:>7} {:>5} {:>6} {:>6}   verdict",
         "Step", "Occ", "Committed", "DoubleCmt", "Uncoup", "WAL", "Temps", "IdxDiv"
     );
-    for o in chaos::group_commit_schedules() {
-        let violations = o.violations();
-        let ok = violations.is_empty();
-        all_ok &= ok;
-        println!(
-            "  {:<26} {:>4} {:>10} {:>9} {:>7} {:>5} {:>6} {:>6}   {}",
-            o.step,
-            o.occurrence,
-            o.unique_committed,
-            o.double_commits,
-            o.uncoupled,
-            o.wal_leftover,
-            o.temp_leftover,
-            o.index_inconsistencies,
-            if ok { "PASS" } else { "FAIL" }
-        );
-        for v in violations {
-            println!("          violation: {v}");
-        }
-    }
-    // Aimed change-feed schedules: kill a feed-enabled daemon at each
-    // p3:notify:* step and check the delivery contract across failover —
-    // at-least-once, sequence-ordered, duplicates allowed, gaps never.
+    table(chaos::Family::Group, &|o| {
+        let a = &o.audit;
+        format!(
+            "{:<26} {:>4} {:>10} {:>9} {:>7} {:>5} {:>6} {:>6}",
+            o.aim.step,
+            o.aim.occurrence,
+            a.unique_commits,
+            a.double_commits,
+            a.broken_promises,
+            a.wal_leftover,
+            a.temp_leftover,
+            a.index_inconsistencies
+        )
+    });
+    // Change feed: the delivery contract across failover — at-least-once,
+    // sequence-ordered, duplicates allowed, gaps never.
     println!(
         "\nAimed change-feed crash schedules (daemon killed around stage/publish/watermark;\na live subscription rides both daemons):"
     );
@@ -639,33 +646,25 @@ fn chaos_table(small: bool, seed_arg: Option<u64>) -> bool {
         "  {:<20} {:>4} {:>10} {:>8} {:>8} {:>6} {:>6}   verdict",
         "Step", "Occ", "Committed", "FeedMiss", "FeedDup", "Gaps", "Unpub"
     );
-    for o in chaos::notify_crash_schedules() {
-        let violations = o.violations();
-        let ok = violations.is_empty();
-        all_ok &= ok;
-        println!(
-            "  {:<20} {:>4} {:>10} {:>8} {:>8} {:>6} {:>6}   {}",
-            o.step,
-            o.occurrence,
-            o.unique_committed,
-            o.feed_missing,
-            o.feed_duplicates,
-            o.feed_gaps,
-            o.feed_unpublished,
-            if ok { "PASS" } else { "FAIL" }
-        );
-        for v in violations {
-            println!("          violation: {v}");
-        }
-    }
+    table(chaos::Family::Notify, &|o| {
+        let a = &o.audit;
+        format!(
+            "{:<20} {:>4} {:>10} {:>8} {:>8} {:>6} {:>6}",
+            o.aim.step,
+            o.aim.occurrence,
+            a.unique_commits,
+            a.feed_missing,
+            a.feed_duplicates,
+            a.feed_gaps + a.feed_seq_gaps,
+            a.feed_unpublished
+        )
+    });
     println!(
         "\n('FeedDup' is allowed by the at-least-once contract — the watermark-crash row\nis SUPPOSED to show duplicates; 'FeedMiss', 'Gaps' and 'Unpub' must be zero.)"
     );
-    // Aimed content-addressed-store schedules: kill a pipelined client
-    // at each client:cas:* step inside the speculative ancestor publish
-    // and check the publish-before-reference ordering — acked flushes
-    // all recommit, dead flushes never half-log, stranded CAS content
-    // is unreferenced garbage rather than a dangling WAL reference.
+    // CAS publish: acked flushes all recommit, dead flushes never
+    // half-log, stranded CAS content is unreferenced garbage rather than
+    // a dangling WAL reference.
     println!(
         "\nAimed CAS-publish crash schedules (pipelined client killed inside the\nspeculative ancestor publish; a fresh daemon drains what it logged):"
     );
@@ -673,26 +672,19 @@ fn chaos_table(small: bool, seed_arg: Option<u64>) -> bool {
         "  {:<22} {:>4} {:>6} {:>8} {:>10} {:>9} {:>9} {:>6}   verdict",
         "Step", "Occ", "Acked", "Backlog", "Committed", "StrndReg", "StrndDat", "Dangl"
     );
-    for o in chaos::cas_crash_schedules() {
-        let violations = o.violations();
-        let ok = violations.is_empty();
-        all_ok &= ok;
-        println!(
-            "  {:<22} {:>4} {:>6} {:>8} {:>10} {:>9} {:>9} {:>6}   {}",
-            o.step,
-            o.occurrence,
-            o.acked_flushes,
+    table(chaos::Family::Cas, &|o| {
+        format!(
+            "{:<22} {:>4} {:>6} {:>8} {:>10} {:>9} {:>9} {:>6}",
+            o.aim.step,
+            o.aim.occurrence,
+            o.acked,
             o.wal_backlog,
-            o.unique_committed,
+            o.audit.unique_commits,
             o.stranded_registry,
             o.stranded_data,
-            o.dangling_ancestors,
-            if ok { "PASS" } else { "FAIL" }
-        );
-        for v in violations {
-            println!("          violation: {v}");
-        }
-    }
+            o.audit.dangling_edges
+        )
+    });
     println!(
         "\n('StrndReg'/'StrndDat' count CAS content no acknowledged flush references —\nallowed, re-publishable garbage; the register#8 row is SUPPOSED to strand.\n'Dangl' (dangling ancestor references) and half-logged flushes must be zero.)"
     );

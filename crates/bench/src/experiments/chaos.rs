@@ -10,7 +10,12 @@
 
 use std::ops::Range;
 
-use cloudprov_chaos::{explore_seed, ExplorationReport, Explorer, ProtocolSummary, SeedOutcome};
+use cloudprov_chaos::{
+    aimed_schedules, explore_seed, run_aimed, ExplorationReport, Explorer, ProtocolSummary,
+    SeedOutcome,
+};
+
+pub use cloudprov_chaos::{AimedOutcome, Family};
 
 use crate::Which;
 
@@ -41,27 +46,14 @@ pub fn replay_twice(which: Which, seed: u64) -> (SeedOutcome, SeedOutcome) {
     (explore_seed(which, seed), explore_seed(which, seed))
 }
 
-/// The aimed group-commit crash schedules (`p3:commit:group:*`): each
-/// kills the daemon at a named step occurrence inside a cross-
-/// transaction group commit and checks the recommit converged. Appended
-/// to the seeded sweep so the sweep's coverage of the new crash points
-/// never depends on where the seeds' crossing draws happen to land.
-pub use cloudprov_chaos::group_crash_schedules as group_commit_schedules;
-
-/// The aimed change-feed crash schedules (`p3:notify:*`): each kills a
-/// feed-enabled daemon at a named notify step and checks the delivery
-/// contract end to end across failover — every committed transaction
-/// reaches a live subscription at least once, in sequence order, with
-/// duplicates allowed and gaps forbidden.
-pub use cloudprov_chaos::notify_crash_schedules;
-
-/// The aimed content-addressed-store crash schedules (`client:cas:*`):
-/// each kills a pipelined client inside the speculative ancestor
-/// publish and checks the publish-before-reference ordering — every
-/// acknowledged flush recommits on a fresh daemon, dead flushes never
-/// half-log, and anything the crash stranded in the CAS is unreferenced
-/// garbage rather than a dangling WAL reference.
-pub use cloudprov_chaos::cas_crash_schedules;
+/// The aimed crash schedules (`p3:commit:*`, `p3:notify:*`,
+/// `client:cas:*`): each kills a daemon or client at a named step
+/// occurrence and audits the recovery like a seed. Appended to the seeded
+/// sweep so its coverage of these crash points never depends on where
+/// the seeds' crossing draws happen to land.
+pub fn aimed() -> Vec<AimedOutcome> {
+    aimed_schedules().iter().map(run_aimed).collect()
+}
 
 #[cfg(test)]
 mod tests {
@@ -77,48 +69,6 @@ mod tests {
                 row.summary.failing_seeds, 0,
                 "{:?}: {:?}",
                 row.summary.protocol, row.summary.minimal_failure
-            );
-        }
-    }
-
-    #[test]
-    fn replays_are_identical() {
-        let (a, b) = replay_twice(Which::P3, 2);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn group_commit_schedules_all_converge() {
-        for o in group_commit_schedules() {
-            assert!(
-                o.violations().is_empty(),
-                "{}: {:?}",
-                o.step,
-                o.violations()
-            );
-        }
-    }
-
-    #[test]
-    fn notify_schedules_all_converge() {
-        for o in notify_crash_schedules() {
-            assert!(
-                o.violations().is_empty(),
-                "{}: {:?}",
-                o.step,
-                o.violations()
-            );
-        }
-    }
-
-    #[test]
-    fn cas_schedules_all_converge() {
-        for o in cas_crash_schedules() {
-            assert!(
-                o.violations().is_empty(),
-                "{}: {:?}",
-                o.step,
-                o.violations()
             );
         }
     }

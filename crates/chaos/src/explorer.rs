@@ -16,63 +16,28 @@
 //! (same queue URL — that is the whole point of keeping the WAL in the
 //! cloud), drain it, let the four-day retention window expire incomplete
 //! transactions, and run the cleaner daemon over orphaned temp objects.
-//! Then the §3 property checkers run as hard invariants:
-//!
-//! * **Causal ordering** — [`check_causal_ordering`] must find no dangling
-//!   ancestor pointer for P3 (P1/P2 in parallel mode legitimately violate
-//!   it; the counts are reported, mirroring Table 1).
-//! * **Coupling** — every readable object is read through the protocol's
-//!   coupling detector; P3 must come back `Coupled` everywhere.
-//! * **Durability promises** — every file whose close (plus pipeline
-//!   `sync`) succeeded before the crash must still be readable after
-//!   recovery; for P3 it must also be coupled (a fully-logged WAL
-//!   transaction is recoverable by any machine).
-//! * **Persistence** — [`check_persistence`]: deleting the data leaves
-//!   the provenance reachable.
-//! * **WAL/temp hygiene** — after recovery + retention + cleaner, the WAL
-//!   is empty and no temporary object is left behind.
+//! Then the recovery client collects the same [`Audit`] every chaos
+//! harness does, and its violations are the seed's verdict.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cloudprov_cloud::{AwsProfile, CloudEnv, CloudError, DEFAULT_VISIBILITY_TIMEOUT, RETENTION};
-use cloudprov_core::properties::{check_causal_ordering, check_persistence};
-use cloudprov_core::{
-    CouplingCheck, Protocol, ProtocolConfig, ProtocolError, ProvenanceClient, StorageProtocol,
-};
+use parking_lot::Mutex;
+
+use cloudprov_cloud::{AwsProfile, CloudEnv, DEFAULT_VISIBILITY_TIMEOUT, RETENTION};
+use cloudprov_core::{Protocol, ProtocolConfig, ProvenanceClient};
 use cloudprov_fs::{LocalIoParams, PaS3fs};
+use cloudprov_pass::Uuid;
 use cloudprov_sim::Sim;
 use cloudprov_workloads::testkit::{self, random_script};
 
+use crate::audit::{Audit, Recovered};
 use crate::plan::{ChaosPlan, CrashSchedule, FiredCrash};
 
 /// Queue name shared by the dying client and its recovery machine.
 const WAL_QUEUE: &str = "wal-chaos";
-
-/// Tally of coupling verdicts over the post-recovery read sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CouplingTally {
-    /// Reads whose data and provenance matched.
-    pub coupled: usize,
-    /// Reads with no (or not-yet-visible) provenance — a detected
-    /// coupling violation for P1/P2 after quiescence.
-    pub provenance_missing: usize,
-    /// Reads whose provenance describes different data.
-    pub hash_mismatch: usize,
-    /// Reads of data carrying no provenance link.
-    pub unlinked: usize,
-    /// Keys with no readable data at all (never durable, or unlinked).
-    pub missing_data: usize,
-}
-
-impl CouplingTally {
-    /// Detected coupling violations (everything except clean/missing).
-    pub fn detected_violations(&self) -> usize {
-        self.provenance_missing + self.hash_mismatch
-    }
-}
 
 /// Everything one explored seed produced. `PartialEq` so replays can be
 /// checked for bit-identical schedules and verdicts.
@@ -90,105 +55,15 @@ pub struct SeedOutcome {
     pub crash: Option<FiredCrash>,
     /// Keys whose durability was promised before the crash.
     pub promised: BTreeSet<String>,
-    /// Coupling verdicts of the post-recovery read sweep.
-    pub coupling: CouplingTally,
-    /// Dangling ancestor edges found by the causal-ordering scan.
-    pub dangling_edges: usize,
-    /// Promised keys that were unreadable (or, for P3, uncoupled) after
-    /// recovery.
-    pub broken_promises: usize,
-    /// Whether provenance survived data deletion (None when nothing was
-    /// readable or the protocol stores no provenance).
-    pub persistence_ok: Option<bool>,
-    /// WAL messages left after recovery + retention expiry (P3; 0 else).
-    pub wal_leftover: usize,
-    /// Temporary objects left after the cleaner pass (P3; 0 else).
-    pub temp_leftover: usize,
-    /// Ancestry-index entries disagreeing with the committed base
-    /// records after recovery (P3; 0 else). A crash between the base
-    /// write and the index write (`p3:commit:group:index`) must heal on
-    /// recommit — the WAL is only acknowledged after both.
-    pub index_inconsistencies: usize,
-    /// Staged feed events found in the feed domain after recovery (P3
-    /// with the feed enabled; 0 else). Crash-replay duplicates inflate
-    /// this past the commit count — allowed.
-    pub feed_events: usize,
-    /// Holes in the stream's staged sequence numbers (P3; must be 0:
-    /// staging allocates contiguously and never deletes).
-    pub feed_seq_gaps: u64,
-    /// Staged feed events above the durable watermark after recovery
-    /// (P3; must be 0: the recovery daemon's idle flush publishes any
-    /// backlog a crashed predecessor left).
-    pub feed_unpublished: u64,
-    /// Unexpected errors during recovery (always violations).
-    pub recovery_errors: Vec<String>,
+    /// What the recovery client found, led by the recovery's own errors.
+    pub audit: Audit,
 }
 
 impl SeedOutcome {
     /// Hard invariant violations **for this protocol** — the conditions a
-    /// CI run fails on. P1/P2's detectable coupling/causal violations
-    /// under parallel upload are Table 1 facts, not failures; everything
-    /// here is a broken guarantee.
+    /// CI run fails on.
     pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        for e in &self.recovery_errors {
-            v.push(format!("recovery error: {e}"));
-        }
-        if self.broken_promises > 0 {
-            v.push(format!(
-                "{} durability promise(s) broken after recovery",
-                self.broken_promises
-            ));
-        }
-        if self.persistence_ok == Some(false) {
-            v.push("provenance did not survive data deletion".into());
-        }
-        if self.protocol == Protocol::P3 {
-            if self.dangling_edges > 0 {
-                v.push(format!(
-                    "P3 causal ordering violated: {} dangling edge(s)",
-                    self.dangling_edges
-                ));
-            }
-            let c = &self.coupling;
-            if c.detected_violations() > 0 || c.unlinked > 0 {
-                v.push(format!(
-                    "P3 coupling violated: {} missing, {} mismatched, {} unlinked",
-                    c.provenance_missing, c.hash_mismatch, c.unlinked
-                ));
-            }
-            if self.wal_leftover > 0 {
-                v.push(format!(
-                    "{} WAL message(s) survived recovery + retention",
-                    self.wal_leftover
-                ));
-            }
-            if self.temp_leftover > 0 {
-                v.push(format!(
-                    "{} temp object(s) survived the cleaner",
-                    self.temp_leftover
-                ));
-            }
-            if self.index_inconsistencies > 0 {
-                v.push(format!(
-                    "ancestry index diverged from base records in {} entr(ies)",
-                    self.index_inconsistencies
-                ));
-            }
-            if self.feed_seq_gaps > 0 {
-                v.push(format!(
-                    "{} sequence gap(s) in the staged feed",
-                    self.feed_seq_gaps
-                ));
-            }
-            if self.feed_unpublished > 0 {
-                v.push(format!(
-                    "{} staged feed event(s) never published after recovery",
-                    self.feed_unpublished
-                ));
-            }
-        }
-        v
+        self.audit.violations()
     }
 }
 
@@ -216,6 +91,8 @@ pub fn explore_seed(protocol: Protocol, seed: u64) -> SeedOutcome {
         builder = builder.pipelined();
     }
     let client = Arc::new(builder.build(&env));
+    let committed = Arc::new(Mutex::new(Vec::<Uuid>::new()));
+    listen(&client, &committed);
     let fs = PaS3fs::attach(client.clone(), LocalIoParams::instant(), seed);
     let script = random_script(seed, plan.script_len);
     let replay = testkit::replay_fs(&fs, &script);
@@ -252,6 +129,7 @@ pub fn explore_seed(protocol: Protocol, seed: u64) -> SeedOutcome {
         })
         .queue(WAL_QUEUE)
         .build(&env);
+    listen(&recovery, &committed);
     if let Err(e) = recovery.drain() {
         recovery_errors.push(format!("WAL drain: {e}"));
     }
@@ -269,92 +147,20 @@ pub fn explore_seed(protocol: Protocol, seed: u64) -> SeedOutcome {
     }
 
     // --- Phase 3: invariants. ---
-    let store = recovery.provenance_store();
-    let mut coupling = CouplingTally::default();
-    let mut coupled_keys: Vec<String> = Vec::new();
-    for f in 0..testkit::FILES {
-        let key = testkit::file_key(f);
-        match recovery.read(&key) {
-            Ok(r) => {
-                match r.coupling {
-                    CouplingCheck::Coupled => coupling.coupled += 1,
-                    CouplingCheck::ProvenanceMissing => coupling.provenance_missing += 1,
-                    CouplingCheck::HashMismatch => coupling.hash_mismatch += 1,
-                    CouplingCheck::Unlinked => coupling.unlinked += 1,
-                }
-                if r.id.is_some() && r.coupling.is_coupled() {
-                    coupled_keys.push(key);
-                }
-            }
-            Err(ProtocolError::Cloud(CloudError::NoSuchKey { .. })) => coupling.missing_data += 1,
-            Err(e) => recovery_errors.push(format!("read of {key}: {e}")),
-        }
-    }
-    let mut broken_promises = 0;
-    for key in &promised {
-        match recovery.read(key) {
-            Ok(r) => {
-                if protocol == Protocol::P3 && !r.coupling.is_coupled() {
-                    broken_promises += 1;
-                }
-            }
-            Err(_) => broken_promises += 1,
-        }
-    }
-    let dangling_edges = match &store {
-        Some(store) => match check_causal_ordering(&env, store) {
-            Ok(report) => report.dangling.len(),
-            Err(e) => {
-                recovery_errors.push(format!("causal scan: {e}"));
-                0
-            }
-        },
-        None => 0,
-    };
-    let (wal_leftover, temp_leftover, index_inconsistencies, feed_audit) =
-        if protocol == Protocol::P3 {
-            let layout = &recovery.config().layout;
-            // Index ↔ base-record consistency: rebuild the expected ancestry
-            // index from the committed items and diff it against the stored
-            // one (crash between `p3:commit:group:db` and
-            // `p3:commit:group:index` must
-            // have healed during the recovery drains).
-            let audit = cloudprov_core::index::audit_index(&env, layout);
-            // Feed staging consistency: contiguous sequences, and nothing
-            // left above the watermark (the recovery drains flush the
-            // backlog of any `p3:notify:*` crash).
-            let feed = cloudprov_core::audit_feed(&env, &layout.domain, WAL_QUEUE);
-            (
-                recovery
-                    .wal_url()
-                    .map(|url| env.sqs().peek_depth(url))
-                    .unwrap_or(0),
-                env.s3()
-                    .peek_count(&layout.data_bucket, &layout.temp_prefix),
-                audit.inconsistencies(),
-                feed,
-            )
-        } else {
-            (0, 0, 0, cloudprov_core::FeedAudit::default())
-        };
-    // Last: persistence deletes data, so nothing may read after it. Only
-    // a *coupled* key qualifies: deleting data whose provenance never
-    // made it (a P1/P2 coupling fact, already tallied above) would
-    // misreport a persistence violation.
-    let persistence_ok = match (&store, coupled_keys.first()) {
-        (Some(_), Some(key)) => match recovery.read(key).ok().and_then(|r| r.id) {
-            Some(id) => match check_persistence(&env, &recovery, key, id) {
-                Ok(ok) => Some(ok),
-                Err(e) => {
-                    recovery_errors.push(format!("persistence check: {e}"));
-                    None
-                }
-            },
-            None => None,
-        },
-        _ => None,
-    };
-
+    let keys: Vec<String> = (0..testkit::FILES).map(testkit::file_key).collect();
+    let committed = committed.lock().clone();
+    let mut audit = Audit::collect(&Recovered {
+        env: &env,
+        reader: &recovery,
+        layout: &recovery.config().layout,
+        keys: &keys,
+        promised: &promised,
+        wal: recovery.wal_url().map(|url| (WAL_QUEUE, url)),
+        committed: &committed,
+        feed: feed_on,
+        live: None,
+    });
+    audit.errors.splice(0..0, recovery_errors);
     SeedOutcome {
         protocol,
         plan,
@@ -362,17 +168,15 @@ pub fn explore_seed(protocol: Protocol, seed: u64) -> SeedOutcome {
         crossings,
         crash,
         promised,
-        coupling,
-        dangling_edges,
-        broken_promises,
-        persistence_ok,
-        wal_leftover,
-        temp_leftover,
-        index_inconsistencies,
-        feed_events: feed_audit.events,
-        feed_seq_gaps: feed_audit.seq_gaps + feed_audit.duplicate_seqs,
-        feed_unpublished: feed_audit.unpublished(),
-        recovery_errors,
+        audit,
+    }
+}
+
+/// Records every transaction `client`'s commit daemon (P3 only) commits.
+fn listen(client: &ProvenanceClient, committed: &Arc<Mutex<Vec<Uuid>>>) {
+    if let Some(daemon) = client.commit_daemon() {
+        let ids = committed.clone();
+        daemon.set_commit_listener(Arc::new(move |txn| ids.lock().push(txn)));
     }
 }
 
@@ -387,25 +191,8 @@ pub struct ProtocolSummary {
     pub crashes: usize,
     /// Seeds that injected at least one service-level fault.
     pub faulty_seeds: usize,
-    /// Total coupling violations detected across the sweep.
-    pub coupling_violations: usize,
-    /// Total dangling ancestor edges across the sweep.
-    pub dangling_edges: usize,
-    /// Total broken durability promises across the sweep.
-    pub broken_promises: usize,
-    /// Total WAL messages left behind across the sweep.
-    pub wal_leftover: usize,
-    /// Total temp objects left behind across the sweep.
-    pub temp_leftover: usize,
-    /// Total ancestry-index ↔ base-record disagreements across the sweep.
-    pub index_inconsistencies: usize,
-    /// Total staged feed events across the sweep (P3 only).
-    pub feed_events: usize,
-    /// Total staged-feed sequence gaps across the sweep (must be 0).
-    pub feed_seq_gaps: u64,
-    /// Total staged-but-never-published feed events across the sweep
-    /// (must be 0).
-    pub feed_unpublished: u64,
+    /// The seeds' audits, summed.
+    pub audit: Audit,
     /// Seeds with at least one hard invariant violation.
     pub failing_seeds: usize,
     /// The smallest failing seed with its violations — the replay handle.
@@ -466,30 +253,14 @@ impl ExplorationReport {
             seeds: self.outcomes.len(),
             crashes: 0,
             faulty_seeds: 0,
-            coupling_violations: 0,
-            dangling_edges: 0,
-            broken_promises: 0,
-            wal_leftover: 0,
-            temp_leftover: 0,
-            index_inconsistencies: 0,
-            feed_events: 0,
-            feed_seq_gaps: 0,
-            feed_unpublished: 0,
+            audit: Audit::default(),
             failing_seeds: 0,
             minimal_failure: None,
         };
         for (seed, o) in self.seeds.clone().zip(&self.outcomes) {
             s.crashes += usize::from(o.crash.is_some());
             s.faulty_seeds += usize::from(o.plan.has_service_faults());
-            s.coupling_violations += o.coupling.detected_violations();
-            s.dangling_edges += o.dangling_edges;
-            s.broken_promises += o.broken_promises;
-            s.wal_leftover += o.wal_leftover;
-            s.temp_leftover += o.temp_leftover;
-            s.index_inconsistencies += o.index_inconsistencies;
-            s.feed_events += o.feed_events;
-            s.feed_seq_gaps += o.feed_seq_gaps;
-            s.feed_unpublished += o.feed_unpublished;
+            s.audit += &o.audit;
             let violations = o.violations();
             if !violations.is_empty() {
                 s.failing_seeds += 1;
@@ -541,14 +312,9 @@ mod tests {
             );
         }
         let s = report.summary();
-        assert_eq!(s.dangling_edges, 0);
-        assert_eq!(s.wal_leftover, 0);
-        assert_eq!(s.temp_leftover, 0);
-        assert_eq!(s.index_inconsistencies, 0);
-        assert_eq!(s.feed_seq_gaps, 0);
-        assert_eq!(s.feed_unpublished, 0);
+        assert!(s.audit.violations().is_empty(), "{s:?}");
         assert!(
-            s.feed_events > 0,
+            s.audit.feed_events > 0,
             "the P3 sweep must actually exercise the feed: {s:?}"
         );
         assert!(s.crashes > 0, "the range must actually inject crashes");
@@ -562,14 +328,19 @@ mod tests {
         let p1 = explorer.run(Protocol::P1).summary();
         let p2 = explorer.run(Protocol::P2).summary();
         let p3 = explorer.run(Protocol::P3).summary();
+        let damage = |s: &ProtocolSummary| {
+            s.audit.coupling.detected_violations() as u64 + s.audit.dangling_edges
+        };
         assert!(
-            p1.coupling_violations + p1.dangling_edges > 0
-                || p2.coupling_violations + p2.dangling_edges > 0,
+            damage(&p1) + damage(&p2) > 0,
             "the seed range should catch P1/P2 in at least one violation \
              (p1: {p1:?}, p2: {p2:?})"
         );
-        assert_eq!(p3.coupling_violations, 0, "{p3:?}");
-        assert_eq!(p3.dangling_edges, 0, "{p3:?}");
+        // That damage is detected, never a broken guarantee: P1 and P2
+        // pass every seed too.
+        assert_eq!(p1.failing_seeds, 0, "{p1:?}");
+        assert_eq!(p2.failing_seeds, 0, "{p2:?}");
+        assert_eq!(damage(&p3), 0, "{p3:?}");
         assert_eq!(p3.failing_seeds, 0, "{p3:?}");
     }
 

@@ -18,11 +18,15 @@
 //! 3. [`explore_seed`] replays the seeded workload through a real
 //!    [`PaS3fs`](cloudprov_fs::PaS3fs) mount on the virtual-time kernel,
 //!    lets the client die, performs §4.3.3 recovery (WAL handoff to a
-//!    fresh client, retention expiry, cleaner sweep), and runs the §3
-//!    property checkers as hard invariants.
+//!    fresh client, retention expiry, cleaner sweep), and collects the
+//!    [`Audit`] of the §3 properties as hard invariants.
 //! 4. An [`Explorer`] sweeps seed ranges per protocol and records the
 //!    **minimal failing seed** — which replays the *identical* schedule
 //!    and verdict, because everything is a function of the seed.
+//! 5. [`aimed_schedules`] complements the luck of the seeds with one
+//!    [`Aimed`] shot per crash point core exports (group commit, change
+//!    feed, CAS publish); [`run_aimed`] kills there, recovers, and
+//!    collects the same [`Audit`].
 //!
 //! ```
 //! use cloudprov_chaos::{explore_seed, ChaosPlan};
@@ -38,16 +42,12 @@
 
 #![warn(missing_docs)]
 
+mod audit;
 mod explorer;
 mod plan;
 mod targeted;
 
-pub use explorer::{
-    explore_seed, CouplingTally, ExplorationReport, Explorer, ProtocolSummary, SeedOutcome,
-};
+pub use audit::{Audit, CouplingTally};
+pub use explorer::{explore_seed, ExplorationReport, Explorer, ProtocolSummary, SeedOutcome};
 pub use plan::{ChaosPlan, CrashSchedule, FiredCrash};
-pub use targeted::{
-    cas_crash_schedules, group_crash_points, group_crash_schedules, notify_crash_schedules,
-    run_cas_crash, run_group_crash, run_notify_crash, CasCrashOutcome, GroupCrashOutcome,
-    NotifyCrashOutcome, CAS_CRASH_POINTS, NOTIFY_CRASH_POINTS,
-};
+pub use targeted::{aimed_schedules, run_aimed, Aimed, AimedOutcome, Family};

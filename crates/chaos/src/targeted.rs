@@ -1,21 +1,27 @@
-//! Targeted group-commit crash schedules.
+//! Aimed crash schedules: one runner, three crash-point families.
 //!
 //! The seeded explorer kills clients (and their daemons) at *counted*
 //! crash-point crossings, so which step dies depends on the seed. The
-//! group-commit engine's crash points — one per fan-out of its phase
-//! table, [`commit_crash_points`] — guard cross-transaction invariants
-//! that deserve aimed shots, not just coverage by luck: this module
-//! takes that table as input, builds a multi-client
-//! WAL backlog whose poll commits as one group, kills the daemon at a
-//! *named* step occurrence (first chunk, second chunk, between GC and
-//! ack…), recovers on a fresh daemon after the visibility window, and
-//! machine-checks that the recommit converged — every transaction
-//! committed exactly once, every object readable and coupled, no
-//! phantom provenance in base or index, no WAL or temp debris.
+//! crash points that guard cross-transaction invariants deserve aimed
+//! shots, not just coverage by luck. Each family's points are exported
+//! by the core module that crosses them, and [`aimed_schedules`] builds
+//! one [`Aimed`] row per shot from those exports:
 //!
-//! Everything is deterministic (instant profile, fixed identities), so
-//! these schedules are CI-stable companions to the seeded sweep, which
-//! `repro -- chaos` runs right after the seed table.
+//! * [`Family::Group`] — the group-commit engine's phase table
+//!   ([`commit_crash_points`]): a daemon dies mid-group over a
+//!   six-transaction WAL backlog.
+//! * [`Family::Notify`] — the change feed's stage/publish/watermark
+//!   points ([`notify_crash_points`]): a feed-enabled daemon dies with a
+//!   live subscription riding both it and its successor.
+//! * [`Family::Cas`] — the speculative ancestor publish
+//!   ([`cas_crash_points`]): a pipelined CAS client dies mid-run.
+//!
+//! [`run_aimed`] kills at the named step occurrence, waits out the
+//! visibility window, drains the WAL on a fresh daemon, and collects the
+//! same [`Audit`] the explorer does. Everything is deterministic (instant
+//! profile, fixed identities), so these schedules are CI-stable
+//! companions to the seeded sweep, which `repro -- chaos` runs right
+//! after the seed table.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -26,100 +32,142 @@ use parking_lot::Mutex;
 
 use cloudprov_cloud::{AwsProfile, Blob, CloudEnv, DEFAULT_VISIBILITY_TIMEOUT};
 use cloudprov_core::cas::canonical_encoding;
-use cloudprov_core::index::audit_index;
-use cloudprov_core::properties::{causal_report, load_all_records};
 use cloudprov_core::{
-    audit_feed, cas_domain, commit_crash_points, kill_at_occurrence, sha256_hex, CommitDaemon,
-    CouplingCheck, FlushBatch, FlushObject, Layout, Protocol, ProtocolConfig, ProtocolError,
-    ProvenanceClient, StorageProtocol, CAS_OBJECT_PREFIX, P3,
+    cas_crash_points, cas_domain, commit_crash_points, kill_at_occurrence, notify_crash_points,
+    sha256_hex, CommitDaemon, FlushBatch, FlushObject, Layout, Protocol, ProtocolConfig,
+    ProtocolError, ProvenanceClient, StepHook, StorageProtocol, CAS_OBJECT_PREFIX, P3,
 };
 use cloudprov_feed::{Predicate, Subscriptions};
 use cloudprov_pass::{Attr, FlushNode, NodeKind, PNodeId, ProvenanceRecord, Uuid};
 use cloudprov_sim::Sim;
 
-/// The aimed group-commit schedules, derived from the engine's phase
-/// table: the first crossing of every crash point it exports models a
-/// death at that fan-out's barrier (a keyed point — the per-object copy
-/// — is aimed at the schedule's first file), plus the *second* DB chunk,
-/// a death between two cross-transaction chunks.
-pub fn group_crash_points() -> Vec<(String, u64)> {
-    let mut aimed = Vec::new();
-    for point in commit_crash_points() {
-        let mut step = point.to_string();
-        if point.ends_with(':') {
-            step += &file_key(0);
-        }
-        aimed.push((step.clone(), 1));
-        if point == "p3:commit:group:db" {
-            aimed.push((step, 2));
-        }
-    }
-    aimed
-}
+use crate::audit::{Audit, Recovered};
 
-/// Transactions each schedule logs before the dying daemon polls.
+/// Transactions each schedule logs.
 const TXNS: u128 = 6;
 
-/// Verdict of one targeted schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupCrashOutcome {
-    /// The step the schedule aimed at.
-    pub step: String,
-    /// Which occurrence of the step was killed.
-    pub occurrence: u64,
-    /// Whether the aimed step was actually reached (the schedule is
-    /// vacuous otherwise — surfaced so CI notices a renamed step).
-    pub fired: bool,
-    /// Transactions the dying daemon acknowledged before the kill.
-    pub committed_before: u64,
-    /// Distinct transactions committed across both daemons.
-    pub unique_committed: u64,
-    /// Transactions committed more than once (must be 0).
-    pub double_commits: u64,
-    /// Objects that read back uncoupled after recovery (must be 0).
-    pub uncoupled: usize,
-    /// WAL messages surviving recovery (must be 0).
-    pub wal_leftover: usize,
-    /// Temp objects surviving recovery (must be 0).
-    pub temp_leftover: usize,
-    /// Ancestry-index ↔ base-record disagreements (must be 0).
-    pub index_inconsistencies: usize,
+/// Which crash-point family an aimed schedule shoots at — and so what
+/// dies: the commit daemon (`Group`, `Notify`) or the client (`Cas`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// `p3:commit:*`: a daemon killed mid-group.
+    Group,
+    /// `p3:notify:*`: a feed-enabled daemon killed around the publish.
+    Notify,
+    /// `client:cas:*`: a pipelined client killed inside the publish.
+    Cas,
 }
 
-impl GroupCrashOutcome {
-    /// Hard violations; empty means the schedule converged.
+/// One aimed shot: kill at the `occurrence`-th crossing of `step`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Aimed {
+    /// The crash-point family `step` belongs to.
+    pub family: Family,
+    /// The crash point.
+    pub step: String,
+    /// Which crossing of the step kills.
+    pub occurrence: u64,
+}
+
+/// Every aimed schedule, group-commit first, in the order `repro --
+/// chaos` prints them.
+pub fn aimed_schedules() -> Vec<Aimed> {
+    let aim = |family, step: &str, occurrence| Aimed {
+        family,
+        step: step.to_string(),
+        occurrence,
+    };
+    let mut aims = Vec::new();
+    // The first crossing of every group-commit point models a death at
+    // that fan-out's barrier (a keyed point — the per-object copy — is
+    // aimed at the schedule's first file), plus the *second* DB chunk, a
+    // death between two cross-transaction chunks.
+    for point in commit_crash_points() {
+        let step = if point.ends_with(':') {
+            format!("{point}{}", file_key(0))
+        } else {
+            point.to_string()
+        };
+        aims.push(aim(Family::Group, &step, 1));
+        if point.ends_with(":db") {
+            aims.push(aim(Family::Group, &step, 2));
+        }
+    }
+    // Death before the group's events stage (the WAL stays unacked, the
+    // group restages on recommit), between the group ack and the publish
+    // (the backlog drains on the takeover daemon's first flush), and
+    // between the publish and the watermark write (the takeover
+    // republishes — duplicates, never gaps).
+    for point in notify_crash_points() {
+        aims.push(aim(Family::Notify, point, 1));
+    }
+    // Aimed at the fourth of six flushes so survivors bracket the death.
+    // Each flush stages two publish units (an ancestor process, then a
+    // data-carrying file), so the occurrences land: death before the
+    // batch's first registry probe; death between the file's probe and
+    // its data upload; death at the batch's first registry put (the
+    // publish commit point); and death at the *second* registry put —
+    // after one unit fully published, the guaranteed stranded-garbage
+    // shot.
+    let [probe, publish, register] = cas_crash_points();
+    for (point, occurrence) in [(probe, 7), (publish, 4), (register, 7), (register, 8)] {
+        aims.push(aim(Family::Cas, point, occurrence));
+    }
+    aims
+}
+
+/// Verdict of one aimed schedule.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AimedOutcome {
+    /// The shot.
+    pub aim: Aimed,
+    /// Whether the aimed step was reached and the kill surfaced (the
+    /// schedule is vacuous otherwise — surfaced so CI notices a renamed
+    /// step).
+    pub fired: bool,
+    /// Flushes acknowledged before the death — the durability promises.
+    pub acked: u64,
+    /// Flushes whose `sync` barrier surfaced the crash.
+    pub failed: u64,
+    /// WAL messages found when the first daemon started (must equal
+    /// `acked`: no dead flush may half-log a transaction).
+    pub wal_backlog: usize,
+    /// CAS registry entries no acknowledged flush references (allowed —
+    /// stranded garbage, re-publishable).
+    pub stranded_registry: usize,
+    /// CAS data objects no acknowledged flush references (allowed).
+    pub stranded_data: usize,
+    /// What recovery left behind.
+    pub audit: Audit,
+}
+
+impl AimedOutcome {
+    /// Hard violations; empty means the schedule converged. Stranded
+    /// CAS garbage is deliberately *not* a violation — the design trades
+    /// re-publishable garbage for never dangling a WAL reference.
     pub fn violations(&self) -> Vec<String> {
+        let Aimed {
+            step, occurrence, ..
+        } = &self.aim;
         let mut v = Vec::new();
         if !self.fired {
             v.push(format!(
-                "crash point {}#{} never fired — schedule is vacuous",
-                self.step, self.occurrence
+                "crash point {step}#{occurrence} never fired — schedule is vacuous"
             ));
         }
-        if self.double_commits > 0 {
-            v.push(format!("{} double commits", self.double_commits));
-        }
-        if self.unique_committed != TXNS as u64 {
+        if self.wal_backlog as u64 != self.acked {
             v.push(format!(
-                "only {} of {TXNS} transactions recommitted",
-                self.unique_committed
+                "{} WAL transactions for {} acked flushes — a dead flush half-logged",
+                self.wal_backlog, self.acked
             ));
         }
-        if self.uncoupled > 0 {
+        if self.audit.unique_commits != self.acked {
             v.push(format!(
-                "{} objects uncoupled after recovery",
-                self.uncoupled
+                "{} of {} acked flushes recommitted",
+                self.audit.unique_commits, self.acked
             ));
         }
-        if self.wal_leftover > 0 {
-            v.push(format!("{} WAL messages left", self.wal_leftover));
-        }
-        if self.temp_leftover > 0 {
-            v.push(format!("{} temp objects left", self.temp_leftover));
-        }
-        if self.index_inconsistencies > 0 {
-            v.push(format!("{} index divergences", self.index_inconsistencies));
-        }
+        v.extend(self.audit.violations());
         v
     }
 }
@@ -168,439 +216,108 @@ fn file_with_ancestor(i: u128) -> Vec<FlushObject> {
     vec![proc, file]
 }
 
-/// Runs one aimed schedule: log six (`TXNS`) transactions from distinct
-/// client identities onto one shared queue, kill a daemon at the aimed
-/// group-commit step, wait out the visibility window, recover with a
-/// fresh daemon, and check convergence.
-pub fn run_group_crash(step: &str, occurrence: u64) -> GroupCrashOutcome {
+/// Runs one aimed schedule. `Group` and `Notify` log six (`TXNS`)
+/// transactions from distinct client identities onto one shared queue
+/// and kill the daemon that drains them; `Cas` has a pipelined client
+/// flush them (one `sync` barrier each) and kills the client. After the
+/// visibility window a fresh daemon drains whatever is left, and the
+/// audit checks the recovery converged: every acknowledged flush
+/// committed exactly once and reads back coupled, nothing a dead flush
+/// touched reached the WAL, and no WAL, temp or index debris is left.
+pub fn run_aimed(aim: &Aimed) -> AimedOutcome {
     let sim = Sim::new();
     let env = CloudEnv::new(&sim, AwsProfile::instant());
-    let queue = "wal-group-targeted";
-    for i in 0..TXNS {
-        let client = P3::with_identity(
-            &env,
-            ProtocolConfig::default(),
-            queue,
-            &format!("client-{i}"),
-        );
-        client
-            .flush(FlushBatch {
-                objects: file_with_ancestor(i),
-            })
-            .expect("log phase");
-    }
-    let committed_ids = Arc::new(Mutex::new(Vec::<Uuid>::new()));
-    let register = |daemon: &CommitDaemon| {
-        let ids = committed_ids.clone();
-        daemon.set_commit_listener(Arc::new(move |txn| ids.lock().push(txn)));
-    };
-    let (hook, fired) = kill_at_occurrence(step, occurrence);
-    let dying_cfg = ProtocolConfig {
-        step_hook: Some(hook),
-        ..ProtocolConfig::default()
+    let queue = match aim.family {
+        Family::Group => "wal-group-targeted",
+        Family::Notify => "wal-notify-targeted",
+        Family::Cas => "wal-cas-targeted",
     };
     let url = format!("sqs://{queue}");
-    let dying = CommitDaemon::new(&env, dying_cfg, &url);
-    register(&dying);
-    // The kill surfaces as a Crashed error; a miss (schedule vacuous)
-    // drains cleanly instead and is reported via `fired`.
-    let crashed = matches!(dying.run_until_idle(), Err(ProtocolError::Crashed { .. }));
-    let committed_before = dying.committed_transactions();
-    sim.sleep(DEFAULT_VISIBILITY_TIMEOUT + Duration::from_secs(1));
-    let recovery = CommitDaemon::new(&env, ProtocolConfig::default(), &url);
-    register(&recovery);
-    recovery.run_until_idle().expect("recovery drain");
-
-    let ids = committed_ids.lock().clone();
-    let distinct: BTreeSet<Uuid> = ids.iter().copied().collect();
-    let layout = Layout::default();
-    let reader = P3::with_identity(&env, ProtocolConfig::default(), queue, "reader");
-    let mut uncoupled = 0;
-    for i in 0..TXNS {
-        match reader.read(&file_key(i)) {
-            Ok(r) if r.coupling == CouplingCheck::Coupled => {}
-            _ => uncoupled += 1,
-        }
-    }
-    let audit = audit_index(&env, &layout);
-    GroupCrashOutcome {
-        step: step.to_string(),
-        occurrence,
-        fired: crashed && fired.load(Ordering::Relaxed),
-        committed_before,
-        unique_committed: distinct.len() as u64,
-        double_commits: (ids.len() - distinct.len()) as u64,
-        uncoupled,
-        wal_leftover: env.sqs().peek_depth(&url),
-        temp_leftover: env
-            .s3()
-            .peek_count(&layout.data_bucket, &layout.temp_prefix),
-        index_inconsistencies: audit.inconsistencies(),
-    }
-}
-
-/// Runs every aimed schedule of [`group_crash_points`].
-pub fn group_crash_schedules() -> Vec<GroupCrashOutcome> {
-    group_crash_points()
-        .iter()
-        .map(|(step, occ)| run_group_crash(step, *occ))
-        .collect()
-}
-
-/// The change-feed crash points, one aimed shot each: death before the
-/// group's events stage (the WAL stays unacked, the group restages on
-/// recommit), death between the group ack and the publish (the backlog
-/// drains on the takeover daemon's first flush), and death between the
-/// publish and the watermark write (the takeover republishes —
-/// duplicates, never gaps).
-pub const NOTIFY_CRASH_POINTS: &[(&str, u64)] = &[
-    ("p3:notify:stage", 1),
-    ("p3:notify:publish", 1),
-    ("p3:notify:wm", 1),
-];
-
-/// Verdict of one aimed change-feed schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NotifyCrashOutcome {
-    /// The step the schedule aimed at.
-    pub step: &'static str,
-    /// Which occurrence of the step was killed.
-    pub occurrence: u64,
-    /// Whether the aimed step was actually reached (vacuous otherwise).
-    pub fired: bool,
-    /// Distinct transactions committed across both daemons.
-    pub unique_committed: u64,
-    /// Transactions committed more than once (must be 0).
-    pub double_commits: u64,
-    /// Committed transactions the live subscription never saw — the
-    /// at-least-once guarantee (must be 0).
-    pub feed_missing: u64,
-    /// Duplicate deliveries the subscription saw (allowed — crash
-    /// replay produces them; reported for the table).
-    pub feed_duplicates: u64,
-    /// Bus-level sequence gaps plus out-of-order deliveries (must be 0).
-    pub feed_gaps: u64,
-    /// Staged events above the durable watermark after recovery (must
-    /// be 0: the takeover daemon's flush drains the backlog).
-    pub feed_unpublished: u64,
-    /// WAL messages surviving recovery (must be 0).
-    pub wal_leftover: usize,
-    /// Temp objects surviving recovery (must be 0).
-    pub temp_leftover: usize,
-    /// Ancestry-index ↔ base-record disagreements (must be 0).
-    pub index_inconsistencies: usize,
-}
-
-impl NotifyCrashOutcome {
-    /// Hard violations; empty means the schedule converged.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if !self.fired {
-            v.push(format!(
-                "crash point {}#{} never fired — schedule is vacuous",
-                self.step, self.occurrence
-            ));
-        }
-        if self.double_commits > 0 {
-            v.push(format!("{} double commits", self.double_commits));
-        }
-        if self.unique_committed != TXNS as u64 {
-            v.push(format!(
-                "only {} of {TXNS} transactions recommitted",
-                self.unique_committed
-            ));
-        }
-        if self.feed_missing > 0 {
-            v.push(format!(
-                "{} committed transactions never reached the feed",
-                self.feed_missing
-            ));
-        }
-        if self.feed_gaps > 0 {
-            v.push(format!("{} feed sequence gaps", self.feed_gaps));
-        }
-        if self.feed_unpublished > 0 {
-            v.push(format!(
-                "{} staged feed events never published",
-                self.feed_unpublished
-            ));
-        }
-        if self.wal_leftover > 0 {
-            v.push(format!("{} WAL messages left", self.wal_leftover));
-        }
-        if self.temp_leftover > 0 {
-            v.push(format!("{} temp objects left", self.temp_leftover));
-        }
-        if self.index_inconsistencies > 0 {
-            v.push(format!("{} index divergences", self.index_inconsistencies));
-        }
-        v
-    }
-}
-
-/// Runs one aimed change-feed schedule: log six (`TXNS`) transactions,
-/// run a feed-enabled daemon wired to a live [`Subscriptions`] bus, kill it at
-/// the aimed `p3:notify:*` occurrence, recover with a fresh feed-enabled
-/// daemon on the same bus, and check the delivery contract end to end —
-/// every committed transaction seen at least once, in sequence order,
-/// duplicates allowed, gaps and losses not.
-pub fn run_notify_crash(step: &'static str, occurrence: u64) -> NotifyCrashOutcome {
-    let sim = Sim::new();
-    let env = CloudEnv::new(&sim, AwsProfile::instant());
-    let queue = "wal-notify-targeted";
-    for i in 0..TXNS {
-        let client = P3::with_identity(
-            &env,
-            ProtocolConfig::default(),
-            queue,
-            &format!("client-{i}"),
-        );
-        client
-            .flush(FlushBatch {
-                objects: file_with_ancestor(i),
-            })
-            .expect("log phase");
-    }
-    let subs = Subscriptions::new(&sim);
-    let sub = subs
-        .subscribe(None, Predicate::All)
-        .expect("fresh registry cannot be over quota");
-    let committed_ids = Arc::new(Mutex::new(Vec::<Uuid>::new()));
-    let register = |daemon: &CommitDaemon| {
-        let ids = committed_ids.clone();
-        daemon.set_commit_listener(Arc::new(move |txn| ids.lock().push(txn)));
-        daemon.set_event_sink(subs.sink());
-    };
-    let feed_cfg = ProtocolConfig {
-        feed: true,
-        ..ProtocolConfig::default()
-    };
-    let (hook, fired) = kill_at_occurrence(step, occurrence);
-    let dying_cfg = ProtocolConfig {
-        step_hook: Some(hook),
-        ..feed_cfg.clone()
-    };
-    let url = format!("sqs://{queue}");
-    let dying = CommitDaemon::new(&env, dying_cfg, &url);
-    register(&dying);
-    let crashed = matches!(dying.run_until_idle(), Err(ProtocolError::Crashed { .. }));
-    sim.sleep(DEFAULT_VISIBILITY_TIMEOUT + Duration::from_secs(1));
-    let recovery = CommitDaemon::new(&env, feed_cfg, &url);
-    register(&recovery);
-    recovery.run_until_idle().expect("recovery drain");
-
-    let ids = committed_ids.lock().clone();
-    let distinct: BTreeSet<Uuid> = ids.iter().copied().collect();
-    let mut seen: BTreeSet<Uuid> = BTreeSet::new();
-    while let Some(ev) = sub.try_next() {
-        seen.insert(ev.txn);
-    }
-    let stats = subs.stats();
-    let layout = Layout::default();
-    let feed = audit_feed(&env, &layout.domain, queue);
-    NotifyCrashOutcome {
-        step,
-        occurrence,
-        fired: crashed && fired.load(Ordering::Relaxed),
-        unique_committed: distinct.len() as u64,
-        double_commits: (ids.len() - distinct.len()) as u64,
-        feed_missing: distinct.iter().filter(|t| !seen.contains(t)).count() as u64,
-        feed_duplicates: stats.duplicates,
-        feed_gaps: stats.gaps + sub.out_of_order() + feed.seq_gaps + feed.duplicate_seqs,
-        feed_unpublished: feed.unpublished(),
-        wal_leftover: env.sqs().peek_depth(&url),
-        temp_leftover: env
-            .s3()
-            .peek_count(&layout.data_bucket, &layout.temp_prefix),
-        index_inconsistencies: audit_index(&env, &layout).inconsistencies(),
-    }
-}
-
-/// Runs every aimed schedule in [`NOTIFY_CRASH_POINTS`].
-pub fn notify_crash_schedules() -> Vec<NotifyCrashOutcome> {
-    NOTIFY_CRASH_POINTS
-        .iter()
-        .map(|(step, occ)| run_notify_crash(step, *occ))
-        .collect()
-}
-
-/// The client-side content-addressed-store crash points, aimed at the
-/// fourth of six flushes so survivors bracket the death. Each flush
-/// stages two publish units (an ancestor process, then a data-carrying
-/// file), so the occurrences land: death before the batch's first
-/// registry probe; death between the file's probe and its data upload;
-/// death at the batch's first registry put (the publish commit point);
-/// and death at the *second* registry put — after one unit fully
-/// published, the guaranteed stranded-garbage shot.
-pub const CAS_CRASH_POINTS: &[(&str, u64)] = &[
-    ("client:cas:probe", 7),
-    ("client:cas:publish", 4),
-    ("client:cas:register", 7),
-    ("client:cas:register", 8),
-];
-
-/// Verdict of one aimed CAS-publish crash schedule. The tentpole
-/// invariant: a client killed anywhere inside the speculative publish
-/// may strand *unreferenced* CAS garbage (re-publishable, harmless) but
-/// must never log a WAL transaction referencing content that is not
-/// durably published — acknowledged flushes all recommit, dead flushes
-/// contribute nothing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CasCrashOutcome {
-    /// The step the schedule aimed at.
-    pub step: &'static str,
-    /// Which occurrence of the step was killed.
-    pub occurrence: u64,
-    /// Whether the aimed step was actually reached (vacuous otherwise).
-    pub fired: bool,
-    /// Flushes whose `sync` barrier returned Ok before the death — the
-    /// client's durability promises.
-    pub acked_flushes: u64,
-    /// Flushes whose `sync` barrier surfaced the crash.
-    pub failed_flushes: u64,
-    /// WAL messages found when recovery started (must equal
-    /// `acked_flushes`: no dead flush may half-log a transaction).
-    pub wal_backlog: usize,
-    /// Distinct transactions the recovery daemon committed (must equal
-    /// `acked_flushes`).
-    pub unique_committed: u64,
-    /// Transactions committed more than once (must be 0).
-    pub double_commits: u64,
-    /// Acked files that read back missing or uncoupled (must be 0).
-    pub unreadable_acked: usize,
-    /// Ancestor references in the committed provenance with no matching
-    /// record — the §3 causal-ordering check (must be 0).
-    pub dangling_ancestors: usize,
-    /// CAS registry entries no acknowledged flush references (allowed —
-    /// stranded garbage, re-publishable; reported for the table).
-    pub stranded_registry: usize,
-    /// CAS data objects no acknowledged flush references (allowed).
-    pub stranded_data: usize,
-    /// WAL messages surviving recovery (must be 0).
-    pub wal_leftover: usize,
-    /// Temp objects surviving recovery (must be 0).
-    pub temp_leftover: usize,
-    /// Ancestry-index ↔ base-record disagreements (must be 0).
-    pub index_inconsistencies: usize,
-}
-
-impl CasCrashOutcome {
-    /// Hard violations; empty means the schedule converged. Stranded
-    /// CAS garbage is deliberately *not* a violation — the design trades
-    /// re-publishable garbage for never dangling a WAL reference.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if !self.fired {
-            v.push(format!(
-                "crash point {}#{} never fired — schedule is vacuous",
-                self.step, self.occurrence
-            ));
-        }
-        if self.wal_backlog as u64 != self.acked_flushes {
-            v.push(format!(
-                "{} WAL transactions for {} acked flushes — a dead flush half-logged",
-                self.wal_backlog, self.acked_flushes
-            ));
-        }
-        if self.unique_committed != self.acked_flushes {
-            v.push(format!(
-                "{} of {} acked flushes recommitted",
-                self.unique_committed, self.acked_flushes
-            ));
-        }
-        if self.double_commits > 0 {
-            v.push(format!("{} double commits", self.double_commits));
-        }
-        if self.unreadable_acked > 0 {
-            v.push(format!(
-                "{} acked objects unreadable after recovery",
-                self.unreadable_acked
-            ));
-        }
-        if self.dangling_ancestors > 0 {
-            v.push(format!(
-                "{} dangling ancestor references",
-                self.dangling_ancestors
-            ));
-        }
-        if self.wal_leftover > 0 {
-            v.push(format!("{} WAL messages left", self.wal_leftover));
-        }
-        if self.temp_leftover > 0 {
-            v.push(format!("{} temp objects left", self.temp_leftover));
-        }
-        if self.index_inconsistencies > 0 {
-            v.push(format!("{} index divergences", self.index_inconsistencies));
-        }
-        v
-    }
-}
-
-/// Runs one aimed CAS crash schedule: a pipelined CAS-enabled client
-/// flushes six (`TXNS`) batches (one `sync` barrier each, so
-/// acknowledgement is per-batch), dies at the aimed `client:cas:*` occurrence, and is
-/// abandoned mid-run; after the visibility window a fresh daemon drains
-/// whatever the dead client logged, and the outcome checks the publish
-/// ordering contract — every acknowledged flush recommits, nothing a
-/// dead flush touched reached the WAL, and any stranded CAS content is
-/// unreferenced garbage rather than a broken reference.
-pub fn run_cas_crash(step: &'static str, occurrence: u64) -> CasCrashOutcome {
-    let sim = Sim::new();
-    let env = CloudEnv::new(&sim, AwsProfile::instant());
-    let queue = "wal-cas-targeted";
-    let (hook, fired) = kill_at_occurrence(step, occurrence);
-    let dying = ProvenanceClient::builder(Protocol::P3)
-        .pipelined()
-        .queue(queue)
-        .step_hook(hook)
-        .build(&env);
+    let feed = aim.family == Family::Notify;
+    let (hook, hit) = kill_at_occurrence(aim.step.as_str(), aim.occurrence);
+    let window = DEFAULT_VISIBILITY_TIMEOUT + Duration::from_secs(1);
     let mut acked = 0u64;
     let mut failed = 0u64;
-    for i in 0..TXNS {
-        dying.flush_async(FlushBatch {
-            objects: file_with_ancestor(i),
-        });
-        match dying.sync() {
-            Ok(()) => acked += 1,
-            Err(_) => failed += 1,
+    if aim.family == Family::Cas {
+        let dying = ProvenanceClient::builder(Protocol::P3)
+            .pipelined()
+            .queue(queue)
+            .step_hook(hook.clone())
+            .build(&env);
+        for i in 0..TXNS {
+            dying.flush_async(FlushBatch {
+                objects: file_with_ancestor(i),
+            });
+            match dying.sync() {
+                Ok(()) => acked += 1,
+                Err(_) => failed += 1,
+            }
+        }
+        sim.sleep(window);
+    } else {
+        for i in 0..TXNS {
+            let client = P3::with_identity(
+                &env,
+                ProtocolConfig::default(),
+                queue,
+                &format!("client-{i}"),
+            );
+            client
+                .flush(FlushBatch {
+                    objects: file_with_ancestor(i),
+                })
+                .expect("log phase");
+            acked += 1;
         }
     }
-    let url = format!("sqs://{queue}");
-    sim.sleep(DEFAULT_VISIBILITY_TIMEOUT + Duration::from_secs(1));
     let wal_backlog = env.sqs().peek_depth(&url);
-    let committed_ids = Arc::new(Mutex::new(Vec::<Uuid>::new()));
-    let recovery = CommitDaemon::new(&env, ProtocolConfig::default(), &url);
-    {
-        let ids = committed_ids.clone();
-        recovery.set_commit_listener(Arc::new(move |txn| ids.lock().push(txn)));
-    }
-    recovery.run_until_idle().expect("recovery drain");
+    let live = feed.then(|| {
+        let subs = Subscriptions::new(&sim);
+        let sub = subs
+            .subscribe(None, Predicate::All)
+            .expect("fresh registry cannot be over quota");
+        (subs, sub)
+    });
+    let committed = Arc::new(Mutex::new(Vec::<Uuid>::new()));
+    let daemon = |step_hook: Option<StepHook>| {
+        let config = ProtocolConfig {
+            feed,
+            step_hook,
+            ..ProtocolConfig::default()
+        };
+        let daemon = CommitDaemon::new(&env, config, &url);
+        let ids = committed.clone();
+        daemon.set_commit_listener(Arc::new(move |txn| ids.lock().push(txn)));
+        if let Some((subs, _)) = &live {
+            daemon.set_event_sink(subs.sink());
+        }
+        daemon
+    };
+    // The dying party must surface the kill: a miss (schedule vacuous)
+    // drains cleanly instead and is reported via `fired`.
+    let surfaced = if aim.family == Family::Cas {
+        failed > 0
+    } else {
+        let dying = daemon(Some(hook));
+        let crashed = matches!(dying.run_until_idle(), Err(ProtocolError::Crashed { .. }));
+        sim.sleep(window);
+        crashed
+    };
+    daemon(None).run_until_idle().expect("recovery drain");
 
-    let ids = committed_ids.lock().clone();
-    let distinct: BTreeSet<Uuid> = ids.iter().copied().collect();
     let layout = Layout::default();
     let reader = P3::with_identity(&env, ProtocolConfig::default(), queue, "reader");
-    let mut unreadable_acked = 0;
-    for i in 0..acked as u128 {
-        match reader.read(&file_key(i)) {
-            Ok(r) if r.coupling == CouplingCheck::Coupled => {}
-            _ => unreadable_acked += 1,
-        }
-    }
-    // The committed provenance must satisfy §3 causal ordering: no
-    // record may cite an ancestor the store does not hold.
-    let store = reader.provenance_store().expect("P3 stores provenance");
-    let records = load_all_records(&env, &store).expect("scan provenance");
-    let dangling_ancestors = causal_report(&records).dangling.len();
+    let keys: Vec<String> = (0..TXNS).map(file_key).collect();
+    let promised: BTreeSet<String> = keys[..acked as usize].iter().cloned().collect();
+    let committed = committed.lock().clone();
     // Hashes the acknowledged flushes reference — recomputed from the
     // same canonical encoding the client used. Anything else in the
     // registry or under `cas/` is stranded garbage the crash left.
     let published: BTreeSet<String> = (0..acked as u128)
-        .flat_map(|i| {
-            file_with_ancestor(i).into_iter().map(|obj| {
-                let enc = canonical_encoding(&obj).expect("schedule objects are CAS-eligible");
-                sha256_hex(enc.as_bytes())
-            })
+        .flat_map(file_with_ancestor)
+        .map(|obj| {
+            let enc = canonical_encoding(&obj).expect("schedule objects are CAS-eligible");
+            sha256_hex(enc.as_bytes())
         })
         .collect();
     let stranded_registry = env
@@ -616,56 +333,75 @@ pub fn run_cas_crash(step: &'static str, occurrence: u64) -> CasCrashOutcome {
         .into_iter()
         .filter(|k| !published.contains(k.key.strip_prefix(CAS_OBJECT_PREFIX).unwrap_or(&k.key)))
         .count();
-    CasCrashOutcome {
-        step,
-        occurrence,
-        fired: failed > 0 && fired.load(Ordering::Relaxed),
-        acked_flushes: acked,
-        failed_flushes: failed,
+    let audit = Audit::collect(&Recovered {
+        env: &env,
+        reader: &reader,
+        layout: &layout,
+        keys: &keys,
+        promised: &promised,
+        wal: Some((queue, &url)),
+        committed: &committed,
+        feed,
+        live: live.as_ref().map(|(subs, sub)| (subs, sub)),
+    });
+    AimedOutcome {
+        aim: aim.clone(),
+        fired: surfaced && hit.load(Ordering::Relaxed),
+        acked,
+        failed,
         wal_backlog,
-        unique_committed: distinct.len() as u64,
-        double_commits: (ids.len() - distinct.len()) as u64,
-        unreadable_acked,
-        dangling_ancestors,
         stranded_registry,
         stranded_data,
-        wal_leftover: env.sqs().peek_depth(&url),
-        temp_leftover: env
-            .s3()
-            .peek_count(&layout.data_bucket, &layout.temp_prefix),
-        index_inconsistencies: audit_index(&env, &layout).inconsistencies(),
+        audit,
     }
-}
-
-/// Runs every aimed schedule in [`CAS_CRASH_POINTS`].
-pub fn cas_crash_schedules() -> Vec<CasCrashOutcome> {
-    CAS_CRASH_POINTS
-        .iter()
-        .map(|(step, occ)| run_cas_crash(step, *occ))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn every_aimed_schedule_fires_and_converges() {
-        let outcomes = group_crash_schedules();
-        for o in &outcomes {
+    fn family(f: Family) -> Vec<AimedOutcome> {
+        aimed_schedules()
+            .iter()
+            .filter(|a| a.family == f)
+            .map(run_aimed)
+            .collect()
+    }
+
+    fn assert_converged(outcomes: &[AimedOutcome]) {
+        for o in outcomes {
             assert!(
                 o.violations().is_empty(),
                 "{}#{}: {:?}\n{o:#?}",
-                o.step,
-                o.occurrence,
+                o.aim.step,
+                o.aim.occurrence,
                 o.violations()
             );
         }
-        // Every crash point the phase table exports is aimed at — a new
-        // phase cannot land without its kill schedule.
-        for point in commit_crash_points() {
+    }
+
+    fn nth(f: Family, i: usize) -> Aimed {
+        aimed_schedules()
+            .into_iter()
+            .filter(|a| a.family == f)
+            .nth(i)
+            .expect("family has the row")
+    }
+
+    #[test]
+    fn every_aimed_schedule_fires_and_converges() {
+        let aims = aimed_schedules();
+        assert_converged(&family(Family::Group));
+        // Every crash point core exports is aimed at — a new phase,
+        // notify step or publish step cannot land without its kill
+        // schedule.
+        let points = commit_crash_points()
+            .into_iter()
+            .chain(notify_crash_points())
+            .chain(cas_crash_points());
+        for point in points {
             assert!(
-                outcomes.iter().any(|o| o.step.starts_with(point)),
+                aims.iter().any(|a| a.step.starts_with(point)),
                 "no schedule aims at {point}"
             );
         }
@@ -673,13 +409,17 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic() {
-        let (step, occ) = &group_crash_points()[1];
-        assert_eq!(run_group_crash(step, *occ), run_group_crash(step, *occ));
+        let aim = nth(Family::Group, 1);
+        assert_eq!(run_aimed(&aim), run_aimed(&aim));
     }
 
     #[test]
     fn a_vacuous_schedule_is_reported_not_hidden() {
-        let o = run_group_crash("p3:commit:group:db", 999);
+        let aim = Aimed {
+            occurrence: 999,
+            ..nth(Family::Group, 1)
+        };
+        let o = run_aimed(&aim);
         assert!(!o.fired);
         assert!(
             o.violations().iter().any(|v| v.contains("never fired")),
@@ -689,15 +429,7 @@ mod tests {
 
     #[test]
     fn every_notify_schedule_fires_and_converges() {
-        for o in notify_crash_schedules() {
-            assert!(
-                o.violations().is_empty(),
-                "{}#{}: {:?}\n{o:#?}",
-                o.step,
-                o.occurrence,
-                o.violations()
-            );
-        }
+        assert_converged(&family(Family::Notify));
     }
 
     #[test]
@@ -705,34 +437,30 @@ mod tests {
         // Death between publish and the watermark write is the aimed
         // duplicate generator: the takeover daemon republishes the whole
         // backlog. The contract allows exactly that — and nothing worse.
-        let o = run_notify_crash("p3:notify:wm", 1);
+        let o = run_aimed(&nth(Family::Notify, 2));
+        assert!(o.aim.step.ends_with(":wm"), "{o:?}");
         assert!(o.violations().is_empty(), "{o:#?}");
         assert!(
-            o.feed_duplicates >= TXNS as u64,
+            o.audit.feed_duplicates >= TXNS as u64,
             "republish after a watermark crash must duplicate the group: {o:#?}"
         );
-        assert_eq!(o.feed_gaps, 0);
-        assert_eq!(o.feed_missing, 0);
+        assert_eq!(o.audit.feed_gaps + o.audit.feed_seq_gaps, 0);
+        assert_eq!(o.audit.feed_missing, 0);
     }
 
     #[test]
     fn notify_schedules_are_deterministic() {
-        let (step, occ) = NOTIFY_CRASH_POINTS[0];
-        assert_eq!(run_notify_crash(step, occ), run_notify_crash(step, occ));
+        let aim = nth(Family::Notify, 0);
+        assert_eq!(run_aimed(&aim), run_aimed(&aim));
     }
 
     #[test]
     fn every_cas_schedule_fires_and_converges() {
-        for o in cas_crash_schedules() {
+        let outcomes = family(Family::Cas);
+        assert_converged(&outcomes);
+        for o in &outcomes {
             assert!(
-                o.violations().is_empty(),
-                "{}#{}: {:?}\n{o:#?}",
-                o.step,
-                o.occurrence,
-                o.violations()
-            );
-            assert!(
-                o.acked_flushes >= 1 && o.failed_flushes >= 1,
+                o.acked >= 1 && o.failed >= 1,
                 "the death must land mid-run, with flushes on both sides: {o:#?}"
             );
         }
@@ -745,19 +473,20 @@ mod tests {
         // never-acknowledged flush is fully durable in the registry.
         // The design's trade must be visible: that content is stranded
         // (unreferenced, re-publishable garbage) — and nothing dangles.
-        let o = run_cas_crash("client:cas:register", 8);
+        let o = run_aimed(&nth(Family::Cas, 3));
+        assert_eq!(o.aim.occurrence, 8, "{o:?}");
         assert!(o.violations().is_empty(), "{o:#?}");
         assert!(
             o.stranded_registry + o.stranded_data >= 1,
             "a completed publish of a dead flush must strand content: {o:#?}"
         );
-        assert_eq!(o.dangling_ancestors, 0);
-        assert_eq!(o.unique_committed, o.acked_flushes);
+        assert_eq!(o.audit.dangling_edges, 0);
+        assert_eq!(o.audit.unique_commits, o.acked);
     }
 
     #[test]
     fn cas_schedules_are_deterministic() {
-        let (step, occ) = CAS_CRASH_POINTS[1];
-        assert_eq!(run_cas_crash(step, occ), run_cas_crash(step, occ));
+        let aim = nth(Family::Cas, 1);
+        assert_eq!(run_aimed(&aim), run_aimed(&aim));
     }
 }

@@ -309,14 +309,6 @@ impl Meter {
                 .collect(),
         }
     }
-
-    /// Resets all counters (used between benchmark phases).
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        st.ops.clear();
-        st.tenant_ops.clear();
-        st.storage.clear();
-    }
 }
 
 /// Aggregated usage over a run, queried by the benchmark harness.
@@ -567,22 +559,5 @@ mod tests {
         let end = t0 + Duration::from_secs(30 * 24 * 3600);
         let gbm = m.report(end).storage_gb_months[&Service::ObjectStore];
         assert!((gbm - 0.5).abs() < 1e-9, "got {gbm}");
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let m = Meter::new();
-        m.record(
-            Actor::Client,
-            Some(TenantId(7)),
-            Service::Queue,
-            Op::Send,
-            1,
-            0,
-        );
-        m.reset();
-        let r = m.report(SimTime::ZERO);
-        assert_eq!(r.total_ops(|_, _, _| true), 0);
-        assert!(r.tenants().is_empty());
     }
 }

@@ -66,6 +66,19 @@ pub const CAS_MAX_RECORDS: usize = 200;
 /// values spill to S3 on the delta path instead).
 const CAS_MAX_LINE: usize = 1000;
 
+/// Crash point before a publish unit's registry probe.
+const PROBE_POINT: &str = "client:cas:probe";
+/// Crash point between the probe and the data upload.
+const PUBLISH_POINT: &str = "client:cas:publish";
+/// Crash point before the registry put that announces the content.
+const REGISTER_POINT: &str = "client:cas:register";
+
+/// The speculative publish's crash points, in execution order (probe,
+/// publish, register) — what aimed chaos schedules take as input.
+pub fn cas_crash_points() -> [&'static str; 3] {
+    [PROBE_POINT, PUBLISH_POINT, REGISTER_POINT]
+}
+
 /// Name of the shared CAS registry domain for a provenance domain.
 pub fn cas_domain(domain: &str) -> String {
     format!("cas_{domain}")
@@ -292,11 +305,9 @@ impl CasStore {
     fn publish_inner(&self, unit: CasPublish) -> Result<()> {
         let sim = self.env.sim();
         let sdb = self.env.sdb();
-        self.config.step("client:cas:probe")?;
+        self.config.step(PROBE_POINT)?;
         self.counters.probes.fetch_add(1, Ordering::Relaxed);
-        let existing = retry(sim, self.config.retries, || {
-            sdb.get_attributes(&self.registry, &unit.sha)
-        })?;
+        let existing = retry(sim, || sdb.get_attributes(&self.registry, &unit.sha))?;
         if !existing.is_empty() {
             // Some client anywhere already published this content. (An
             // eventually-consistent miss just republishes — idempotent.)
@@ -307,8 +318,8 @@ impl CasStore {
             // Content strictly before the registry entry that announces
             // it: a crash between the two leaves an unannounced object a
             // later publisher overwrites with identical bytes.
-            self.config.step("client:cas:publish")?;
-            retry(sim, self.config.retries, || {
+            self.config.step(PUBLISH_POINT)?;
+            retry(sim, || {
                 self.env.s3().put(
                     &self.config.layout.data_bucket,
                     &cas_object_key(&unit.sha),
@@ -317,7 +328,7 @@ impl CasStore {
                 )
             })?;
         }
-        self.config.step("client:cas:register")?;
+        self.config.step(REGISTER_POINT)?;
         let mut attrs: Vec<(String, String)> = vec![
             ("node".to_string(), unit.id.to_string()),
             (
@@ -332,7 +343,7 @@ impl CasStore {
         for (i, line) in unit.records.iter().enumerate() {
             attrs.push((format!("r{i:03}"), line.clone()));
         }
-        retry(sim, self.config.retries, || {
+        retry(sim, || {
             sdb.put_attributes(
                 &self.registry,
                 PutItem {

@@ -804,11 +804,9 @@ struct Pipeline {
     inner: Arc<dyn StorageProtocol>,
     /// The P3 handle CAS-routed merges log through, and the fleet-wide
     /// content-addressed ancestor store they reference. CAS routing
-    /// needs the WAL's `CAS`-line vocabulary, so both are `Some` only on
-    /// P3 with `ProtocolConfig::cas`; everything else uploads inline
-    /// with refs all `None`.
-    p3cas: Option<P3>,
-    cas: Option<CasStore>,
+    /// needs the WAL's `CAS`-line vocabulary, so this is `Some` only on
+    /// P3; everything else uploads inline with refs all `None`.
+    cas: Option<(P3, CasStore)>,
     config: ProtocolConfig,
 }
 
@@ -819,14 +817,12 @@ impl Pipeline {
         p3: Option<P3>,
         config: ProtocolConfig,
     ) -> Pipeline {
-        let p3cas = p3.filter(|_| config.cas);
         let pipeline = Pipeline {
-            cas: p3cas.as_ref().map(|_| CasStore::new(env, config.clone())),
+            cas: p3.map(|p3| (p3, CasStore::new(env, config.clone()))),
             sim: env.sim().clone(),
             shared: Arc::new(Mutex::new(PipelineState::default())),
             work: SimSemaphore::new(env.sim(), 0),
             inner,
-            p3cas,
             config,
         };
         // The handle is deliberately dropped: the flusher exits on
@@ -931,13 +927,13 @@ impl Pipeline {
                     // The WAL must never reference a hash whose publish
                     // is not durable yet: wait out (or fail on) every
                     // referenced publish before logging the delta.
-                    if let Some(cas) = &self.cas {
+                    if let Some((_, cas)) = &self.cas {
                         for sha in &wait_shas {
                             cas.wait(sha)?;
                         }
                     }
-                    match &self.p3cas {
-                        Some(p3) => p3.flush_with_cas(entries),
+                    match &self.cas {
+                        Some((p3, _)) => p3.flush_with_cas(entries),
                         None => self.inner.flush(FlushBatch {
                             objects: entries
                                 .into_iter()
@@ -1005,7 +1001,7 @@ impl Pipeline {
     /// publishes overlap the backpressure wait; costs no virtual time
     /// itself.
     fn stage(&self, batch: &FlushBatch) -> Vec<Option<CasRef>> {
-        let Some(cas) = &self.cas else {
+        let Some((_, cas)) = &self.cas else {
             return vec![None; batch.objects.len()];
         };
         let mut refs = Vec::with_capacity(batch.objects.len());
@@ -1121,7 +1117,7 @@ impl Pipeline {
         let (cas_probes, cas_hits, cas_publishes) = self
             .cas
             .as_ref()
-            .map(CasStore::counters)
+            .map(|(_, cas)| cas.counters())
             .unwrap_or_default();
         let st = self.shared.lock();
         PipelineStats {
@@ -1199,48 +1195,6 @@ mod tests {
             assert_eq!(client.cleaner_daemon().is_some(), protocol == Protocol::P3);
             assert!(client.pipeline_stats().is_none(), "blocking by default");
         }
-    }
-
-    #[test]
-    fn ancestry_index_setter_gates_the_index_domain() {
-        let sim = Sim::new();
-        let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let indexed = ProvenanceClient::builder(Protocol::P3)
-            .queue("wal-idx-on")
-            .build(&env);
-        assert!(matches!(
-            indexed.provenance_store(),
-            Some(ProvenanceStore::Database {
-                index_domain: Some(_),
-                ..
-            })
-        ));
-        let plain = ProvenanceClient::builder(Protocol::P3)
-            .queue("wal-idx-off")
-            .config(ProtocolConfig {
-                index: false,
-                ..ProtocolConfig::default()
-            })
-            .build(&env);
-        assert!(matches!(
-            plain.provenance_store(),
-            Some(ProvenanceStore::Database {
-                index_domain: None,
-                ..
-            })
-        ));
-        // An index-less client's commits write no index items.
-        plain
-            .flush(FlushBatch {
-                objects: vec![file_obj(77, 1, "noidx", "x")],
-            })
-            .unwrap();
-        plain.drain().unwrap();
-        assert_eq!(
-            env.sdb()
-                .peek_item_count(&crate::index::index_domain("provenance")),
-            0
-        );
     }
 
     #[test]

@@ -45,6 +45,19 @@ use cloudprov_pass::{Attr, NodeKind, ProvenanceRecord, Uuid};
 use crate::error::Result;
 use crate::protocol::{retry, ProtocolConfig};
 
+/// Crash point before a group's events stage.
+const STAGE_POINT: &str = "p3:notify:stage";
+/// Crash point between the group ack and the publish.
+const PUBLISH_POINT: &str = "p3:notify:publish";
+/// Crash point between the publish and the watermark write.
+const WM_POINT: &str = "p3:notify:wm";
+
+/// The change feed's crash points, in execution order (stage, publish,
+/// watermark) — what aimed chaos schedules take as input.
+pub fn notify_crash_points() -> [&'static str; 3] {
+    [STAGE_POINT, PUBLISH_POINT, WM_POINT]
+}
+
 /// One committed transaction, as seen by feed consumers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommitEvent {
@@ -209,9 +222,7 @@ impl FeedWriter {
         let sdb = self.sdb();
         let domain = feed_domain(&self.config.layout.domain);
         let wm_item = format!("{WM_PREFIX}{}", self.stream);
-        let wm_attrs = retry(self.env.sim(), self.config.retries, || {
-            sdb.get_attributes(&domain, &wm_item)
-        })?;
+        let wm_attrs = retry(self.env.sim(), || sdb.get_attributes(&domain, &wm_item))?;
         let watermark: u64 = wm_attrs
             .iter()
             .find(|(k, _)| k == "seq")
@@ -222,9 +233,7 @@ impl FeedWriter {
             "select * from {domain} where itemName() like {}",
             quote_like_prefix(&prefix, "%")
         );
-        let staged = retry(self.env.sim(), self.config.retries, || {
-            sdb.select_all(&expr)
-        })?;
+        let staged = retry(self.env.sim(), || sdb.select_all(&expr))?;
         let mut max_seq = watermark;
         let mut pending: Vec<CommitEvent> = Vec::new();
         for item in staged {
@@ -320,8 +329,8 @@ impl FeedWriter {
             }
             let sdb = self.sdb();
             for chunk in items.chunks(BATCH_LIMIT) {
-                self.config.step("p3:notify:stage")?;
-                retry(self.env.sim(), self.config.retries, || {
+                self.config.step(STAGE_POINT)?;
+                retry(self.env.sim(), || {
                     sdb.batch_put_attributes(&domain, chunk.to_vec())
                 })?;
             }
@@ -356,7 +365,7 @@ impl FeedWriter {
             } else {
                 Vec::new()
             };
-            self.config.step("p3:notify:publish")?;
+            self.config.step(PUBLISH_POINT)?;
             let high = st.pending.last().map(|e| e.seq).unwrap_or(st.watermark);
             if let Some(sink) = sink {
                 for ev in st.pending.drain(..) {
@@ -365,11 +374,11 @@ impl FeedWriter {
             } else {
                 st.pending.clear();
             }
-            self.config.step("p3:notify:wm")?;
+            self.config.step(WM_POINT)?;
             let sdb = self.sdb();
             let domain = feed_domain(&self.config.layout.domain);
             let published = (high - st.watermark) as usize;
-            retry(self.env.sim(), self.config.retries, || {
+            retry(self.env.sim(), || {
                 sdb.put_attributes(
                     &domain,
                     PutItem {

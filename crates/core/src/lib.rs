@@ -80,14 +80,18 @@ mod protocol;
 mod wal;
 
 pub use cas::{
-    cas_domain, cas_object_key, sha256_hex, CasFlushItem, CasRef, CasStore, CAS_OBJECT_PREFIX,
+    cas_crash_points, cas_domain, cas_object_key, sha256_hex, CasFlushItem, CasRef, CasStore,
+    CAS_OBJECT_PREFIX,
 };
 pub use client::{
     AdmissionGate, ClientBuilder, FlushSample, FlushTicket, PipelineStats, Protocol,
     ProvenanceClient,
 };
 pub use error::{ClientError, ClientResult, ProtocolError, Result};
-pub use feed::{audit_feed, CommitEvent, CommitEventSink, FeedAudit, FeedWriter, StagedTouches};
+pub use feed::{
+    audit_feed, notify_crash_points, CommitEvent, CommitEventSink, FeedAudit, FeedWriter,
+    StagedTouches,
+};
 pub use layout::{object_metadata, parse_object_metadata, Layout, META_UUID, META_VERSION};
 pub use p1::P1;
 pub use p2::P2;

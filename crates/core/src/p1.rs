@@ -32,6 +32,7 @@ use crate::error::{ProtocolError, Result};
 use crate::plane::{DataPlane, Task};
 use crate::protocol::{
     retry, FlushBatch, FlushObject, ProtocolConfig, ProvenanceStore, ReadResult, StorageProtocol,
+    RETRIES,
 };
 
 /// Protocol P1: provenance and data both as S3 objects.
@@ -89,10 +90,8 @@ impl P1 {
                 // until the object is at least as long as what we know we
                 // wrote (we are its only writer).
                 let mut existing = None;
-                for _ in 0..config.retries.max(1) + 4 {
-                    match retry(sim, config.retries, || {
-                        s3.get(&layout.prov_bucket, &prov_key)
-                    }) {
+                for _ in 0..RETRIES + 4 {
+                    match retry(sim, || s3.get(&layout.prov_bucket, &prov_key)) {
                         Ok(obj) => {
                             let bytes = obj
                                 .blob
@@ -119,7 +118,7 @@ impl P1 {
             }
         };
         let body_len = body.len();
-        retry(sim, config.retries, || {
+        retry(sim, || {
             s3.put(
                 &layout.prov_bucket,
                 &prov_key,
@@ -189,7 +188,7 @@ impl StorageProtocol for P1 {
         let DataPlane { env, config, .. } = &self.plane;
         let layout = &config.layout;
         self.plane.read(key, |id| {
-            match retry(env.sim(), config.retries, || {
+            match retry(env.sim(), || {
                 env.s3().get(&layout.prov_bucket, &layout.prov_key(id.uuid))
             }) {
                 Ok(prov) => Ok(

@@ -89,7 +89,7 @@ impl P2 {
                 move || -> Result<()> {
                     config.step("p2:dbput")?;
                     let domain = &config.layout.domain;
-                    retry(env.sim(), config.retries, || {
+                    retry(env.sim(), || {
                         env.sdb().batch_put_attributes(domain, chunk.clone())
                     })?;
                     Ok(())

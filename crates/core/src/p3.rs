@@ -54,7 +54,7 @@ use crate::layout::{object_metadata, parse_object_metadata};
 use crate::plane::{DataPlane, Task};
 use crate::protocol::{
     db_version_records, records_to_item, retry, FlushBatch, ProtocolConfig, ProvenanceStore,
-    ReadResult, StorageProtocol,
+    ReadResult, StorageProtocol, RETRIES,
 };
 use crate::wal::{self, Header, Line};
 
@@ -116,10 +116,8 @@ impl P3 {
         identity: &str,
     ) -> P3 {
         env.sdb().create_domain(&config.layout.domain);
-        if config.index {
-            env.sdb()
-                .create_domain(&crate::index::index_domain(&config.layout.domain));
-        }
+        env.sdb()
+            .create_domain(&crate::index::index_domain(&config.layout.domain));
         let wal_url = env.sqs().create_queue(queue_name);
         let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
         for b in identity.bytes() {
@@ -262,13 +260,13 @@ impl P3 {
                 let DataPlane { env, config, .. } = &this.plane;
                 config.step(&format!("p3:wal:{i}"))?;
                 if batched {
-                    for verdict in retry(env.sim(), config.retries, || {
+                    for verdict in retry(env.sim(), || {
                         env.sqs().send_batch(&this.wal_url, bodies.clone())
                     })? {
                         verdict?;
                     }
                 } else {
-                    retry(env.sim(), config.retries, || {
+                    retry(env.sim(), || {
                         env.sqs().send(&this.wal_url, bodies[0].clone())
                     })?;
                 }
@@ -328,9 +326,7 @@ impl StorageProtocol for P3 {
         Some(ProvenanceStore::Database {
             domain: config.layout.domain.clone(),
             spill_bucket: config.layout.prov_bucket.clone(),
-            index_domain: config
-                .index
-                .then(|| crate::index::index_domain(&config.layout.domain)),
+            index_domain: Some(crate::index::index_domain(&config.layout.domain)),
         })
     }
 }
@@ -642,10 +638,8 @@ fn fetch_cas_records(conn: &Conn, sha: String) -> Result<Option<Vec<ProvenanceRe
     let DataPlane { env, config, .. } = &conn.plane;
     let sdb = env.sdb().with_actor(Actor::CommitDaemon);
     let registry = cas::cas_domain(&config.layout.domain);
-    for _ in 0..config.retries.max(1) + 8 {
-        let attrs = retry(env.sim(), config.retries, || {
-            sdb.get_attributes(&registry, &sha)
-        })?;
+    for _ in 0..RETRIES + 8 {
+        let attrs = retry(env.sim(), || sdb.get_attributes(&registry, &sha))?;
         if !attrs.is_empty() {
             return Ok(cas::decode_registry_item(&attrs).map(|(_, _, _, records)| records));
         }
@@ -705,8 +699,8 @@ fn copy_file(conn: &Conn, (txn, file): (Uuid, FileMove)) -> Result<()> {
     let sim = env.sim();
     let bucket = &config.layout.data_bucket;
     let FileMove { from, to, id } = &file;
-    for _ in 0..config.retries.max(1) + 8 {
-        match retry(sim, config.retries, || {
+    for _ in 0..RETRIES + 8 {
+        match retry(sim, || {
             let meta = MetadataDirective::Replace(object_metadata(*id));
             s3.copy(bucket, from, bucket, to, meta)
         }) {
@@ -750,9 +744,7 @@ fn write_base(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()>
                 programs,
             });
         }
-        if config.index {
-            index_items.extend(crate::index::index_updates(&records));
-        }
+        index_items.extend(crate::index::index_updates(&records));
         let mut by_subject: BTreeMap<PNodeId, Vec<ProvenanceRecord>> = BTreeMap::new();
         for r in records {
             by_subject.entry(r.subject).or_default().push(r);
@@ -780,9 +772,9 @@ fn write_index(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()
 
 /// Writes one `BatchPutAttributes` chunk.
 fn put_chunk(conn: &Conn, (domain, chunk): (String, Vec<PutItem>)) -> Result<()> {
-    let DataPlane { env, config, .. } = &conn.plane;
+    let DataPlane { env, .. } = &conn.plane;
     let sdb = env.sdb().with_actor(Actor::CommitDaemon);
-    retry(env.sim(), config.retries, || {
+    retry(env.sim(), || {
         sdb.batch_put_attributes(&domain, chunk.clone())
     })?;
     Ok(())
@@ -824,11 +816,9 @@ fn feed_and_ack(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<(
         .map(<[String]>::to_vec)
         .collect();
     let ack = |conn: &Conn, receipts: Vec<String>| {
-        let DataPlane { env, config, .. } = &conn.plane;
+        let DataPlane { env, .. } = &conn.plane;
         let sqs = env.sqs().with_actor(Actor::CommitDaemon);
-        let _ = retry(env.sim(), config.retries, || {
-            sqs.delete_batch(&conn.wal_url, &receipts)
-        });
+        let _ = retry(env.sim(), || sqs.delete_batch(&conn.wal_url, &receipts));
         Ok(())
     };
     let results = daemon.fan_out(stage, units, unkeyed, ack);
@@ -975,10 +965,8 @@ impl CommitDaemon {
         // A daemon can run on a machine that never constructed a `P3`
         // (the WAL-in-the-cloud recovery story), so it provisions the
         // index domain itself. Idempotent, unmetered administrative call.
-        if config.index {
-            env.sdb()
-                .create_domain(&crate::index::index_domain(&config.layout.domain));
-        }
+        env.sdb()
+            .create_domain(&crate::index::index_domain(&config.layout.domain));
         // The feed stream is named by the WAL queue: one ordered event
         // stream per shard, surviving daemon identity changes.
         let stream = wal_url.rsplit('/').next().unwrap_or(wal_url).to_string();
@@ -1060,9 +1048,7 @@ impl CommitDaemon {
         let mut ready: Vec<Uuid> = Vec::new();
         let mut drops: Vec<String> = Vec::new();
         for _ in 0..GROUP_RECEIVE_ROUNDS {
-            let msgs = retry(env.sim(), config.retries, || {
-                sqs.receive(&self.conn.wal_url, RECEIVE_MAX)
-            })?;
+            let msgs = retry(env.sim(), || sqs.receive(&self.conn.wal_url, RECEIVE_MAX))?;
             if msgs.is_empty() {
                 break;
             }
@@ -1103,9 +1089,7 @@ impl CommitDaemon {
         // traffic: whole-call failures (after retries) surface instead of
         // being discarded, per-entry failures just redeliver.
         for chunk in drops.chunks(BATCH_ENTRY_LIMIT) {
-            let results = retry(env.sim(), config.retries, || {
-                sqs.delete_batch(&self.conn.wal_url, chunk)
-            })?;
+            let results = retry(env.sim(), || sqs.delete_batch(&self.conn.wal_url, chunk))?;
             outcome.dropped += results.iter().filter(|r| r.is_ok()).count();
         }
         let group: Vec<(Uuid, TxnBuf)> = {
@@ -1321,7 +1305,7 @@ impl CleanerDaemon {
     pub fn clean_once(&self) -> Result<usize> {
         let DataPlane { env, config, .. } = &self.plane;
         let layout = &config.layout;
-        let keys = retry(env.sim(), config.retries, || {
+        let keys = retry(env.sim(), || {
             self.plane
                 .s3
                 .list_all(&layout.data_bucket, &layout.temp_prefix)
@@ -1656,34 +1640,6 @@ mod tests {
         let audit = crate::index::audit_index(&env, &crate::Layout::default());
         assert!(audit.consistent(), "{audit:?}");
         assert_eq!(env.sqs().peek_depth(p3.wal_url()), 0);
-    }
-
-    #[test]
-    fn disabling_the_index_skips_index_writes() {
-        let sim = Sim::new();
-        let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let cfg = ProtocolConfig {
-            index: false,
-            ..ProtocolConfig::default()
-        };
-        let p3 = P3::new(&env, cfg, "wal-noidx");
-        assert!(matches!(
-            p3.provenance_store(),
-            Some(ProvenanceStore::Database {
-                index_domain: None,
-                ..
-            })
-        ));
-        p3.flush(FlushBatch {
-            objects: vec![file_obj(50, 1, "out", "x")],
-        })
-        .unwrap();
-        p3.commit_daemon().run_until_idle().unwrap();
-        assert_eq!(
-            env.sdb()
-                .peek_item_count(&crate::index::index_domain("provenance")),
-            0
-        );
     }
 
     #[test]

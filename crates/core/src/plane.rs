@@ -60,7 +60,7 @@ impl DataPlane {
     /// GETs a data object together with the version link its metadata
     /// carries (`None` for an object no provenance-aware client wrote).
     pub(crate) fn get(&self, key: &str) -> Result<(Blob, Option<PNodeId>)> {
-        let obj = retry(self.env.sim(), self.config.retries, || {
+        let obj = retry(self.env.sim(), || {
             self.s3.get(&self.config.layout.data_bucket, key)
         })?;
         Ok((obj.blob, parse_object_metadata(&obj.meta)))
@@ -87,7 +87,7 @@ impl DataPlane {
     /// DELETEs a data object — only the data: provenance persists, which
     /// is exactly why it is never stored as object metadata (§4.3.1).
     pub(crate) fn delete(&self, key: &str) -> Result<()> {
-        retry(self.env.sim(), self.config.retries, || {
+        retry(self.env.sim(), || {
             self.s3.delete(&self.config.layout.data_bucket, key)
         })?;
         Ok(())
@@ -95,7 +95,7 @@ impl DataPlane {
 
     /// HEADs a data object: `Some(len)` if visible, `None` otherwise.
     pub(crate) fn stat(&self, key: &str) -> Result<Option<u64>> {
-        match retry(self.env.sim(), self.config.retries, || {
+        match retry(self.env.sim(), || {
             self.s3.head(&self.config.layout.data_bucket, key)
         }) {
             Ok(h) => Ok(Some(h.len)),
@@ -118,7 +118,7 @@ impl DataPlane {
         Box::new(move || {
             this.config.step(&format!("{crash_prefix}{key}"))?;
             let meta = link.map(object_metadata).unwrap_or_default();
-            retry(this.env.sim(), this.config.retries, || {
+            retry(this.env.sim(), || {
                 this.s3.put(
                     &this.config.layout.data_bucket,
                     &key,

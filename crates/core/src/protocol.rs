@@ -178,8 +178,6 @@ pub struct ProtocolConfig {
     /// parallel, matching the paper's evaluated implementation, which
     /// "violates multi-object causal ordering for P1 and P2" (§5).
     pub strict_causal_order: bool,
-    /// Retries per cloud call before giving up.
-    pub retries: usize,
     /// Crash-injection hook.
     pub step_hook: Option<StepHook>,
     /// P3 WAL message payload budget in bytes (≤ the 8 KB service limit).
@@ -193,11 +191,6 @@ pub struct ProtocolConfig {
     /// this is what leaves P2 the slowest protocol in the microbenchmark,
     /// as the paper observes.
     pub db_concurrency: usize,
-    /// Whether P3's commit daemon maintains the commit-time ancestry
-    /// index (`crate::index`) alongside the provenance items. Daemon-side
-    /// work only — client-perceived latency and client op counts are
-    /// unchanged.
-    pub index: bool,
     /// Whether P3's log phase packs WAL messages into `SendMessageBatch`
     /// calls (≤10 bodies per request) instead of one send per message.
     /// On by default — one queue round trip and one billed request per
@@ -212,14 +205,6 @@ pub struct ProtocolConfig {
     /// tables assume no feed traffic; the fleet driver and the chaos
     /// explorer turn it on.
     pub feed: bool,
-    /// Whether the pipelined P3 flush path routes eligible objects
-    /// through the fleet-wide content-addressed ancestor store
-    /// ([`crate::cas`]): content is published speculatively in the
-    /// background and the WAL carries hash references, so a
-    /// [`FlushTicket`](crate::FlushTicket) resolves on the delta alone.
-    /// On by default; inert for P1/P2, blocking clients and the
-    /// protocols as measured by the paper's tables.
-    pub cas: bool,
     /// Capacity of the pipelined flusher's cross-batch dedupe set
     /// (persisted node digests). Evictions beyond the cap are counted in
     /// [`PipelineStats`](crate::PipelineStats) — an evicted ancestor is
@@ -235,7 +220,6 @@ impl std::fmt::Debug for ProtocolConfig {
             .field("layout", &self.layout)
             .field("upload_concurrency", &self.upload_concurrency)
             .field("strict_causal_order", &self.strict_causal_order)
-            .field("retries", &self.retries)
             .field(
                 "step_hook",
                 &self.step_hook.as_ref().map(|_| "<crash hook>"),
@@ -243,10 +227,8 @@ impl std::fmt::Debug for ProtocolConfig {
             .field("wal_message_limit", &self.wal_message_limit)
             .field("db_batch", &self.db_batch)
             .field("db_concurrency", &self.db_concurrency)
-            .field("index", &self.index)
             .field("wal_batch_send", &self.wal_batch_send)
             .field("feed", &self.feed)
-            .field("cas", &self.cas)
             .field("dedupe_cap", &self.dedupe_cap)
             .finish()
     }
@@ -258,15 +240,12 @@ impl Default for ProtocolConfig {
             layout: Layout::default(),
             upload_concurrency: 26,
             strict_causal_order: false,
-            retries: 4,
             step_hook: None,
             wal_message_limit: cloudprov_cloud::MESSAGE_LIMIT,
             db_batch: cloudprov_cloud::BATCH_LIMIT,
             db_concurrency: 4,
-            index: true,
             wal_batch_send: true,
             feed: false,
-            cas: true,
             dedupe_cap: 32_768,
         }
     }
@@ -334,19 +313,21 @@ pub trait StorageProtocol: Send + Sync {
     }
 }
 
+/// Attempts per cloud call before [`retry_cloud`] gives up.
+pub(crate) const RETRIES: usize = 4;
+
 /// Retries a cloud call with exponential backoff (in virtual time) on
-/// transient `ServiceUnavailable` failures; other errors pass through
-/// immediately. The retry discipline every protocol path uses — public
-/// so out-of-crate daemons (the fleet's sharded cleaners) reuse the
-/// same policy.
+/// transient `ServiceUnavailable` failures, up to four attempts; other
+/// errors pass through immediately. The retry discipline every protocol
+/// path uses — public so out-of-crate daemons (the fleet's sharded
+/// cleaners) reuse the same policy.
 pub fn retry_cloud<T>(
     sim: &Sim,
-    attempts: usize,
     mut f: impl FnMut() -> std::result::Result<T, CloudError>,
 ) -> std::result::Result<T, CloudError> {
     let mut delay = Duration::from_millis(100);
     let mut last = None;
-    for _ in 0..attempts.max(1) {
+    for _ in 0..RETRIES {
         match f() {
             Ok(v) => return Ok(v),
             Err(CloudError::ServiceUnavailable { service }) => {
@@ -372,14 +353,13 @@ pub(crate) fn records_to_item(
     records: &[ProvenanceRecord],
 ) -> Result<PutItem> {
     let (sim, s3, layout) = (plane.env.sim(), &plane.s3, &plane.config.layout);
-    let retries = plane.config.retries;
     let mut attrs: Attributes = Vec::with_capacity(records.len());
     for (i, r) in records.iter().enumerate() {
         let name = r.attr.as_str().to_string();
         let text = r.value.to_text();
         let value = if text.len() > cloudprov_cloud::ATTRIBUTE_LIMIT {
             let key = layout.spill_key(id, &name, i);
-            retry(sim, retries, || {
+            retry(sim, || {
                 s3.put(
                     &layout.prov_bucket,
                     &key,
@@ -475,7 +455,7 @@ pub(crate) fn detect_coupling(
 /// provenance.
 pub(crate) fn db_version_records(plane: &DataPlane, id: PNodeId) -> Result<Vec<ProvenanceRecord>> {
     let name = id.to_string();
-    match retry(plane.env.sim(), plane.config.retries, || {
+    match retry(plane.env.sim(), || {
         plane
             .env
             .sdb()
@@ -589,7 +569,7 @@ mod tests {
     fn retry_recovers_from_transient_failures() {
         let sim = Sim::new();
         let mut calls = 0;
-        let r = retry(&sim, 5, || {
+        let r = retry(&sim, || {
             calls += 1;
             if calls < 3 {
                 Err(CloudError::ServiceUnavailable { service: "S3" })
@@ -604,17 +584,20 @@ mod tests {
     #[test]
     fn retry_gives_up_after_budget() {
         let sim = Sim::new();
-        let r: std::result::Result<(), _> = retry(&sim, 3, || {
+        let mut calls = 0;
+        let r: std::result::Result<(), _> = retry(&sim, || {
+            calls += 1;
             Err(CloudError::ServiceUnavailable { service: "S3" })
         });
         assert!(r.is_err());
+        assert_eq!(calls, RETRIES);
     }
 
     #[test]
     fn retry_passes_through_hard_errors() {
         let sim = Sim::new();
         let mut calls = 0;
-        let r: std::result::Result<(), _> = retry(&sim, 5, || {
+        let r: std::result::Result<(), _> = retry(&sim, || {
             calls += 1;
             Err(CloudError::NoSuchDomain("d".into()))
         });
@@ -697,15 +680,12 @@ mod tests {
             "layout",
             "upload_concurrency",
             "strict_causal_order",
-            "retries",
             "step_hook",
             "wal_message_limit",
             "db_batch",
             "db_concurrency",
-            "index",
             "wal_batch_send",
             "feed",
-            "cas",
             "dedupe_cap",
         ] {
             assert!(dbg.contains(field), "Debug output drops '{field}': {dbg}");

@@ -62,7 +62,7 @@ impl ShardedCleaners {
     pub fn sweep_once(&self) -> Result<usize> {
         let s3 = self.env.s3().with_actor(Actor::CleanerDaemon);
         let layout = &self.config.layout;
-        let keys = cloudprov_core::retry_cloud(self.env.sim(), self.config.retries, || {
+        let keys = cloudprov_core::retry_cloud(self.env.sim(), || {
             s3.list_all(&layout.data_bucket, &layout.temp_prefix)
         })?;
         let now = self.env.sim().now();
@@ -79,7 +79,7 @@ impl ShardedCleaners {
                 move || -> Result<usize> {
                     let s3 = this.env.s3().with_actor(Actor::CleanerDaemon);
                     for key in &keys {
-                        cloudprov_core::retry_cloud(this.env.sim(), this.config.retries, || {
+                        cloudprov_core::retry_cloud(this.env.sim(), || {
                             s3.delete(&this.config.layout.data_bucket, key)
                         })?;
                     }
@@ -114,13 +114,10 @@ impl ShardedCleaners {
     ///
     /// Propagates cloud errors that survive retries.
     pub fn sweep_index_once(&self) -> Result<usize> {
-        if !self.config.index {
-            return Ok(0);
-        }
         let sdb = self.env.sdb().with_actor(Actor::CleanerDaemon);
         let layout = &self.config.layout;
         let idx_domain = prov_index::index_domain(&layout.domain);
-        let items = cloudprov_core::retry_cloud(self.env.sim(), self.config.retries, || {
+        let items = cloudprov_core::retry_cloud(self.env.sim(), || {
             sdb.select_all(&format!("select * from {idx_domain}"))
         })?;
         // Which node ids does each index item stand on?
@@ -152,7 +149,7 @@ impl ShardedCleaners {
                 .map(|i| quote_literal(i))
                 .collect::<Vec<_>>()
                 .join(", ");
-            let found = cloudprov_core::retry_cloud(self.env.sim(), self.config.retries, || {
+            let found = cloudprov_core::retry_cloud(self.env.sim(), || {
                 sdb.select_all(&format!(
                     "select itemName() from {} where itemName() in ({list})",
                     layout.domain
@@ -175,7 +172,7 @@ impl ShardedCleaners {
                 move || -> Result<usize> {
                     let sdb = this.env.sdb().with_actor(Actor::CleanerDaemon);
                     for name in &names {
-                        cloudprov_core::retry_cloud(this.env.sim(), this.config.retries, || {
+                        cloudprov_core::retry_cloud(this.env.sim(), || {
                             sdb.delete_item(&idx_domain, name)
                         })?;
                     }
