@@ -5,7 +5,9 @@
 //! from an item-name prefix range, and a full first page of `select *`
 //! that hands out stored versions without copying them. None may grow
 //! with size. `wire` times the P1 scan's per-object cost: `decode` and
-//! `visit` over one Blast-shaped process object.
+//! `visit` over one Blast-shaped process object. `scan` times a repeat
+//! Q.4 through one engine over an unchanged P1 store of 64 / 512 such
+//! objects: the LIST and GETs, but no fold.
 //!
 //! The measured quantity is host wall time; the paper's experiments are
 //! timed (in virtual time) by the `repro` binary and, per layer, by the
@@ -14,9 +16,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem, BATCH_LIMIT};
+use cloudprov_core::ProvenanceStore;
 use cloudprov_pass::{wire, Attr, PNodeId, ProvenanceRecord, Uuid};
 use cloudprov_query::source::RevAdjacency;
-use cloudprov_query::{AncestryCache, CacheConfig};
+use cloudprov_query::{AncestryCache, CacheConfig, Mode, QueryEngine};
 use cloudprov_sim::Sim;
 use cloudprov_workloads::synthetic_env;
 
@@ -177,16 +180,16 @@ const WIRE_BATCH: usize = 256;
 
 /// A Blast-shaped P1 process object, as the observer records an exec:
 /// `type`, `name`, `pid`, `argv`, about 4 KB of `env` (one escaped
-/// newline every 55 bytes or so), `exectime`, and eight `input` edges.
-fn blast_process_object() -> Vec<u8> {
-    let id = node(7);
+/// newline every 55 bytes or so), `exectime`, and an `input` edge to each
+/// of `inputs`.
+fn blast_process_object(id: PNodeId, name: &str, inputs: &[PNodeId]) -> Vec<u8> {
     let env: Vec<String> = synthetic_env(4096, 7)
         .into_iter()
         .map(|(k, v)| format!("{k}={v}"))
         .collect();
     let mut records = vec![
         ProvenanceRecord::new(id, Attr::Type, "process"),
-        ProvenanceRecord::new(id, Attr::Name, "blastall"),
+        ProvenanceRecord::new(id, Attr::Name, name),
         ProvenanceRecord::new(id, Attr::Pid, "4242"),
         ProvenanceRecord::new(
             id,
@@ -196,7 +199,11 @@ fn blast_process_object() -> Vec<u8> {
         ProvenanceRecord::new(id, Attr::Env, env.join("\n")),
         ProvenanceRecord::new(id, Attr::ExecTime, "1700000000"),
     ];
-    records.extend((0..8).map(|i| ProvenanceRecord::new(id, Attr::Input, node(100 + i))));
+    records.extend(
+        inputs
+            .iter()
+            .map(|&i| ProvenanceRecord::new(id, Attr::Input, i)),
+    );
     wire::encode(&records).to_vec()
 }
 
@@ -204,7 +211,8 @@ fn bench_wire(c: &mut Criterion) {
     const RECORDS: usize = 14;
     let mut group = c.benchmark_group("wire");
     group.sample_size(10);
-    let object = blast_process_object();
+    let inputs: Vec<PNodeId> = (100..108).map(node).collect();
+    let object = blast_process_object(node(7), "blastall", &inputs);
     group.bench_function("decode/blast_process", |b| {
         b.iter(|| {
             for _ in 0..WIRE_BATCH {
@@ -229,5 +237,64 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache, bench_sdb, bench_wire);
+/// Repeat Q.4s per timed sample.
+const SCAN_BATCH: usize = 16;
+
+/// A P1 store of `objects` process objects in a chain below one named
+/// `blastall`, and an engine that has scanned it once.
+fn p1_store(objects: usize) -> (Sim, QueryEngine, Vec<PNodeId>) {
+    let sim = Sim::new();
+    let env = CloudEnv::new(&sim, AwsProfile::instant());
+    for i in 0..objects as u128 {
+        let (name, inputs) = match i {
+            0 => ("blastall", vec![]),
+            _ => ("formatdb", vec![node(i - 1)]),
+        };
+        env.s3()
+            .put(
+                "prov",
+                &format!("p1/{i:04}"),
+                blast_process_object(node(i), name, &inputs).into(),
+                Default::default(),
+            )
+            .expect("fixture stores");
+    }
+    let store = ProvenanceStore::S3Objects {
+        bucket: "prov".into(),
+        prefix: "p1/".into(),
+    };
+    let engine = QueryEngine::new(&env, store, "data");
+    let first = engine
+        .q4_descendants_of("blastall", Mode::Sequential)
+        .expect("fixture scans")
+        .nodes;
+    assert_eq!(first.len(), objects - 1);
+    (sim, engine, first)
+}
+
+fn bench_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scan");
+    group.sample_size(10);
+    for objects in [64, 512] {
+        let (_sim, engine, first) = p1_store(objects);
+        group.bench_function(format!("repeat_q4/{objects}"), |b| {
+            b.iter(|| {
+                for _ in 0..SCAN_BATCH {
+                    let q4 = engine
+                        .q4_descendants_of(black_box("blastall"), Mode::Sequential)
+                        .expect("fixture scans");
+                    assert_eq!(q4.nodes, first);
+                }
+            })
+        });
+        assert_eq!(
+            engine.scan_folds(),
+            1,
+            "a repeat over an unchanged store folds nothing"
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_sdb, bench_wire, bench_scan);
 criterion_main!(benches);

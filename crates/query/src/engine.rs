@@ -37,7 +37,7 @@ use crate::planner::{
 };
 use crate::source::{
     local, object_link, resolve_spill, GraphSource, IndexSource, Mode, OutputSet, S3ScanSource,
-    SdbSelectSource,
+    ScanMemo, SdbSelectSource,
 };
 
 type Result<T> = std::result::Result<T, ProtocolError>;
@@ -89,6 +89,9 @@ pub struct QueryEngine {
     /// Shared with pinned views ([`QueryEngine::with_plan_ref`]): a
     /// measurement taken through any view feeds every view's planner.
     history: Arc<Mutex<PlanHistory>>,
+    /// The last scan-plan fold, shared with pinned views as `history` is
+    /// and handed to every [`S3ScanSource`] this engine builds.
+    scans: Arc<ScanMemo>,
     /// The shared read-tier cache, when attached
     /// ([`QueryEngine::with_cache`]); the planner offers `Plan::Cached`
     /// only while it is usable.
@@ -118,6 +121,7 @@ impl QueryEngine {
             data_bucket: data_bucket.to_string(),
             force: None,
             history: Arc::new(Mutex::new(PlanHistory::default())),
+            scans: Arc::default(),
             cache: None,
             tenant: None,
         }
@@ -159,9 +163,17 @@ impl QueryEngine {
             data_bucket: self.data_bucket.clone(),
             force: Some(plan),
             history: self.history.clone(),
+            scans: self.scans.clone(),
             cache: self.cache.clone(),
             tenant: self.tenant,
         }
+    }
+
+    /// Q.3/Q.4 scans that had to fold the provenance objects, through
+    /// this engine and its pinned views: a scan that GETs, in key order,
+    /// the very stored objects the last fold saw reuses that fold.
+    pub fn scan_folds(&self) -> u64 {
+        self.scans.folds()
     }
 
     /// The plans this store's layout supports. `Cached` appears only
@@ -248,10 +260,14 @@ impl QueryEngine {
         }
     }
 
+    // Out of line: inlined, it grows the frames of `q3_outputs_of` and
+    // `q4_descendants_of`, which every query coroutine runs whatever its
+    // plan (read-serve's peak RSS rose 0.9 MB over its 240 coroutines).
+    #[inline(never)]
     fn scan_source(&self) -> S3ScanSource {
         match &self.store {
             ProvenanceStore::S3Objects { bucket, prefix } => {
-                S3ScanSource::new(&self.env, bucket, prefix, PARALLELISM)
+                S3ScanSource::new(&self.env, bucket, prefix, PARALLELISM).sharing(&self.scans)
             }
             ProvenanceStore::Database { .. } => unreachable!("scan plan on a database store"),
         }

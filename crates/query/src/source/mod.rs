@@ -12,7 +12,9 @@
 //! * [`S3ScanSource`] — P1's provenance objects. Every question is a
 //!   LIST + GET full scan; selective questions are answered by scanning
 //!   and filtering locally (correct but costly — the planner only
-//!   routes point questions here when nothing better exists).
+//!   routes point questions here when nothing better exists). Q.3/Q.4
+//!   check and fold each stored version once per engine and reuse the
+//!   fold while the scan GETs the same objects.
 //! * [`SdbSelectSource`] — P2/P3's SimpleDB items. Point questions
 //!   become selective SELECTs; reverse expansion is the §5.3
 //!   `input in (...)` frontier loop.
@@ -30,6 +32,7 @@ mod select;
 
 pub use index::{IndexSource, RevAdjacency};
 pub use scan::S3ScanSource;
+pub(crate) use scan::ScanMemo;
 pub use select::SdbSelectSource;
 
 use cloudprov_cloud::{Actor, CloudEnv};
@@ -233,45 +236,52 @@ pub mod local {
     }
 
     /// An S3 provenance object's bytes (P1 never spills them).
-    pub(crate) fn payload(blob: &Blob) -> &[u8] {
-        blob.as_inline().expect("inline provenance")
+    ///
+    /// # Errors
+    ///
+    /// A synthetic blob holds no records to read.
+    pub(crate) fn payload(blob: &Blob) -> Result<&[u8], WireError> {
+        blob.as_inline()
+            .map(|b| &b[..])
+            .ok_or_else(|| WireError(format!("{blob:?} where provenance was expected")))
     }
 
     /// Q.3/Q.4 folded over a scan one lent record at a time, by the rules
-    /// of [`processes_named`], [`direct_outputs`] and [`descendants`]. It
-    /// reads only `type`, `name` and `input` records, and holds each
-    /// object so that Q.3 can copy out its output nodes' records.
-    pub(crate) struct ScanFold<'p> {
-        program: Option<&'p str>,
+    /// of [`processes_named`], [`direct_outputs`] and [`descendants`], for
+    /// every program at once. It reads only `type`, `name` and `input`
+    /// records, and holds each object so that Q.3 can copy out its output
+    /// nodes' records.
+    #[derive(Default)]
+    pub(crate) struct ScanFold {
         /// The last `type` seen per subject.
         kinds: HashMap<PNodeId, NodeKind>,
-        /// Subjects with a `name` equal to `program`.
-        named: BTreeSet<PNodeId>,
-        /// `(subject, input)` of every `input` edge.
-        edges: Vec<(PNodeId, PNodeId)>,
+        /// Every `(subject, name)`, until [`finish`](Self::finish) keeps
+        /// the processes' in `processes`.
+        names: Vec<(PNodeId, String)>,
+        /// Name → the process nodes bearing it, sorted.
+        processes: HashMap<String, Vec<PNodeId>>,
+        /// Node → the subjects with an `input` edge to it.
+        rdeps: HashMap<PNodeId, Vec<PNodeId>>,
         objects: Vec<Blob>,
         /// `(subject, object)` for each run of one subject's records in
         /// one object, in scan order.
         runs: Vec<(PNodeId, usize)>,
     }
 
-    impl<'p> ScanFold<'p> {
-        /// An empty fold; `program` names Q.3/Q.4's seed processes.
-        pub(crate) fn new(program: Option<&'p str>) -> ScanFold<'p> {
-            ScanFold {
-                program,
-                kinds: HashMap::new(),
-                named: BTreeSet::new(),
-                edges: Vec::new(),
-                objects: Vec::new(),
-                runs: Vec::new(),
+    impl ScanFold {
+        /// A fold over objects a scan has already checked.
+        pub(crate) fn over(objects: &[Blob]) -> Result<ScanFold, WireError> {
+            let mut fold = ScanFold::default();
+            for blob in objects {
+                fold.object(blob.clone())?;
             }
+            Ok(fold)
         }
 
         /// Folds in the next object of the scan.
         pub(crate) fn object(&mut self, blob: Blob) -> Result<(), WireError> {
             let at = self.objects.len();
-            wire::visit(payload(&blob), |r| self.record(at, r))?;
+            wire::visit(payload(&blob)?, |r| self.record(at, r))?;
             self.objects.push(blob);
             Ok(())
         }
@@ -284,25 +294,39 @@ pub mod local {
                 "type" => {
                     self.kinds.insert(r.subject, kind(&r.text()));
                 }
-                "name" if self.program.is_some_and(|p| r.text() == p) => {
-                    self.named.insert(r.subject);
-                }
+                "name" => self.names.push((r.subject, r.text().into_owned())),
                 "input" => {
                     if let Some(to) = r.xref() {
-                        self.edges.push((r.subject, to));
+                        self.rdeps.entry(to).or_default().push(r.subject);
                     }
                 }
                 _ => {}
             }
         }
 
+        /// Ends the scan: a name is kept for the subjects whose last
+        /// `type` is a process.
+        pub(crate) fn finish(mut self) -> ScanFold {
+            for (subject, name) in std::mem::take(&mut self.names) {
+                if self.kinds.get(&subject) == Some(&NodeKind::Process) {
+                    self.processes.entry(name).or_default().push(subject);
+                }
+            }
+            for procs in self.processes.values_mut() {
+                procs.sort_unstable();
+                procs.dedup();
+            }
+            self
+        }
+
+        /// The objects folded, in scan order.
+        pub(crate) fn objects(&self) -> &[Blob] {
+            &self.objects
+        }
+
         /// Process nodes named `program`, sorted.
-        pub(crate) fn processes_named(&self) -> Vec<PNodeId> {
-            self.named
-                .iter()
-                .copied()
-                .filter(|n| self.kinds.get(n) == Some(&NodeKind::Process))
-                .collect()
+        pub(crate) fn processes_named(&self, program: &str) -> Vec<PNodeId> {
+            self.processes.get(program).cloned().unwrap_or_default()
         }
 
         /// Q.3: file nodes with an `input` edge to any of `procs`, and
@@ -312,14 +336,11 @@ pub mod local {
             &self,
             procs: &[PNodeId],
         ) -> (Vec<PNodeId>, Vec<ProvenanceRecord>) {
-            let procs: BTreeSet<PNodeId> = procs.iter().copied().collect();
-            let nodes: BTreeSet<PNodeId> = self
-                .edges
+            let nodes: BTreeSet<PNodeId> = procs
                 .iter()
-                .filter(|(from, to)| {
-                    procs.contains(to) && self.kinds.get(from) == Some(&NodeKind::File)
-                })
-                .map(|&(from, _)| from)
+                .flat_map(|p| self.inputs_to(*p))
+                .copied()
+                .filter(|from| self.kinds.get(from) == Some(&NodeKind::File))
                 .collect();
             let holding: BTreeSet<usize> = self
                 .runs
@@ -329,7 +350,8 @@ pub mod local {
                 .collect();
             let mut records = Vec::new();
             for object in holding {
-                wire::visit(payload(&self.objects[object]), |r| {
+                let bytes = payload(&self.objects[object]);
+                wire::visit(bytes.expect("the scan has checked this object"), |r| {
                     if nodes.contains(&r.subject) {
                         records.push(r.to_owned());
                     }
@@ -342,11 +364,12 @@ pub mod local {
         /// Q.4: every transitive dependent of `seeds` over `input` edges,
         /// excluding the seeds.
         pub(crate) fn descendants(&self, seeds: &[PNodeId]) -> Vec<PNodeId> {
-            let mut rdeps: HashMap<PNodeId, Vec<PNodeId>> = HashMap::new();
-            for &(from, to) in &self.edges {
-                rdeps.entry(to).or_default().push(from);
-            }
-            walk(seeds, |n| rdeps.get(&n).map_or(&[], Vec::as_slice))
+            walk(seeds, |n| self.inputs_to(n))
+        }
+
+        /// The subjects with an `input` edge to `node`.
+        fn inputs_to(&self, node: PNodeId) -> &[PNodeId] {
+            self.rdeps.get(&node).map_or(&[], Vec::as_slice)
         }
     }
 
