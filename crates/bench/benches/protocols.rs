@@ -4,10 +4,15 @@
 //! 10 000 / 100 000 items (`sdb`): two answered from posting lists, one
 //! from an item-name prefix range, and a full first page of `select *`
 //! that hands out stored versions without copying them. None may grow
-//! with size. `wire` times the P1 scan's per-object cost: `decode` and
-//! `visit` over one Blast-shaped process object. `scan` times a repeat
-//! Q.4 through one engine over an unchanged P1 store of 64 / 512 such
-//! objects: the LIST and GETs, but no fold.
+//! with size. `cache/install_snapshot` times one miss's install of a
+//! whole 256 / 4096 page snapshot into a cache a third its size, as
+//! read-churn's misses do: it grows with the snapshot, but its cost per
+//! page may not (the figure includes splitting the adjacency into pages,
+//! which a miss reuses from the decoded index). `wire` times the P1
+//! scan's per-object cost: `decode` and `visit` over one Blast-shaped
+//! process object. `scan` times a repeat Q.4 through one engine over an
+//! unchanged P1 store of 64 / 512 such objects: the LIST and GETs, but
+//! no fold.
 //!
 //! The measured quantity is host wall time; the paper's experiments are
 //! timed (in virtual time) by the `repro` binary and, per layer, by the
@@ -15,7 +20,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem, BATCH_LIMIT};
+use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem, TenantId, BATCH_LIMIT};
 use cloudprov_core::ProvenanceStore;
 use cloudprov_pass::{wire, Attr, PNodeId, ProvenanceRecord, Uuid};
 use cloudprov_query::source::RevAdjacency;
@@ -93,7 +98,62 @@ fn bench_cache(c: &mut Criterion) {
             "one eviction an install"
         );
     }
+    for pages in [256, 4096] {
+        let cache = snapshot_cache(&sim, pages);
+        let adj = snapshot(pages);
+        let mut owner = 0;
+        let mut install = || {
+            owner = (owner + 1) % 8;
+            cache.install_adjacency(Some(TenantId(owner)), &adj, &[], sim.now());
+        };
+        // From the first install on, the cache holds the last third.
+        install();
+        let before = cache.stats();
+        let mut calls = 0;
+        group.bench_function(format!("install_snapshot/{pages}"), |b| {
+            b.iter(|| {
+                install();
+                calls += 1;
+            })
+        });
+        let after = cache.stats();
+        assert_eq!(after.installs - before.installs, calls * pages as u64);
+        assert_eq!(
+            after.evictions - before.evictions,
+            calls * pages as u64,
+            "per call, the last owner's third, then its own first two thirds"
+        );
+        assert_eq!(after.entries, pages / 3);
+    }
     group.finish();
+}
+
+/// A snapshot of `pages` one-edge pages, 72 modelled bytes each.
+fn snapshot(pages: usize) -> RevAdjacency {
+    let mut adj = RevAdjacency::default();
+    for i in 0..pages as u128 {
+        adj.out.insert(node(i), vec![node(i + 1)]);
+    }
+    adj
+}
+
+/// read-churn's shape: room for a third of a `pages`-page snapshot and
+/// no reserved share, so each tenant's miss evicts the last one's pages
+/// and then the first two thirds of its own.
+fn snapshot_cache(sim: &Sim, pages: usize) -> AncestryCache {
+    let capacity = 72 * (pages / 3);
+    let cache = AncestryCache::new(
+        sim,
+        CacheConfig {
+            capacity_bytes: capacity,
+            tenant_max_bytes: capacity,
+            tenant_reserved_bytes: 0,
+            ..CacheConfig::default()
+        },
+    );
+    cache.attach();
+    sim.sleep(std::time::Duration::from_secs(1));
+    cache
 }
 
 /// SELECTs per timed sample.

@@ -1,6 +1,12 @@
 //! [`CloudEnv`]: one simulated AWS account bundling the three services, a
 //! shared meter, a shared fault plan and the latency profile.
 
+use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
 use cloudprov_sim::Sim;
 use cloudprov_trace::Tracer;
 
@@ -39,7 +45,12 @@ pub struct CloudEnv {
     faults: FaultHandle,
     tracer: Tracer,
     tenant: Option<TenantId>,
+    memos: Memos,
 }
+
+/// One value per type, made on first use and shared by every clone and
+/// tenant view of one environment ([`CloudEnv::memo`]).
+type Memos = Arc<Mutex<BTreeMap<TypeId, Arc<dyn Any + Send + Sync>>>>;
 
 impl std::fmt::Debug for CloudEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -89,6 +100,7 @@ impl CloudEnv {
             faults,
             tracer,
             tenant: None,
+            memos: Memos::default(),
         }
     }
 
@@ -157,6 +169,20 @@ impl CloudEnv {
         &self.tracer
     }
 
+    /// This world's `T`: one value, made by `T::default()` on first use
+    /// and shared by every clone and tenant view of this environment, so
+    /// state derived from the stored data (a read path's decode memo)
+    /// has one owner per world rather than one per reader.
+    pub fn memo<T: Default + Send + Sync + 'static>(&self) -> Arc<T> {
+        let any = Arc::clone(
+            self.memos
+                .lock()
+                .entry(TypeId::of::<T>())
+                .or_insert_with(|| Arc::new(T::default())),
+        );
+        any.downcast().expect("a memo is stored under its own type")
+    }
+
     /// Convenience: current usage report.
     pub fn usage(&self) -> UsageReport {
         self.meter.report(self.sim.now())
@@ -209,6 +235,20 @@ mod tests {
         );
         assert_eq!(usage.get(Actor::Client, Service::Queue, Op::Send).count, 1);
         assert!(env.cost().total() > 0.0);
+    }
+
+    #[test]
+    fn every_view_of_a_world_shares_its_memo() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let memo = env.memo::<Mutex<u64>>();
+        *memo.lock() += 1;
+        let tenant = env.clone().for_tenant(TenantId(3));
+        assert!(Arc::ptr_eq(&tenant.memo::<Mutex<u64>>(), &memo));
+        assert_eq!(*env.memo::<Mutex<u64>>().lock(), 1);
+        assert_eq!(*env.memo::<Mutex<u32>>().lock(), 0, "one value per type");
+        let other = CloudEnv::new(&sim, AwsProfile::instant());
+        assert_eq!(*other.memo::<Mutex<u64>>().lock(), 0, "one value per world");
     }
 
     #[test]

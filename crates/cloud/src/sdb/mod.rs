@@ -117,6 +117,8 @@ struct ItemVersion {
     /// `None` is a deletion tombstone; `Some` is the full attribute state,
     /// immutable once published and shared with every SELECT that sees it.
     attrs: Option<Arc<Attributes>>,
+    /// `attrs`' billed size, summed once at publish.
+    bytes: u64,
 }
 
 #[derive(Default)]
@@ -125,12 +127,14 @@ struct ItemHistory {
 }
 
 impl ItemHistory {
-    fn visible_at(&self, horizon: SimTime) -> Option<&Arc<Attributes>> {
-        self.versions
+    /// The version a read at `horizon` sees, with its billed size.
+    fn visible_at(&self, horizon: SimTime) -> Option<(&Arc<Attributes>, u64)> {
+        let v = self
+            .versions
             .iter()
             .rev()
-            .find(|v| v.published <= horizon)
-            .and_then(|v| v.attrs.as_ref())
+            .find(|v| v.published <= horizon)?;
+        Some((v.attrs.as_ref()?, v.bytes))
     }
 
     fn latest(&self) -> Option<&Arc<Attributes>> {
@@ -233,40 +237,47 @@ impl Domain {
     /// One page of `query` as seen at `horizon`, resuming after the
     /// first `start` matches, with the bytes it bills.
     fn select_page(&mut self, query: &Select, start: usize, horizon: SimTime) -> (SelectPage, u64) {
-        let terms = query
-            .predicate
-            .as_ref()
-            .map(Expr::narrowing_terms)
-            .unwrap_or_default();
+        let predicate = query.predicate.as_ref();
+        if let Some(names) = predicate.and_then(Expr::item_names) {
+            let items = names
+                .into_iter()
+                .filter_map(|n| self.items.get_key_value(n));
+            return page(query, start, horizon, items, predicate);
+        }
+        let terms = predicate.map(Expr::narrowing_terms).unwrap_or_default();
         self.index(&terms);
         if let Some(names) = self.candidates(&terms) {
             let items = names
                 .into_iter()
                 .filter_map(|n| self.items.get_key_value(n));
-            return page(query, start, horizon, items);
+            return page(query, start, horizon, items, predicate);
         }
-        match query.predicate.as_ref().and_then(Expr::name_prefix) {
+        match predicate.and_then(Expr::name_prefix) {
             // The names an item-name prefix admits are one contiguous
-            // run of the name order.
+            // run of the name order; when that prefix is the whole
+            // predicate, every name in the run matches.
             Some(prefix) => {
                 let items = self
                     .items
                     .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
                     .take_while(|(name, _)| name.starts_with(prefix));
-                page(query, start, horizon, items)
+                let check = predicate.filter(|p| !p.is_bare_name_prefix());
+                page(query, start, horizon, items, check)
             }
-            None => page(query, start, horizon, self.items.iter()),
+            None => page(query, start, horizon, self.items.iter(), predicate),
         }
     }
 }
 
 /// Evaluates `query` over `items` (in name order, a superset of the
 /// matches) at `horizon`: the page, its `next_token` and billed bytes.
+/// Only the items `check` holds for match; `None` admits every item.
 fn page<'a>(
     query: &Select,
     start: usize,
     horizon: SimTime,
     items: impl Iterator<Item = (&'a String, &'a ItemHistory)>,
+    check: Option<&Expr>,
 ) -> (SelectPage, u64) {
     let mut selected = Vec::new();
     let none = Arc::new(Attributes::new());
@@ -275,14 +286,10 @@ fn page<'a>(
     let mut next = None;
     let limit = query.limit.unwrap_or(usize::MAX);
     for (name, hist) in items {
-        let Some(attrs) = hist.visible_at(horizon) else {
+        let Some((attrs, attrs_bytes)) = hist.visible_at(horizon) else {
             continue;
         };
-        let matches = query
-            .predicate
-            .as_ref()
-            .is_none_or(|p| p.matches(name, attrs));
-        if !matches {
+        if !check.is_none_or(|p| p.matches(name, attrs)) {
             continue;
         }
         matched += 1;
@@ -297,7 +304,7 @@ fn page<'a>(
         }
         let item_bytes = name.len() as u64
             + if query.output == Output::All {
-                attrs_size(attrs)
+                attrs_bytes
             } else {
                 0
             };
@@ -482,6 +489,7 @@ impl Database {
                     let merged = apply_put(hist.latest().map(Arc::as_ref), &item);
                     hist.versions.push(ItemVersion {
                         published: now,
+                        bytes: attrs_size(&merged),
                         attrs: Some(Arc::new(merged)),
                     });
                     let horizon = SimTime::from_micros(
@@ -516,14 +524,11 @@ impl Database {
                     .domains
                     .get(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
-                let attrs = dom
+                Ok(dom
                     .items
                     .get(&item_name)
                     .and_then(|h| h.visible_at(horizon))
-                    .map(|a| Attributes::clone(a))
-                    .unwrap_or_default();
-                let bytes = attrs_size(&attrs);
-                Ok((attrs, bytes))
+                    .map_or_else(Default::default, |(a, bytes)| (Attributes::clone(a), bytes)))
             })
     }
 
@@ -546,7 +551,7 @@ impl Database {
                     }
                     hist.versions.push(ItemVersion {
                         published: now,
-                        attrs: None,
+                        ..ItemVersion::default()
                     });
                 }
                 Ok(((), 0))
@@ -957,7 +962,13 @@ mod tests {
         let mut at = Some(start);
         while let Some(start) = at {
             narrowed.push(dom.select_page(&query, start, horizon));
-            let page = page(&query, start, horizon, dom.items.iter());
+            let page = page(
+                &query,
+                start,
+                horizon,
+                dom.items.iter(),
+                query.predicate.as_ref(),
+            );
             at = page.0.next_token.as_ref().map(|t| t.parse().unwrap());
             walked.push(page);
         }
@@ -1140,6 +1151,111 @@ mod tests {
                 assert_eq!(narrowed, walked, "{q} from {start}");
                 assert_eq!(narrowed.len(), pages, "{q} from {start}");
             }
+        }
+    }
+
+    #[test]
+    fn item_name_points_page_like_the_walk() {
+        let (sim, db) = db(eventual(10));
+        // 200 values of 1 000 bytes: five such items fill a 1 MB page.
+        let big: Attributes = (0..200)
+            .map(|j| (format!("v{j:03}"), "v".repeat(1000)))
+            .collect();
+        for n in 0..16 {
+            let item = PutItem {
+                name: format!("i{n:02}"),
+                attrs: big.clone(),
+                replace: false,
+            };
+            db.put_attributes("prov", item).unwrap();
+        }
+        sim.sleep(std::time::Duration::from_secs(11));
+        db.delete_item("prov", "i03").unwrap();
+        let list = "'i09', 'i01', 'i03', 'nope', 'i01', 'i12', 'i05', 'i07', 'i11', 'i02'";
+        for (q, pages) in [
+            (
+                format!("select * from prov where itemName() in ({list})"),
+                2,
+            ),
+            (
+                format!("select * from prov where itemName() in ({list}) limit 7"),
+                2,
+            ),
+            (
+                format!("select itemName() from prov where itemName() in ({list})"),
+                1,
+            ),
+            ("select * from prov where itemName() = 'i05'".to_string(), 1),
+        ] {
+            for (start, horizon) in [(0, sim.now()), (0, ago(&sim, 5)), (2, sim.now())] {
+                let (narrowed, walked) = both_ways(&db, &q, start, horizon);
+                assert_eq!(narrowed, walked, "{q} from {start}");
+            }
+            let (narrowed, _) = both_ways(&db, &q, 0, sim.now());
+            assert_eq!(narrowed.len(), pages, "{q}");
+        }
+        let (narrowed, _) = both_ways(
+            &db,
+            &format!("select * from prov where itemName() in ({list})"),
+            0,
+            sim.now(),
+        );
+        assert_eq!(
+            names(&narrowed),
+            ["i01", "i02", "i05", "i07", "i09", "i11", "i12"]
+        );
+        let (stale, _) = both_ways(
+            &db,
+            &format!("select * from prov where itemName() in ({list})"),
+            0,
+            ago(&sim, 5),
+        );
+        assert_eq!(
+            names(&stale)[..3],
+            ["i01", "i02", "i03"],
+            "the deleted item, stale"
+        );
+        for (q, narrows) in [
+            (
+                "itemName() in ('a', 'b') and type = 'x'",
+                Some(vec!["a", "b"]),
+            ),
+            (
+                "itemName() = 'c' and itemName() in ('a', 'b')",
+                Some(vec!["c"]),
+            ),
+            ("itemName() in ('b', 'a', 'b')", Some(vec!["a", "b"])),
+            ("itemName() = 'a' or type = 'x'", None),
+            ("not itemName() = 'a'", None),
+            ("type = 'x' and not itemName() in ('a')", None),
+        ] {
+            let query = select::parse(&format!("select * from prov where {q}")).unwrap();
+            assert_eq!(
+                query.predicate.as_ref().unwrap().item_names(),
+                narrows,
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_name_prefix_is_the_only_predicate_left_unchecked() {
+        for (q, bare) in [
+            ("itemName() like 'rev_%'", true),
+            ("itemName() like '%'", true),
+            ("itemName() like ''", false),
+            ("itemName() like 'rev'", false),
+            ("itemName() like 'r%v%'", false),
+            ("itemName() like '%v'", false),
+            ("itemName() like 'rev_%' and type = 'x'", false),
+            ("a like 'rev_%'", false),
+        ] {
+            let query = select::parse(&format!("select * from prov where {q}")).unwrap();
+            assert_eq!(
+                query.predicate.as_ref().unwrap().is_bare_name_prefix(),
+                bare,
+                "{q}"
+            );
         }
     }
 
@@ -1335,9 +1451,25 @@ mod tests {
             4 => format!("{attr} != '{}'", pick(rng, &VALUES)),
             5 => format!("{attr} like '{}%'", &pick(rng, &VALUES)[..1]),
             6 => format!("{attr} is {}null", ["", "not "][rng.usize_in(0..2)]),
-            7 => format!("itemName() = {}", quote_literal(&item_name(rng))),
+            7 => name_points(rng),
             _ => name_like(rng),
         }
+    }
+
+    /// An `itemName() = '…'` or `itemName() in (…)` predicate whose
+    /// names may repeat or name no item at all.
+    fn name_points(rng: &mut TestRng) -> String {
+        if rng.usize_in(0..4) == 0 {
+            return format!("itemName() = {}", quote_literal(&item_name(rng)));
+        }
+        let names: Vec<String> = (0..rng.usize_in(1..6))
+            .map(|_| match rng.usize_in(0..4) {
+                0 => quote_literal("absent"),
+                _ => quote_literal(&item_name(rng)),
+            })
+            .collect();
+        let dup = names[0].clone();
+        format!("itemName() in ({}, {dup})", names.join(", "))
     }
 
     fn query(rng: &mut TestRng) -> String {
@@ -1347,10 +1479,16 @@ mod tests {
         );
         if rng.usize_in(0..6) > 0 {
             let e = expr(rng, 3);
-            q += &match rng.usize_in(0..5) {
+            q += &match rng.usize_in(0..10) {
                 0 => format!(" where {} and {e}", name_like(rng)),
                 1 => format!(" where {} and {}", name_like(rng), expr(rng, 0)),
                 2 => format!(" where {} or {e}", name_like(rng)),
+                3 => format!(" where {}", name_like(rng)),
+                4 => format!(" where {}", name_points(rng)),
+                5 => format!(" where {} and {e}", name_points(rng)),
+                // Neither may narrow: the names bound no match.
+                6 => format!(" where {} or {e}", name_points(rng)),
+                7 => format!(" where not {}", name_points(rng)),
                 _ => format!(" where {e}"),
             };
         }
@@ -1363,10 +1501,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// SELECTs narrowed by posting list or by item-name range and the
-        /// full walk, over the same randomly written, deleted and aged
-        /// domain, return the same pages at every horizon a read may be
-        /// served; and every retained version stays posted.
+        /// SELECTs narrowed by item-name lookups, by posting list or by
+        /// item-name range and the full walk, over the same randomly
+        /// written, deleted and aged domain, return the same pages at
+        /// every horizon a read may be served, resumed from any match
+        /// and under any limit; and every retained version stays posted.
         #[test]
         fn narrowed_select_matches_the_full_walk(
             ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..40),

@@ -153,6 +153,51 @@ impl Expr {
         out
     }
 
+    /// The item names of the most selective `itemName() = '…'` or
+    /// `itemName() in (…)` conjunct reachable through `AND`s alone,
+    /// sorted and deduplicated. Every item the expression matches is
+    /// named in it.
+    pub(crate) fn item_names(&self) -> Option<Vec<&str>> {
+        let mut best: Option<Vec<&str>> = None;
+        let mut stack = vec![self];
+        while let Some(e) = stack.pop() {
+            let names = match e {
+                Expr::And(a, b) => {
+                    stack.extend([b.as_ref(), a.as_ref()]);
+                    continue;
+                }
+                Expr::Cmp {
+                    operand: Operand::ItemName,
+                    op: CmpOp::Eq,
+                    value,
+                } => vec![value.as_str()],
+                Expr::In {
+                    operand: Operand::ItemName,
+                    values,
+                } => values.iter().map(String::as_str).collect(),
+                _ => continue,
+            };
+            if best.as_ref().is_none_or(|b| names.len() < b.len()) {
+                best = Some(names);
+            }
+        }
+        let mut names = best?;
+        names.sort_unstable();
+        names.dedup();
+        Some(names)
+    }
+
+    /// Whether the whole expression is one `itemName() like '…'` whose
+    /// only `%` is its last character: it then holds for exactly the
+    /// names starting with [`name_prefix`](Self::name_prefix).
+    pub(crate) fn is_bare_name_prefix(&self) -> bool {
+        matches!(self, Expr::Cmp {
+            operand: Operand::ItemName,
+            op: CmpOp::Like,
+            value,
+        } if value.find('%').is_some_and(|i| i + 1 == value.len()))
+    }
+
     /// The longest literal text before the first `%` of any
     /// `itemName() like '…'` conjunct reachable through `AND`s alone.
     /// `LIKE` has no other wildcard and no escape, so every item the

@@ -51,13 +51,22 @@
 //!
 //! With *n* resident entries, no operation scans them:
 //!
-//! * hit — O(nodes visited): map probes and one tick store per node;
-//!   recency filings are left stale and repaired by the next eviction
-//!   that meets them, O(log n) apiece, at most one per touch;
-//! * install, evict — O(log n);
-//! * miss — one parse per set of stored index versions: a fetch handing
-//!   back the very versions the last decode saw reuses its pages, and
-//!   entries are installed by reference to them;
+//! * hit — O(nodes visited · log n) for the walk; each entry it touches
+//!   is re-filed at the back of its owner's queue, in rule-2 order, at
+//!   O(1) (an entry holds its slot and its owner's row). The filing it
+//!   leaves behind goes stale and is dropped when it reaches the front,
+//!   or by compaction once stale filings outnumber live ones;
+//! * install — a miss installs a whole snapshot. Each page is admitted
+//!   and displaces its resident copy, O(log n), but only the pages the
+//!   call leaves standing are inserted, filed and charged: the call
+//!   holds its own pages in a FIFO (they are its owner's hottest
+//!   entries, so its own evictions take them oldest first once nothing
+//!   colder qualifies) and seats the survivors when it ends, so a page
+//!   the call itself evicts never touches the map, a queue or `heads`;
+//! * evict — O(log n), plus the stale filings it skips;
+//! * miss — one parse per set of stored index versions, per world (see
+//!   [`IndexSource`](crate::IndexSource)); entries are installed by
+//!   reference to the decoded pages;
 //! * invalidate — O(pages of the uuid · log n);
 //! * flush — frees everything it drops, nothing more.
 //!
@@ -65,19 +74,19 @@
 //! per entry), not host memory: a page entry is charged in full though
 //! its page is shared with the decoded snapshot.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{Attributes, SelectedItem, TenantId};
+use cloudprov_cloud::TenantId;
 use cloudprov_core::feed::{CommitEvent, CommitEventSink};
 use cloudprov_pass::{PNodeId, Uuid};
 use cloudprov_sim::{Sim, SimTime};
 
 use crate::planner::CacheState;
-use crate::source::RevAdjacency;
+use crate::source::{IndexPages, RevAdjacency, RevPage};
 
 /// Sizing and coherence knobs for one [`AncestryCache`].
 #[derive(Clone, Copy, Debug)]
@@ -107,56 +116,6 @@ impl Default for CacheConfig {
     }
 }
 
-/// One ancestor's materialized reverse-edge page: its dependents over
-/// `input` edges and the subset of those that are files (Q.3's filter,
-/// localized from the adjacency's global file set at install time).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RevPage {
-    /// Dependents of this ancestor.
-    pub out: Vec<PNodeId>,
-    /// The dependents that are files.
-    pub files: Vec<PNodeId>,
-}
-
-/// One decoded snapshot of the `rev_` index: a page per ancestor, its
-/// `files` already localized, shared by reference with every cache entry
-/// installed from it.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub(crate) struct IndexPages {
-    pub(crate) pages: BTreeMap<PNodeId, Arc<RevPage>>,
-}
-
-impl IndexPages {
-    /// Splits `adj` into pages: each ancestor's dependents, and those of
-    /// them that are files.
-    pub(crate) fn new(adj: RevAdjacency) -> IndexPages {
-        let RevAdjacency { out, files } = adj;
-        let pages = out
-            .into_iter()
-            .map(|(node, out)| {
-                let files = out.iter().copied().filter(|d| files.contains(d)).collect();
-                (node, Arc::new(RevPage { out, files }))
-            })
-            .collect();
-        IndexPages { pages }
-    }
-
-    /// `node`'s page, if the index stores one.
-    pub(crate) fn get(&self, node: &PNodeId) -> Option<&RevPage> {
-        self.pages.get(node).map(Arc::as_ref)
-    }
-}
-
-/// The last index snapshot [`AncestryCache::decode`] built, and the
-/// stored versions it was built from. Holding the versions keeps their
-/// addresses from being reused by newer ones.
-#[derive(Default)]
-struct Decoded {
-    versions: Vec<Arc<Attributes>>,
-    pages: Arc<IndexPages>,
-    decodes: u64,
-}
-
 /// Counters the cache exposes for reports (`query.cache.*`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -180,9 +139,6 @@ pub struct CacheStats {
     pub duplicate_events: u64,
     /// Sequence gaps observed — each one poisons the cache.
     pub gaps: u64,
-    /// Index fetches that had to be parsed: their stored versions were
-    /// not the ones the previous decode saw.
-    pub decodes: u64,
     /// Resident entries right now.
     pub entries: usize,
     /// Resident bytes right now.
@@ -197,33 +153,122 @@ enum Key {
     Page(PNodeId),
 }
 
-/// An entry's place in its owner's recency order: `(tick, key)`.
-type Filing = (u64, Key);
+/// An entry's place in its owner's recency order: `(tick, key, slot)`.
+/// Filings order by tick, then key (rule 2); the entry's slot tells
+/// whether the filing is still live ([`Slots::live`]).
+type Filing = (u64, Key, u32);
 
 #[derive(Clone, Debug)]
 struct Entry<T> {
     value: T,
     bytes: usize,
     owner: Option<TenantId>,
-    /// Tick of the last install or lookup: the entry's true recency.
-    touched: u64,
-    /// Tick the entry is filed under in its owner's `order`. A hit
-    /// stores `touched` only, so this may trail it; it never leads it.
-    filed: u64,
+    /// The owner's row in [`Rows`].
+    row: u32,
+    /// Where [`Slots`] keeps this entry's recency.
+    slot: u32,
 }
 
-/// One quota owner's share. The row exists only while it has entries.
+/// Every resident entry's recency, by slot: the tick of its last install
+/// or lookup, which is the tick of its one live filing; 0 while the slot
+/// is free. Ticks only grow, so a filing is live exactly while its slot
+/// still holds its tick — neither a re-filed entry nor a later entry in
+/// the same slot matches — and liveness costs no map lookup.
+#[derive(Default)]
+struct Slots {
+    ticks: Vec<u64>,
+    free: Vec<u32>,
+}
+
+impl Slots {
+    /// A free slot, now holding `tick`.
+    fn claim(&mut self, tick: u64) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.ticks[slot as usize] = tick;
+                slot
+            }
+            None => {
+                self.ticks.push(tick);
+                (self.ticks.len() - 1) as u32
+            }
+        }
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.ticks[slot as usize] = 0;
+        self.free.push(slot);
+    }
+
+    fn live(&self, (tick, _, slot): &Filing) -> bool {
+        self.ticks[*slot as usize] == *tick
+    }
+}
+
+/// The quota owners' rows, kept by index so that an entry reaches its
+/// owner's row without a map lookup. A row exists only while its owner
+/// has entries.
+#[derive(Default)]
+struct Rows {
+    by_owner: BTreeMap<Option<TenantId>, u32>,
+    rows: Vec<Tenant>,
+    free: Vec<u32>,
+}
+
+impl Rows {
+    fn get(&self, owner: Option<TenantId>) -> Option<&Tenant> {
+        self.by_owner.get(&owner).map(|&i| &self.rows[i as usize])
+    }
+
+    fn get_mut(&mut self, owner: Option<TenantId>) -> Option<&mut Tenant> {
+        let i = *self.by_owner.get(&owner)?;
+        Some(&mut self.rows[i as usize])
+    }
+
+    /// `owner`'s row, made (empty) if it has none.
+    fn claim(&mut self, owner: Option<TenantId>) -> u32 {
+        if let Some(&i) = self.by_owner.get(&owner) {
+            return i;
+        }
+        let i = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.rows.push(Tenant::default());
+                (self.rows.len() - 1) as u32
+            }
+        };
+        self.by_owner.insert(owner, i);
+        i
+    }
+
+    /// Drops `owner`'s row, `i`, left with no entries.
+    fn release(&mut self, owner: Option<TenantId>, i: u32) {
+        self.by_owner.remove(&owner);
+        self.rows[i as usize] = Tenant::default();
+        self.free.push(i);
+    }
+}
+
+/// One quota owner's share.
 #[derive(Default)]
 struct Tenant {
     bytes: usize,
-    /// The owner's entries, coldest filing first. Filings are lower
-    /// bounds on recency ([`Entry::filed`]); [`AncestryCache::coldest`]
-    /// re-files stale ones before it trusts the front.
-    order: BTreeSet<Filing>,
-    /// This owner's element of [`Inner::heads`]: a copy of
-    /// `order.first()` while `bytes` exceeds the reserved share.
+    /// Resident entries charged to this owner.
+    entries: usize,
+    /// The owner's filings, coldest first. Each install or touch
+    /// appends one under a fresh tick, so the queue stays in eviction
+    /// order; a filing whose entry has since left or been re-filed is
+    /// stale.
+    order: VecDeque<Filing>,
+    /// This owner's element of [`Inner::heads`] while `bytes` exceeds
+    /// the reserved share: `order`'s front when last listed, so a lower
+    /// bound on its coldest live filing.
     listed: Option<Filing>,
 }
+
+/// Stale filings an owner's queue may hold beyond its live ones before
+/// [`compact`] drops them.
+const STALE_SLACK: usize = 32;
 
 #[derive(Default)]
 struct Inner {
@@ -240,17 +285,42 @@ struct Inner {
     /// Per-stream high sequence marks, mirroring the feed registry's
     /// duplicate/gap accounting.
     high: BTreeMap<String, u64>,
-    seeds: BTreeMap<Arc<str>, Entry<Vec<PNodeId>>>,
-    pages: BTreeMap<PNodeId, Entry<Arc<RevPage>>>,
+    seeds: Seeds,
+    pages: Pages,
     quarantined_uuids: BTreeMap<Uuid, SimTime>,
     quarantined_programs: BTreeMap<String, SimTime>,
-    owners: BTreeMap<Option<TenantId>, Tenant>,
-    /// The front filing of every owner another tenant may evict from
-    /// (those above their reserved share), coldest first.
+    owners: Rows,
+    /// Every owner's `listed` filing (those above their reserved share),
+    /// coldest first.
     heads: BTreeSet<(Filing, Option<TenantId>)>,
+    slots: Slots,
     bytes: usize,
     tick: u64,
     stats: CacheStats,
+}
+
+/// The pages one install call has seated so far, oldest first, none of
+/// them yet in [`Inner::pages`] or a queue. They are the installing
+/// owner's hottest entries, so once nothing colder qualifies the call's
+/// own evictions take them from the front; the survivors are seated
+/// when it ends.
+#[derive(Default)]
+struct Seated<'a> {
+    /// `(node, page, bytes, tick, slot)`, in tick order.
+    pages: VecDeque<(PNodeId, &'a Arc<RevPage>, usize, u64, u32)>,
+    bytes: usize,
+}
+
+impl Seated<'_> {
+    /// Evicts the page at `i` (the oldest at 0), if there is one.
+    fn evict(&mut self, slots: &mut Slots, i: usize) -> bool {
+        let Some((_, _, bytes, _, slot)) = self.pages.remove(i) else {
+            return false;
+        };
+        self.bytes -= bytes;
+        slots.release(slot);
+        true
+    }
 }
 
 /// The shared, feed-invalidated ancestry cache. See the module docs for
@@ -259,8 +329,6 @@ pub struct AncestryCache {
     sim: Sim,
     cfg: CacheConfig,
     inner: Mutex<Inner>,
-    /// A pure memo of immutable inputs, so flushes leave it alone.
-    decoded: Mutex<Decoded>,
 }
 
 /// Rough resident cost of an entry holding `ids` node ids.
@@ -284,7 +352,6 @@ impl AncestryCache {
                 coherent: false,
                 ..Inner::default()
             }),
-            decoded: Mutex::default(),
         }
     }
 
@@ -318,12 +385,10 @@ impl AncestryCache {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let decodes = self.decoded.lock().decodes;
         let g = self.inner.lock();
         let mut s = g.stats;
         s.entries = g.seeds.len() + g.pages.len();
         s.bytes = g.bytes;
-        s.decodes = decodes;
         s
     }
 
@@ -422,13 +487,13 @@ impl AncestryCache {
     /// Non-counting dry run: would `kind`/`program` be served from
     /// memory right now? `None` means the cache is unusable (bypass).
     pub fn probe(&self, kind: crate::QueryKind, program: &str) -> Option<CacheState> {
-        let mut g = self.inner.lock();
+        let g = self.inner.lock();
         if !(g.attached && g.coherent) {
             return None;
         }
         let warm = match kind {
-            crate::QueryKind::Q3 => Self::q3_from(&mut g, program, false).is_some(),
-            crate::QueryKind::Q4 => Self::q4_from(&mut g, program, false).is_some(),
+            crate::QueryKind::Q3 => q3_walk(&g.seeds, &g.pages, program).is_some(),
+            crate::QueryKind::Q4 => q4_walk(&g.seeds, &g.pages, program).is_some(),
             _ => return None,
         };
         Some(if warm {
@@ -441,31 +506,64 @@ impl AncestryCache {
     /// Serves Q.3 (direct file outputs of `program`) from memory, or
     /// `None` on a miss. Counts a hit/miss.
     pub fn serve_q3(&self, program: &str) -> Option<Vec<PNodeId>> {
-        let mut g = self.inner.lock();
-        if !(g.attached && g.coherent) {
-            return None;
-        }
-        let r = Self::q3_from(&mut g, program, true);
-        match r {
-            Some(_) => g.stats.hits += 1,
-            None => g.stats.misses += 1,
-        }
-        r
+        self.serve(program, q3_walk, |_, visited| {
+            let files = visited.iter().flat_map(|(_, e)| e.value.files.iter());
+            files
+                .copied()
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect()
+        })
     }
 
     /// Serves Q.4 (transitive descendants of `program`) from memory, or
     /// `None` on a miss. Counts a hit/miss.
     pub fn serve_q4(&self, program: &str) -> Option<Vec<PNodeId>> {
+        self.serve(program, q4_walk, |seeds, visited| {
+            let mut seeds = seeds.to_vec();
+            seeds.sort_unstable();
+            let walked = visited.iter().map(|(n, _)| *n);
+            walked.filter(|n| seeds.binary_search(n).is_err()).collect()
+        })
+    }
+
+    /// One lookup served from memory: `walk` finds the entries it reads,
+    /// or `None` on a miss; on a hit `answer` computes the result from
+    /// the seeds and the pages visited, ascending, and they are re-filed
+    /// under one fresh tick. Counts a hit/miss.
+    fn serve<W>(
+        &self,
+        program: &str,
+        walk: W,
+        answer: impl FnOnce(&[PNodeId], &[Visit<'_>]) -> Vec<PNodeId>,
+    ) -> Option<Vec<PNodeId>>
+    where
+        W: for<'a> Fn(&'a Seeds, &'a Pages, &str) -> Option<Walk<'a>>,
+    {
         let mut g = self.inner.lock();
         if !(g.attached && g.coherent) {
             return None;
         }
-        let r = Self::q4_from(&mut g, program, true);
-        match r {
-            Some(_) => g.stats.hits += 1,
-            None => g.stats.misses += 1,
-        }
-        r
+        let Inner {
+            seeds,
+            pages,
+            owners,
+            slots,
+            tick,
+            stats,
+            ..
+        } = &mut *g;
+        let Some((seed, mut visited)) = walk(seeds, pages, program) else {
+            stats.misses += 1;
+            return None;
+        };
+        stats.hits += 1;
+        visited.sort_unstable_by_key(|(n, _)| *n);
+        visited.dedup_by_key(|(n, _)| *n);
+        let out = answer(&seed.1.value, &visited);
+        *tick += 1;
+        hit(&mut owners.rows, slots, *tick, seed, visited);
+        Some(out)
     }
 
     /// Cached seed lookup (no hit/miss accounting — the serve calls own
@@ -477,9 +575,21 @@ impl AncestryCache {
             return None;
         }
         g.tick += 1;
-        let tick = g.tick;
-        let e = g.seeds.get_mut(program)?;
-        e.touched = tick;
+        let Inner {
+            seeds,
+            owners,
+            slots,
+            tick,
+            ..
+        } = &mut *g;
+        let (program, e) = seeds.get_key_value(program)?;
+        refile(
+            &mut owners.rows,
+            slots,
+            e,
+            Key::Seed(Arc::clone(program)),
+            *tick,
+        );
         Some(e.value.clone())
     }
 
@@ -505,21 +615,24 @@ impl AncestryCache {
         }
         self.remove_seeds(&mut g, program);
         let bytes = entry_bytes(seeds.len());
-        if !self.ensure_room(&mut g, owner, bytes) {
+        if !self.ensure_room(&mut g, owner, bytes, &mut Seated::default()) {
             return;
         }
         g.tick += 1;
         let tick = g.tick;
+        let slot = g.slots.claim(tick);
+        let row = g.owners.claim(owner);
         let e = Entry {
             value: seeds.to_vec(),
             bytes,
             owner,
-            touched: tick,
-            filed: tick,
+            row,
+            slot,
         };
         let program: Arc<str> = program.into();
         g.seeds.insert(Arc::clone(&program), e);
-        self.charge(&mut g, owner, (tick, Key::Seed(program)), bytes);
+        let filing = (tick, Key::Seed(program), slot);
+        self.charge(&mut g, owner, row, bytes, [filing].into_iter());
         g.stats.installs += 1;
     }
 
@@ -539,28 +652,11 @@ impl AncestryCache {
         self.install_fetched(owner, &pages, touched, fetch_start);
     }
 
-    /// The decoded form of a `rev_` fetch. When `items` are, in order,
-    /// the very stored versions the last decode saw, that decode is
-    /// handed back: a published version never changes and belongs to one
-    /// item, so the parse would rebuild the same pages.
-    pub(crate) fn decode(&self, items: &[SelectedItem]) -> Arc<IndexPages> {
-        let mut memo = self.decoded.lock();
-        let unchanged = memo.versions.len() == items.len()
-            && memo
-                .versions
-                .iter()
-                .zip(items)
-                .all(|(v, item)| Arc::ptr_eq(v, &item.attrs));
-        if !unchanged {
-            memo.pages = Arc::new(IndexPages::new(RevAdjacency::decode(items)));
-            memo.versions = items.iter().map(|item| Arc::clone(&item.attrs)).collect();
-            memo.decodes += 1;
-        }
-        Arc::clone(&memo.pages)
-    }
-
     /// [`install_adjacency`](Self::install_adjacency) from decoded
-    /// pages: every entry shares its page instead of copying it.
+    /// pages: every entry shares its page instead of copying it. Each
+    /// page is admitted, displaces its resident copy and makes room in
+    /// turn, exactly as if seated at once; only the pages the call's
+    /// own later evictions leave standing are seated, when it ends.
     pub(crate) fn install_fetched(
         &self,
         owner: Option<TenantId>,
@@ -572,23 +668,34 @@ impl AncestryCache {
         if !(g.attached && g.coherent) {
             return;
         }
-        for (node, page) in &pages.pages {
-            self.install_page(&mut g, owner, *node, Arc::clone(page), fetch_start);
-        }
         let empty = Arc::new(RevPage::default());
-        for node in touched {
-            if !pages.pages.contains_key(node) {
-                self.install_page(&mut g, owner, *node, Arc::clone(&empty), fetch_start);
-            }
+        let mut seated = Seated::default();
+        for (node, page) in &pages.pages {
+            self.install_page(&mut g, &mut seated, owner, *node, page, fetch_start);
         }
+        let mut leaves = BTreeSet::new();
+        for node in touched {
+            if pages.pages.contains_key(node) {
+                continue;
+            }
+            // A repeated leaf displaces its own earlier seat.
+            if !leaves.insert(*node) {
+                if let Some(i) = seated.pages.iter().position(|(n, ..)| n == node) {
+                    seated.evict(&mut g.slots, i);
+                }
+            }
+            self.install_page(&mut g, &mut seated, owner, *node, &empty, fetch_start);
+        }
+        self.seat(&mut g, owner, seated);
     }
 
-    fn install_page(
+    fn install_page<'a>(
         &self,
         g: &mut Inner,
+        seated: &mut Seated<'a>,
         owner: Option<TenantId>,
         node: PNodeId,
-        page: Arc<RevPage>,
+        page: &'a Arc<RevPage>,
         fetch_start: SimTime,
     ) {
         let quarantined = g.quarantined_uuids.get(&node.uuid).copied();
@@ -596,28 +703,42 @@ impl AncestryCache {
             g.stats.refused_installs += 1;
             return;
         }
+        // A resident copy leaves first, and the new page is not yet
+        // seated, so the evictions that make its room can pick neither.
+        self.remove_page(g, node);
         let bytes = entry_bytes(page.out.len() + page.files.len());
-        let tick = g.tick + 1;
-        let e = Entry {
-            value: page,
-            bytes,
-            owner,
-            touched: tick,
-            filed: tick,
-        };
-        // One probe both displaces a resident page and seats the new
-        // one. Until it is charged below it has no filing, so the
-        // evictions that make its room cannot pick it.
-        if let Some(old) = g.pages.insert(node, e) {
-            self.uncharge(g, old.owner, &(old.filed, Key::Page(node)), old.bytes);
-        }
-        if !self.ensure_room(g, owner, bytes) {
-            g.pages.remove(&node);
+        if !self.ensure_room(g, owner, bytes, seated) {
             return;
         }
-        g.tick = tick;
-        self.charge(g, owner, (tick, Key::Page(node)), bytes);
+        g.tick += 1;
+        let slot = g.slots.claim(g.tick);
+        seated.pages.push_back((node, page, bytes, g.tick, slot));
+        seated.bytes += bytes;
         g.stats.installs += 1;
+    }
+
+    /// Seats the pages that survived their install call, oldest first.
+    fn seat(&self, g: &mut Inner, owner: Option<TenantId>, seated: Seated<'_>) {
+        if seated.pages.is_empty() {
+            return;
+        }
+        let row = g.owners.claim(owner);
+        for &(node, page, bytes, _, slot) in &seated.pages {
+            let e = Entry {
+                value: Arc::clone(page),
+                bytes,
+                owner,
+                row,
+                slot,
+            };
+            let displaced = g.pages.insert(node, e);
+            debug_assert!(displaced.is_none(), "a seated node left the map at install");
+        }
+        let filings = seated
+            .pages
+            .into_iter()
+            .map(|(node, _, _, tick, slot)| (tick, Key::Page(node), slot));
+        self.charge(g, owner, row, seated.bytes, filings);
     }
 
     fn admissible(&self, g: &Inner, fetch_start: SimTime, quarantined: Option<SimTime>) -> bool {
@@ -631,88 +752,45 @@ impl AncestryCache {
         }
     }
 
-    fn q3_from(g: &mut Inner, program: &str, touch: bool) -> Option<Vec<PNodeId>> {
-        let Inner {
-            seeds, pages, tick, ..
-        } = g;
-        let seed = seeds.get_mut(program)?;
-        let mut out: BTreeSet<PNodeId> = BTreeSet::new();
-        for s in &seed.value {
-            out.extend(pages.get(s)?.value.files.iter().copied());
-        }
-        if touch {
-            *tick += 1;
-            seed.touched = *tick;
-            for s in &seed.value {
-                if let Some(e) = pages.get_mut(s) {
-                    e.touched = *tick;
-                }
-            }
-        }
-        Some(out.into_iter().collect())
-    }
-
-    /// Same traversal as [`local::walk`](crate::source::local::walk) —
-    /// excluding the seeds from the result — but a node *without* a
-    /// resident page is a miss, not a leaf: only an installed empty page
-    /// proves it has no dependents.
-    fn q4_from(g: &mut Inner, program: &str, touch: bool) -> Option<Vec<PNodeId>> {
-        let Inner {
-            seeds, pages, tick, ..
-        } = g;
-        let seed = seeds.get_mut(program)?;
-        let mut seen: BTreeSet<PNodeId> = seed.value.iter().copied().collect();
-        let mut queue: Vec<PNodeId> = seed.value.clone();
-        let mut reached: Vec<PNodeId> = Vec::new();
-        while let Some(n) = queue.pop() {
-            for &m in &pages.get(&n)?.value.out {
-                if seen.insert(m) {
-                    reached.push(m);
-                    queue.push(m);
-                }
-            }
-        }
-        if touch {
-            *tick += 1;
-            seed.touched = *tick;
-            for n in seed.value.iter().chain(&reached) {
-                if let Some(e) = pages.get_mut(n) {
-                    e.touched = *tick;
-                }
-            }
-        }
-        reached.sort_unstable();
-        Some(reached)
-    }
-
-    /// Makes room for `need` bytes charged to `owner`: evicts `owner`'s
-    /// own coldest entries past its per-tenant ceiling, then the coldest
+    /// Makes room for `need` more bytes charged to `owner`, beside the
+    /// pages its install call has `seated` so far: evicts `owner`'s own
+    /// coldest entries past its per-tenant ceiling, then the coldest
     /// permitted entries past capacity (module docs, *Eviction order*).
-    /// Returns false (install refused) when no evictable entry remains.
-    fn ensure_room(&self, g: &mut Inner, owner: Option<TenantId>, need: usize) -> bool {
+    /// Every resident entry is colder than the call's own pages, which
+    /// go last, oldest first. Returns false (install refused) when no
+    /// evictable entry remains.
+    fn ensure_room(
+        &self,
+        g: &mut Inner,
+        owner: Option<TenantId>,
+        need: usize,
+        seated: &mut Seated<'_>,
+    ) -> bool {
         if need > self.cfg.tenant_max_bytes {
             return false;
         }
-        while g.owner_bytes(owner) + need > self.cfg.tenant_max_bytes {
-            let Some((_, victim)) = self.coldest(g, owner) else {
-                return false;
-            };
-            self.evict(g, &victim);
+        while g.owner_bytes(owner) + seated.bytes + need > self.cfg.tenant_max_bytes {
+            match self.coldest(g, owner) {
+                Some((_, victim, _)) => self.evict(g, &victim),
+                None if seated.evict(&mut g.slots, 0) => g.stats.evictions += 1,
+                None => return false,
+            }
         }
-        while g.bytes + need > self.cfg.capacity_bytes {
-            let Some(victim) = self.coldest_permitted(g, owner) else {
-                return false;
-            };
-            self.evict(g, &victim);
+        while g.bytes + seated.bytes + need > self.cfg.capacity_bytes {
+            match self.coldest_permitted(g, owner) {
+                Some(victim) => self.evict(g, &victim),
+                None if seated.evict(&mut g.slots, 0) => g.stats.evictions += 1,
+                None => return false,
+            }
         }
         true
     }
 
-    /// The coldest entry `owner` may evict for room: its own coldest, or
-    /// the coldest of any tenant above its reserved share.
+    /// The coldest resident entry `owner` may evict for room: its own
+    /// coldest, or the coldest of any tenant above its reserved share.
     fn coldest_permitted(&self, g: &mut Inner, owner: Option<TenantId>) -> Option<Key> {
-        // A listed head is only a lower bound until its owner's front
-        // filing is fresh; freshening relists it, so retry until the
+        // A listed head is only a lower bound until its owner's stale
+        // front filings are dropped; that relists it, so retry until the
         // coldest head survives unchanged.
         let listed = loop {
             let Some((head, o)) = g.heads.first().cloned() else {
@@ -724,36 +802,27 @@ impl AncestryCache {
             }
         };
         let own = self.coldest(g, owner);
-        own.into_iter().chain(listed).min().map(|(_, key)| key)
+        own.into_iter().chain(listed).min().map(|(_, key, _)| key)
     }
 
-    /// `owner`'s coldest entry as `(touched, key)`, after re-filing every
-    /// front filing a hit has left behind its entry.
+    /// `owner`'s coldest resident entry's filing, after dropping the
+    /// stale filings at the front of its queue.
     fn coldest(&self, g: &mut Inner, owner: Option<TenantId>) -> Option<Filing> {
         let Inner {
             owners,
             heads,
-            seeds,
-            pages,
+            slots,
             ..
         } = g;
-        let t = owners.get_mut(&owner)?;
-        loop {
-            let (filed_at, key) = t.order.first()?;
-            let (touched, filed) = match key {
-                Key::Seed(p) => seeds.get_mut(&**p).map(|e| (e.touched, &mut e.filed)),
-                Key::Page(n) => pages.get_mut(n).map(|e| (e.touched, &mut e.filed)),
-            }
-            .expect("a filing names a resident entry");
-            if touched == *filed_at {
+        let t = owners.get_mut(owner)?;
+        while let Some(front) = t.order.front() {
+            if slots.live(front) {
                 break;
             }
-            *filed = touched;
-            let (_, key) = t.order.pop_first().expect("front filing just read");
-            t.order.insert((touched, key));
+            t.order.pop_front();
         }
         self.relist(t, heads, owner);
-        t.order.first().cloned()
+        t.order.front().cloned()
     }
 
     fn evict(&self, g: &mut Inner, victim: &Key) {
@@ -765,9 +834,9 @@ impl AncestryCache {
     }
 
     fn remove_seeds(&self, g: &mut Inner, program: &str) -> bool {
-        match g.seeds.remove_entry(program) {
-            Some((program, e)) => {
-                self.uncharge(g, e.owner, &(e.filed, Key::Seed(program)), e.bytes);
+        match g.seeds.remove(program) {
+            Some(e) => {
+                self.uncharge(g, &e);
                 true
             }
             None => false,
@@ -777,36 +846,57 @@ impl AncestryCache {
     fn remove_page(&self, g: &mut Inner, node: PNodeId) -> bool {
         match g.pages.remove(&node) {
             Some(e) => {
-                self.uncharge(g, e.owner, &(e.filed, Key::Page(node)), e.bytes);
+                self.uncharge(g, &e);
                 true
             }
             None => false,
         }
     }
 
-    /// Charges a newly seated entry to `owner` and files it.
-    fn charge(&self, g: &mut Inner, owner: Option<TenantId>, filing: Filing, bytes: usize) {
+    /// Charges newly seated entries, `bytes` in all, to `owner`, whose
+    /// row is `row`, and files them, in order, at the back of its queue.
+    /// Their entries are already resident.
+    fn charge(
+        &self,
+        g: &mut Inner,
+        owner: Option<TenantId>,
+        row: u32,
+        bytes: usize,
+        filings: impl ExactSizeIterator<Item = Filing>,
+    ) {
         g.bytes += bytes;
-        let t = g.owners.entry(owner).or_default();
+        let Inner {
+            owners,
+            heads,
+            slots,
+            ..
+        } = g;
+        let t = &mut owners.rows[row as usize];
         t.bytes += bytes;
-        t.order.insert(filing);
-        self.relist(t, &mut g.heads, owner);
+        t.entries += filings.len();
+        t.order.extend(filings);
+        compact(t, slots);
+        self.relist(t, heads, owner);
     }
 
-    /// Reverses [`charge`](Self::charge) for a removed entry; an owner
-    /// left with nothing loses its row.
-    fn uncharge(&self, g: &mut Inner, owner: Option<TenantId>, filing: &Filing, bytes: usize) {
-        g.bytes -= bytes;
-        let t = g
-            .owners
-            .get_mut(&owner)
-            .expect("a resident entry's owner has a row");
-        t.bytes -= bytes;
-        t.order.remove(filing);
-        self.relist(t, &mut g.heads, owner);
-        if t.order.is_empty() {
-            g.owners.remove(&owner);
+    /// Reverses [`charge`](Self::charge) for a removed entry, whose
+    /// filing goes stale; an owner left with nothing loses its row.
+    fn uncharge<T>(&self, g: &mut Inner, e: &Entry<T>) {
+        g.bytes -= e.bytes;
+        g.slots.release(e.slot);
+        let owner = e.owner;
+        let Inner { owners, heads, .. } = g;
+        let t = &mut owners.rows[e.row as usize];
+        t.bytes -= e.bytes;
+        t.entries -= 1;
+        if t.entries > 0 {
+            self.relist(t, heads, owner);
+            return;
         }
+        if let Some(f) = t.listed.take() {
+            heads.remove(&(f, owner));
+        }
+        owners.release(owner, e.row);
     }
 
     /// Brings `owner`'s element of `heads` back in step with its row.
@@ -817,7 +907,7 @@ impl AncestryCache {
         owner: Option<TenantId>,
     ) {
         let want = if t.bytes > self.cfg.tenant_reserved_bytes {
-            t.order.first()
+            t.order.front()
         } else {
             None
         };
@@ -834,16 +924,93 @@ impl AncestryCache {
     fn flush(g: &mut Inner) {
         g.seeds.clear();
         g.pages.clear();
-        g.owners.clear();
+        g.owners = Rows::default();
         g.heads.clear();
+        g.slots = Slots::default();
         g.bytes = 0;
+    }
+}
+
+type Seeds = BTreeMap<Arc<str>, Entry<Vec<PNodeId>>>;
+type Pages = BTreeMap<PNodeId, Entry<Arc<RevPage>>>;
+
+/// Drops `t`'s stale filings once they outnumber its live ones by more
+/// than [`STALE_SLACK`]. The queue keeps its order, and a listed front
+/// stays a lower bound, since only filings leave it.
+fn compact(t: &mut Tenant, slots: &Slots) {
+    if t.order.len() > 2 * t.entries + STALE_SLACK {
+        t.order.retain(|f| slots.live(f));
     }
 }
 
 impl Inner {
     fn owner_bytes(&self, owner: Option<TenantId>) -> usize {
-        self.owners.get(&owner).map_or(0, |t| t.bytes)
+        self.owners.get(owner).map_or(0, |t| t.bytes)
     }
+}
+
+/// A resident page a lookup reads, by node.
+type Visit<'a> = (PNodeId, &'a Entry<Arc<RevPage>>);
+
+/// A lookup's seed entry, with its program, and the pages it visited.
+type Walk<'a> = ((&'a Arc<str>, &'a Entry<Vec<PNodeId>>), Vec<Visit<'a>>);
+
+/// Q.3's reads: `program`'s seed entry and its seeds' own pages, or
+/// `None` when any of them is not resident.
+fn q3_walk<'a>(seeds: &'a Seeds, pages: &'a Pages, program: &str) -> Option<Walk<'a>> {
+    let seed = seeds.get_key_value(program)?;
+    let visited = seed.1.value.iter().map(|s| Some((*s, pages.get(s)?)));
+    Some((seed, visited.collect::<Option<_>>()?))
+}
+
+/// Q.4's reads: the same traversal as
+/// [`local::walk`](crate::source::local::walk), seeds included, but a
+/// node *without* a resident page is a miss, not a leaf: only an
+/// installed empty page proves it has no dependents.
+fn q4_walk<'a>(seeds: &'a Seeds, pages: &'a Pages, program: &str) -> Option<Walk<'a>> {
+    let seed = seeds.get_key_value(program)?;
+    let mut seen: BTreeSet<PNodeId> = seed.1.value.iter().copied().collect();
+    let mut queue: Vec<PNodeId> = seed.1.value.clone();
+    let mut visited = Vec::with_capacity(seen.len());
+    while let Some(n) = queue.pop() {
+        let e = pages.get(&n)?;
+        visited.push((n, e));
+        for &m in &e.value.out {
+            if seen.insert(m) {
+                queue.push(m);
+            }
+        }
+    }
+    Some((seed, visited))
+}
+
+/// Re-files a hit's entries under its one fresh `tick`: the seed entry,
+/// then the pages it `visited`, which are in ascending order, so each
+/// owner's queue gets them in rule-2 order.
+fn hit(
+    rows: &mut [Tenant],
+    slots: &mut Slots,
+    tick: u64,
+    (program, seed): (&Arc<str>, &Entry<Vec<PNodeId>>),
+    visited: Vec<Visit<'_>>,
+) {
+    refile(rows, slots, seed, Key::Seed(Arc::clone(program)), tick);
+    for (n, e) in visited {
+        refile(rows, slots, e, Key::Page(n), tick);
+    }
+}
+
+/// Moves `e`, which `key` names, to `tick`, filing it at the back of its
+/// owner's queue; its old filing goes stale. Already at `tick`, it stays.
+fn refile<T>(rows: &mut [Tenant], slots: &mut Slots, e: &Entry<T>, key: Key, tick: u64) {
+    let at = &mut slots.ticks[e.slot as usize];
+    if *at == tick {
+        return;
+    }
+    *at = tick;
+    let t = &mut rows[e.row as usize];
+    t.order.push_back((tick, key, e.slot));
+    compact(t, slots);
 }
 
 #[cfg(test)]
@@ -1090,51 +1257,98 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         // Evicted down to nothing, tenant x leaves no usage row behind.
         assert_eq!(cache.owner_bytes(x), 0);
-        assert!(!cache.inner.lock().owners.contains_key(&x));
+        assert!(cache.inner.lock().owners.get(x).is_none());
         cache.check_invariants();
     }
 
     impl AncestryCache {
         /// The recency structure's own invariants: every entry is filed
-        /// exactly once, under its owner and no later than its last
-        /// touch; bytes add up three ways; `heads` lists exactly the
-        /// front filing of every tenant above its reserved share.
+        /// live exactly once, under its owner and at its last touch;
+        /// each owner's queue is in eviction order (tick, then rule 2)
+        /// and compacted; bytes add up three ways; `heads` lists, for
+        /// exactly the tenants above their reserved share, a lower bound
+        /// on each one's coldest live filing; and a slot or a row is free
+        /// exactly when nothing holds it.
         fn check_invariants(&self) {
             let g = self.inner.lock();
-            let mut filed = 0;
+            let mut filed = BTreeSet::new();
             let mut heads = BTreeSet::new();
-            for (owner, t) in &g.owners {
-                assert!(!t.order.is_empty(), "{owner:?}: empty row kept");
+            let rows = &g.owners;
+            for (owner, &row) in &rows.by_owner {
+                let t = &rows.rows[row as usize];
+                assert!(t.entries > 0, "{owner:?}: empty row kept");
+                let ascending = t.order.iter().zip(t.order.iter().skip(1));
+                for (a, b) in ascending {
+                    assert!(
+                        (&a.0, &a.1) < (&b.0, &b.1),
+                        "{owner:?}: {a:?} filed before {b:?}"
+                    );
+                }
+                assert!(
+                    t.order.len() <= 2 * t.entries + STALE_SLACK,
+                    "{owner:?}: uncompacted"
+                );
                 let mut bytes = 0;
-                for (tick, key) in &t.order {
-                    let (e_bytes, e_owner, touched, e_filed) = match key {
+                let mut first_live = None;
+                for f in t.order.iter().filter(|f| g.slots.live(f)) {
+                    let (e_bytes, e_owner, e_row, e_slot) = match &f.1 {
                         Key::Seed(p) => {
                             let e = &g.seeds[&**p];
-                            (e.bytes, e.owner, e.touched, e.filed)
+                            (e.bytes, e.owner, e.row, e.slot)
                         }
                         Key::Page(n) => {
                             let e = &g.pages[n];
-                            (e.bytes, e.owner, e.touched, e.filed)
+                            (e.bytes, e.owner, e.row, e.slot)
                         }
                     };
-                    assert_eq!((e_owner, e_filed), (*owner, *tick), "{key:?}");
-                    assert!(e_filed <= touched, "{key:?} filed ahead of its touch");
+                    assert_eq!((e_owner, e_row, e_slot), (*owner, row, f.2), "{f:?}");
+                    assert!(filed.insert(f.clone()), "{f:?} filed twice");
+                    first_live.get_or_insert(f);
                     bytes += e_bytes;
                 }
                 assert_eq!(t.bytes, bytes, "{owner:?}");
-                filed += t.order.len();
-                let front = (t.bytes > self.cfg.tenant_reserved_bytes)
-                    .then(|| t.order.first().cloned())
-                    .flatten();
-                assert_eq!(t.listed, front, "{owner:?}");
-                heads.extend(front.map(|f| (f, *owner)));
+                assert_eq!(
+                    t.listed.is_some(),
+                    t.bytes > self.cfg.tenant_reserved_bytes,
+                    "{owner:?}"
+                );
+                if let Some(listed) = &t.listed {
+                    assert!(Some(listed) <= first_live, "{owner:?}: head past its front");
+                    heads.insert((listed.clone(), *owner));
+                }
             }
-            assert_eq!(filed, g.seeds.len() + g.pages.len());
-            assert_eq!(g.heads, heads);
+            let entries = g.seeds.len() + g.pages.len();
+            assert_eq!(filed.len(), entries, "an entry without a live filing");
             let by_entry: usize = g.seeds.values().map(|e| e.bytes).sum::<usize>()
                 + g.pages.values().map(|e| e.bytes).sum::<usize>();
-            let by_owner: usize = g.owners.values().map(|t| t.bytes).sum();
+            let live_rows = || rows.by_owner.values().map(|&r| &rows.rows[r as usize]);
+            let by_owner: usize = live_rows().map(|t| t.bytes).sum();
             assert_eq!((by_entry, by_owner), (g.bytes, g.bytes));
+            let counted: usize = live_rows().map(|t| t.entries).sum();
+            assert_eq!(counted, entries);
+            assert_eq!(g.heads, heads);
+            let held: BTreeSet<u32> = g
+                .seeds
+                .values()
+                .map(|e| e.slot)
+                .chain(g.pages.values().map(|e| e.slot))
+                .collect();
+            let free: BTreeSet<u32> = g.slots.free.iter().copied().collect();
+            assert_eq!(
+                held.len() + free.len(),
+                g.slots.ticks.len(),
+                "a slot lost or shared"
+            );
+            assert!(held.is_disjoint(&free));
+            assert!(free.iter().all(|&s| g.slots.ticks[s as usize] == 0));
+            let used: BTreeSet<u32> = rows.by_owner.values().copied().collect();
+            let free: BTreeSet<u32> = rows.free.iter().copied().collect();
+            assert_eq!(
+                used.len() + free.len(),
+                rows.rows.len(),
+                "a row lost or shared"
+            );
+            assert!(used.is_disjoint(&free));
         }
 
         fn resident(&self) -> (Vec<String>, Vec<PNodeId>) {
@@ -1157,8 +1371,10 @@ mod tests {
     /// The rule this cache replaced, kept as the reference: the victim is
     /// found by scanning every resident entry for the least `touched` —
     /// seeds before pages, then ascending key — among the owners the
-    /// quotas permit. Everything else is the plainest possible cache
-    /// over the same operations (always attached, never gapped).
+    /// quotas permit, and every page is seated the moment it is
+    /// installed. Everything else is the plainest possible cache over
+    /// the same operations (always attached, never gapped, no staleness
+    /// guard).
     #[derive(Default)]
     struct Model {
         cfg: CacheConfig,
@@ -1167,6 +1383,8 @@ mod tests {
         tick: u64,
         high: Option<u64>,
         stats: CacheStats,
+        floor: SimTime,
+        quarantined: BTreeMap<String, SimTime>,
     }
 
     struct ModelEntry<T> {
@@ -1177,10 +1395,23 @@ mod tests {
     }
 
     impl Model {
-        fn attach(&mut self) {
+        fn attach(&mut self, now: SimTime) {
             self.seeds.clear();
             self.pages.clear();
             self.high = None;
+            self.floor = now;
+        }
+
+        /// Whether a fetch begun at `fetch_start` may install `key` (a
+        /// program, or a uuid's text): not before attach, and after the
+        /// last invalidation of `key`.
+        fn admissible(&mut self, key: &str, fetch_start: SimTime) -> bool {
+            let ok = fetch_start >= self.floor
+                && self.quarantined.get(key).is_none_or(|t| fetch_start > *t);
+            if !ok {
+                self.stats.refused_installs += 1;
+            }
+            ok
         }
 
         fn owner_bytes(&self, owner: Option<TenantId>) -> usize {
@@ -1237,7 +1468,16 @@ mod tests {
             true
         }
 
-        fn install_seeds(&mut self, owner: Option<TenantId>, program: &str, seeds: &[PNodeId]) {
+        fn install_seeds(
+            &mut self,
+            owner: Option<TenantId>,
+            program: &str,
+            seeds: &[PNodeId],
+            fetch_start: SimTime,
+        ) {
+            if !self.admissible(program, fetch_start) {
+                return;
+            }
             self.seeds.remove(program);
             let bytes = entry_bytes(seeds.len());
             if !self.ensure_room(owner, bytes) {
@@ -1259,6 +1499,7 @@ mod tests {
             owner: Option<TenantId>,
             adj: &RevAdjacency,
             touched: &[PNodeId],
+            fetch_start: SimTime,
         ) {
             let full = adj.out.iter().map(|(node, out)| {
                 let files = out.iter().copied().filter(|d| adj.files.contains(d));
@@ -1273,6 +1514,9 @@ mod tests {
                 .filter(|n| !adj.out.contains_key(n))
                 .map(|n| (*n, RevPage::default()));
             for (node, page) in full.chain(empty) {
+                if !self.admissible(&node.uuid.to_string(), fetch_start) {
+                    continue;
+                }
                 self.pages.remove(&node);
                 let bytes = entry_bytes(page.out.len() + page.files.len());
                 if !self.ensure_room(owner, bytes) {
@@ -1342,7 +1586,7 @@ mod tests {
             Some((visited, out))
         }
 
-        fn on_event(&mut self, ev: &CommitEvent) {
+        fn on_event(&mut self, ev: &CommitEvent, now: SimTime) {
             self.stats.events += 1;
             if self.high.is_some_and(|h| ev.seq <= h) {
                 self.stats.duplicate_events += 1;
@@ -1353,11 +1597,13 @@ mod tests {
                 let before = self.pages.len();
                 self.pages.retain(|k, _| k.uuid != *uuid);
                 self.stats.invalidations += (before - self.pages.len()) as u64;
+                self.quarantined.insert(uuid.to_string(), now);
             }
             for program in &ev.programs {
                 if self.seeds.remove(program).is_some() {
                     self.stats.invalidations += 1;
                 }
+                self.quarantined.insert(program.clone(), now);
             }
         }
 
@@ -1365,8 +1611,6 @@ mod tests {
             CacheStats {
                 entries: self.seeds.len() + self.pages.len(),
                 bytes: self.bytes(),
-                // Only a store fetch decodes; the model installs adjacencies.
-                decodes: 0,
                 ..self.stats
             }
         }
@@ -1402,22 +1646,39 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The indexed cache and the scanning reference, driven by the
-        /// same operations, agree after every one of them.
+        /// same operations, agree after every one of them. Installs may
+        /// carry a fetch begun before the last invalidation or attach,
+        /// so refusals interleave with seats inside one call, a page
+        /// larger than a tenant's ceiling, or a leaf named twice; hits
+        /// between installs leave
+        /// filings stale; and in the tight configuration the reserved
+        /// shares add up to more than the capacity, so an install call
+        /// can run out of permitted victims part way through.
         #[test]
         fn eviction_matches_the_scanning_reference(
+            tight in any::<bool>(),
             ops in proptest::collection::vec(
-                (0u8..16, 0u8..4, any::<u16>(), any::<u16>()),
+                (0u8..20, 0u8..4, any::<u16>(), any::<u16>()),
                 1..160,
             ),
         ) {
             // A full adjacency is ~1 KB: one hydration overflows a
             // tenant's ceiling, two tenants overflow the cache, and a
             // tenant down to a page or two sits inside its reserve.
-            let cfg = CacheConfig {
-                capacity_bytes: 1200,
-                tenant_max_bytes: 700,
-                tenant_reserved_bytes: 150,
-                staleness_guard: Duration::ZERO,
+            let cfg = if tight {
+                CacheConfig {
+                    capacity_bytes: 500,
+                    tenant_max_bytes: 450,
+                    tenant_reserved_bytes: 200,
+                    staleness_guard: Duration::ZERO,
+                }
+            } else {
+                CacheConfig {
+                    capacity_bytes: 1200,
+                    tenant_max_bytes: 700,
+                    tenant_reserved_bytes: 150,
+                    staleness_guard: Duration::ZERO,
+                }
             };
             let sim = Sim::new();
             let cache = AncestryCache::new(&sim, cfg);
@@ -1426,12 +1687,19 @@ mod tests {
                 ..Model::default()
             };
             cache.attach();
+            model.attach(sim.now());
             let owners = [None, Some(TenantId(1)), Some(TenantId(2)), Some(TenantId(3))];
             let mut seq = 0;
             for (kind, owner, a, b) in ops {
-                // Every fetch starts after every earlier invalidation.
                 sim.sleep(Duration::from_secs(1));
-                let t = sim.now();
+                let now = sim.now();
+                // Most fetches start after every earlier invalidation;
+                // one with the top bit set began two operations ago.
+                let t = if b & 0x8000 == 0 {
+                    now
+                } else {
+                    SimTime::from_micros(now.as_micros().saturating_sub(2_000_000))
+                };
                 let owner = owners[owner as usize];
                 let p = a as usize % 4;
                 let program = PROGRAMS[p];
@@ -1440,23 +1708,32 @@ mod tests {
                         let seeds = [world_node(2 * p), world_node(2 * p + 1)];
                         let seeds = &seeds[..1 + b as usize % 2];
                         cache.install_seeds(owner, program, seeds, t);
-                        model.install_seeds(owner, program, seeds);
+                        model.install_seeds(owner, program, seeds, t);
                     }
-                    3..=6 => {
+                    3..=7 => {
                         // Usually the whole adjacency, as the engine
-                        // installs it; sometimes a random part of it.
-                        let adj = world_adjacency(if kind < 6 { !0 } else { b });
-                        let touched: Vec<PNodeId> = (0..12)
+                        // installs it; sometimes a random part of it, or
+                        // with one page past any tenant's ceiling.
+                        let mut adj = world_adjacency(if kind < 6 { !0 } else { b });
+                        if kind == 7 {
+                            let wide = (0..40).map(|i| world_node(100 + i));
+                            adj.out.insert(world_node(a as usize % 12), wide.collect());
+                        }
+                        let mut touched: Vec<PNodeId> = (0..12)
                             .filter(|i| a & (1 << i) != 0)
                             .map(world_node)
                             .collect();
+                        if b & 0x4000 != 0 {
+                            // A repeated leaf displaces its own seat.
+                            touched.extend(touched.clone());
+                        }
                         cache.install_adjacency(owner, &adj, &touched, t);
-                        model.install_adjacency(owner, &adj, &touched);
+                        model.install_adjacency(owner, &adj, &touched, t);
                     }
-                    7..=8 => prop_assert_eq!(cache.serve_q3(program), model.serve(program, false)),
-                    9..=11 => prop_assert_eq!(cache.serve_q4(program), model.serve(program, true)),
-                    12 => prop_assert_eq!(cache.seeds_of(program), model.seeds_of(program)),
-                    13..=14 => {
+                    8..=9 => prop_assert_eq!(cache.serve_q3(program), model.serve(program, false)),
+                    10..=13 => prop_assert_eq!(cache.serve_q4(program), model.serve(program, true)),
+                    14 => prop_assert_eq!(cache.seeds_of(program), model.seeds_of(program)),
+                    15..=17 => {
                         // A third of the deliveries are replays.
                         if b % 3 != 0 {
                             seq += 1;
@@ -1464,11 +1741,11 @@ mod tests {
                         let programs = if b % 2 == 0 { vec![program] } else { vec![] };
                         let ev = event(seq, vec![Uuid(1 + u128::from(b) % 6)], programs);
                         cache.on_event(&ev);
-                        model.on_event(&ev);
+                        model.on_event(&ev, now);
                     }
                     _ => {
                         cache.attach();
-                        model.attach();
+                        model.attach(now);
                         seq = 0;
                     }
                 }
@@ -1555,11 +1832,11 @@ mod tests {
         assert_eq!(survivors(entry_bytes(1) - 1), ["a-mid", "a-new", "a-old"]);
     }
 
-    use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem};
+    use cloudprov_cloud::{Attributes, AwsProfile, CloudEnv, FaultPlan, PutItem};
     use cloudprov_core::index as schema;
     use cloudprov_core::ProvenanceStore;
 
-    use crate::source::IndexSource;
+    use crate::source::{IndexSource, RevDecodes};
     use crate::{CacheOutcome, Mode, Plan, QueryEngine};
 
     const INDEX: &str = "prov_idx";
@@ -1602,15 +1879,23 @@ mod tests {
         put_edges(&env, node(1), &[(node(3), true)], false);
         put_edges(&env, node(3), &[(node(4), false)], false);
         put_edges(&env, node(4), &[(node(5), true)], false);
-        let store = ProvenanceStore::Database {
+        let cache = Arc::new(AncestryCache::new(&sim, CacheConfig::default()));
+        cache.attach();
+        let engine = QueryEngine::new(&env, store(), "data").with_cache(Arc::clone(&cache));
+        (env, engine, cache)
+    }
+
+    fn store() -> ProvenanceStore {
+        ProvenanceStore::Database {
             domain: "prov".into(),
             spill_bucket: "spill".into(),
             index_domain: Some(INDEX.into()),
-        };
-        let cache = Arc::new(AncestryCache::new(&sim, CacheConfig::default()));
-        cache.attach();
-        let engine = QueryEngine::new(&env, store, "data").with_cache(Arc::clone(&cache));
-        (env, engine, cache)
+        }
+    }
+
+    /// `rev_` fetches parsed so far in `env`'s world.
+    fn decodes(env: &CloudEnv) -> u64 {
+        env.memo::<RevDecodes>().decodes()
     }
 
     /// Asserts `program`'s Q.3 and Q.4 both miss the cache and equal the
@@ -1631,7 +1916,7 @@ mod tests {
 
     #[test]
     fn a_repeat_miss_reuses_the_decoded_index() {
-        let (_env, engine, cache) = indexed();
+        let (env, engine, cache) = indexed();
         let first = engine.q4_descendants_of("etl", Mode::Sequential).unwrap();
         assert_eq!(first.plan.cache, Some(CacheOutcome::Miss));
         assert_eq!(first.nodes, vec![node(3), node(4), node(5)]);
@@ -1641,7 +1926,7 @@ mod tests {
         let second = engine.q4_descendants_of("etl", Mode::Sequential).unwrap();
         assert_eq!(second.plan.cache, Some(CacheOutcome::Miss));
         assert_eq!(second.nodes, first.nodes);
-        assert_eq!(cache.stats().decodes, 1, "one decode for one index state");
+        assert_eq!(decodes(&env), 1, "one decode for one index state");
         let reseated = cache.resident_pages();
         for n in [1, 3, 4].map(node) {
             assert!(Arc::ptr_eq(&seated[&n], &reseated[&n]), "{n}: page shared");
@@ -1654,19 +1939,88 @@ mod tests {
     fn an_index_write_forces_a_fresh_decode() {
         let (env, engine, cache) = indexed();
         engine.q4_descendants_of("etl", Mode::Sequential).unwrap();
-        assert_eq!(cache.stats().decodes, 1);
+        assert_eq!(decodes(&env), 1);
         // `load` now also writes file 3, which is file-marked under
         // process 1's item only: Q.3's filter is index-wide.
         put_edges(&env, node(2), &[(node(3), false)], false);
         let q4 = engine.q4_descendants_of("load", Mode::Sequential).unwrap();
         assert_eq!(q4.plan.cache, Some(CacheOutcome::Miss));
-        assert_eq!(cache.stats().decodes, 2, "a new version decodes afresh");
+        assert_eq!(decodes(&env), 2, "a new version decodes afresh");
         assert_eq!(q4.nodes, vec![node(3), node(4), node(5)]);
         assert_misses_match_the_index(&engine, &cache, "load");
         assert_misses_match_the_index(&engine, &cache, "etl");
         let q3 = engine.q3_outputs_of("load", Mode::Sequential).unwrap();
         assert_eq!(q3.nodes, vec![node(3)], "a file under two ancestors");
-        assert_eq!(cache.stats().decodes, 2, "and only once");
+        assert_eq!(decodes(&env), 2, "and only once");
+    }
+
+    /// One world, one parse: Q.3 and Q.4 through two separate uncached
+    /// index engines and a cache miss, over unchanged index versions,
+    /// decode the index once; a write to it makes exactly one more.
+    #[test]
+    fn engines_of_one_world_share_one_decode() {
+        let (env, cached, _cache) = indexed();
+        let a = QueryEngine::new(&env, store(), "data").with_plan(Plan::Index);
+        let b = QueryEngine::new(&env, store(), "data")
+            .with_tenant(TenantId(4))
+            .with_plan(Plan::Index);
+        let q3 = |e: &QueryEngine, program| e.q3_outputs_of(program, Mode::Sequential).unwrap();
+        let q4 = |e: &QueryEngine, program| e.q4_descendants_of(program, Mode::Sequential).unwrap();
+        for e in [&a, &b] {
+            assert_eq!(q3(e, "etl").nodes, [node(3)]);
+            assert_eq!(q4(e, "etl").nodes, [node(3), node(4), node(5)]);
+        }
+        let miss = q4(&cached, "etl");
+        assert_eq!(miss.plan.cache, Some(CacheOutcome::Miss));
+        assert_eq!(miss.nodes, [node(3), node(4), node(5)]);
+        assert_eq!(decodes(&env), 1, "two engines and a miss, one parse");
+
+        put_edges(&env, node(2), &[(node(3), false)], false);
+        assert_eq!(q4(&a, "load").nodes, [node(3), node(4), node(5)]);
+        assert_eq!(q3(&b, "load").nodes, [node(3)]);
+        let miss = q3(&cached, "load");
+        assert_eq!(miss.plan.cache, Some(CacheOutcome::Miss));
+        assert_eq!(miss.nodes, [node(3)]);
+        assert_eq!(decodes(&env), 2, "one write, one more parse");
+    }
+
+    /// A SELECT served from before an index write gets the older
+    /// versions, which are not the ones last decoded: it decodes them
+    /// again, and neither the uncached plan nor a cache miss answers from
+    /// the newer snapshot.
+    #[test]
+    fn a_stale_select_decodes_again_and_is_never_answered_from_the_newer_snapshot() {
+        let (env, cached, cache) = indexed();
+        let index = cached.with_plan_ref(Plan::Index);
+        // Stale reads dialled in by the fault plan: every read sees the
+        // store as it was `lag` ago, and no younger version is pruned.
+        let lag = |secs| {
+            env.faults().set(FaultPlan {
+                extra_staleness: Duration::from_secs(secs),
+                ..FaultPlan::none()
+            })
+        };
+        let q4 = |e: &QueryEngine| e.q4_descendants_of("etl", Mode::Sequential).unwrap();
+        let sim = env.sim().clone();
+        sim.sleep(Duration::from_secs(60));
+        lag(30);
+        put_edges(&env, node(5), &[(node(6), true)], false);
+        sim.sleep(Duration::from_secs(31));
+        lag(0);
+        let newer = [3, 4, 5, 6].map(node);
+        assert_eq!(q4(&index).nodes, newer);
+        assert_eq!(decodes(&env), 1);
+        lag(60);
+        assert_eq!(q4(&index).nodes, newer[..3], "the older versions' answer");
+        assert_eq!(decodes(&env), 2, "the older versions decode again");
+        cache.attach();
+        let miss = q4(&cached);
+        assert_eq!(miss.plan.cache, Some(CacheOutcome::Miss));
+        assert_eq!(miss.nodes, newer[..3]);
+        assert_eq!(decodes(&env), 2);
+        lag(0);
+        assert_eq!(q4(&index).nodes, newer);
+        assert_eq!(decodes(&env), 3);
     }
 
     proptest! {
@@ -1687,7 +2041,7 @@ mod tests {
             let env = CloudEnv::new(&sim, profile);
             env.sdb().create_domain(INDEX);
             let idx = IndexSource::new(&env, "prov", INDEX, 1, 20);
-            let cache = AncestryCache::new(&sim, CacheConfig::default());
+            let memo = env.memo::<RevDecodes>();
             let mut last: Vec<Arc<Attributes>> = Vec::new();
             let mut decodes = 0;
             for (kind, r) in ops {
@@ -1702,16 +2056,16 @@ mod tests {
                     4 => sim.sleep(Duration::from_millis(u64::from(r % 3000))),
                     _ => {
                         let items = idx.rev_items().unwrap();
-                        let memo = cache.decode(&items);
+                        let decoded = memo.decode(&items);
                         let fresh = IndexPages::new(RevAdjacency::decode(&items));
-                        prop_assert_eq!(&*memo, &fresh);
+                        prop_assert_eq!(&*decoded, &fresh);
                         let same = last.len() == items.len()
                             && last.iter().zip(&items).all(|(v, i)| Arc::ptr_eq(v, &i.attrs));
                         if !same {
                             decodes += 1;
                             last = items.iter().map(|i| Arc::clone(&i.attrs)).collect();
                         }
-                        prop_assert_eq!(cache.stats().decodes, decodes);
+                        prop_assert_eq!(memo.decodes(), decodes);
                     }
                 }
             }

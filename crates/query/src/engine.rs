@@ -482,7 +482,7 @@ impl QueryEngine {
         let idx = self.index_source();
         let seeds = self.cached_seeds(cache, &idx, program, mode)?;
         let t0 = self.env.sim().now();
-        let pages = cache.decode(&idx.rev_items()?);
+        let pages = idx.pages()?;
         let mut nodes: BTreeSet<PNodeId> = BTreeSet::new();
         for p in &seeds {
             if let Some(page) = pages.get(p) {
@@ -511,8 +511,8 @@ impl QueryEngine {
         let idx = self.index_source();
         let seeds = self.cached_seeds(cache, &idx, program, mode)?;
         let t0 = self.env.sim().now();
-        let pages = cache.decode(&idx.rev_items()?);
-        let nodes = local::walk(&seeds, |n| pages.get(&n).map_or(&[], |p| p.out.as_slice()));
+        let pages = idx.pages()?;
+        let nodes = local::walk(&seeds, |n| pages.out(&n));
         let mut touched = seeds.clone();
         touched.extend(nodes.iter().copied());
         cache.install_fetched(self.tenant, &pages, &touched, t0);

@@ -21,7 +21,8 @@
 //! * [`IndexSource`] — the commit-time ancestry index
 //!   ([`cloudprov_core::index`]). Program seeds are one lookup and
 //!   reverse expansion is a bounded walk over the materialized reverse
-//!   edges, fetched in lean pages instead of per-frontier SELECTs.
+//!   edges, fetched in lean pages instead of per-frontier SELECTs and
+//!   parsed once per world while the stored versions are unchanged.
 //!
 //! Cloud record-fetch code lives **only** here; the engine plans and
 //! evaluates.
@@ -30,6 +31,9 @@ mod index;
 mod scan;
 mod select;
 
+#[cfg(test)]
+pub(crate) use index::RevDecodes;
+pub(crate) use index::{IndexPages, RevPage};
 pub use index::{IndexSource, RevAdjacency};
 pub use scan::S3ScanSource;
 pub(crate) use scan::ScanMemo;

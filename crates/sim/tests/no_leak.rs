@@ -3,16 +3,37 @@
 //! A finished simulated thread that leaves one allocation behind grows a
 //! long run by that much per spawn, which peak RSS only shows much later.
 
+//!
+//! Only the test's own OS thread is counted. A `Sim` runs every simulated
+//! thread on the OS thread that created it, so that is every byte the
+//! worlds allocate; the harness's other threads, which allocate and free
+//! their own bookkeeping while the test runs, are left out.
+
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 use cloudprov_sim::Sim;
 
-/// The system allocator, counting the bytes currently allocated.
+/// The system allocator, counting the bytes each OS thread has allocated
+/// and not freed.
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes this thread allocated minus bytes it freed. A `const`
+    /// initializer and no destructor: the allocator may touch it at any
+    /// time, even while the thread is being torn down.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(bytes: isize) {
+    // Past teardown the slot is gone; nothing is measured then.
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
+
+fn live_bytes() -> isize {
+    LIVE.with(Cell::get)
+}
 
 // SAFETY: every call is forwarded to `System` unchanged; the counter only
 // observes successful calls.
@@ -21,7 +42,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's guarantees for `layout` are `System`'s.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            count(layout.size() as isize);
         }
         p
     }
@@ -29,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from `alloc` above, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        count(-(layout.size() as isize));
     }
 }
 
@@ -61,10 +82,10 @@ fn one_world() {
 
 #[test]
 fn a_dropped_sim_returns_every_byte_it_allocated() {
-    let baseline = LIVE.load(Ordering::Relaxed);
+    let baseline = live_bytes();
     for world in 0..10 {
         one_world();
-        let live = LIVE.load(Ordering::Relaxed);
+        let live = live_bytes();
         assert_eq!(
             live, baseline,
             "world {world}: {live} bytes live after the Sim dropped, {baseline} before the first"
