@@ -10,9 +10,11 @@
 //! page may not (the figure includes splitting the adjacency into pages,
 //! which a miss reuses from the decoded index). `wire` times the P1
 //! scan's per-object cost: `decode` and `visit` over one Blast-shaped
-//! process object. `scan` times a repeat Q.4 through one engine over an
-//! unchanged P1 store of 64 / 512 such objects: the LIST and GETs, but
-//! no fold.
+//! process object, and `encode` over its records. `scan` times a repeat
+//! Q.4 through one engine over an unchanged P1 store of 64 / 512 such
+//! objects: the LIST and GETs, but no fold. `observer` times PASS
+//! capture: an exec with a 6 KB environment block, and a write plus its
+//! flush among 16 / 1024 live objects, which may not grow with them.
 //!
 //! The measured quantity is host wall time; the paper's experiments are
 //! timed (in virtual time) by the `repro` binary and, per layer, by the
@@ -22,7 +24,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem, TenantId, BATCH_LIMIT};
 use cloudprov_core::ProvenanceStore;
-use cloudprov_pass::{wire, Attr, PNodeId, ProvenanceRecord, Uuid};
+use cloudprov_pass::{wire, Attr, Observer, PNodeId, Pid, ProcessInfo, ProvenanceRecord, Uuid};
 use cloudprov_query::source::RevAdjacency;
 use cloudprov_query::{AncestryCache, CacheConfig, Mode, QueryEngine};
 use cloudprov_sim::Sim;
@@ -243,10 +245,11 @@ const WIRE_BATCH: usize = 256;
 /// newline every 55 bytes or so), `exectime`, and an `input` edge to each
 /// of `inputs`.
 fn blast_process_object(id: PNodeId, name: &str, inputs: &[PNodeId]) -> Vec<u8> {
-    let env: Vec<String> = synthetic_env(4096, 7)
-        .into_iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
+    wire::encode(&blast_process_records(id, name, inputs)).to_vec()
+}
+
+/// The records of [`blast_process_object`].
+fn blast_process_records(id: PNodeId, name: &str, inputs: &[PNodeId]) -> Vec<ProvenanceRecord> {
     let mut records = vec![
         ProvenanceRecord::new(id, Attr::Type, "process"),
         ProvenanceRecord::new(id, Attr::Name, name),
@@ -256,7 +259,7 @@ fn blast_process_object(id: PNodeId, name: &str, inputs: &[PNodeId]) -> Vec<u8> 
             Attr::Argv,
             "blastall -p blastp -d /blast/db/nr -i /blast/q17.fa",
         ),
-        ProvenanceRecord::new(id, Attr::Env, env.join("\n")),
+        ProvenanceRecord::new(id, Attr::Env, synthetic_env(4096, 7)),
         ProvenanceRecord::new(id, Attr::ExecTime, "1700000000"),
     ];
     records.extend(
@@ -264,7 +267,7 @@ fn blast_process_object(id: PNodeId, name: &str, inputs: &[PNodeId]) -> Vec<u8> 
             .iter()
             .map(|&i| ProvenanceRecord::new(id, Attr::Input, i)),
     );
-    wire::encode(&records).to_vec()
+    records
 }
 
 fn bench_wire(c: &mut Criterion) {
@@ -272,7 +275,16 @@ fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     group.sample_size(10);
     let inputs: Vec<PNodeId> = (100..108).map(node).collect();
-    let object = blast_process_object(node(7), "blastall", &inputs);
+    let records = blast_process_records(node(7), "blastall", &inputs);
+    let object = wire::encode(&records).to_vec();
+    group.bench_function("encode/blast_process", |b| {
+        b.iter(|| {
+            for _ in 0..WIRE_BATCH {
+                let encoded = wire::encode(black_box(&records));
+                assert_eq!(encoded.len(), object.len());
+            }
+        })
+    });
     group.bench_function("decode/blast_process", |b| {
         b.iter(|| {
             for _ in 0..WIRE_BATCH {
@@ -356,5 +368,69 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache, bench_sdb, bench_wire, bench_scan);
+/// Observer events per timed sample.
+const OBSERVER_BATCH: usize = 256;
+
+/// An observer with `live` files, all written by one process and
+/// flushed, so every object is clean and frozen.
+fn flushed_observer(live: usize) -> (Observer, String) {
+    let mut obs = Observer::new(7);
+    obs.exec(Pid(1), ProcessInfo::default());
+    let paths: Vec<String> = (0..live).map(|i| format!("/out/{i:05}")).collect();
+    for path in &paths {
+        obs.write(Pid(1), path, 0);
+        obs.flush_closure(path);
+    }
+    // Last in path order: a scan of the live files would pass them all.
+    (obs, paths[live - 1].clone())
+}
+
+fn bench_observer(c: &mut Criterion) {
+    let mut group = c.benchmark_group("observer");
+    group.sample_size(10);
+    // A Blast exec as `workloads::replay` makes it: the 6 KB environment
+    // block built, then recorded.
+    group.bench_function("exec_env_6k", |b| {
+        b.iter(|| {
+            let mut obs = Observer::new(7);
+            for pid in 0..OBSERVER_BATCH as u64 {
+                obs.exec(
+                    Pid(pid),
+                    ProcessInfo {
+                        name: "blastall".into(),
+                        env: synthetic_env(6144, pid),
+                        ..ProcessInfo::default()
+                    },
+                );
+            }
+            black_box(obs);
+        })
+    });
+    // One write and the flush of its one-node closure, among 16 / 1024
+    // live objects: finding the flushed node's live object may not grow
+    // with their number.
+    for live in [16, 1024] {
+        let (mut obs, path) = flushed_observer(live);
+        group.bench_function(format!("flush_closure/{live}"), |b| {
+            b.iter(|| {
+                for i in 0..OBSERVER_BATCH as u64 {
+                    obs.write(Pid(1), &path, i);
+                    let closure = obs.flush_closure(black_box(&path));
+                    assert_eq!(closure.len(), 1, "only the new version is dirty");
+                    assert_eq!(closure[0].name.as_deref(), Some(path.as_str()));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cache,
+    bench_sdb,
+    bench_wire,
+    bench_scan,
+    bench_observer
+);
 criterion_main!(benches);

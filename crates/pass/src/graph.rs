@@ -5,7 +5,7 @@
 //! truth to validate cloud-side query results against, and by the examples
 //! (provenance diffing, descendant tracking, search re-ranking).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use crate::id::PNodeId;
 use crate::model::{Attr, AttrValue, NodeKind, ProvenanceRecord};
@@ -32,6 +32,14 @@ impl NodeData {
     pub fn name(&self) -> Option<&str> {
         self.attr(&Attr::Name)
     }
+}
+
+/// Scratch space for [`ProvGraph::reaches_with`]: cleared on each call,
+/// its capacity kept.
+#[derive(Clone, Debug, Default)]
+pub struct Visit {
+    seen: HashSet<PNodeId>,
+    stack: Vec<PNodeId>,
 }
 
 /// An in-memory provenance DAG built from records.
@@ -120,11 +128,24 @@ impl ProvGraph {
     /// True if `from` transitively depends on `to` (i.e. `to` is an
     /// ancestor of `from`). A node reaches itself.
     pub fn reaches(&self, from: PNodeId, to: PNodeId) -> bool {
+        self.reaches_with(&mut Visit::default(), from, to)
+    }
+
+    /// [`ProvGraph::reaches`] with its visited set and stack kept in
+    /// `visit`, so a caller that asks often allocates nothing once they
+    /// have grown.
+    pub fn reaches_with(&self, visit: &mut Visit, from: PNodeId, to: PNodeId) -> bool {
         if from == to {
             return true;
         }
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![from];
+        // Nothing depends on `to`, so no path ends there.
+        if self.rdeps(to).is_empty() {
+            return false;
+        }
+        let Visit { seen, stack } = visit;
+        seen.clear();
+        stack.clear();
+        stack.push(from);
         while let Some(n) = stack.pop() {
             if !seen.insert(n) {
                 continue;

@@ -17,7 +17,8 @@ pub struct Uuid(pub u128);
 
 impl fmt::Display for Uuid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
+        let mut hex = [0; 32];
+        f.write_str(self.hex(&mut hex))
     }
 }
 
@@ -42,6 +43,23 @@ impl FromStr for Uuid {
     }
 }
 
+impl Uuid {
+    /// Writes the 32 lowercase hex digits into `buf` and returns them.
+    fn hex(self, buf: &mut [u8; 32]) -> &str {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut v = self.0;
+        for d in buf.iter_mut().rev() {
+            *d = DIGITS[(v & 0xf) as usize];
+            v >>= 4;
+        }
+        std::str::from_utf8(buf).expect("hex digits are ASCII")
+    }
+}
+
+/// The longest text of a [`PNodeId`]: 32 hex digits, `_`, and the ten
+/// digits of `u32::MAX`.
+pub(crate) const ID_TEXT_MAX: usize = 43;
+
 /// A specific version of an object: one node of the provenance DAG.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PNodeId {
@@ -64,11 +82,35 @@ impl PNodeId {
             version: self.version + 1,
         }
     }
+
+    /// Writes `uuid_version` — what `Display` shows — into `buf` and
+    /// returns it, so encoders can append an id without a formatter.
+    pub(crate) fn text(self, buf: &mut [u8; ID_TEXT_MAX]) -> &str {
+        let (hex, rest) = buf.split_at_mut(32);
+        self.uuid.hex(hex.try_into().expect("32 bytes"));
+        rest[0] = b'_';
+        // The version's digits, last first, at the buffer's end, then
+        // moved up behind the `_`.
+        let mut end = ID_TEXT_MAX;
+        let mut v = self.version;
+        loop {
+            end -= 1;
+            buf[end] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        let digits = ID_TEXT_MAX - end;
+        buf.copy_within(end.., 33);
+        std::str::from_utf8(&buf[..33 + digits]).expect("hex, `_` and digits are ASCII")
+    }
 }
 
 impl fmt::Display for PNodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}_{}", self.uuid, self.version)
+        let mut buf = [0; ID_TEXT_MAX];
+        f.write_str(self.text(&mut buf))
     }
 }
 
@@ -280,6 +322,34 @@ mod tests {
         #[test]
         fn parse_matches_the_general_path(s in id_text()) {
             prop_assert_eq!(s.parse::<PNodeId>(), parse_general(&s), "{:?}", s);
+        }
+
+        /// The table-hex `Display`s write what the formatter's `{:032x}`
+        /// and `{}` did, byte for byte.
+        #[test]
+        fn display_matches_the_formatter(uuid in any::<u128>(), version in any::<u32>()) {
+            formats_like_the_formatter(uuid, version)?;
+        }
+    }
+
+    fn formats_like_the_formatter(uuid: u128, version: u32) -> Result<(), TestCaseError> {
+        let id = PNodeId {
+            uuid: Uuid(uuid),
+            version,
+        };
+        prop_assert_eq!(Uuid(uuid).to_string(), format!("{uuid:032x}"));
+        prop_assert_eq!(id.to_string(), format!("{uuid:032x}_{version}"));
+        let mut buf = [0; ID_TEXT_MAX];
+        prop_assert_eq!(id.text(&mut buf), format!("{uuid:032x}_{version}"));
+        Ok(())
+    }
+
+    #[test]
+    fn display_matches_the_formatter_at_the_edges() {
+        for uuid in [0, 1, 0xf, 1 << 64, u128::MAX - 1, u128::MAX] {
+            for version in [0, 1, 9, 10, 99, 100, u32::MAX - 1, u32::MAX] {
+                formats_like_the_formatter(uuid, version).unwrap();
+            }
         }
     }
 

@@ -42,7 +42,7 @@ mod model;
 mod observer;
 pub mod wire;
 
-pub use graph::{NodeData, ProvGraph};
+pub use graph::{NodeData, ProvGraph, Visit};
 pub use id::{PNodeId, ParseIdError, Uuid};
 pub use model::{Attr, AttrValue, NodeKind, ProvenanceRecord};
 pub use observer::{FlushNode, Observer, Pid, PipeId, ProcessInfo};

@@ -16,12 +16,12 @@
 //! the exact set a protocol must persist *before* the object itself to
 //! maintain multi-object causal ordering (§3).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::graph::ProvGraph;
+use crate::graph::{ProvGraph, Visit};
 use crate::id::{PNodeId, Uuid};
 use crate::model::{Attr, AttrValue, NodeKind, ProvenanceRecord};
 
@@ -42,9 +42,12 @@ pub struct ProcessInfo {
     pub name: String,
     /// Command-line arguments.
     pub argv: Vec<String>,
-    /// Environment variables. Real environments routinely exceed 1 KB,
-    /// which is what forces P2/P3 to spill values into S3.
-    pub env: Vec<(String, String)>,
+    /// The environment block: one `KEY=value` line per variable, joined
+    /// by `\n` with no trailing newline, as `/proc/<pid>/environ` hands
+    /// it over (with `\n` for its NULs). Recorded as the `env` value
+    /// as it is; empty records nothing. Real environments routinely
+    /// exceed 1 KB, which is what forces P2/P3 to spill values into S3.
+    pub env: String,
     /// Path of the executable, recorded as a dependency.
     pub exe_path: Option<String>,
     /// Execution start time, microseconds (virtual).
@@ -80,6 +83,14 @@ struct Live {
     name: Option<String>,
 }
 
+/// Where a live object sits: its key in the files, processes or pipes.
+#[derive(Debug, PartialEq, Eq)]
+enum Owner {
+    File(String),
+    Proc(Pid),
+    Pipe(PipeId),
+}
+
 #[derive(Default)]
 struct Pending {
     records: Vec<ProvenanceRecord>,
@@ -110,8 +121,14 @@ pub struct Observer {
     files: BTreeMap<String, Live>,
     procs: BTreeMap<Pid, Live>,
     pipes: BTreeMap<PipeId, Live>,
-    pending: BTreeMap<PNodeId, Pending>,
-    flushed: BTreeSet<PNodeId>,
+    /// Each live object's uuid to where it sits, so a flush finds the
+    /// object behind a node without scanning; set where an object is
+    /// created, moved on `rename`, dropped when the object goes.
+    owners: HashMap<Uuid, Owner>,
+    pending: HashMap<PNodeId, Pending>,
+    flushed: HashSet<PNodeId>,
+    /// The cycle test's scratch space, reused across edges.
+    visit: Visit,
 }
 
 impl std::fmt::Debug for Observer {
@@ -133,8 +150,10 @@ impl Observer {
             files: BTreeMap::new(),
             procs: BTreeMap::new(),
             pipes: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            flushed: BTreeSet::new(),
+            owners: HashMap::new(),
+            pending: HashMap::new(),
+            flushed: HashSet::new(),
+            visit: Visit::default(),
         }
     }
 
@@ -167,7 +186,16 @@ impl Observer {
                 name: Some(path.to_string()),
             },
         );
+        self.owners.insert(id.uuid, Owner::File(path.to_string()));
         id
+    }
+
+    /// Drops the index entry of an object that has gone: unlinked,
+    /// exited, or displaced at its key by another.
+    fn gone(&mut self, old: Option<Live>) {
+        if let Some(old) = old {
+            self.owners.remove(&old.cur.uuid);
+        }
     }
 
     fn ensure_file(&mut self, path: &str) -> PNodeId {
@@ -205,7 +233,7 @@ impl Observer {
         if !u_frozen && self.graph.deps(u).contains(&w) {
             return u;
         }
-        let target = if u_frozen || self.graph.reaches(w, u) {
+        let target = if u_frozen || self.graph.reaches_with(&mut self.visit, w, u) {
             self.bump_version(u, u_kind, u_name)
         } else {
             u
@@ -229,25 +257,27 @@ impl Observer {
             None => {
                 let id = PNodeId::initial(self.fresh_uuid());
                 self.record(id, Attr::Type, NodeKind::Process.as_str());
+                self.owners.insert(id.uuid, Owner::Proc(pid));
                 id
             }
         };
-        self.record(id, Attr::Name, info.name.as_str());
+        let ProcessInfo {
+            name,
+            argv,
+            env,
+            exe_path,
+            exec_time_micros,
+        } = info;
+        self.record(id, Attr::Name, name.as_str());
         self.record(id, Attr::Pid, pid.0.to_string());
-        if !info.argv.is_empty() {
-            self.record(id, Attr::Argv, info.argv.join(" "));
+        if !argv.is_empty() {
+            self.record(id, Attr::Argv, argv.join(" "));
         }
-        if !info.env.is_empty() {
-            let env = info
-                .env
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join("\n");
+        if !env.is_empty() {
             self.record(id, Attr::Env, env);
         }
-        self.record(id, Attr::ExecTime, info.exec_time_micros.to_string());
-        if let Some(exe) = &info.exe_path {
+        self.record(id, Attr::ExecTime, exec_time_micros.to_string());
+        if let Some(exe) = &exe_path {
             let exe_node = self.ensure_file(exe);
             self.record(id, Attr::Input, exe_node);
         }
@@ -258,7 +288,7 @@ impl Observer {
                 kind: NodeKind::Process,
                 frozen: false,
                 last_writer: None,
-                name: Some(info.name.clone()),
+                name: Some(name),
             },
         );
         id
@@ -285,7 +315,7 @@ impl Observer {
         }
         self.record(id, Attr::Pid, child.0.to_string());
         self.record(id, Attr::ForkParent, parent_cur);
-        self.procs.insert(
+        let old = self.procs.insert(
             child,
             Live {
                 cur: id,
@@ -295,6 +325,8 @@ impl Observer {
                 name: parent_name,
             },
         );
+        self.gone(old);
+        self.owners.insert(id.uuid, Owner::Proc(child));
         id
     }
 
@@ -366,7 +398,7 @@ impl Observer {
     pub fn pipe_create(&mut self, pipe: PipeId) -> PNodeId {
         let id = PNodeId::initial(self.fresh_uuid());
         self.record(id, Attr::Type, NodeKind::Pipe.as_str());
-        self.pipes.insert(
+        let old = self.pipes.insert(
             pipe,
             Live {
                 cur: id,
@@ -376,6 +408,8 @@ impl Observer {
                 name: None,
             },
         );
+        self.gone(old);
+        self.owners.insert(id.uuid, Owner::Pipe(pipe));
         id
     }
 
@@ -425,7 +459,9 @@ impl Observer {
         if let Some(mut live) = self.files.remove(from) {
             let cur = live.cur;
             live.name = Some(to.to_string());
-            self.files.insert(to.to_string(), live);
+            let old = self.files.insert(to.to_string(), live);
+            self.gone(old);
+            self.owners.insert(cur.uuid, Owner::File(to.to_string()));
             self.record(cur, Attr::Name, to);
         }
     }
@@ -434,12 +470,14 @@ impl Observer {
     /// remains (data-independent persistence is the *storage* system's
     /// obligation, §3).
     pub fn unlink(&mut self, path: &str) {
-        self.files.remove(path);
+        let old = self.files.remove(path);
+        self.gone(old);
     }
 
     /// Observes process exit.
     pub fn exit(&mut self, pid: Pid) {
-        self.procs.remove(&pid);
+        let old = self.procs.remove(&pid);
+        self.gone(old);
     }
 
     /// Current node version of a file, if tracked.
@@ -476,6 +514,28 @@ impl Observer {
     /// Like [`Observer::flush_closure`] but starting from an explicit node
     /// (used for pipes/processes in tests).
     pub fn flush_closure_of(&mut self, start: PNodeId) -> Vec<FlushNode> {
+        self.flush_with(start, Observer::live_of)
+    }
+
+    /// The live object whose current version is `id`, if any, found
+    /// through the owner index. An entry whose object has moved on to
+    /// another version matches nothing.
+    fn live_of(&mut self, id: PNodeId) -> Option<&mut Live> {
+        let live = match self.owners.get(&id.uuid)? {
+            Owner::File(path) => self.files.get_mut(path.as_str()),
+            Owner::Proc(pid) => self.procs.get_mut(pid),
+            Owner::Pipe(pipe) => self.pipes.get_mut(pipe),
+        }?;
+        (live.cur == id).then_some(live)
+    }
+
+    /// [`Observer::flush_closure_of`] with the live-object lookup passed
+    /// in (a test holds the index to the scan it replaced).
+    fn flush_with(
+        &mut self,
+        start: PNodeId,
+        live_of: fn(&mut Observer, PNodeId) -> Option<&mut Live>,
+    ) -> Vec<FlushNode> {
         let mut order: Vec<PNodeId> = Vec::new();
         let mut visited: BTreeSet<PNodeId> = BTreeSet::new();
         // Iterative post-order DFS, pruning at clean nodes: a clean node's
@@ -499,31 +559,21 @@ impl Observer {
         for id in order {
             let pend = self.pending.remove(&id).unwrap_or_default();
             self.flushed.insert(id);
-            // Freeze live objects whose current version just persisted.
-            let mut kind = NodeKind::File;
-            let mut name = None;
-            let mut found = false;
-            for live in self
-                .files
-                .values_mut()
-                .chain(self.procs.values_mut())
-                .chain(self.pipes.values_mut())
-            {
-                if live.cur == id {
+            // Freeze the live object whose current version just persisted.
+            let (kind, name) = match live_of(self, id) {
+                Some(live) => {
                     live.frozen = true;
-                    kind = live.kind;
-                    name = live.name.clone();
-                    found = true;
-                    break;
+                    (live.kind, live.name.clone())
                 }
-            }
-            if !found {
                 // Historic version: recover kind/name from the graph.
-                if let Some(data) = self.graph.node(id) {
-                    kind = data.kind.unwrap_or(NodeKind::File);
-                    name = data.name().map(str::to_string);
-                }
-            }
+                None => match self.graph.node(id) {
+                    Some(data) => (
+                        data.kind.unwrap_or(NodeKind::File),
+                        data.name().map(str::to_string),
+                    ),
+                    None => (NodeKind::File, None),
+                },
+            };
             let mut records = pend.records;
             if let Some(h) = pend.data_hash {
                 let rec = ProvenanceRecord::new(id, Attr::DataHash, format!("{h:016x}"));
@@ -731,7 +781,7 @@ mod tests {
             ProcessInfo {
                 name: "blast".into(),
                 argv: vec!["blast".into(), "-db".into(), "nr".into()],
-                env: vec![("PATH".into(), "/usr/bin".into())],
+                env: "PATH=/usr/bin\nLANG=C".into(),
                 exe_path: Some("/usr/bin/blast".into()),
                 exec_time_micros: 12345,
             },
@@ -742,6 +792,7 @@ mod tests {
         assert_eq!(node.attr(&Attr::Pid), Some("5"));
         assert_eq!(node.attr(&Attr::Argv), Some("blast -db nr"));
         assert_eq!(node.attr(&Attr::ExecTime), Some("12345"));
+        assert_eq!(node.attr(&Attr::Env), Some("PATH=/usr/bin\nLANG=C"));
         // Depends on the executable.
         let exe = obs.file_node("/usr/bin/blast").unwrap();
         assert!(obs.graph().reaches(id, exe));
@@ -765,6 +816,287 @@ mod tests {
         obs.unlink("/f");
         assert_eq!(obs.file_node("/f"), None);
         assert!(obs.graph().node(v).is_some(), "provenance outlives data");
+    }
+
+    /// Every live object's uuid is indexed at its key, and nothing else.
+    fn assert_owners_cover_the_live(obs: &Observer) {
+        let objects = obs.files.len() + obs.procs.len() + obs.pipes.len();
+        assert_eq!(
+            obs.owners.len(),
+            objects,
+            "the index holds only live objects"
+        );
+        let live = obs
+            .files
+            .iter()
+            .map(|(path, l)| (l.cur.uuid, Owner::File(path.clone())))
+            .chain(obs.procs.iter().map(|(p, l)| (l.cur.uuid, Owner::Proc(*p))))
+            .chain(obs.pipes.iter().map(|(q, l)| (l.cur.uuid, Owner::Pipe(*q))));
+        for (uuid, owner) in live {
+            assert_eq!(obs.owners.get(&uuid), Some(&owner));
+        }
+    }
+
+    /// Every live object's key, current version and `frozen` flag.
+    fn live_states(obs: &Observer) -> Vec<(String, PNodeId, bool)> {
+        let files = obs.files.iter().map(|(k, l)| (k.clone(), l));
+        let procs = obs.procs.iter().map(|(k, l)| (format!("{k:?}"), l));
+        let pipes = obs.pipes.iter().map(|(k, l)| (format!("{k:?}"), l));
+        files
+            .chain(procs)
+            .chain(pipes)
+            .map(|(k, l)| (k, l.cur, l.frozen))
+            .collect()
+    }
+
+    /// Two observers fed the same events, one flushing through the
+    /// owner index and one through the scan it replaced.
+    struct Twins {
+        indexed: Observer,
+        scanned: Observer,
+        flushes: usize,
+    }
+
+    impl Twins {
+        fn new(seed: u64) -> Twins {
+            Twins {
+                indexed: Observer::new(seed),
+                scanned: Observer::new(seed),
+                flushes: 0,
+            }
+        }
+
+        fn both(&mut self, f: impl Fn(&mut Observer)) {
+            f(&mut self.indexed);
+            f(&mut self.scanned);
+        }
+
+        /// Flushes `start` on both and holds them to the same nodes and
+        /// the same live objects frozen; returns the closure.
+        fn flush(&mut self, start: PNodeId) -> Vec<FlushNode> {
+            let got = self.indexed.flush_closure_of(start);
+            let want = self.scanned.flush_with(start, Observer::live_by_scan);
+            assert_eq!(got, want, "closure of {start}");
+            assert_eq!(live_states(&self.indexed), live_states(&self.scanned));
+            assert_owners_cover_the_live(&self.indexed);
+            self.flushes += got.len();
+            got
+        }
+    }
+
+    impl Observer {
+        /// The lookup the owner index replaced: a scan of every live
+        /// file, process and pipe, in that order.
+        fn live_by_scan(&mut self, id: PNodeId) -> Option<&mut Live> {
+            self.files
+                .values_mut()
+                .chain(self.procs.values_mut())
+                .chain(self.pipes.values_mut())
+                .find(|live| live.cur == id)
+        }
+    }
+
+    /// The reachability test `reaches_with` replaced: a fresh
+    /// `BTreeSet` per call.
+    fn reaches_by_btree(g: &ProvGraph, from: PNodeId, to: PNodeId) -> bool {
+        if from == to {
+            return true;
+        }
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![from];
+        while let Some(n) = stack.pop() {
+            if !seen.insert(n) {
+                continue;
+            }
+            for d in g.deps(n) {
+                if *d == to {
+                    return true;
+                }
+                stack.push(*d);
+            }
+        }
+        false
+    }
+
+    /// Replays a seeded script on twins, adding exits, pid reuse (an
+    /// exec after an exit, a fork over a live pid) and flushes of
+    /// processes and pipes to its renames and unlinks.
+    fn replay_twins(seed: u64, len: usize) -> Twins {
+        use cloudprov_workloads::testkit::{file_path, random_script, ScriptEvent};
+        let mut twins = Twins::new(seed);
+        let mut execed = BTreeSet::new();
+        let mut pipes = BTreeSet::new();
+        for (i, ev) in random_script(seed, len).into_iter().enumerate() {
+            let pid = |p: u8| Pid(u64::from(p));
+            match ev {
+                ScriptEvent::Exec(p) => {
+                    if i % 3 == 0 && execed.contains(&p) {
+                        twins.both(|o| o.exit(pid(p)));
+                    }
+                    let parent = p.wrapping_sub(1);
+                    if i % 5 == 1 && execed.contains(&parent) {
+                        twins.both(|o| {
+                            o.fork(pid(parent), pid(p));
+                        });
+                    } else {
+                        twins.both(|o| {
+                            o.exec(
+                                pid(p),
+                                ProcessInfo {
+                                    name: format!("proc{p}"),
+                                    env: format!("K={i}\nL=\t\\"),
+                                    exe_path: (i % 2 == 0).then(|| format!("/bin/p{p}")),
+                                    ..ProcessInfo::default()
+                                },
+                            );
+                        });
+                    }
+                    execed.insert(p);
+                }
+                ScriptEvent::Read(p, f) if execed.contains(&p) => {
+                    if i % 11 == 0 {
+                        twins.both(|o| o.exit(pid(p)));
+                        execed.remove(&p);
+                    } else {
+                        twins.both(|o| o.read(pid(p), &file_path(f)));
+                    }
+                }
+                ScriptEvent::Write(p, f) if execed.contains(&p) => {
+                    twins.both(|o| {
+                        o.write(pid(p), &file_path(f), i as u64);
+                    });
+                }
+                ScriptEvent::PipeWrite(p, q) if execed.contains(&p) => {
+                    let q = PipeId(u64::from(q));
+                    if pipes.insert(q) {
+                        twins.both(|o| {
+                            o.pipe_create(q);
+                        });
+                    }
+                    twins.both(|o| o.pipe_write(pid(p), q));
+                }
+                ScriptEvent::PipeRead(p, q) if execed.contains(&p) => {
+                    let q = PipeId(u64::from(q));
+                    if pipes.contains(&q) {
+                        twins.both(|o| o.pipe_read(pid(p), q));
+                    }
+                }
+                ScriptEvent::Close(f) => {
+                    let start = match i % 4 {
+                        0 => twins.indexed.proc_node(pid(f % 6)),
+                        1 => twins
+                            .indexed
+                            .pipes
+                            .get(&PipeId(u64::from(f % 3)))
+                            .map(|l| l.cur),
+                        _ => twins.indexed.file_node(&file_path(f)),
+                    };
+                    if let Some(start) = start {
+                        twins.flush(start);
+                    }
+                }
+                ScriptEvent::Rename(a, b) if a != b => {
+                    twins.both(|o| o.rename(&file_path(a), &file_path(b)));
+                }
+                ScriptEvent::Unlink(f) => twins.both(|o| o.unlink(&file_path(f))),
+                _ => {}
+            }
+        }
+        assert_owners_cover_the_live(&twins.indexed);
+        twins
+    }
+
+    #[test]
+    fn indexed_flush_matches_the_scan_over_random_scripts() {
+        let mut flushed = 0;
+        for seed in 0..24 {
+            let twins = replay_twins(seed, 400);
+            flushed += twins.flushes;
+            // Historic versions of live and gone objects flush through
+            // the graph, as the scan left them.
+            let mut twins = twins;
+            let ids: Vec<PNodeId> = twins.indexed.graph().node_ids().collect();
+            for id in ids.into_iter().step_by(5) {
+                twins.flush(id);
+            }
+        }
+        assert!(flushed > 1000, "the scripts flush ({flushed} nodes)");
+    }
+
+    #[test]
+    fn reaches_with_matches_a_fresh_dfs() {
+        let twins = replay_twins(3, 300);
+        let g = twins.indexed.graph();
+        let ids: Vec<PNodeId> = g.node_ids().collect();
+        let mut visit = Visit::default();
+        let (mut yes, mut no) = (0, 0);
+        for (i, &from) in ids.iter().enumerate() {
+            for &to in ids.iter().skip(i % 3).step_by(3) {
+                let want = reaches_by_btree(g, from, to);
+                assert_eq!(g.reaches_with(&mut visit, from, to), want, "{from} -> {to}");
+                assert_eq!(g.reaches(from, to), want);
+                if want {
+                    yes += 1;
+                } else {
+                    no += 1;
+                }
+            }
+        }
+        assert!(yes > 100 && no > 100, "both answers tested ({yes} / {no})");
+    }
+
+    #[test]
+    fn renames_over_live_files_and_reused_pids_flush_as_the_scan() {
+        let mut twins = Twins::new(5);
+        twins.both(|o| {
+            exec(o, 1, "p");
+            exec(o, 2, "q");
+            o.write(Pid(1), "/a", 1);
+            o.write(Pid(2), "/b", 2);
+        });
+        let b = twins.indexed.file_node("/b").unwrap();
+        // /a's object takes /b's key; /b's old object, never flushed,
+        // is gone and flushes with its kind and name from the graph.
+        twins.both(|o| o.rename("/a", "/b"));
+        let a = twins.indexed.file_node("/b").unwrap();
+        assert_ne!(a, b);
+        assert!(!twins.indexed.owners.contains_key(&b.uuid));
+        let gone = twins.flush(b);
+        assert_eq!(
+            gone.last().map(|n| (n.id, n.kind)),
+            Some((b, NodeKind::File))
+        );
+        assert_eq!(gone.last().unwrap().name.as_deref(), Some("/b"));
+        twins.both(|o| {
+            o.write(Pid(2), "/b", 3);
+        });
+        let renamed = twins.flush(twins.indexed.file_node("/b").unwrap());
+        assert!(renamed.iter().any(|n| n.id == a));
+        assert!(twins.indexed.files["/b"].frozen);
+        // A fork over live pid 2, whose current version is unflushed,
+        // then an exit and an exec reusing the pid.
+        twins.both(|o| o.read(Pid(2), "/e"));
+        let q = twins.indexed.proc_node(Pid(2)).unwrap();
+        twins.both(|o| {
+            o.fork(Pid(1), Pid(2));
+        });
+        let child = twins.indexed.proc_node(Pid(2)).unwrap();
+        assert!(!twins.indexed.owners.contains_key(&q.uuid));
+        twins.both(|o| {
+            o.write(Pid(2), "/c", 4);
+        });
+        twins.flush(twins.indexed.file_node("/c").unwrap());
+        assert!(!twins.flush(q).is_empty(), "the displaced process flushes");
+        twins.both(|o| {
+            o.exit(Pid(2));
+            exec(o, 2, "r");
+            o.write(Pid(2), "/d", 5);
+        });
+        assert!(!twins.indexed.owners.contains_key(&child.uuid));
+        let d = twins.flush(twins.indexed.file_node("/d").unwrap());
+        assert!(d.iter().any(|n| n.name.as_deref() == Some("r")));
+        assert!(twins.indexed.procs[&Pid(2)].frozen);
+        twins.flush(child);
     }
 
     #[test]

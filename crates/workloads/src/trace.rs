@@ -194,10 +194,58 @@ impl Trace {
     }
 }
 
-/// Deterministic synthetic environment of roughly `bytes` bytes (process
+/// Deterministic synthetic environment block of roughly `bytes` bytes:
+/// `VAR_<seed>_<i>=<path list>` lines joined by `\n`, the form
+/// [`ProcessInfo::env`](cloudprov_pass::ProcessInfo::env) holds (process
 /// environments are what push provenance values past SimpleDB's 1 KB
-/// limit, forcing the P2/P3 spill path).
-pub fn synthetic_env(bytes: usize, seed: u64) -> Vec<(String, String)> {
+/// limit, forcing the P2/P3 spill path). Empty below 41 bytes.
+pub fn synthetic_env(bytes: usize, seed: u64) -> String {
+    if bytes <= 40 {
+        return String::new();
+    }
+    // The last line starts below `bytes - 40` and runs some 60 bytes.
+    let mut out = String::with_capacity(bytes + 64);
+    let key = format!("VAR_{seed:04x}_");
+    let dir = format!("/opt/pkg/{seed:x}/");
+    let mut digits = [0; 20];
+    let mut i = 0u64;
+    // The lines' bytes, each with its end, the last one's too.
+    let mut total = 0;
+    while total + 40 < bytes {
+        if i > 0 {
+            out.push('\n');
+        }
+        let i_text = decimal(i, &mut digits);
+        out.push_str(&key);
+        out.push_str(i_text);
+        out.push('=');
+        out.push_str(&dir);
+        out.push_str(i_text);
+        out.push_str("/lib:/usr/lib:/usr/local/lib");
+        total = out.len() + 1;
+        i += 1;
+    }
+    out
+}
+
+/// `n` in decimal, written into the end of `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII")
+}
+
+/// The pairs [`synthetic_env`] once returned, joined as `Observer::exec`
+/// joined them: the block's reference.
+#[cfg(test)]
+fn synthetic_env_by_pairs(bytes: usize, seed: u64) -> String {
     let mut out = Vec::new();
     let mut total = 0usize;
     let mut i = 0u64;
@@ -208,7 +256,10 @@ pub fn synthetic_env(bytes: usize, seed: u64) -> Vec<(String, String)> {
         out.push((k, v));
         i += 1;
     }
-    out
+    out.iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[cfg(test)]
@@ -268,7 +319,8 @@ mod tests {
     fn synthetic_env_hits_target_size() {
         for target in [512usize, 2048, 6144] {
             let env = synthetic_env(target, 7);
-            let total: usize = env.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+            // Each variable's key, value, `=` and line end.
+            let total: usize = env.lines().map(|line| line.len() + 1).sum();
             assert!(total <= target + 64, "at most one entry of overshoot");
             assert!(total > target / 2, "reasonably close to target");
         }
@@ -278,5 +330,23 @@ mod tests {
     fn synthetic_env_is_deterministic() {
         assert_eq!(synthetic_env(1000, 3), synthetic_env(1000, 3));
         assert_ne!(synthetic_env(1000, 3), synthetic_env(1000, 4));
+    }
+
+    #[test]
+    fn synthetic_env_block_is_the_pairs_joined() {
+        for bytes in [0, 40, 41, 42, 100, 999, 2500, 6000] {
+            for seed in [0, 1, 7, 0xabcd, 0x1_0000, u64::MAX] {
+                let block = synthetic_env(bytes, seed);
+                assert_eq!(
+                    block,
+                    synthetic_env_by_pairs(bytes, seed),
+                    "{bytes} bytes, seed {seed}"
+                );
+                assert_eq!(block.is_empty(), bytes < 41, "{bytes} bytes");
+            }
+        }
+        for n in [0, 9, 10, 99, 100, u64::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string());
+        }
     }
 }

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "--normalize".into(),
                 "/data/raw.csv".into(),
             ],
-            env: vec![("LANG".into(), "C".into())],
+            env: "LANG=C".into(),
             exe_path: Some("/usr/bin/transform".into()),
             ..Default::default()
         },

@@ -27,7 +27,7 @@ fn run_pipeline(fs: &PaS3fs, pid: u64, jvm: &str, output: &str) {
                 "sdss-reduce.jar".into(),
                 output.into(),
             ],
-            env: vec![("JAVA_HOME".into(), jvm.into())],
+            env: format!("JAVA_HOME={jvm}"),
             exe_path: Some(jvm.to_string() + "/bin/java"),
             ..Default::default()
         },
