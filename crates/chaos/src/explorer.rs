@@ -141,7 +141,7 @@ pub fn explore_seed(protocol: Protocol, seed: u64) -> SeedOutcome {
         recovery_errors.push(format!("post-retention drain: {e}"));
     }
     if let Some(cleaner) = recovery.cleaner_daemon() {
-        if let Err(e) = cleaner.clean_once() {
+        if let Err(e) = cleaner.sweep_once() {
             recovery_errors.push(format!("cleaner: {e}"));
         }
     }

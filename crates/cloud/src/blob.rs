@@ -65,15 +65,8 @@ impl Blob {
     /// provenance so mismatches are detectable).
     pub fn content_fingerprint(&self) -> u64 {
         match self {
-            Blob::Inline(b) => {
-                // FNV-1a: tiny, dependency-free, good enough for detection.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for byte in b.iter() {
-                    h ^= u64::from(*byte);
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-                h
-            }
+            // FNV-1a: tiny, dependency-free, good enough for detection.
+            Blob::Inline(b) => crate::fnv1a64(b),
             Blob::Synthetic { fingerprint, .. } => *fingerprint,
         }
     }

@@ -44,6 +44,7 @@ mod blob;
 mod env;
 mod error;
 mod fault;
+mod hash;
 mod meter;
 mod pricing;
 mod profile;
@@ -56,6 +57,7 @@ pub use blob::Blob;
 pub use env::CloudEnv;
 pub use error::{CloudError, Result};
 pub use fault::{FaultHandle, FaultPlan};
+pub use hash::{fnv1a64, fnv1a64_mixed, Fnv1a64};
 pub use meter::{Actor, Meter, Op, OpStats, Service, TenantId, UsageReport};
 pub use pricing::{CostBreakdown, PriceBook};
 pub use profile::{

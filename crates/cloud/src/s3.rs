@@ -222,17 +222,14 @@ impl ObjectStore {
     pub fn get(&self, bucket: &str, key: &str) -> Result<ObjectData> {
         let staleness = self.core.draw_staleness();
         let state = self.state.clone();
-        let (b, k) = (bucket.to_string(), key.to_string());
+        let id = (bucket.to_string(), key.to_string());
         self.core
             .call(self.actor, self.tenant, Op::Get, 0, 0, move |now| {
                 let horizon = SimTime::from_micros(
                     now.as_micros().saturating_sub(staleness.as_micros() as u64),
                 );
                 let st = state.lock();
-                let visible = st
-                    .objects
-                    .get(&(b.clone(), k.clone()))
-                    .and_then(|h| h.visible_at(horizon));
+                let visible = st.objects.get(&id).and_then(|h| h.visible_at(horizon));
                 match visible {
                     Some(StoredVersion {
                         published,
@@ -248,7 +245,10 @@ impl ObjectStore {
                             len,
                         ))
                     }
-                    _ => Err(CloudError::NoSuchKey { bucket: b, key: k }),
+                    _ => {
+                        let (bucket, key) = id;
+                        Err(CloudError::NoSuchKey { bucket, key })
+                    }
                 }
             })
     }
@@ -261,18 +261,14 @@ impl ObjectStore {
     pub fn head(&self, bucket: &str, key: &str) -> Result<HeadData> {
         let staleness = self.core.draw_staleness();
         let state = self.state.clone();
-        let (b, k) = (bucket.to_string(), key.to_string());
+        let id = (bucket.to_string(), key.to_string());
         self.core
             .call(self.actor, self.tenant, Op::Head, 0, 0, move |now| {
                 let horizon = SimTime::from_micros(
                     now.as_micros().saturating_sub(staleness.as_micros() as u64),
                 );
                 let st = state.lock();
-                match st
-                    .objects
-                    .get(&(b.clone(), k.clone()))
-                    .and_then(|h| h.visible_at(horizon))
-                {
+                match st.objects.get(&id).and_then(|h| h.visible_at(horizon)) {
                     Some(StoredVersion {
                         published,
                         object: Some((blob, meta)),
@@ -284,7 +280,10 @@ impl ObjectStore {
                         },
                         1, // headers only
                     )),
-                    _ => Err(CloudError::NoSuchKey { bucket: b, key: k }),
+                    _ => {
+                        let (bucket, key) = id;
+                        Err(CloudError::NoSuchKey { bucket, key })
+                    }
                 }
             })
     }

@@ -44,18 +44,20 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::CloudEnv;
+use cloudprov_cloud::{CloudEnv, Fnv1a64};
 use cloudprov_pass::PNodeId;
 use cloudprov_sim::{Sim, SimSemaphore, SimTime};
 
 use crate::cas::{CasFlushItem, CasRef, CasStore};
+use crate::cleaner::CleanerDaemon;
 use crate::error::{ClientError, ClientResult, ProtocolError, Result};
-use crate::p3::{CleanerDaemon, CommitDaemon, P3};
+use crate::p3::{CommitDaemon, P3};
 use crate::protocol::{
     FlushBatch, ProtocolConfig, ProvenanceStore, ReadResult, S3fsBaseline, StepHook,
     StorageProtocol,
@@ -341,7 +343,8 @@ impl ProvenanceClient {
     /// Builds a P3 cleaner daemon reaping orphaned temp objects (None
     /// for other protocols).
     pub fn cleaner_daemon(&self) -> Option<CleanerDaemon> {
-        (self.protocol == Protocol::P3).then(|| CleanerDaemon::new(&self.env, self.config.clone()))
+        (self.protocol == Protocol::P3)
+            .then(|| CleanerDaemon::new(&self.env, self.config.clone(), 1))
     }
 
     /// URL of this session's P3 WAL queue (None for other protocols) —
@@ -662,24 +665,18 @@ struct Job {
 /// second is safe to drop; a node re-flushed with *new* pending records
 /// digests differently and is kept.
 fn object_digest(obj: &crate::FlushObject) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a64::default();
     for r in &obj.node.records {
-        eat(cloudprov_pass::wire::encode_record(r).as_bytes());
+        h.write(cloudprov_pass::wire::encode_record(r).as_bytes());
     }
     if let Some(key) = &obj.key {
-        eat(key.as_bytes());
+        h.write(key.as_bytes());
     }
     if let Some(data) = &obj.data {
-        eat(&data.content_fingerprint().to_le_bytes());
-        eat(&data.len().to_le_bytes());
+        h.write(&data.content_fingerprint().to_le_bytes());
+        h.write(&data.len().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Cap on the barrier error buffer: a client driven purely through

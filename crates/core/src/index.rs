@@ -72,17 +72,8 @@ pub fn index_domain(domain: &str) -> String {
     format!("{domain}{INDEX_SUFFIX}")
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 fn bucket_of(dependent: PNodeId) -> u64 {
-    fnv64(dependent.to_string().as_bytes()) % REV_BUCKETS
+    cloudprov_cloud::fnv1a64(dependent.to_string().as_bytes()) % REV_BUCKETS
 }
 
 /// Item name of the reverse-edge bucket holding `dependent`'s edge to

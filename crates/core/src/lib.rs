@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod cas;
+mod cleaner;
 mod client;
 mod error;
 pub mod feed;
@@ -83,6 +84,7 @@ pub use cas::{
     cas_crash_points, cas_domain, cas_object_key, sha256_hex, CasFlushItem, CasRef, CasStore,
     CAS_OBJECT_PREFIX,
 };
+pub use cleaner::CleanerDaemon;
 pub use client::{
     AdmissionGate, ClientBuilder, FlushSample, FlushTicket, PipelineStats, Protocol,
     ProvenanceClient,
@@ -96,10 +98,10 @@ pub use layout::{object_metadata, parse_object_metadata, Layout, META_UUID, META
 pub use p1::P1;
 pub use p2::P2;
 pub use p3::{
-    commit_crash_points, pack_group_writes, CleanerDaemon, CommitDaemon, CommitListener,
-    DaemonHandle, GroupWritePlan, PollOutcome, P3,
+    commit_crash_points, pack_group_writes, CommitDaemon, CommitListener, DaemonHandle,
+    GroupWritePlan, PollOutcome, P3,
 };
 pub use protocol::{
-    item_to_records, kill_at_occurrence, retry_cloud, CouplingCheck, FlushBatch, FlushObject,
-    ProtocolConfig, ProvenanceStore, ReadResult, S3fsBaseline, StepHook, StorageProtocol,
+    item_to_records, kill_at_occurrence, CouplingCheck, FlushBatch, FlushObject, ProtocolConfig,
+    ProvenanceStore, ReadResult, S3fsBaseline, StepHook, StorageProtocol,
 };

@@ -48,6 +48,7 @@ use cloudprov_sim::{SimHandle, SimTime};
 use cloudprov_trace::{SpanContext, Tracer, SCOPE_CLIENT, SCOPE_COMMIT_DAEMON};
 
 use crate::cas::{self, CasFlushItem};
+use crate::cleaner::CleanerDaemon;
 use crate::error::{ProtocolError, Result};
 use crate::feed::{extract_touches, CommitEventSink, FeedWriter, StagedTouches};
 use crate::layout::{object_metadata, parse_object_metadata};
@@ -119,11 +120,7 @@ impl P3 {
         env.sdb()
             .create_domain(&crate::index::index_domain(&config.layout.domain));
         let wal_url = env.sqs().create_queue(queue_name);
-        let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in identity.bytes() {
-            seed ^= u64::from(b);
-            seed = seed.wrapping_mul(0x0100_0000_01b3);
-        }
+        let seed = cloudprov_cloud::fnv1a64(identity.as_bytes());
         P3 {
             plane: DataPlane::new(env, config, Actor::Client),
             wal_url,
@@ -153,7 +150,7 @@ impl P3 {
 
     /// Builds the cleaner daemon reaping orphaned temp objects.
     pub fn cleaner_daemon(&self) -> CleanerDaemon {
-        CleanerDaemon::new(&self.plane.env, self.plane.config.clone())
+        CleanerDaemon::new(&self.plane.env, self.plane.config.clone(), 1)
     }
 
     fn fresh_txn(&self) -> Uuid {
@@ -1267,62 +1264,6 @@ impl DaemonHandle {
     }
 }
 
-/// The cleaner daemon: removes temporary objects older than the retention
-/// window — the garbage left by transactions whose client crashed before
-/// logging every packet (§4.3.3: "We use a cleaner daemon to remove
-/// temporary objects that have not been accessed for 4 days").
-pub struct CleanerDaemon {
-    /// The data plane, billed to [`Actor::CleanerDaemon`].
-    plane: DataPlane,
-    max_age: Duration,
-}
-
-impl std::fmt::Debug for CleanerDaemon {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CleanerDaemon")
-            .field("max_age", &self.max_age)
-            .finish()
-    }
-}
-
-impl CleanerDaemon {
-    /// Creates a cleaner with the paper's 4-day window.
-    pub fn new(env: &CloudEnv, config: ProtocolConfig) -> CleanerDaemon {
-        CleanerDaemon {
-            plane: DataPlane::new(env, config, Actor::CleanerDaemon),
-            max_age: cloudprov_cloud::RETENTION,
-        }
-    }
-
-    /// Overrides the reclamation age (tests).
-    pub fn with_max_age(mut self, max_age: Duration) -> CleanerDaemon {
-        self.max_age = max_age;
-        self
-    }
-
-    /// One sweep: lists the temp prefix and deletes expired objects.
-    /// Returns how many were reclaimed.
-    pub fn clean_once(&self) -> Result<usize> {
-        let DataPlane { env, config, .. } = &self.plane;
-        let layout = &config.layout;
-        let keys = retry(env.sim(), || {
-            self.plane
-                .s3
-                .list_all(&layout.data_bucket, &layout.temp_prefix)
-        })?;
-        let now = env.sim().now();
-        let mut reclaimed = 0;
-        for k in keys {
-            if now.saturating_duration_since(k.last_modified) > self.max_age {
-                config.step(&format!("p3:clean:{}", k.key))?;
-                self.plane.delete(&k.key)?;
-                reclaimed += 1;
-            }
-        }
-        Ok(reclaimed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1658,10 +1599,10 @@ mod tests {
 
         let cleaner = p3.cleaner_daemon();
         // Too young: nothing reclaimed.
-        assert_eq!(cleaner.clean_once().unwrap(), 0);
+        assert_eq!(cleaner.sweep_once().unwrap(), 0);
         // After 4 days it goes.
         sim.sleep(Duration::from_secs(4 * 24 * 3600 + 60));
-        assert_eq!(cleaner.clean_once().unwrap(), 1);
+        assert_eq!(cleaner.sweep_once().unwrap(), 1);
         assert_eq!(env.s3().peek_count("data", "tmp/"), 0);
     }
 

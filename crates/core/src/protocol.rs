@@ -313,15 +313,14 @@ pub trait StorageProtocol: Send + Sync {
     }
 }
 
-/// Attempts per cloud call before [`retry_cloud`] gives up.
+/// Attempts per cloud call before [`retry`] gives up.
 pub(crate) const RETRIES: usize = 4;
 
 /// Retries a cloud call with exponential backoff (in virtual time) on
 /// transient `ServiceUnavailable` failures, up to four attempts; other
 /// errors pass through immediately. The retry discipline every protocol
-/// path uses — public so out-of-crate daemons (the fleet's sharded
-/// cleaners) reuse the same policy.
-pub fn retry_cloud<T>(
+/// and daemon path uses.
+pub(crate) fn retry<T>(
     sim: &Sim,
     mut f: impl FnMut() -> std::result::Result<T, CloudError>,
 ) -> std::result::Result<T, CloudError> {
@@ -340,9 +339,6 @@ pub fn retry_cloud<T>(
     }
     Err(last.expect("retry loop ran at least once"))
 }
-
-/// Crate-internal alias: protocol code predates the public name.
-pub(crate) use retry_cloud as retry;
 
 /// Converts one node's records into a SimpleDB item, spilling values above
 /// the 1 KB attribute limit into S3 (shared by P2's client path and P3's

@@ -16,8 +16,8 @@
 //!   and stay idempotent under at-least-once delivery (a fleet-wide
 //!   committed-transaction registry turns any double commit into a
 //!   counted invariant violation).
-//! * [`ShardedCleaners`] — the §4.3.3 cleaner, hash-partitioned so M
-//!   sweeps run in parallel.
+//! * [`Fleet::cleaners`] — the §4.3.3 [`CleanerDaemon`] with one
+//!   partition per shard, so a sweep's deletes run M-wide.
 //! * **Backpressure** — [`Fleet::client`] builds pipelined P3 sessions
 //!   whose `flush_async` blocks while their shard's WAL depth exceeds a
 //!   bound, so producers throttle instead of growing queues without
@@ -30,14 +30,12 @@
 
 #![warn(missing_docs)]
 
-mod cleaner;
 mod lease;
 mod pool;
 mod router;
 
-pub use cleaner::ShardedCleaners;
 pub use lease::{Lease, LeaseBoard};
-pub use pool::{DaemonPool, PoolConfig, PoolStats};
+pub use pool::{DaemonPool, PoolStats};
 pub use router::ShardRouter;
 
 use std::sync::Arc;
@@ -46,7 +44,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use cloudprov_cloud::{CloudEnv, TenantId};
-use cloudprov_core::{Protocol, ProtocolConfig, ProvenanceClient};
+use cloudprov_core::{CleanerDaemon, Protocol, ProtocolConfig, ProvenanceClient};
 use cloudprov_sim::SimSemaphore;
 
 /// Fleet-level tuning.
@@ -60,14 +58,15 @@ pub struct FleetConfig {
     /// the ceiling the adaptive admission controller enforces. Zero
     /// disables backpressure.
     pub max_shard_depth: usize,
-    /// Fallback re-check interval for a throttled client. With `push`
-    /// on, the shard's drain doorbell wakes throttled clients the moment
-    /// the daemon acknowledges WAL messages, and this interval only
-    /// covers lost rings; without push it is the polling cadence.
+    /// Fallback re-check interval for a throttled client. The shard's
+    /// drain doorbell wakes throttled clients the moment the daemon
+    /// acknowledges WAL messages; this interval only covers lost rings.
     pub admission_poll: Duration,
-    /// Push delivery: pool workers watch their leased shard WALs and
-    /// wake on arrival (see [`PoolConfig::push`]); off, they sleep the
-    /// full poll interval between rounds.
+    /// Must be `true`: the plane always delivers by push (pool workers
+    /// park on their leased WALs' doorbells, throttled clients on the
+    /// drain doorbell). [`Fleet::provision`] panics on `false`. The field
+    /// stays only because the benchmark's frozen struct literals name it;
+    /// ROADMAP item 8 deletes it together with them.
     pub push: bool,
 }
 
@@ -131,11 +130,21 @@ pub struct Fleet {
 
 impl Fleet {
     /// Provisions shard queues and the lease board on `env`.
+    ///
+    /// # Panics
+    ///
+    /// On `config.push == false`: the timer-only plane is gone, and the
+    /// field survives only until ROADMAP item 8 deletes it.
     pub fn provision(
         env: &CloudEnv,
         protocol_config: ProtocolConfig,
         config: FleetConfig,
     ) -> Fleet {
+        assert!(
+            config.push,
+            "FleetConfig::push must be true: the timer-only commit plane is gone \
+             (ROADMAP item 8 deletes the field with the benchmark's literals)"
+        );
         let router = Arc::new(ShardRouter::provision(env, config.shards));
         let board = LeaseBoard::provision(env, config.shards, config.lease_ttl);
         let admission = Arc::new(
@@ -179,18 +188,15 @@ impl Fleet {
             self.protocol_config.clone(),
             self.router.clone(),
             self.board.clone(),
-            PoolConfig {
-                daemons,
-                poll_interval,
-                push: self.config.push,
-                ..PoolConfig::default()
-            },
+            daemons,
+            poll_interval,
         )
     }
 
-    /// Sharded cleaners over this fleet's temp namespace.
-    pub fn cleaners(&self) -> ShardedCleaners {
-        ShardedCleaners::new(&self.env, self.protocol_config.clone(), self.config.shards)
+    /// The cleaner over this fleet's temp namespace and ancestry index,
+    /// with one delete partition per shard.
+    pub fn cleaners(&self) -> CleanerDaemon {
+        CleanerDaemon::new(&self.env, self.protocol_config.clone(), self.config.shards)
     }
 
     /// Builds a pipelined P3 session for one fleet client: routed to its
@@ -228,11 +234,13 @@ impl Fleet {
             // (delete / delete_batch on the shard queue) ring it, so a
             // throttled client re-checks the instant capacity frees
             // instead of sleeping out the poll interval.
+            let bell = SimSemaphore::new(self.env.sim(), 0);
             let bell = self
-                .config
-                .push
-                .then(|| SimSemaphore::new(self.env.sim(), 0))
-                .filter(|bell| self.env.sqs().watch_drain(&url, bell.clone()).is_ok());
+                .env
+                .sqs()
+                .watch_drain(&url, bell.clone())
+                .is_ok()
+                .then_some(bell);
             builder = builder.admission(
                 Arc::new(move || admission[idx].try_admit(|| sqs.peek_depth(&url))),
                 self.config.admission_poll,
@@ -446,7 +454,6 @@ mod tests {
                 shards: 1,
                 max_shard_depth: bound,
                 admission_poll: poll,
-                push: true,
                 ..FleetConfig::default()
             },
         );
@@ -489,6 +496,21 @@ mod tests {
         assert!(
             blocked_for < Duration::from_secs(1),
             "doorbell must beat the 10 s poll fallback (blocked {blocked_for:?})"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ROADMAP item 8")]
+    fn provisioning_the_timer_only_plane_panics() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let _ = Fleet::provision(
+            &env,
+            ProtocolConfig::default(),
+            FleetConfig {
+                push: false,
+                ..FleetConfig::default()
+            },
         );
     }
 

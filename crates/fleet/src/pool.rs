@@ -9,15 +9,14 @@
 //! token expires back to visible, and whichever worker polls the board
 //! next takes the shard over.
 //!
-//! **Push delivery.** With [`PoolConfig::push`] (the default) a worker
-//! additionally registers an arrival watcher on every WAL it leases and
-//! parks on that doorbell between rounds: a client send wakes it
-//! immediately, collapsing the idle-poll latency that otherwise
+//! **Push delivery.** A worker registers an arrival watcher
+//! ([`QueueService::watch`]) on every WAL it leases, and one on the
+//! lease board, and parks on that doorbell between rounds: a client send
+//! wakes it immediately, collapsing the idle-poll latency that otherwise
 //! dominates commit lag. Watcher rings are best-effort (the fault plan
 //! can drop them), so the park is bounded by `poll_interval` — a lost
-//! wakeup degrades to the old polling cadence, never to a stuck shard —
-//! and the watcher travels with the lease on release, handoff, and
-//! steal.
+//! wakeup degrades to polling, never to a stuck shard — and the watcher
+//! travels with the lease on release, handoff, and steal.
 //!
 //! **Idempotence under at-least-once.** The pool keeps one shared
 //! [`CommitDaemon`] per shard: when a shard moves between workers (steal,
@@ -38,7 +37,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::CloudEnv;
+use cloudprov_cloud::{CloudEnv, QueueService};
 use cloudprov_core::{CommitDaemon, CommitEventSink, ProtocolConfig};
 use cloudprov_pass::Uuid;
 use cloudprov_sim::{SimHandle, SimSemaphore, SimTime};
@@ -46,42 +45,9 @@ use cloudprov_sim::{SimHandle, SimSemaphore, SimTime};
 use crate::lease::{Lease, LeaseBoard};
 use crate::router::ShardRouter;
 
-/// Tuning for a [`DaemonPool`].
-#[derive(Clone, Copy, Debug)]
-pub struct PoolConfig {
-    /// Number of commit-daemon workers.
-    pub daemons: usize,
-    /// Sleep between poll rounds when a worker's shards are all idle.
-    pub poll_interval: Duration,
-    /// Max shards one worker may hold at once (clamped to the shard
-    /// count). The default lets a lone worker cover the whole fleet.
-    pub max_leases: usize,
-    /// Consecutive empty polls after which a held shard is released back
-    /// to the board so another (possibly less busy) worker can take it.
-    pub idle_release_polls: u32,
-    /// Push mode: each worker registers an arrival watcher
-    /// ([`QueueService::watch`](cloudprov_cloud::QueueService::watch)) on
-    /// every shard WAL it leases and parks on that doorbell when idle —
-    /// a send wakes it immediately instead of costing up to a full
-    /// `poll_interval` of latency. `poll_interval` remains the *fallback*
-    /// cadence: watcher rings are droppable by the fault plan, so a lost
-    /// wakeup degrades to polling, never to a stuck shard. The watcher
-    /// follows the lease — it is registered on acquire and removed on
-    /// release, handoff, or steal.
-    pub push: bool,
-}
-
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            daemons: 1,
-            poll_interval: Duration::from_secs(5),
-            max_leases: usize::MAX,
-            idle_release_polls: 2,
-            push: true,
-        }
-    }
-}
+/// Consecutive empty polls after which a held shard is released back to
+/// the board, so another (possibly less busy) worker can take it.
+const IDLE_RELEASE_POLLS: u32 = 2;
 
 /// Counter snapshot of a running (or stopped) pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -110,8 +76,8 @@ pub struct PoolStats {
     pub idle_releases: u64,
     /// Hot shards handed off to starving workers.
     pub handoffs: u64,
-    /// Idle parks that ended early because a shard doorbell rang (push
-    /// mode only; zero means the pool ran on the polling fallback).
+    /// Parks that ended early because a doorbell rang (zero means the
+    /// pool ran on the polling fallback, every ring lost).
     pub wakeups: u64,
     /// Poll errors (service faults that survived retries).
     pub errors: u64,
@@ -210,16 +176,18 @@ impl std::fmt::Debug for DaemonPool {
 }
 
 impl DaemonPool {
-    /// Spawns the pool's workers on background simulated threads. The
-    /// pool runs until [`DaemonPool::stop`].
+    /// Spawns `daemons` workers on background simulated threads, each
+    /// parking at most `poll_interval` between rounds. The pool runs until
+    /// [`DaemonPool::stop`].
     pub fn spawn(
         env: &CloudEnv,
         protocol_config: ProtocolConfig,
         router: Arc<ShardRouter>,
         board: LeaseBoard,
-        config: PoolConfig,
+        daemons: usize,
+        poll_interval: Duration,
     ) -> DaemonPool {
-        assert!(config.daemons >= 1, "a pool needs at least one daemon");
+        assert!(daemons >= 1, "a pool needs at least one daemon");
         let shared = Arc::new(PoolShared {
             stop: AtomicBool::new(false),
             daemons: Mutex::new(BTreeMap::new()),
@@ -238,18 +206,26 @@ impl DaemonPool {
             errors: AtomicU64::new(0),
             sink: Mutex::new(None),
             held_total: AtomicUsize::new(0),
-            starving: (0..config.daemons).map(|_| AtomicBool::new(true)).collect(),
+            starving: (0..daemons).map(|_| AtomicBool::new(true)).collect(),
         });
-        let handles = (0..config.daemons)
+        let handles = (0..daemons)
             .map(|w| {
                 let env = env.clone();
                 let protocol_config = protocol_config.clone();
                 let router = router.clone();
                 let board = board.clone();
                 let shared = shared.clone();
-                env.sim()
-                    .clone()
-                    .spawn(move || worker(w, env, protocol_config, router, board, config, shared))
+                env.sim().clone().spawn(move || {
+                    worker(
+                        w,
+                        env,
+                        protocol_config,
+                        router,
+                        board,
+                        poll_interval,
+                        shared,
+                    )
+                })
             })
             .collect();
         DaemonPool { shared, handles }
@@ -333,6 +309,27 @@ fn snapshot(s: &PoolShared) -> PoolStats {
     }
 }
 
+/// A shard lease a worker holds: its consecutive empty polls and the id
+/// of its WAL arrival watch.
+struct Held {
+    lease: Lease,
+    idle: u32,
+    watch: Option<u64>,
+}
+
+impl Held {
+    /// Gives the shard up: takes it out of the pool's coverage count and
+    /// drops its arrival watch, then returns the lease for the caller to
+    /// release, hand off, or — lost to a steal — drop.
+    fn hand_back(self, shared: &PoolShared, sqs: &QueueService, router: &ShardRouter) -> Lease {
+        shared.held_total.fetch_sub(1, Ordering::Relaxed);
+        if let Some(id) = self.watch {
+            sqs.unwatch(router.wal_url(self.lease.shard()), id);
+        }
+        self.lease
+    }
+}
+
 /// One worker's lease loop.
 fn worker(
     index: usize,
@@ -340,70 +337,59 @@ fn worker(
     protocol_config: ProtocolConfig,
     router: Arc<ShardRouter>,
     board: LeaseBoard,
-    config: PoolConfig,
+    poll_interval: Duration,
     shared: Arc<PoolShared>,
 ) {
-    let sim = env.sim().clone();
     let sqs = env.sqs().clone();
-    // The worker's doorbell: in push mode every leased shard's WAL rings
-    // it on send, so the idle wait below ends the moment work arrives
-    // instead of up to a full `poll_interval` later.
-    let wake = SimSemaphore::new(&sim, 0);
-    // The board rings the same doorbell on every handed-off token, so a
-    // starving worker learns about a freed hot shard immediately.
-    let board_watch = if config.push {
-        board.watch(wake.clone())
-    } else {
-        None
+    // The worker's doorbell: every leased shard's WAL rings it on send,
+    // and the board on every handed-off token, so a starving worker
+    // learns about a freed hot shard immediately.
+    let wake = SimSemaphore::new(env.sim(), 0);
+    let board_watch = board.watch(wake.clone());
+    // Parks on the doorbell; the timeout is the polling fallback that
+    // keeps every shard live even if the fault plan dropped each ring.
+    let park = || {
+        if let Some(permit) = wake.acquire_timeout(poll_interval) {
+            permit.forget();
+            shared.wakeups.fetch_add(1, Ordering::Relaxed);
+        }
     };
-    let max_leases = config.max_leases.clamp(1, router.shards() as usize);
-    // (lease, consecutive empty polls, arrival-watch id)
-    let mut held: Vec<(Lease, u32, Option<u64>)> = Vec::new();
+    let mut held: Vec<Held> = Vec::new();
     // Set after this worker hands a shard off: skip the next acquire so
     // the starving peer the handoff woke wins the token instead of this
     // (faster-cycling) worker grabbing it straight back.
     let mut handoff_cooldown = false;
     while !shared.stop.load(Ordering::Relaxed) {
-        // Acquire one more shard per round while there is capacity; one
-        // at a time keeps acquisition fair across workers.
+        // Acquire one more shard per round while there is one to take;
+        // one at a time keeps acquisition fair across workers.
         if handoff_cooldown {
             handoff_cooldown = false;
-        } else if held.len() < max_leases {
+        } else if held.len() < router.shards() as usize {
             if let Some(lease) = board.acquire() {
                 shared.acquisitions.fetch_add(1, Ordering::Relaxed);
                 shared.held_total.fetch_add(1, Ordering::Relaxed);
                 // The subscription follows the lease: watch the shard's
                 // WAL for as long as this worker holds it.
-                let watch = if config.push {
-                    sqs.watch(router.wal_url(lease.shard()), wake.clone()).ok()
-                } else {
-                    None
-                };
-                held.push((lease, 0, watch));
+                let watch = sqs.watch(router.wal_url(lease.shard()), wake.clone()).ok();
+                held.push(Held {
+                    lease,
+                    idle: 0,
+                    watch,
+                });
             }
         }
         shared.starving[index].store(held.is_empty(), Ordering::Relaxed);
         if held.is_empty() {
-            if board_watch.is_some() {
-                // Starving: park on the doorbell so a peer's handoff
-                // (which re-sends the token) wakes this worker at once;
-                // the timeout keeps plain releases and expiries covered.
-                if let Some(permit) = wake.acquire_timeout(config.poll_interval) {
-                    permit.forget();
-                    shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                sim.sleep(config.poll_interval);
-            }
+            // Starving: a peer's handoff (which re-sends the token) rings
+            // the doorbell; the timeout covers plain releases and expiries.
+            park();
             continue;
         }
         // Doorbell rings banked up to this point are covered by the
         // receives below; consuming them now keeps stale wakeups from
         // replaying as extra empty (metered) poll rounds later.
-        if config.push {
-            while let Some(permit) = wake.try_acquire() {
-                permit.forget();
-            }
+        while let Some(permit) = wake.try_acquire() {
+            permit.forget();
         }
         // Poll every held shard once — one poll is now a whole GROUP
         // commit (the daemon drains several receive rounds and commits
@@ -415,10 +401,10 @@ fn worker(
         // whoever drives it next, and the stolen shard's watch goes with
         // the lease (the thief registered its own on acquire).
         let mut any_messages = false;
-        let mut kept: Vec<(Lease, u32, Option<u64>)> = Vec::new();
-        for (lease, idle, watch) in held.drain(..) {
-            let daemon = shared.daemon_for(&env, &protocol_config, &router, lease.shard());
-            let idle = match daemon.poll_once() {
+        let mut kept: Vec<Held> = Vec::new();
+        for mut h in held.drain(..) {
+            let daemon = shared.daemon_for(&env, &protocol_config, &router, h.lease.shard());
+            match daemon.poll_once() {
                 Ok(o) => {
                     shared
                         .messages
@@ -431,24 +417,20 @@ fn worker(
                         .fetch_add(o.dropped as u64, Ordering::Relaxed);
                     if o.messages > 0 {
                         any_messages = true;
-                        0
+                        h.idle = 0;
                     } else {
-                        idle + 1
+                        h.idle += 1;
                     }
                 }
                 Err(_) => {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
-                    idle
                 }
-            };
-            if board.renew(&lease) {
-                kept.push((lease, idle, watch));
+            }
+            if board.renew(&h.lease) {
+                kept.push(h);
             } else {
                 shared.losses.fetch_add(1, Ordering::Relaxed);
-                shared.held_total.fetch_sub(1, Ordering::Relaxed);
-                if let Some(id) = watch {
-                    sqs.unwatch(router.wal_url(lease.shard()), id);
-                }
+                h.hand_back(&shared, &sqs, &router);
             }
         }
         held = kept;
@@ -460,14 +442,10 @@ fn worker(
             let hottest = held
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, (l, _, _))| router.depth(&env, l.shard()))
+                .max_by_key(|(_, h)| router.depth(&env, h.lease.shard()))
                 .map(|(i, _)| i);
             if let Some(i) = hottest {
-                let (lease, _, watch) = held.remove(i);
-                shared.held_total.fetch_sub(1, Ordering::Relaxed);
-                if let Some(id) = watch {
-                    sqs.unwatch(router.wal_url(lease.shard()), id);
-                }
+                let lease = held.remove(i).hand_back(&shared, &sqs, &router);
                 if board.handoff(lease) {
                     shared.handoffs.fetch_add(1, Ordering::Relaxed);
                     handoff_cooldown = true;
@@ -481,42 +459,20 @@ fn worker(
         // queue ops per shard per round.
         let uncovered_shards = shared.held_total.load(Ordering::Relaxed) < router.shards() as usize;
         if shared.starving_count() > 0 || uncovered_shards {
-            let mut still: Vec<(Lease, u32, Option<u64>)> = Vec::new();
-            for (lease, idle, watch) in held.drain(..) {
-                if idle >= config.idle_release_polls {
-                    shared.held_total.fetch_sub(1, Ordering::Relaxed);
-                    if let Some(id) = watch {
-                        sqs.unwatch(router.wal_url(lease.shard()), id);
-                    }
-                    if board.release(lease) {
-                        shared.idle_releases.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    still.push((lease, idle, watch));
+            let idle;
+            (idle, held) = held.into_iter().partition(|h| h.idle >= IDLE_RELEASE_POLLS);
+            for h in idle {
+                if board.release(h.hand_back(&shared, &sqs, &router)) {
+                    shared.idle_releases.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            held = still;
         }
         if !any_messages {
-            if config.push && held.iter().any(|(_, _, w)| w.is_some()) {
-                // Park on the doorbell; the timeout is the polling
-                // fallback that keeps every shard live even if the fault
-                // plan dropped each ring.
-                if let Some(permit) = wake.acquire_timeout(config.poll_interval) {
-                    permit.forget();
-                    shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                sim.sleep(config.poll_interval);
-            }
+            park();
         }
     }
-    for (lease, _, watch) in held {
-        shared.held_total.fetch_sub(1, Ordering::Relaxed);
-        if let Some(id) = watch {
-            sqs.unwatch(router.wal_url(lease.shard()), id);
-        }
-        let _ = board.release(lease);
+    for h in held {
+        let _ = board.release(h.hand_back(&shared, &sqs, &router));
     }
     if let Some(id) = board_watch {
         board.unwatch(id);
@@ -593,11 +549,8 @@ mod tests {
             ProtocolConfig::default(),
             router.clone(),
             board,
-            PoolConfig {
-                daemons: 3,
-                poll_interval: Duration::from_secs(2),
-                ..PoolConfig::default()
-            },
+            3,
+            Duration::from_secs(2),
         );
         let deadline = sim.now() + Duration::from_secs(600);
         while router.total_depth(&env) > 0 && sim.now() < deadline {
@@ -634,11 +587,8 @@ mod tests {
             ProtocolConfig::default(),
             router.clone(),
             board.clone(),
-            PoolConfig {
-                daemons: 1,
-                poll_interval: Duration::from_secs(5),
-                ..PoolConfig::default()
-            },
+            1,
+            Duration::from_secs(5),
         );
         // Before the TTL nothing can happen.
         sim.sleep(Duration::from_secs(10));
@@ -666,11 +616,8 @@ mod tests {
             ProtocolConfig::default(),
             router.clone(),
             board,
-            PoolConfig {
-                daemons: 1,
-                poll_interval: Duration::from_secs(600),
-                ..PoolConfig::default()
-            },
+            1,
+            Duration::from_secs(600),
         );
         // Let the worker lease the shard, find it empty, and park.
         sim.sleep(Duration::from_secs(2));
@@ -695,50 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn polling_pool_drains_on_the_timer_without_doorbells() {
-        // `push: false` is the plane the doorbells replaced: no watcher
-        // is registered, so an arrival waits out the worker's sleep and
-        // the commit lands on the poll_interval timer — later, never
-        // stuck.
-        let sim = Sim::new();
-        let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let router = Arc::new(ShardRouter::provision(&env, 1));
-        let board = LeaseBoard::provision(&env, 1, Duration::from_secs(3600));
-        let poll_interval = Duration::from_secs(10);
-        let spawned_at = sim.now();
-        let pool = DaemonPool::spawn(
-            &env,
-            ProtocolConfig::default(),
-            router.clone(),
-            board,
-            PoolConfig {
-                daemons: 1,
-                poll_interval,
-                push: false,
-                ..PoolConfig::default()
-            },
-        );
-        // Let the worker lease the shard, find it empty, and go to sleep.
-        sim.sleep(Duration::from_secs(2));
-        assert_eq!(env.sqs().peek_watchers(router.wal_url(0)), 0);
-        let client = shard_client(&env, &router, 0, "polled");
-        flush_one(&client, 44, "polled-arrival");
-        let deadline = sim.now() + Duration::from_secs(60);
-        while router.total_depth(&env) > 0 && sim.now() < deadline {
-            sim.sleep(Duration::from_millis(500));
-        }
-        assert_eq!(router.total_depth(&env), 0, "the timer must drain it");
-        let (_, committed_at) = pool.commit_times()[0];
-        assert!(
-            committed_at >= spawned_at + poll_interval,
-            "nothing but the timer can wake a polling worker: {committed_at:?}"
-        );
-        let stats = pool.stop();
-        assert_eq!(stats.committed, 1);
-        assert_eq!(stats.wakeups, 0, "no doorbells in polling mode");
-    }
-
-    #[test]
     fn dropped_wakeups_degrade_to_polling_never_a_stuck_shard() {
         // Every watcher ring is lost: delivery must fall back to the
         // poll_interval cadence — slower, but the shard still drains.
@@ -756,11 +659,8 @@ mod tests {
             ProtocolConfig::default(),
             router.clone(),
             board,
-            PoolConfig {
-                daemons: 1,
-                poll_interval: Duration::from_secs(10),
-                ..PoolConfig::default()
-            },
+            1,
+            Duration::from_secs(10),
         );
         sim.sleep(Duration::from_secs(2));
         let client = shard_client(&env, &router, 0, "muted");
@@ -812,11 +712,8 @@ mod tests {
             ProtocolConfig::default(),
             router.clone(),
             board.clone(),
-            PoolConfig {
-                daemons: 2,
-                poll_interval: Duration::from_secs(5),
-                ..PoolConfig::default()
-            },
+            2,
+            Duration::from_secs(5),
         );
         // One worker is now grinding shard 0; the other starves. Free
         // shard 1 mid-backlog: the busy worker picks it up on its next
@@ -915,11 +812,8 @@ mod tests {
             ProtocolConfig::default(),
             router,
             board,
-            PoolConfig {
-                daemons: 2,
-                poll_interval: Duration::from_secs(1),
-                ..PoolConfig::default()
-            },
+            2,
+            Duration::from_secs(1),
         );
         sim.sleep(Duration::from_secs(20));
         let stats = pool.stop();

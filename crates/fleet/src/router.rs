@@ -14,28 +14,11 @@
 //! fleet from M to M+1 shards remaps only ~1/(M+1) of the clients — the
 //! property that makes gradual re-sharding of a live fleet practical.
 
-use cloudprov_cloud::CloudEnv;
+use cloudprov_cloud::{fnv1a64_mixed, CloudEnv};
 
 /// Virtual nodes per shard on the hash ring. 64 keeps the placement
 /// spread within a few percent of uniform for double-digit shard counts.
 const VNODES: u32 = 64;
-
-/// FNV-1a with a murmur-style finalizer: FNV alone avalanches its high
-/// bits poorly for short similar strings, which matters here because the
-/// ring orders points by the *full* u64 — unmixed, the vnode points
-/// cluster and some shards get starved.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
 
 /// Consistent-hash router from client identities to WAL shard queues.
 #[derive(Clone, Debug)]
@@ -61,7 +44,8 @@ impl ShardRouter {
             .collect();
         let mut ring: Vec<(u64, u32)> = (0..shards)
             .flat_map(|s| {
-                (0..VNODES).map(move |v| (fnv64(format!("shard-{s}#vnode-{v}").as_bytes()), s))
+                (0..VNODES)
+                    .map(move |v| (fnv1a64_mixed(format!("shard-{s}#vnode-{v}").as_bytes()), s))
             })
             .collect();
         ring.sort_unstable();
@@ -76,7 +60,7 @@ impl ShardRouter {
     /// The shard a client identity routes to: the first ring point at or
     /// after the client's hash, wrapping at the top.
     pub fn shard_for(&self, client: &str) -> u32 {
-        let h = fnv64(client.as_bytes());
+        let h = fnv1a64_mixed(client.as_bytes());
         let i = self.ring.partition_point(|(p, _)| *p < h);
         self.ring[if i == self.ring.len() { 0 } else { i }].1
     }

@@ -391,13 +391,8 @@ impl PaS3fs {
 /// Node used by the provenance-free baseline: stable per path, carries no
 /// records.
 fn baseline_node(path: &str) -> FlushNode {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
     FlushNode {
-        id: PNodeId::initial(Uuid(u128::from(h))),
+        id: PNodeId::initial(Uuid(u128::from(cloudprov_cloud::fnv1a64(path.as_bytes())))),
         kind: NodeKind::File,
         name: Some(path.to_string()),
         records: Vec::new(),

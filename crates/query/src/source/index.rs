@@ -154,12 +154,6 @@ impl IndexSource {
         }
     }
 
-    /// Committed index item count (planner statistic; models SimpleDB's
-    /// free `DomainMetadata` call, unmetered).
-    pub fn item_count(&self) -> usize {
-        self.env.sdb().peek_item_count(&self.index_domain)
-    }
-
     /// Fetches the whole materialized reverse adjacency in lean pages
     /// (the `rev_%` items carry nothing but edges) and decodes it through
     /// the world's memo.

@@ -32,12 +32,6 @@ impl SdbSelectSource {
         }
     }
 
-    /// Committed item count (planner statistic; models SimpleDB's free
-    /// `DomainMetadata` call, unmetered).
-    pub fn item_count(&self) -> usize {
-        self.env.sdb().peek_item_count(&self.domain)
-    }
-
     fn sdb(&self) -> Database {
         self.env.sdb().with_actor(Actor::Query)
     }

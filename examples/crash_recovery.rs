@@ -100,9 +100,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build(&env)
         .cleaner_daemon()
         .expect("P3 session");
-    assert_eq!(cleaner.clean_once()?, 0, "too young to reap");
+    assert_eq!(cleaner.sweep_once()?, 0, "too young to reap");
     sim.sleep(Duration::from_secs(4 * 24 * 3600 + 60));
-    let reaped = cleaner.clean_once()?;
+    let reaped = cleaner.sweep_once()?;
     println!("cleaner reaped {reaped} orphaned temp object(s) after 4 days");
     assert!(env.s3().peek_count("data", "tmp/") == 0);
 

@@ -150,9 +150,9 @@ fn restarted_client_drain_leaves_no_wal_messages_or_temps() {
     // B's orphan outlives the drain but not the cleaner's 4-day window.
     assert_eq!(env.s3().peek_count("data", "tmp/"), 1);
     let cleaner = restarted.cleaner_daemon().unwrap();
-    assert_eq!(cleaner.clean_once().unwrap(), 0, "too young to reap");
+    assert_eq!(cleaner.sweep_once().unwrap(), 0, "too young to reap");
     sim.sleep(Duration::from_secs(4 * 24 * 3600 + 60));
-    assert_eq!(cleaner.clean_once().unwrap(), 1);
+    assert_eq!(cleaner.sweep_once().unwrap(), 1);
     assert_eq!(env.s3().peek_count("data", "tmp/"), 0, "zero temps left");
     assert_eq!(env.sqs().peek_depth(&wal_a), 0, "zero WAL messages left");
 }

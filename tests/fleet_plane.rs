@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cloudprov::cloud::{Actor, AwsProfile, CloudEnv, FaultPlan, Op, Service, TenantId};
-use cloudprov::fleet::{DaemonPool, Fleet, FleetConfig, LeaseBoard, PoolConfig, ShardRouter};
+use cloudprov::fleet::{DaemonPool, Fleet, FleetConfig, LeaseBoard, ShardRouter};
 use cloudprov::fs::{LocalIoParams, PaS3fs};
 use cloudprov::pass::{Pid, ProcessInfo};
 use cloudprov::protocols::{
@@ -116,11 +116,8 @@ fn pool_reports_zero_double_commits_under_duplicates() {
         ProtocolConfig::default(),
         router.clone(),
         board,
-        PoolConfig {
-            daemons: 2,
-            poll_interval: Duration::from_secs(2),
-            ..PoolConfig::default()
-        },
+        2,
+        Duration::from_secs(2),
     );
     let deadline = sim.now() + Duration::from_secs(3600);
     while router.total_depth(&env) > 0 && sim.now() < deadline {
@@ -149,11 +146,8 @@ fn dead_daemon_shard_is_taken_over_after_lease_ttl() {
         ProtocolConfig::default(),
         router,
         board.clone(),
-        PoolConfig {
-            daemons: 1,
-            poll_interval: Duration::from_secs(5),
-            ..PoolConfig::default()
-        },
+        1,
+        Duration::from_secs(5),
     );
     sim.sleep(Duration::from_secs(30));
     assert_eq!(
