@@ -15,10 +15,16 @@
 //! objects: the LIST and GETs, but no fold. `observer` times PASS
 //! capture: an exec with a 6 KB environment block, and a write plus its
 //! flush among 16 / 1024 live objects, which may not grow with them.
+//! `sim` times one whole world of 64 / 1024 simulated threads: a fresh
+//! `Sim` spawns them, each sleeps once, and it joins them and drops. The
+//! stacks are pooled per OS thread, so after the warm-up pass a world
+//! maps and unmaps none.
 //!
 //! The measured quantity is host wall time; the paper's experiments are
 //! timed (in virtual time) by the `repro` binary and, per layer, by the
 //! repo benchmark under `benchmark/`.
+
+use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -425,12 +431,34 @@ fn bench_observer(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sim(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim");
+    group.sample_size(10);
+    for threads in [64, 1024] {
+        group.bench_function(format!("world/{threads}"), |b| {
+            b.iter(|| {
+                let sim = Sim::new();
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let s = sim.clone();
+                        sim.spawn(move || s.sleep(Duration::from_millis(1)))
+                    })
+                    .collect();
+                let joined = handles.into_iter().map(|h| h.join()).count();
+                assert_eq!(joined, threads, "every thread of the world joined");
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache,
     bench_sdb,
     bench_wire,
     bench_scan,
-    bench_observer
+    bench_observer,
+    bench_sim
 );
 criterion_main!(benches);

@@ -1,7 +1,11 @@
 //! Stackful coroutines, which simulated threads run as: each on a mapped
 //! stack of its own, all on the OS thread that created their `Sim`. A
 //! hand-off swaps callee-saved registers and the stack pointer, with no
-//! system call. All of the crate's `unsafe` code is in this module.
+//! system call. Finished stacks go to a pool that belongs to the OS
+//! thread, not to a `Sim`: every later world on that thread spawns from
+//! it, so a fresh `Sim` maps no stack its thread already had and a dropped
+//! one unmaps none. The pool is unmapped when the OS thread exits. All of
+//! the crate's `unsafe` code is in this module.
 //!
 //! x86_64 Linux only: the switch is SysV assembly and the stacks come from
 //! `mmap`. An OS-thread fallback would be a second scheduler to keep
@@ -11,6 +15,7 @@
 compile_error!("cloudprov-sim switches stacks with x86_64 SysV assembly on Linux mmap'd stacks");
 
 use std::arch::naked_asm;
+use std::cell::Cell;
 use std::ffi::c_void;
 use std::ptr::{self, NonNull};
 use std::thread::{self, ThreadId};
@@ -35,8 +40,8 @@ extern "C" {
 }
 
 /// Where a coroutine's stack pointer is kept while it is suspended — a
-/// heap cell for the root, the top word of its stack for any other — and
-/// 0 while it runs.
+/// heap cell for the root, the context word under its stack's [`link`]
+/// word for any other — and 0 while it runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Context(NonNull<usize>);
 
@@ -51,19 +56,60 @@ unsafe impl Sync for Context {}
 /// A coroutine's body. It returns its last switch, which `entry` makes.
 pub(crate) type Body = Box<dyn FnOnce() -> Switch>;
 
-/// One Sim's coroutines: the running one, the root, and the stacks of
-/// finished ones, reused by later spawns and unmapped on drop.
+/// One Sim's coroutines: the running one and the root. Their stacks come
+/// from, and go back to, the owner thread's [`Pool`].
 pub(crate) struct Coroutines {
     owner: ThreadId,
     root: Context,
     current: Context,
-    /// Base addresses of `STACK_SIZE` mappings whose lowest page is a guard.
-    free: Vec<usize>,
+}
+
+/// One OS thread's finished stacks, which any `Sim` on that thread spawns
+/// from: `STACK_SIZE` mappings whose lowest page is a guard. A list
+/// threaded through each stack's [`link`] word, so pooling allocates
+/// nothing; its length is the peak number of simulated threads live at
+/// once on the thread.
+struct Pool {
+    /// The base of the last stack pushed, or 0.
+    head: Cell<usize>,
+}
+
+impl Pool {
+    fn pop(&self) -> Option<usize> {
+        let base = self.head.get();
+        if base == 0 {
+            return None;
+        }
+        // SAFETY: a pooled stack's link word, written by `push`, in a top
+        // page that stays mapped and that `entry` never trims.
+        self.head.set(unsafe { link(base).read() });
+        Some(base)
+    }
+
+    fn push(&self, base: usize) {
+        // SAFETY: the link word of a mapped stack whose coroutine has
+        // finished; its last switch writes only the context word below.
+        unsafe { link(base).write(self.head.get()) };
+        self.head.set(base);
+    }
+}
+
+impl Drop for Pool {
+    /// Runs as the OS thread exits; a spawn after it maps (see `spawn`).
+    fn drop(&mut self) {
+        while let Some(base) = self.pop() {
+            // SAFETY: a pooled mapping that no coroutine runs on any more.
+            unsafe { munmap(base as *mut c_void, STACK_SIZE) };
+        }
+    }
 }
 
 thread_local! {
     /// This OS thread's id, read without `thread::current()`'s refcount.
     static THREAD: ThreadId = thread::current().id();
+    /// This OS thread's stack pool. `const`: no lazy initializer; its
+    /// destructor unmaps the pool when the thread exits.
+    static POOL: Pool = const { Pool { head: Cell::new(0) } };
 }
 
 impl Coroutines {
@@ -75,7 +121,6 @@ impl Coroutines {
             owner,
             root,
             current: root,
-            free: Vec::new(),
         }
     }
 
@@ -98,7 +143,9 @@ impl Coroutines {
     /// A suspended coroutine that runs `body` on a pooled stack once
     /// switched to.
     pub(crate) fn spawn(&mut self, body: Body) -> Context {
-        let base = self.free.pop().unwrap_or_else(map_stack);
+        // Past the pool's teardown, as the OS thread exits, a spawn maps.
+        let pooled = POOL.try_with(Pool::pop).ok().flatten();
+        let base = pooled.unwrap_or_else(map_stack);
         let top = (base + STACK_SIZE - 16) as *mut usize;
         let body = Box::into_raw(Box::new(body));
         // What `switch_stacks` pops: control words, r15, r14, r13, r12 (the
@@ -125,19 +172,18 @@ impl Coroutines {
 
     /// Retires the running coroutine, which has finished: its stack goes
     /// back to the pool, and `to` runs once `entry` makes the switch.
+    /// Past the pool's teardown the stack stays mapped: it cannot be
+    /// unmapped while it still runs.
     pub(crate) fn exit(&mut self, to: Context) -> Switch {
         assert!(self.current != self.root, "the root cannot exit");
-        self.free.push(stack_base(self.current));
+        let base = stack_base(self.current);
+        let _ = POOL.try_with(|pool| pool.push(base));
         self.hand_off(to).expect("a finished coroutine was woken")
     }
 }
 
 impl Drop for Coroutines {
     fn drop(&mut self) {
-        for &base in &self.free {
-            // SAFETY: a pooled mapping that no coroutine runs on any more.
-            unsafe { munmap(base as *mut c_void, STACK_SIZE) };
-        }
         // SAFETY: `new` leaked this box; with the Sim gone nothing switches.
         drop(unsafe { Box::from_raw(self.root.0.as_ptr()) });
     }
@@ -165,7 +211,13 @@ fn map_stack() -> usize {
     base as usize
 }
 
-/// The base address of the stack whose top word is `ctx`.
+/// The word above a stack's context word, which holds the next pooled
+/// stack's base while the stack is pooled.
+fn link(base: usize) -> *mut usize {
+    (base + STACK_SIZE - 8) as *mut usize
+}
+
+/// The base address of the stack whose context word is `ctx`.
 fn stack_base(ctx: Context) -> usize {
     ctx.0.as_ptr() as usize + 16 - STACK_SIZE
 }
@@ -181,8 +233,8 @@ impl Switch {
     /// Suspends `from`, the running coroutine, and resumes `to`; returns
     /// when something switches back.
     pub(crate) fn run(self) {
-        // SAFETY: `to` is the root's cell or a stack's top word, alive as
-        // long as the Sim; only this thread touches it (see `Context`).
+        // SAFETY: `to` is the root's cell or a stack's context word, alive
+        // as long as the Sim; only this thread touches it (see `Context`).
         let sp = unsafe { self.to.0.as_ptr().replace(0) };
         assert_ne!(sp, 0, "switch to a coroutine that is not suspended");
         // SAFETY: a nonzero context holds a frame that `switch_stacks`

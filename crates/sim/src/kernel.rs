@@ -137,7 +137,8 @@ pub(crate) struct SimState {
     pub(crate) sems: Vec<SemState>,
     /// Slots in `sems` whose semaphore was dropped, available for reuse.
     pub(crate) free_sems: Vec<usize>,
-    /// The running coroutine, the root's, and the pooled stacks.
+    /// The running coroutine and the root's. Their stacks are pooled per
+    /// OS thread, not per Sim (`coro.rs`).
     coros: Coroutines,
 }
 
