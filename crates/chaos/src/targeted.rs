@@ -245,9 +245,11 @@ pub fn run_aimed(aim: &Aimed) -> AimedOutcome {
             .step_hook(hook.clone())
             .build(&env);
         for i in 0..TXNS {
-            dying.flush_async(FlushBatch {
-                objects: file_with_ancestor(i),
-            });
+            dying
+                .flush(FlushBatch {
+                    objects: file_with_ancestor(i),
+                })
+                .expect("a pipelined flush only enqueues");
             match dying.sync() {
                 Ok(()) => acked += 1,
                 Err(_) => failed += 1,

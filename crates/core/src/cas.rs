@@ -26,9 +26,10 @@
 //!   (name, value) pairs, both idempotent.
 //!
 //! The client's flusher then logs WAL transactions that *reference*
-//! hashes (`CAS` lines) instead of carrying payloads, and a
-//! [`FlushTicket`](crate::FlushTicket) resolves on the delta alone —
-//! see the flush-path walkthrough in `client.rs`.
+//! hashes (`CAS` lines) instead of carrying payloads — see the
+//! flush-path walkthrough in `client.rs`. The canonical text behind the
+//! CAS key is built once per flushed object; the same text gives the
+//! registry's record lines and the flusher's cross-batch dedupe digest.
 //!
 //! **Crash ordering invariant:** a hash is only ever referenced from the
 //! WAL *after* its publish is durable (`CasStore::wait` in the flusher),
@@ -38,12 +39,13 @@
 //! reference to content that does not exist.
 
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{Blob, CloudEnv, Metadata, PutItem};
+use cloudprov_cloud::{Blob, CloudEnv, Fnv1a64, Metadata, PutItem};
 use cloudprov_pass::{wire, PNodeId};
 use cloudprov_sim::SimSemaphore;
 
@@ -124,32 +126,72 @@ pub enum CasFlushItem {
 /// objects encode identically iff persisting either produces the same
 /// cloud state.
 pub fn canonical_encoding(obj: &FlushObject) -> Option<String> {
-    if obj.node.records.len() > CAS_MAX_RECORDS {
-        return None;
-    }
-    let mut text = String::with_capacity(64 + obj.node.records.len() * 48);
-    text.push_str("CASOBJ\t");
-    text.push_str(&obj.node.id.to_string());
-    text.push('\t');
-    text.push_str(obj.key.as_deref().unwrap_or("-"));
-    match &obj.data {
-        Some(d) => {
-            text.push_str(&format!(
-                "\t{:016x}\t{}\n",
-                d.content_fingerprint(),
-                d.len()
-            ));
+    let canonical = Canonical::of(obj);
+    canonical.eligible.then_some(canonical.text)
+}
+
+/// One flushed object's canonical text ([`canonical_encoding`]'s
+/// format: a `CASOBJ` header line, then one wire-encoded line per
+/// record), built once per object at staging. It is the object's one
+/// content identity: its SHA-256 is the CAS key, its record lines are
+/// what the registry stores, and its FNV-1a is the flusher's
+/// cross-batch dedupe digest — ineligible objects included.
+pub(crate) struct Canonical {
+    text: String,
+    /// Byte offset of the first record line (the header's length).
+    records_at: usize,
+    /// Whether the CAS may carry the object: at most
+    /// [`CAS_MAX_RECORDS`] records, no line over `CAS_MAX_LINE`.
+    eligible: bool,
+}
+
+impl Canonical {
+    pub(crate) fn of(obj: &FlushObject) -> Canonical {
+        let mut text = String::with_capacity(64 + obj.node.records.len() * 48);
+        text.push_str("CASOBJ\t");
+        text.push_str(&obj.node.id.to_string());
+        text.push('\t');
+        text.push_str(obj.key.as_deref().unwrap_or("-"));
+        match &obj.data {
+            Some(d) => {
+                text.push_str(&format!(
+                    "\t{:016x}\t{}\n",
+                    d.content_fingerprint(),
+                    d.len()
+                ));
+            }
+            None => text.push_str("\t-\t-\n"),
         }
-        None => text.push_str("\t-\t-\n"),
-    }
-    for r in &obj.node.records {
-        let line = wire::encode_record(r);
-        if line.len() > CAS_MAX_LINE {
-            return None;
+        let records_at = text.len();
+        let mut eligible = obj.node.records.len() <= CAS_MAX_RECORDS;
+        for r in &obj.node.records {
+            let line = wire::encode_record(r);
+            eligible &= line.len() <= CAS_MAX_LINE;
+            text.push_str(&line);
         }
-        text.push_str(&line);
+        Canonical {
+            text,
+            records_at,
+            eligible,
+        }
     }
-    Some(text)
+
+    /// FNV-1a of the text: equal digests mean (up to collision) that
+    /// persisting either object produces the same cloud state.
+    pub(crate) fn digest(&self) -> u64 {
+        let mut h = Fnv1a64::default();
+        h.write(self.text.as_bytes());
+        h.finish()
+    }
+
+    /// The record lines, newline and trailing whitespace trimmed. Wire
+    /// encoding escapes every newline inside a record, so each record is
+    /// exactly one line.
+    fn record_lines(&self) -> impl Iterator<Item = &str> {
+        self.text[self.records_at..]
+            .split_terminator('\n')
+            .map(str::trim_end)
+    }
 }
 
 /// Publication state of one hash within a client.
@@ -175,7 +217,7 @@ struct CasCounters {
 
 /// A publish unit produced by [`CasStore::stage`]: the content to make
 /// durable under `sha`, executed by a background publisher.
-pub struct CasPublish {
+pub(crate) struct CasPublish {
     sha: String,
     id: PNodeId,
     key: Option<String>,
@@ -221,14 +263,21 @@ impl CasStore {
         }
     }
 
-    /// Stages one flush object: computes its CAS key and returns the WAL
-    /// reference, plus a publish unit iff this client has not seen the
-    /// hash before (first stager publishes; repeats ride the same
-    /// in-flight state). `None` for CAS-ineligible objects — they take
-    /// the delta path.
-    pub fn stage(&self, obj: &FlushObject) -> Option<(CasRef, Option<CasPublish>)> {
-        let encoding = canonical_encoding(obj)?;
-        let sha = sha256_hex(encoding.as_bytes());
+    /// Stages one flush object by its canonical text: returns the WAL
+    /// reference, plus a publish unit iff this client has no durable or
+    /// in-flight publish of the hash (first stager publishes; repeats
+    /// ride the same in-flight state; a failed publish is retried by the
+    /// next stager). `None` for CAS-ineligible objects — they take the
+    /// delta path.
+    pub(crate) fn stage(
+        &self,
+        obj: &FlushObject,
+        canonical: &Canonical,
+    ) -> Option<(CasRef, Option<CasPublish>)> {
+        if !canonical.eligible {
+            return None;
+        }
+        let sha = sha256_hex(canonical.text.as_bytes());
         let cas_ref = CasRef {
             sha: sha.clone(),
             id: obj.node.id,
@@ -237,14 +286,15 @@ impl CasStore {
         };
         let fresh = {
             let mut st = self.state.lock();
-            if st.contains_key(&sha) {
-                false
-            } else {
-                st.insert(
-                    sha.clone(),
-                    CasState::InFlight(SimSemaphore::new(self.env.sim(), 0)),
-                );
-                true
+            match st.get(&sha) {
+                Some(CasState::InFlight(_) | CasState::Durable) => false,
+                None | Some(CasState::Failed(_)) => {
+                    st.insert(
+                        sha.clone(),
+                        CasState::InFlight(SimSemaphore::new(self.env.sim(), 0)),
+                    );
+                    true
+                }
             }
         };
         let publish = fresh.then(|| CasPublish {
@@ -252,12 +302,7 @@ impl CasStore {
             id: obj.node.id,
             key: obj.key.clone(),
             data: obj.data.clone(),
-            records: obj
-                .node
-                .records
-                .iter()
-                .map(|r| wire::encode_record(r).trim_end().to_string())
-                .collect(),
+            records: canonical.record_lines().map(str::to_string).collect(),
         });
         Some((cas_ref, publish))
     }
@@ -266,7 +311,7 @@ impl CasStore {
     /// the data object (if any) strictly before the registry put — the
     /// commit point. Never returns an error; the outcome lands in the
     /// hash's state and [`CasStore::wait`] reports it to the flusher.
-    pub fn publish(&self, unit: CasPublish) {
+    pub(crate) fn publish(&self, unit: CasPublish) {
         let sha = unit.sha.clone();
         // Trace: one `cas:publish` root span per publish unit. CAS
         // content is shared fleet-wide, so the span roots its own trace
@@ -521,6 +566,10 @@ mod tests {
     use cloudprov_pass::{Attr, FlushNode, NodeKind, ProvenanceRecord, Uuid};
     use cloudprov_sim::Sim;
 
+    fn stage(store: &CasStore, o: &FlushObject) -> Option<(CasRef, Option<CasPublish>)> {
+        store.stage(o, &Canonical::of(o))
+    }
+
     fn obj(uuid: u128, data: &str) -> FlushObject {
         let id = PNodeId::initial(Uuid(uuid));
         let blob = Blob::from(data);
@@ -604,13 +653,13 @@ mod tests {
         let store_a = CasStore::new(&env, ProtocolConfig::default());
         let store_b = CasStore::new(&env, ProtocolConfig::default());
         let o = obj(5, "payload");
-        let (r, publish) = store_a.stage(&o).unwrap();
+        let (r, publish) = stage(&store_a, &o).unwrap();
         store_a.publish(publish.unwrap());
         store_a.wait(&r.sha).unwrap();
         assert_eq!(store_a.counters(), (1, 0, 1));
         // A second client staging identical content probes, hits, and
         // uploads nothing.
-        let (r2, publish2) = store_b.stage(&o).unwrap();
+        let (r2, publish2) = stage(&store_b, &o).unwrap();
         assert_eq!(r2.sha, r.sha);
         store_b.publish(publish2.unwrap());
         store_b.wait(&r2.sha).unwrap();
@@ -637,9 +686,9 @@ mod tests {
         let env = CloudEnv::new(&sim, AwsProfile::instant());
         let store = CasStore::new(&env, ProtocolConfig::default());
         let o = obj(6, "x");
-        let (_, first) = store.stage(&o).unwrap();
+        let (_, first) = stage(&store, &o).unwrap();
         assert!(first.is_some());
-        let (_, second) = store.stage(&o).unwrap();
+        let (_, second) = stage(&store, &o).unwrap();
         assert!(second.is_none(), "second staging rides the first publish");
     }
 
@@ -653,7 +702,7 @@ mod tests {
         };
         let store = CasStore::new(&env, config);
         let o = obj(7, "x");
-        let (r, publish) = store.stage(&o).unwrap();
+        let (r, publish) = stage(&store, &o).unwrap();
         store.publish(publish.unwrap());
         assert!(matches!(
             store.wait(&r.sha),
@@ -667,5 +716,51 @@ mod tests {
             .sdb()
             .peek_item(&cas_domain("provenance"), &r.sha)
             .is_none());
+    }
+
+    #[test]
+    fn a_failed_publish_is_retried_by_the_next_staging() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        // Only the first registry put crashes.
+        let crashed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let config = ProtocolConfig {
+            step_hook: Some(Arc::new(move |step: &str| {
+                step != "client:cas:register" || crashed.swap(true, Ordering::Relaxed)
+            })),
+            ..ProtocolConfig::default()
+        };
+        let store = CasStore::new(&env, config);
+        let o = obj(8, "x");
+        let (r, publish) = stage(&store, &o).unwrap();
+        store.publish(publish.unwrap());
+        assert!(store.wait(&r.sha).is_err());
+        let (r2, retry) = stage(&store, &o).unwrap();
+        assert_eq!(r2, r);
+        store.publish(retry.expect("a failed hash stages as fresh"));
+        store.wait(&r.sha).unwrap();
+        assert!(env
+            .sdb()
+            .peek_item(&cas_domain("provenance"), &r.sha)
+            .is_some());
+    }
+
+    #[test]
+    fn record_lines_are_the_trimmed_wire_lines() {
+        let mut o = obj(9, "x");
+        let id = o.node.id;
+        o.node
+            .records
+            .push(ProvenanceRecord::new(id, Attr::Env, "trailing space \n "));
+        let canonical = Canonical::of(&o);
+        let lines: Vec<&str> = canonical.record_lines().collect();
+        let expected: Vec<String> = o
+            .node
+            .records
+            .iter()
+            .map(|r| wire::encode_record(r).trim_end().to_string())
+            .collect();
+        assert_eq!(lines, expected);
+        assert_eq!(canonical_encoding(&o), Some(canonical.text.clone()));
     }
 }

@@ -7,16 +7,15 @@
 //!
 //! * the protocol, behind [`StorageProtocol`] — so the client drops into
 //!   every consumer (`PaS3fs`, the trace driver, the query engine);
-//! * P3's commit daemon — [`ProvenanceClient::drain`] runs it to
-//!   quiescence;
-//! * optionally the **non-blocking pipelined flush path**:
-//!   [`ProvenanceClient::flush_async`] enqueues the batch and returns a
-//!   [`FlushTicket`] immediately; a background flusher thread on the
-//!   [`Sim`] coalesces queued batches, drops ancestors already persisted
-//!   in an earlier batch, and uploads each merged batch through the
-//!   protocol's parallel upload path. In this mode `flush` becomes an
-//!   enqueue, and [`ProvenanceClient::sync`] / `drain` are the barriers
-//!   the crash experiments need;
+//! * P3's commit daemon, built on first use —
+//!   [`ProvenanceClient::drain`] runs it to quiescence;
+//! * optionally the **non-blocking pipelined flush path**: `flush`
+//!   stages the batch, waits out admission and enqueues it; a background
+//!   flusher thread on the [`Sim`] coalesces queued batches, drops
+//!   objects already persisted in an earlier batch, and uploads each
+//!   merged batch through the protocol's parallel upload path.
+//!   [`ProvenanceClient::sync`] / `drain` are the only durability
+//!   barriers;
 //! * one error type ([`ClientError`](crate::ClientError)) at the facade
 //!   boundary.
 //!
@@ -44,17 +43,16 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{CloudEnv, Fnv1a64};
+use cloudprov_cloud::CloudEnv;
 use cloudprov_pass::PNodeId;
 use cloudprov_sim::{Sim, SimSemaphore, SimTime};
 
-use crate::cas::{CasFlushItem, CasRef, CasStore};
+use crate::cas::{Canonical, CasFlushItem, CasRef, CasStore};
 use crate::cleaner::CleanerDaemon;
 use crate::error::{ClientError, ClientResult, ProtocolError, Result};
 use crate::p3::{CommitDaemon, P3};
@@ -117,8 +115,8 @@ impl std::str::FromStr for Protocol {
     }
 }
 
-/// Admission gate for client-side backpressure: `flush` / `flush_async`
-/// block (in virtual time) while the gate returns `false`. The fleet
+/// Admission gate for client-side backpressure: `flush` blocks (in
+/// virtual time) while the gate returns `false`. The fleet
 /// wires this to a bounded per-shard WAL depth, so clients sharing an
 /// overloaded shard throttle instead of growing the queue without bound.
 pub type AdmissionGate = Arc<dyn Fn() -> bool + Send + Sync>;
@@ -127,10 +125,10 @@ pub type AdmissionGate = Arc<dyn Fn() -> bool + Send + Sync>;
 #[derive(Clone)]
 struct Admission {
     gate: AdmissionGate,
-    /// Re-check interval while the gate is closed (the lost-wakeup
-    /// fallback when a bell is installed).
+    /// Re-check interval while the gate is closed: the fallback when a
+    /// ring is lost or the bell is never rung.
     poll: Duration,
-    bell: Option<SimSemaphore>,
+    bell: SimSemaphore,
 }
 
 /// Typed builder for [`ProvenanceClient`] — the only supported way to
@@ -204,20 +202,14 @@ impl ClientBuilder {
         self
     }
 
-    /// Installs client-side backpressure: `flush`/`flush_async` proceed
-    /// only once `gate` admits, re-checking it on the *submitting*
-    /// thread before the batch enters the pipeline. With a `bell` the
-    /// throttled client parks on it and re-checks whenever it rings —
-    /// the fleet rings it when the commit daemon acknowledges WAL
-    /// messages on the client's shard — and `poll` is only the lost-
-    /// wakeup fallback (a lost ring degrades to polling, never a stuck
-    /// client); without one, `poll` is the re-check cadence.
-    pub fn admission(
-        mut self,
-        gate: AdmissionGate,
-        poll: Duration,
-        bell: Option<SimSemaphore>,
-    ) -> Self {
+    /// Installs client-side backpressure: `flush` proceeds only once
+    /// `gate` admits, re-checking it on the *submitting* thread before
+    /// the batch enters the pipeline. The throttled client parks on
+    /// `bell` and re-checks whenever it rings — the fleet rings it when
+    /// the commit daemon acknowledges WAL messages on the client's shard
+    /// — or after `poll` at the latest, so a lost ring (or a bell nobody
+    /// rings) degrades to polling, never a stuck client.
+    pub fn admission(mut self, gate: AdmissionGate, poll: Duration, bell: SimSemaphore) -> Self {
         self.admission = Some(Admission {
             gate,
             poll: poll.max(Duration::from_millis(1)),
@@ -258,7 +250,6 @@ impl ClientBuilder {
                 Arc::new(p3)
             }
         };
-        let daemon = p3_handle.as_ref().map(|p3| Arc::new(p3.commit_daemon()));
         let pipeline = pipelined
             .then(|| Pipeline::start(env, inner.clone(), p3_handle.clone(), config.clone()));
         ProvenanceClient {
@@ -266,7 +257,7 @@ impl ClientBuilder {
             protocol,
             config,
             inner,
-            daemon,
+            daemon: OnceLock::new(),
             p3: p3_handle,
             pipeline,
             admission,
@@ -281,7 +272,9 @@ pub struct ProvenanceClient {
     protocol: Protocol,
     config: ProtocolConfig,
     inner: Arc<dyn StorageProtocol>,
-    daemon: Option<Arc<CommitDaemon>>,
+    /// P3's commit daemon, built on first use: a fleet session, whose
+    /// WAL the fleet's daemon pool commits, never builds one.
+    daemon: OnceLock<Arc<CommitDaemon>>,
     /// Concrete P3 handle (shares state with `inner`), for P3-only
     /// instrumentation like the logged-transaction timestamps.
     p3: Option<P3>,
@@ -332,12 +325,14 @@ impl ProvenanceClient {
         &self.inner
     }
 
-    /// P3's commit daemon (None for other protocols). Drive it manually
-    /// with [`CommitDaemon::poll_once`]/[`CommitDaemon::run_until_idle`]
-    /// or spawn it in the background; [`ProvenanceClient::drain`] runs
-    /// it to quiescence either way.
+    /// P3's commit daemon (None for other protocols), built on the first
+    /// call; every call returns the same one. Drive it manually with
+    /// [`CommitDaemon::poll_once`]/[`CommitDaemon::run_until_idle`] or
+    /// spawn it in the background; [`ProvenanceClient::drain`] runs it
+    /// to quiescence either way.
     pub fn commit_daemon(&self) -> Option<&Arc<CommitDaemon>> {
-        self.daemon.as_ref()
+        let p3 = self.p3.as_ref()?;
+        Some(self.daemon.get_or_init(|| Arc::new(p3.commit_daemon())))
     }
 
     /// Builds a P3 cleaner daemon reaping orphaned temp objects (None
@@ -365,52 +360,21 @@ impl ProvenanceClient {
     }
 
     /// Blocks (in virtual time) until the admission gate, if any, admits
-    /// a new batch — the fleet's per-shard backpressure point. With a
-    /// doorbell installed the wait parks on it (waking as soon as the
-    /// daemon drains the shard) and the poll interval is only the lost-
-    /// wakeup fallback. Returns how long admission blocked.
+    /// a new batch — the fleet's per-shard backpressure point. The wait
+    /// parks on the doorbell (waking as soon as the daemon drains the
+    /// shard) for at most the poll interval at a time. Returns how long
+    /// admission blocked.
     fn admit(&self) -> Duration {
         let Some(Admission { gate, poll, bell }) = &self.admission else {
             return Duration::ZERO;
         };
         let start = self.env.sim().now();
         while !gate() {
-            match bell {
-                Some(bell) => {
-                    if let Some(permit) = bell.acquire_timeout(*poll) {
-                        permit.forget();
-                    }
-                }
-                None => self.env.sim().sleep(*poll),
+            if let Some(permit) = bell.acquire_timeout(*poll) {
+                permit.forget();
             }
         }
         self.env.sim().now().saturating_duration_since(start)
-    }
-
-    /// Enqueues a batch on the background flusher and returns a ticket
-    /// that resolves when the batch's **delta** is durable: objects the
-    /// content-addressed store covers ride speculative background
-    /// publishes the ticket does not wait for (an all-eligible batch
-    /// resolves at submit), and [`ProvenanceClient::sync`] is the full
-    /// durability barrier. On a blocking-mode client this degenerates to
-    /// an inline flush returning a resolved ticket, so call sites can be
-    /// mode-agnostic.
-    ///
-    /// With a [`ClientBuilder::admission`] gate installed, the call
-    /// blocks until the gate admits — after CAS staging, so ancestor
-    /// publishes overlap the throttle wait.
-    pub fn flush_async(&self, batch: FlushBatch) -> FlushTicket {
-        match &self.pipeline {
-            Some(p) => {
-                let refs = p.stage(&batch);
-                let admission = self.admit();
-                p.submit(batch, refs, admission)
-            }
-            None => {
-                self.admit();
-                FlushTicket::resolved(&self.env, self.inner.flush(batch))
-            }
-        }
     }
 
     /// One [`FlushSample`] per batch whose merged upload succeeded so far
@@ -449,7 +413,7 @@ impl ProvenanceClient {
     /// Pipeline errors first, then commit-daemon errors.
     pub fn drain(&self) -> ClientResult<()> {
         self.sync()?;
-        if let Some(d) = &self.daemon {
+        if let Some(d) = self.commit_daemon() {
             d.run_until_idle().map_err(ClientError::from)?;
         }
         Ok(())
@@ -466,17 +430,20 @@ impl StorageProtocol for ProvenanceClient {
         self.inner.name()
     }
 
-    /// Blocking mode: delegates to the protocol and returns when the
-    /// batch is durable. Pipelined mode: enqueues and returns
-    /// immediately — errors surface at the next barrier or ticket wait.
-    /// Either way an installed admission gate is waited out first.
+    /// Blocking mode: waits out admission, then delegates to the
+    /// protocol and returns when the batch is durable. Pipelined mode:
+    /// stages the batch (CAS publishes start here, so they overlap the
+    /// admission wait), waits out admission, enqueues and returns `Ok` —
+    /// errors surface at the next `sync`/`drain`.
     fn flush(&self, batch: FlushBatch) -> Result<()> {
-        if self.pipeline.is_some() {
-            self.flush_async(batch);
-            return Ok(());
-        }
-        self.admit();
-        self.inner.flush(batch)
+        let Some(p) = &self.pipeline else {
+            self.admit();
+            return self.inner.flush(batch);
+        };
+        let staged = p.stage(&batch);
+        let admission = self.admit();
+        p.submit(batch, staged, admission);
+        Ok(())
     }
 
     fn read(&self, key: &str) -> Result<ReadResult> {
@@ -518,7 +485,7 @@ impl Drop for ProvenanceClient {
 /// Counters exposed by [`ProvenanceClient::pipeline_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Batches enqueued via `flush_async`/`flush`.
+    /// Batches enqueued via `flush`.
     pub submitted: u64,
     /// Batches durably persisted (or failed).
     pub completed: u64,
@@ -542,11 +509,10 @@ pub struct PipelineStats {
 
 /// One flush's latency split, reported by
 /// [`ProvenanceClient::flush_breakdown`] and sampled once per batch, by
-/// the flusher, when the merged upload the batch rode in is durable —
-/// whatever moment the batch's [`FlushTicket`] resolved. `total` =
-/// `queued` + `upload`; `admission` is the backpressure wait *before*
-/// enqueue and is deliberately not part of `total` (the fleet reports it
-/// as its own column).
+/// the flusher, when the merged upload the batch rode in is durable.
+/// `total` = `queued` + `upload`; `admission` is the backpressure wait
+/// *before* enqueue and is deliberately not part of `total` (the fleet
+/// reports it as its own column).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushSample {
     /// Enqueue → the batch's merged upload durable (for P3: its WAL
@@ -561,127 +527,31 @@ pub struct FlushSample {
     pub upload: Duration,
 }
 
-/// Handle to one asynchronous flush. A ticket for a batch carrying
-/// inline objects resolves when the merged upload it rode in is durable
-/// (or failed). A ticket for a fully CAS-routed batch resolves `Ok` at
-/// submit and promises **nothing** about durability: the content
-/// publishes and the WAL delta are still in flight, and their failure
-/// surfaces only at [`ProvenanceClient::sync`] / `drain`, which stay the
-/// durability barrier.
-#[derive(Debug)]
-pub struct FlushTicket {
-    state: Arc<TicketState>,
-}
-
-impl FlushTicket {
-    fn resolved(env: &CloudEnv, result: Result<()>) -> FlushTicket {
-        FlushTicket {
-            state: Arc::new(TicketState {
-                sim: env.sim().clone(),
-                sem: Mutex::new(None),
-                result: Mutex::new(Some(result)),
-            }),
-        }
-    }
-
-    /// True once the ticket has resolved: the batch is durable or failed
-    /// — or it was fully CAS-routed and settled at submit (see the type
-    /// docs: durable only after `sync`).
-    pub fn is_done(&self) -> bool {
-        self.state.result.lock().is_some()
-    }
-
-    /// Blocks (in virtual time) until the ticket resolves.
-    ///
-    /// # Errors
-    ///
-    /// The error of the merged upload this batch rode in, if it failed.
-    pub fn wait(&self) -> ClientResult<()> {
-        if let Some(done) = self.state.result.lock().clone() {
-            return done.map_err(ClientError::from);
-        }
-        // Unresolved: park on the ticket's (lazily created — most
-        // tickets are never waited on) semaphore. The permit is
-        // returned on drop, so repeated and concurrent waits all pass
-        // once the ticket resolves.
-        let sem = self
-            .state
-            .sem
-            .lock()
-            .get_or_insert_with(|| SimSemaphore::new(&self.state.sim, 0))
-            .clone();
-        let _permit = sem.acquire();
-        self.state
-            .result
-            .lock()
-            .clone()
-            .expect("ticket resolved without a result")
-            .map_err(ClientError::from)
-    }
-}
-
-#[derive(Debug)]
-struct TicketState {
-    sim: Sim,
-    /// Created on the first `wait`; absent for fire-and-forget tickets.
-    sem: Mutex<Option<SimSemaphore>>,
-    result: Mutex<Option<Result<()>>>,
-}
-
-impl TicketState {
-    /// First resolution wins: a ticket settled at submit (fully
-    /// CAS-routed batch) keeps its `Ok` when the flusher later resolves
-    /// the whole merge — flusher errors for such batches surface at the
-    /// `sync`/`drain` barrier instead.
-    fn resolve(&self, result: Result<()>) {
-        {
-            let mut slot = self.result.lock();
-            if slot.is_some() {
-                return;
-            }
-            *slot = Some(result);
-        }
-        if let Some(sem) = self.sem.lock().as_ref() {
-            sem.release();
-        }
-    }
+/// What staging learned about one flushed object, aligned with
+/// `batch.objects`.
+struct Staged {
+    /// FNV-1a of the object's canonical text: two objects with equal
+    /// digests persist identical state, so the second is safe to drop; a
+    /// node re-flushed with *new* pending records digests differently
+    /// and is kept.
+    digest: u64,
+    /// CAS routing: `Some` rides the content-addressed store, `None`
+    /// uploads inline.
+    cas: Option<CasRef>,
 }
 
 struct Job {
     batch: FlushBatch,
-    /// Per-object CAS routing decided at submit, aligned with
-    /// `batch.objects`: `Some` rides the content-addressed store, `None`
-    /// takes the legacy inline-upload path.
-    refs: Vec<Option<CasRef>>,
-    ticket: Arc<TicketState>,
+    staged: Vec<Staged>,
     /// Virtual instant the batch was enqueued, for flush→durable latency.
     submitted_at: SimTime,
     /// How long the admission gate blocked before enqueue.
     admission: Duration,
 }
 
-/// Content digest of one flush object: node id, pending records, data.
-/// Two objects with equal digests persist identical state, so the
-/// second is safe to drop; a node re-flushed with *new* pending records
-/// digests differently and is kept.
-fn object_digest(obj: &crate::FlushObject) -> u64 {
-    let mut h = Fnv1a64::default();
-    for r in &obj.node.records {
-        h.write(cloudprov_pass::wire::encode_record(r).as_bytes());
-    }
-    if let Some(key) = &obj.key {
-        h.write(key.as_bytes());
-    }
-    if let Some(data) = &obj.data {
-        h.write(&data.content_fingerprint().to_le_bytes());
-        h.write(&data.len().to_le_bytes());
-    }
-    h.finish()
-}
-
-/// Cap on the barrier error buffer: a client driven purely through
-/// `FlushTicket::wait` (never `sync`/`drain`) must not accumulate one
-/// error per failed merge forever.
+/// Cap on the barrier error buffer: a client that never calls
+/// `sync`/`drain` must not accumulate one error per failed merge
+/// forever.
 const ERROR_CAP: usize = 256;
 
 /// Cap on the per-client flush→durable latency samples kept for the
@@ -713,8 +583,7 @@ struct PipelineState {
     /// target `T` *reports* an error iff `start < T` and *retires* it
     /// iff `end <= T`, so every overlapping barrier observes the
     /// failure (merges can span work from several threads). Bounded to
-    /// [`ERROR_CAP`] entries (tickets carry per-batch errors anyway;
-    /// this buffer only feeds barriers).
+    /// [`ERROR_CAP`] entries.
     errors: VecDeque<(u64, u64, ProtocolError)>,
     /// Barrier waiters: woken when `completed` reaches their target.
     waiters: Vec<(u64, SimSemaphore)>,
@@ -785,12 +654,12 @@ impl PipelineState {
 /// stay ahead of their descendants because `flush_closure` emits them
 /// first and earlier closes enqueue first).
 ///
-/// On a P3 client with the content-addressed store enabled, `stage`
-/// fingerprints each object at submit and kicks off speculative
-/// background publishes; the flusher then ships CAS *references* for
-/// covered objects (waiting out their publishes first, so the WAL never
-/// names a hash that is not durable) and inline uploads only for the
-/// rest.
+/// `stage` encodes each object once, at submit, into its canonical text,
+/// which yields the flusher's dedupe digest and, on a P3 client, the CAS
+/// key; first-seen content starts a speculative background publish. The
+/// flusher then ships CAS *references* for covered objects (waiting out
+/// their publishes first, so the WAL never names a hash that is not
+/// durable) and inline uploads only for the rest.
 #[derive(Clone)]
 struct Pipeline {
     sim: Sim,
@@ -864,7 +733,7 @@ impl Pipeline {
                         pending.push_front(job);
                         break;
                     }
-                    for (obj, cref) in job.batch.objects.iter().zip(&job.refs) {
+                    for (obj, staged) in job.batch.objects.iter().zip(&job.staged) {
                         if let Some(k) = &obj.key {
                             merged_keys.insert(k.clone(), obj.node.id);
                         }
@@ -872,7 +741,7 @@ impl Pipeline {
                         // batch (or an earlier object in this merge)
                         // already persisted; first occurrence keeps the
                         // ancestors-first position.
-                        let digest = object_digest(obj);
+                        let digest = staged.digest;
                         let dup = st.persisted.get(&obj.node.id).map(|(d, _)| d) == Some(&digest)
                             || seen.get(&obj.node.id).map(|(d, _)| d) == Some(&digest);
                         if dup {
@@ -885,7 +754,7 @@ impl Pipeline {
                         // rest ship inline, in the same interleaved
                         // order so last-for-key election at the daemon
                         // still sees the newest version last.
-                        match cref {
+                        match &staged.cas {
                             Some(r) => {
                                 wait_shas.push(r.sha.clone());
                                 entries.push(CasFlushItem::Ref(r.clone()));
@@ -916,7 +785,7 @@ impl Pipeline {
             // transaction and every protocol would bill a wasted op).
             // The crash point models the background flusher dying with
             // batches still queued: the merge is lost, the error
-            // surfaces at the next barrier or ticket wait.
+            // surfaces at the next barrier.
             let result = if entries.is_empty() {
                 Ok(())
             } else {
@@ -983,36 +852,34 @@ impl Pipeline {
                 }
                 !reached
             });
-            drop(st);
-            for job in jobs {
-                // Idempotent: a ticket settled at submit keeps its Ok.
-                job.ticket.resolve(result.clone());
-            }
         }
     }
 
-    /// Routes each object of `batch` through the content-addressed
-    /// store: returns one `Option<CasRef>` per object (in order) and
-    /// kicks off speculative background publishes for first-seen
-    /// content. Runs on the submitting thread *before* admission, so
-    /// publishes overlap the backpressure wait; costs no virtual time
-    /// itself.
-    fn stage(&self, batch: &FlushBatch) -> Vec<Option<CasRef>> {
-        let Some((_, cas)) = &self.cas else {
-            return vec![None; batch.objects.len()];
-        };
-        let mut refs = Vec::with_capacity(batch.objects.len());
+    /// Stages each object of `batch`: builds its canonical text once,
+    /// takes the dedupe digest from it and, on a CAS-routed client, its
+    /// CAS reference, kicking off speculative background publishes for
+    /// first-seen content. Runs on the submitting thread *before*
+    /// admission, so publishes overlap the backpressure wait; costs no
+    /// virtual time itself.
+    fn stage(&self, batch: &FlushBatch) -> Vec<Staged> {
         let mut publishes = Vec::new();
-        for obj in &batch.objects {
-            match cas.stage(obj) {
-                Some((r, publish)) => {
-                    refs.push(Some(r));
+        let staged = batch
+            .objects
+            .iter()
+            .map(|obj| {
+                let canonical = Canonical::of(obj);
+                let cas = self.cas.as_ref().and_then(|(_, cas)| {
+                    let (r, publish) = cas.stage(obj, &canonical)?;
                     publishes.extend(publish);
+                    Some(r)
+                });
+                Staged {
+                    digest: canonical.digest(),
+                    cas,
                 }
-                None => refs.push(None),
-            }
-        }
-        if !publishes.is_empty() {
+            })
+            .collect();
+        if let Some((_, cas)) = self.cas.as_ref().filter(|_| !publishes.is_empty()) {
             let cas = cas.clone();
             let sim = self.sim.clone();
             let concurrency = self.config.upload_concurrency;
@@ -1029,41 +896,21 @@ impl Pipeline {
                 sim.run_parallel(concurrency, tasks);
             });
         }
-        refs
+        staged
     }
 
-    fn submit(
-        &self,
-        batch: FlushBatch,
-        refs: Vec<Option<CasRef>>,
-        admission: Duration,
-    ) -> FlushTicket {
-        // A fully CAS-routed batch is already content-durable or riding
-        // in-flight publishes the flusher will fence on: its ticket
-        // settles now (the delta it would wait for is empty) and `sync`
-        // remains the barrier that surfaces any publish failure.
-        let early = refs.iter().all(Option::is_some);
-        let ticket = Arc::new(TicketState {
-            sim: self.sim.clone(),
-            sem: Mutex::new(None),
-            result: Mutex::new(None),
-        });
+    fn submit(&self, batch: FlushBatch, staged: Vec<Staged>, admission: Duration) {
         {
             let mut st = self.shared.lock();
             st.submitted += 1;
             st.queue.push_back(Job {
                 batch,
-                refs,
-                ticket: ticket.clone(),
+                staged,
                 submitted_at: self.sim.now(),
                 admission,
             });
         }
         self.work.release();
-        if early {
-            ticket.resolve(Ok(()));
-        }
-        FlushTicket { state: ticket }
     }
 
     fn sync(&self) -> ClientResult<()> {
@@ -1220,16 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_async_ticket_resolves_on_blocking_client() {
-        let (_sim, _env, client) = setup(Protocol::P2);
-        let ticket = client.flush_async(FlushBatch {
-            objects: vec![file_obj(2, 1, "f", "x")],
-        });
-        assert!(ticket.is_done());
-        ticket.wait().unwrap();
-    }
-
-    #[test]
     fn pipelined_flush_returns_before_durability() {
         let sim = Sim::new();
         let mut profile = AwsProfile::instant();
@@ -1240,13 +1077,20 @@ mod tests {
             .pipelined()
             .build(&env);
         let t0 = sim.now();
-        let ticket = client.flush_async(FlushBatch {
-            objects: vec![file_obj(3, 1, "f", "x")],
-        });
+        client
+            .flush(FlushBatch {
+                objects: vec![file_obj(3, 1, "f", "x")],
+            })
+            .unwrap();
         assert_eq!(sim.now(), t0, "enqueue must cost no virtual time");
-        ticket.wait().unwrap();
-        assert!(sim.now() > t0, "the upload itself does take time");
+        assert!(env.s3().peek_committed("data", "f").is_none());
+        client.sync().unwrap();
+        let durable = sim.now().saturating_duration_since(t0);
+        assert!(durable > Duration::ZERO, "the upload itself does take time");
         assert!(env.s3().peek_committed("data", "f").is_some());
+        let breakdown = client.flush_breakdown();
+        assert_eq!(breakdown.len(), 1);
+        assert_eq!(breakdown[0].total, durable);
     }
 
     #[test]
@@ -1292,8 +1136,7 @@ mod tests {
     fn cas_covered_flush_settles_at_submit() {
         let sim = Sim::new();
         let mut profile = AwsProfile::instant();
-        // Real cloud latencies: without the content-addressed store the
-        // ticket could not possibly resolve in zero virtual time.
+        // Real cloud latencies, so durability visibly takes time.
         profile.s3.write_base = Duration::from_millis(200);
         profile.sdb.write_base = Duration::from_millis(200);
         profile.sqs.write_base = Duration::from_millis(150);
@@ -1303,13 +1146,13 @@ mod tests {
             .pipelined()
             .build(&env);
         let t0 = sim.now();
-        let ticket = client.flush_async(FlushBatch {
-            objects: vec![file_obj(40, 1, "fast", "payload")],
-        });
-        assert!(ticket.is_done(), "fully CAS-routed batch settles at submit");
+        client
+            .flush(FlushBatch {
+                objects: vec![file_obj(40, 1, "fast", "payload")],
+            })
+            .unwrap();
         assert_eq!(sim.now(), t0, "submit costs no virtual time");
-        ticket.wait().unwrap();
-        // `sync` is the real durability barrier: it waits out the
+        // `sync` is the durability barrier: it waits out the
         // speculative publish and the WAL delta.
         client.sync().unwrap();
         let durable = sim.now().saturating_duration_since(t0);
@@ -1319,7 +1162,7 @@ mod tests {
         );
         let stats = client.pipeline_stats().unwrap();
         assert_eq!(stats.cas_publishes, 1);
-        // The sample measures enqueue -> WAL-durable, not the ticket.
+        // The sample measures enqueue -> WAL-durable.
         let breakdown = client.flush_breakdown();
         assert_eq!(breakdown.len(), 1);
         assert_eq!(breakdown[0].total, durable);
@@ -1638,6 +1481,21 @@ mod tests {
     }
 
     #[test]
+    fn drain_commits_through_the_one_lazily_built_daemon() {
+        let (_sim, _env, client) = setup(Protocol::P3);
+        let daemon = client.commit_daemon().unwrap().clone();
+        assert!(Arc::ptr_eq(&daemon, client.commit_daemon().unwrap()));
+        client
+            .flush(FlushBatch {
+                objects: vec![file_obj(7, 1, "once", "d")],
+            })
+            .unwrap();
+        client.drain().unwrap();
+        assert_eq!(daemon.committed_transactions(), 1);
+        assert!(Arc::ptr_eq(&daemon, client.commit_daemon().unwrap()));
+    }
+
+    #[test]
     fn pipelined_p3_drain_waits_for_log_phase_first() {
         let sim = Sim::new();
         let mut profile = AwsProfile::instant();
@@ -1662,30 +1520,6 @@ mod tests {
             );
         }
         assert_eq!(env.s3().peek_count("data", "tmp/"), 0, "temps cleaned");
-    }
-
-    #[test]
-    fn tickets_resolve_even_when_coalesced() {
-        let sim = Sim::new();
-        let mut profile = AwsProfile::instant();
-        profile.s3.write_base = Duration::from_millis(50);
-        let env = CloudEnv::new(&sim, profile);
-        let client = ProvenanceClient::builder(Protocol::P1)
-            .pipelined()
-            .build(&env);
-        let tickets: Vec<_> = (0..5u128)
-            .map(|i| {
-                client.flush_async(FlushBatch {
-                    objects: vec![file_obj(40 + i, 1, &format!("t{i}"), "d")],
-                })
-            })
-            .collect();
-        for t in &tickets {
-            t.wait().unwrap();
-            assert!(t.is_done());
-        }
-        // Waiting twice is fine.
-        tickets[0].wait().unwrap();
     }
 
     #[test]

@@ -100,6 +100,31 @@ fn event_item_name(stream: &str, seq: u64, txn: Uuid) -> String {
     format!("{EVT_PREFIX}{stream}~{seq:012}~{txn}")
 }
 
+/// `(seq, txn)` of an item [`event_item_name`] named for `stream`;
+/// `None` for any other item (another stream's, a watermark, garbage).
+fn parse_event_item(stream: &str, name: &str) -> Option<(u64, Uuid)> {
+    let rest = name
+        .strip_prefix(EVT_PREFIX)?
+        .strip_prefix(stream)?
+        .strip_prefix('~')?;
+    let (seq, txn) = rest.split_once('~')?;
+    Some((seq.parse().ok()?, txn.parse().ok()?))
+}
+
+/// Item name of `stream`'s watermark.
+fn watermark_item_name(stream: &str) -> String {
+    format!("{WM_PREFIX}{stream}")
+}
+
+/// The sequence a watermark item's attributes carry (0 when absent).
+fn watermark_seq(attrs: &[(String, String)]) -> u64 {
+    attrs
+        .iter()
+        .find(|(k, _)| k == "seq")
+        .and_then(|(_, v)| v.parse().ok())
+        .unwrap_or(0)
+}
+
 /// Extracts the uuids and program names a record set touches — the same
 /// name rules as the ancestry index's program seeds (plain text, within
 /// the attribute limit, not a spill pointer).
@@ -221,13 +246,10 @@ impl FeedWriter {
     fn recover(&self) -> Result<WriterState> {
         let sdb = self.sdb();
         let domain = feed_domain(&self.config.layout.domain);
-        let wm_item = format!("{WM_PREFIX}{}", self.stream);
-        let wm_attrs = retry(self.env.sim(), || sdb.get_attributes(&domain, &wm_item))?;
-        let watermark: u64 = wm_attrs
-            .iter()
-            .find(|(k, _)| k == "seq")
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
+        let wm_item = watermark_item_name(&self.stream);
+        let watermark = watermark_seq(&retry(self.env.sim(), || {
+            sdb.get_attributes(&domain, &wm_item)
+        })?);
         let prefix = format!("{EVT_PREFIX}{}~", self.stream);
         let expr = format!(
             "select * from {domain} where itemName() like {}",
@@ -237,13 +259,7 @@ impl FeedWriter {
         let mut max_seq = watermark;
         let mut pending: Vec<CommitEvent> = Vec::new();
         for item in staged {
-            let Some(rest) = item.name.strip_prefix(&prefix) else {
-                continue;
-            };
-            let Some((seq_txt, txn_txt)) = rest.split_once('~') else {
-                continue;
-            };
-            let (Ok(seq), Ok(txn)) = (seq_txt.parse::<u64>(), txn_txt.parse::<Uuid>()) else {
+            let Some((seq, txn)) = parse_event_item(&self.stream, &item.name) else {
                 continue;
             };
             max_seq = max_seq.max(seq);
@@ -382,7 +398,7 @@ impl FeedWriter {
                 sdb.put_attributes(
                     &domain,
                     PutItem {
-                        name: format!("{WM_PREFIX}{}", self.stream),
+                        name: watermark_item_name(&self.stream),
                         attrs: vec![("seq".into(), high.to_string())],
                         replace: true,
                     },
@@ -445,26 +461,15 @@ impl FeedAudit {
 /// bypass metering and consistency: this is the invariant checker the
 /// chaos explorer and the fleet harness call, not a consumer path.
 pub fn audit_feed(env: &CloudEnv, domain: &str, stream: &str) -> FeedAudit {
-    let prefix = format!("{EVT_PREFIX}{stream}~");
-    let wm_item = format!("{WM_PREFIX}{stream}");
+    let wm_item = watermark_item_name(stream);
     let mut audit = FeedAudit::default();
     let mut seqs: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
     for (name, attrs) in env.sdb().peek_items(&feed_domain(domain)) {
         if name == wm_item {
-            audit.watermark = attrs
-                .iter()
-                .find(|(k, _)| k == "seq")
-                .and_then(|(_, v)| v.parse().ok())
-                .unwrap_or(0);
+            audit.watermark = watermark_seq(&attrs);
             continue;
         }
-        let Some(rest) = name.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some((seq_txt, txn_txt)) = rest.split_once('~') else {
-            continue;
-        };
-        let (Ok(seq), Ok(txn)) = (seq_txt.parse::<u64>(), txn_txt.parse::<Uuid>()) else {
+        let Some((seq, txn)) = parse_event_item(stream, &name) else {
             continue;
         };
         audit.events += 1;
@@ -600,6 +605,26 @@ mod tests {
         // Another stream's slice is empty.
         let b = audit_feed(&env, &config.layout.domain, "wal-b");
         assert_eq!(b, FeedAudit::default());
+    }
+
+    #[test]
+    fn event_item_names_round_trip() {
+        let name = event_item_name("wal-1", 42, Uuid(9));
+        assert_eq!(parse_event_item("wal-1", &name), Some((42, Uuid(9))));
+        // A stream whose name extends this one's, the watermark item and
+        // a truncated name are not this stream's events.
+        assert_eq!(
+            parse_event_item("wal-1", &event_item_name("wal-10", 1, Uuid(9))),
+            None
+        );
+        assert_eq!(
+            parse_event_item("wal-1", &watermark_item_name("wal-1")),
+            None
+        );
+        assert_eq!(parse_event_item("wal-1", "evt_wal-1~000000000042"), None);
+        let attrs = vec![("seq".to_string(), "17".to_string())];
+        assert_eq!(watermark_seq(&attrs), 17);
+        assert_eq!(watermark_seq(&[]), 0);
     }
 
     #[test]

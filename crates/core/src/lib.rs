@@ -86,8 +86,7 @@ pub use cas::{
 };
 pub use cleaner::CleanerDaemon;
 pub use client::{
-    AdmissionGate, ClientBuilder, FlushSample, FlushTicket, PipelineStats, Protocol,
-    ProvenanceClient,
+    AdmissionGate, ClientBuilder, FlushSample, PipelineStats, Protocol, ProvenanceClient,
 };
 pub use error::{ClientError, ClientResult, ProtocolError, Result};
 pub use feed::{

@@ -19,9 +19,8 @@
 //! * [`Fleet::cleaners`] — the §4.3.3 [`CleanerDaemon`] with one
 //!   partition per shard, so a sweep's deletes run M-wide.
 //! * **Backpressure** — [`Fleet::client`] builds pipelined P3 sessions
-//!   whose `flush_async` blocks while their shard's WAL depth exceeds a
-//!   bound, so producers throttle instead of growing queues without
-//!   limit.
+//!   whose `flush` blocks while their shard's WAL depth exceeds a bound,
+//!   so producers throttle instead of growing queues without limit.
 //!
 //! The `cloudprov-workloads` crate drives this plane with hundreds of
 //! simulated clients (`workloads::fleet::run_fleet`), and `repro -- fleet`
@@ -204,24 +203,17 @@ impl Fleet {
     /// clients sharing a shard cannot collide), service calls attributed
     /// to `tenant`, and flushes throttled by the shard's WAL depth.
     ///
-    /// The session's *own* commit daemon is left unused — the
-    /// [`DaemonPool`] commits on every client's behalf — so callers
-    /// use `sync()` (WAL durability barrier), never `drain()`.
+    /// The [`DaemonPool`] commits on every client's behalf, so callers
+    /// use `sync()` (WAL durability barrier), never `drain()`, and the
+    /// session never builds a commit daemon of its own.
     pub fn client(&self, name: &str, tenant: Option<TenantId>) -> ProvenanceClient {
         let shard = self.router.shard_for(name);
         let env = match tenant {
             Some(t) => self.env.for_tenant(t),
             None => self.env.clone(),
         };
-        // Feed publication belongs to the pool's shard daemons; the
-        // session's own (unused) daemon must not provision a feed writer
-        // per client.
-        let client_config = ProtocolConfig {
-            feed: false,
-            ..self.protocol_config.clone()
-        };
         let mut builder = ProvenanceClient::builder(Protocol::P3)
-            .config(client_config)
+            .config(self.protocol_config.clone())
             .queue(ShardRouter::queue_name(shard))
             .wal_identity(name)
             .pipelined();
@@ -233,14 +225,10 @@ impl Fleet {
             // The admission doorbell: the daemon pool's WAL acks
             // (delete / delete_batch on the shard queue) ring it, so a
             // throttled client re-checks the instant capacity frees
-            // instead of sleeping out the poll interval.
+            // instead of sleeping out the poll interval. A bell the queue
+            // failed to register is never rung: the client polls.
             let bell = SimSemaphore::new(self.env.sim(), 0);
-            let bell = self
-                .env
-                .sqs()
-                .watch_drain(&url, bell.clone())
-                .is_ok()
-                .then_some(bell);
+            let _ = self.env.sqs().watch_drain(&url, bell.clone());
             builder = builder.admission(
                 Arc::new(move || admission[idx].try_admit(|| sqs.peek_depth(&url))),
                 self.config.admission_poll,
@@ -260,7 +248,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudprov_cloud::{Actor, AwsProfile, Op, Service};
+    use cloudprov_cloud::{Actor, AwsProfile, FaultPlan, Op, Service};
     use cloudprov_core::{FlushBatch, StorageProtocol};
     use cloudprov_pass::{Attr, FlushNode, NodeKind, PNodeId, ProvenanceRecord, Uuid};
     use cloudprov_sim::Sim;
@@ -437,15 +425,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drain_doorbell_wakes_throttled_client_before_the_poll_interval() {
-        // A client parked at the depth bound must resume as soon as the
-        // daemon acks WAL messages — not a poll interval later. The poll
-        // here is deliberately enormous (10 s) so a pass can only come
-        // from the doorbell.
+    /// Fills a one-shard fleet to its depth bound, parks a second client
+    /// at the gate, acks one WAL message 100 ms later (losing the
+    /// doorbell ring when `drop_rings`), and returns how long the parked
+    /// client's flush + sync took.
+    fn parked_client_blocked_for(poll: Duration, drop_rings: bool) -> Duration {
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let poll = Duration::from_secs(10);
         let bound = 4;
         let fleet = Fleet::provision(
             &env,
@@ -486,16 +472,43 @@ mod tests {
                 sim2.now().saturating_duration_since(t0)
             })
         };
+        if drop_rings {
+            env.faults().set(FaultPlan {
+                notify_drop_probability: 1.0,
+                ..FaultPlan::none()
+            });
+        }
         // Let the client reach the gate and park, then act as the
         // daemon: ack one WAL message, which rings the drain doorbell.
         sim.sleep(Duration::from_millis(100));
         let msgs = env.sqs().receive(&url, 1).unwrap();
         assert_eq!(msgs.len(), 1);
         env.sqs().delete(&url, &msgs[0].receipt).unwrap();
-        let blocked_for = parked.join();
+        parked.join()
+    }
+
+    #[test]
+    fn drain_doorbell_wakes_throttled_client_before_the_poll_interval() {
+        // A client parked at the depth bound must resume as soon as the
+        // daemon acks WAL messages — not a poll interval later. The poll
+        // here is deliberately enormous (10 s) so a pass can only come
+        // from the doorbell.
+        let blocked_for = parked_client_blocked_for(Duration::from_secs(10), false);
         assert!(
             blocked_for < Duration::from_secs(1),
             "doorbell must beat the 10 s poll fallback (blocked {blocked_for:?})"
+        );
+    }
+
+    #[test]
+    fn lost_doorbell_ring_resumes_at_the_next_poll() {
+        // Every ring lost: the parked client re-checks the gate when its
+        // poll runs out, the first one after the ack.
+        let poll = Duration::from_secs(1);
+        let blocked_for = parked_client_blocked_for(poll, true);
+        assert!(
+            blocked_for >= poll && blocked_for < 2 * poll,
+            "a lost ring costs one poll interval (blocked {blocked_for:?})"
         );
     }
 

@@ -443,12 +443,8 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
     // Verification: outlast the consistency window, then read every
     // promised key through a plain blocking session.
     sim.sleep(env.profile().consistency.max_staleness + Duration::from_secs(1));
-    // The verifier only reads; it must not provision feed state.
     let verifier = ProvenanceClient::builder(Protocol::P3)
-        .config(ProtocolConfig {
-            feed: false,
-            ..protocol_config.clone()
-        })
+        .config(protocol_config.clone())
         .queue("fleet-verifier")
         .build(&env);
     let mut missing_durable = 0;

@@ -376,10 +376,7 @@ pub fn run_readserve(params: &ReadServeParams) -> ReadServeReport {
 
     // The read-side store handle (feed state stays the writers').
     let reader = ProvenanceClient::builder(Protocol::P3)
-        .config(ProtocolConfig {
-            feed: false,
-            ..protocol_config.clone()
-        })
+        .config(protocol_config.clone())
         .queue("readserve-reader")
         .build(&env);
     let store = reader.provenance_store().expect("P3 has a store");

@@ -45,7 +45,6 @@ pub use cloudprov_trace as trace;
 pub use cloudprov_workloads as workloads;
 
 pub use cloudprov_core::{
-    ClientBuilder, ClientError, ClientResult, FlushTicket, PipelineStats, Protocol,
-    ProvenanceClient,
+    ClientBuilder, ClientError, ClientResult, PipelineStats, Protocol, ProvenanceClient,
 };
 pub use cloudprov_query::ProvenanceQueries;

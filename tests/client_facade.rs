@@ -1,6 +1,6 @@
 //! API-level integration tests for the `ProvenanceClient` facade: the
 //! same workload runs through every protocol, and the pipelined
-//! `flush_async` + `drain()` path must be *equivalent* to the old
+//! `flush` + `drain()` path must be *equivalent* to the old
 //! blocking `flush` — same cloud state, no dangling ancestors — while
 //! beating it on client-perceived virtual time.
 
@@ -187,7 +187,7 @@ fn facade_exposes_queries_without_leaking_the_store() {
 }
 
 #[test]
-fn tickets_and_sync_expose_pipeline_results() {
+fn sync_exposes_pipeline_results() {
     let sim = Sim::new();
     let env = CloudEnv::new(&sim, AwsProfile::calibrated(RunContext::default()));
     let client = Arc::new(
