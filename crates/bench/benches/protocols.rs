@@ -4,7 +4,8 @@
 //! 10 000 / 100 000 items (`sdb`): two answered from posting lists, one
 //! from an item-name prefix range, and a full first page of `select *`
 //! that hands out stored versions without copying them. None may grow
-//! with size. `cache/install_snapshot` times one miss's install of a
+//! with size. `sdb/parse_in20` parses the CAS registry's SELECT, an
+//! `itemName() in (…)` list of 20 SHA-256 hashes. `cache/install_snapshot` times one miss's install of a
 //! whole 256 / 4096 page snapshot into a cache a third its size, as
 //! read-churn's misses do: it grows with the snapshot, but its cost per
 //! page may not (the figure includes splitting the adjacency into pages,
@@ -28,7 +29,9 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use cloudprov_cloud::{AwsProfile, CloudEnv, PutItem, TenantId, BATCH_LIMIT};
+use cloudprov_cloud::{
+    quote_literal, select, AwsProfile, CloudEnv, PutItem, TenantId, BATCH_LIMIT, SELECT_IN_LIMIT,
+};
 use cloudprov_core::ProvenanceStore;
 use cloudprov_pass::{wire, Attr, Observer, PNodeId, Pid, ProcessInfo, ProvenanceRecord, Uuid};
 use cloudprov_query::source::RevAdjacency;
@@ -200,6 +203,26 @@ fn provenance_domain(sim: &Sim, items: usize) -> CloudEnv {
 fn bench_sdb(c: &mut Criterion) {
     let mut group = c.benchmark_group("sdb");
     group.sample_size(10);
+    // The CAS registry's shape: one probe or fetch of a full IN list of
+    // 20 SHA-256 hashes, parsed (not run) — every such SELECT pays this.
+    let hashes: Vec<String> = (0..SELECT_IN_LIMIT as u128)
+        .map(|i| quote_literal(&format!("{:064x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15))))
+        .collect();
+    let cas = format!(
+        "select * from cas_provenance where itemName() in ({})",
+        hashes.join(", ")
+    );
+    group.bench_function("parse_in20", |b| {
+        b.iter(|| {
+            for _ in 0..SELECT_BATCH {
+                let q = select::parse(black_box(&cas)).expect("query parses");
+                let Some(select::Expr::In { values, .. }) = q.predicate else {
+                    panic!("not an IN list");
+                };
+                assert_eq!(values.len(), SELECT_IN_LIMIT);
+            }
+        })
+    });
     let sim = Sim::new();
     for items in [1000, 10_000, 100_000] {
         let env = provenance_domain(&sim, items);

@@ -686,7 +686,7 @@ fn chaos_table(small: bool, seed_arg: Option<u64>) -> bool {
         )
     });
     println!(
-        "\n('StrndReg'/'StrndDat' count CAS content no acknowledged flush references —\nallowed, re-publishable garbage; the register#8 row is SUPPOSED to strand.\n'Dangl' (dangling ancestor references) and half-logged flushes must be zero.)"
+        "\n('StrndReg'/'StrndDat' count CAS content no acknowledged flush references —\nallowed, re-publishable garbage; the register#4 row is SUPPOSED to strand.\n'Dangl' (dangling ancestor references) and half-logged flushes must be zero.)"
     );
     all_ok
 }

@@ -102,16 +102,15 @@ pub fn aimed_schedules() -> Vec<Aimed> {
         aims.push(aim(Family::Notify, point, 1));
     }
     // Aimed at the fourth of six flushes so survivors bracket the death.
-    // Each flush stages two publish units (an ancestor process, then a
-    // data-carrying file), so the occurrences land: death before the
-    // batch's first registry probe; death between the file's probe and
-    // its data upload; death at the batch's first registry put (the
-    // publish commit point); and death at the *second* registry put —
-    // after one unit fully published, the guaranteed stranded-garbage
-    // shot.
-    let [probe, publish, register] = cas_crash_points();
-    for (point, occurrence) in [(probe, 7), (publish, 4), (register, 7), (register, 8)] {
-        aims.push(aim(Family::Cas, point, occurrence));
+    // Each flush stages one publish batch of two hashes (an ancestor
+    // process, then a data-carrying file): one registry probe, one data
+    // upload (the file's), one registry put. So every point's fourth
+    // crossing lands in the fourth flush: death before the batch's
+    // probe; death between the probe and the file's data upload; and
+    // death at the batch's registry put (the publish commit point) —
+    // after the file's data landed, the guaranteed stranded-garbage shot.
+    for point in cas_crash_points() {
+        aims.push(aim(Family::Cas, point, 4));
     }
     aims
 }
@@ -470,17 +469,17 @@ mod tests {
 
     #[test]
     fn a_death_after_a_completed_publish_strands_garbage_never_a_reference() {
-        // The second register crossing of the dying batch fires only
-        // after the first succeeded, so at least one publish unit of a
-        // never-acknowledged flush is fully durable in the registry.
-        // The design's trade must be visible: that content is stranded
+        // The dying batch's register crossing fires only after its data
+        // upload succeeded, so the file's `cas/` object of a
+        // never-acknowledged flush is durable but unannounced. The
+        // design's trade must be visible: that content is stranded
         // (unreferenced, re-publishable garbage) — and nothing dangles.
-        let o = run_aimed(&nth(Family::Cas, 3));
-        assert_eq!(o.aim.occurrence, 8, "{o:?}");
+        let o = run_aimed(&nth(Family::Cas, 2));
+        assert!(o.aim.step.ends_with(":register"), "{o:?}");
         assert!(o.violations().is_empty(), "{o:#?}");
         assert!(
-            o.stranded_registry + o.stranded_data >= 1,
-            "a completed publish of a dead flush must strand content: {o:#?}"
+            o.stranded_data >= 1,
+            "a completed data upload of a dead flush must strand content: {o:#?}"
         );
         assert_eq!(o.audit.dangling_edges, 0);
         assert_eq!(o.audit.unique_commits, o.acked);

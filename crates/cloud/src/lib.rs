@@ -69,7 +69,8 @@ pub use s3::{
 };
 pub use sdb::{
     quote_like_prefix, quote_literal, Attributes, Database, PutItem, SelectPage, SelectedItem,
-    ATTRIBUTE_LIMIT, BATCH_LIMIT, ITEM_ATTR_LIMIT, SELECT_PAGE_BYTES, SELECT_PAGE_ITEMS,
+    ATTRIBUTE_LIMIT, BATCH_LIMIT, ITEM_ATTR_LIMIT, SELECT_IN_LIMIT, SELECT_PAGE_BYTES,
+    SELECT_PAGE_ITEMS,
 };
 pub use sqs::{
     QueueService, ReceivedMessage, BATCH_ENTRY_LIMIT, DEFAULT_VISIBILITY_TIMEOUT, MESSAGE_LIMIT,

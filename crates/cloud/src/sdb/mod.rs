@@ -8,7 +8,8 @@
 //! Limits reproduced from the 2009 service: attribute names and values at
 //! most 1 KB (P2/P3 spill larger provenance values into S3), at most
 //! 25 items per `BatchPutAttributes`, at most 256 attribute pairs per item,
-//! SELECT responses paginated at 250 items / 1 MB with a next-token.
+//! at most 20 values per SELECT `IN` list, SELECT responses paginated at
+//! 250 items / 1 MB with a next-token.
 //! Reads and SELECTs are eventually consistent.
 
 pub mod select;
@@ -31,6 +32,9 @@ use select::{Expr, Output, Select};
 pub const ATTRIBUTE_LIMIT: usize = 1024;
 /// SimpleDB's limit on items per BatchPutAttributes call.
 pub const BATCH_LIMIT: usize = 25;
+/// SimpleDB's limit on comparisons per SELECT predicate: an `IN` list
+/// holds at most this many values.
+pub const SELECT_IN_LIMIT: usize = 20;
 /// SimpleDB's limit on attribute pairs per item.
 pub const ITEM_ATTR_LIMIT: usize = 256;
 /// Maximum items per SELECT page.
@@ -565,7 +569,8 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// [`CloudError::InvalidQuery`] on syntax errors,
+    /// [`CloudError::InvalidQuery`] on syntax errors and on an `IN` list
+    /// over [`SELECT_IN_LIMIT`] values,
     /// [`CloudError::NoSuchDomain`] for unknown domains.
     pub fn select(&self, expression: &str, next_token: Option<&str>) -> Result<SelectPage> {
         let query: Select = select::parse(expression)?;
@@ -575,9 +580,37 @@ impl Database {
                 .map_err(|_| CloudError::InvalidQuery(format!("bad next token '{t}'")))?,
             None => 0,
         };
+        self.run_select(&query, expression.len() as u64, start)
+    }
+
+    /// Runs a SELECT to completion, following pagination sequentially (one
+    /// page must finish before the next starts, as §5.3 notes for Q.1).
+    /// The expression is parsed once; every page is a billed call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Database::select`].
+    pub fn select_all(&self, expression: &str) -> Result<Vec<SelectedItem>> {
+        let query: Select = select::parse(expression)?;
+        let bytes_in = expression.len() as u64;
+        let mut out = Vec::new();
+        let mut start = 0;
+        loop {
+            let page = self.run_select(&query, bytes_in, start)?;
+            out.extend(page.items);
+            match page.next_token {
+                // Tokens are this service's own match offsets.
+                Some(t) => start = t.parse().expect("next token is a match offset"),
+                None => return Ok(out),
+            }
+        }
+    }
+
+    /// One billed page of a parsed SELECT, resuming after the first
+    /// `start` matches.
+    fn run_select(&self, query: &Select, bytes_in: u64, start: usize) -> Result<SelectPage> {
         let staleness = self.core.draw_staleness();
         let state = self.state.clone();
-        let bytes_in = expression.len() as u64;
         self.core.call(
             self.actor,
             self.tenant,
@@ -593,24 +626,9 @@ impl Database {
                     .domains
                     .get_mut(&query.domain)
                     .ok_or_else(|| CloudError::NoSuchDomain(query.domain.clone()))?;
-                Ok(dom.select_page(&query, start, horizon))
+                Ok(dom.select_page(query, start, horizon))
             },
         )
-    }
-
-    /// Runs a SELECT to completion, following pagination sequentially (one
-    /// page must finish before the next starts, as §5.3 notes for Q.1).
-    pub fn select_all(&self, expression: &str) -> Result<Vec<SelectedItem>> {
-        let mut out = Vec::new();
-        let mut token: Option<String> = None;
-        loop {
-            let page = self.select(expression, token.as_deref())?;
-            out.extend(page.items);
-            match page.next_token {
-                Some(t) => token = Some(t),
-                None => return Ok(out),
-            }
-        }
     }
 
     /// Instrumentation: latest committed attributes, bypassing consistency,

@@ -20,9 +20,13 @@
 //!
 //! SimpleDB semantics reproduced here: attributes are multi-valued and a
 //! comparison holds if **any** value satisfies it; all comparisons are
-//! lexicographic on strings; `LIKE` supports `%` wildcards.
+//! lexicographic on strings; `LIKE` supports `%` wildcards; an `IN` list
+//! holds at most [`SELECT_IN_LIMIT`] values.
+
+use std::borrow::Cow;
 
 use crate::error::{CloudError, Result};
+use crate::sdb::SELECT_IN_LIMIT;
 
 /// What the query projects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -283,10 +287,12 @@ fn like_match(pattern: &str, text: &str) -> bool {
 // Lexer
 // ---------------------------------------------------------------------------
 
+/// A token, borrowing its text from the query string: only a string
+/// literal with a `''` escape owns a rebuilt copy.
 #[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Str(String),
+enum Tok<'a> {
+    Ident(&'a str),
+    Str(Cow<'a, str>),
     Star,
     LParen,
     RParen,
@@ -296,130 +302,88 @@ enum Tok {
     CountStar,
 }
 
-fn lex(input: &str) -> Result<Vec<Tok>> {
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':')
+}
+
+/// The body of the string literal that `rest` (the text after its
+/// opening quote) starts, and the bytes of `rest` it spans, closing
+/// quote included.
+fn string_literal(rest: &str) -> Result<(Cow<'_, str>, usize)> {
+    let mut owned: Option<String> = None;
+    let mut at = 0;
+    loop {
+        let Some(q) = rest[at..].find('\'').map(|q| q + at) else {
+            return Err(CloudError::InvalidQuery(
+                "unterminated string literal".to_string(),
+            ));
+        };
+        if rest[q + 1..].starts_with('\'') {
+            // `''`: keep one quote, resume after the pair.
+            owned
+                .get_or_insert_with(String::new)
+                .push_str(&rest[at..=q]);
+            at = q + 2;
+            continue;
+        }
+        let body = match owned {
+            Some(mut s) => {
+                s.push_str(&rest[at..q]);
+                Cow::Owned(s)
+            }
+            None => Cow::Borrowed(&rest[..q]),
+        };
+        return Ok((body, q + 1));
+    }
+}
+
+fn lex(input: &str) -> Result<Vec<Tok<'_>>> {
     let mut toks = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
     let mut i = 0;
     let err = |msg: &str| CloudError::InvalidQuery(msg.to_string());
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '*' => {
-                toks.push(Tok::Star);
+    while let Some(c) = input[i..].chars().next() {
+        let rest = &input[i + c.len_utf8()..];
+        let (tok, len) = match c {
+            ' ' | '\t' | '\n' | '\r' => {
                 i += 1;
+                continue;
             }
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            '=' => {
-                toks.push(Tok::Op(CmpOp::Eq));
-                i += 1;
-            }
-            '!' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    toks.push(Tok::Op(CmpOp::Ne));
-                    i += 2;
-                } else {
-                    return Err(err("expected '=' after '!'"));
-                }
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    toks.push(Tok::Op(CmpOp::Le));
-                    i += 2;
-                } else {
-                    toks.push(Tok::Op(CmpOp::Lt));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    toks.push(Tok::Op(CmpOp::Ge));
-                    i += 2;
-                } else {
-                    toks.push(Tok::Op(CmpOp::Gt));
-                    i += 1;
-                }
-            }
+            '*' => (Tok::Star, 1),
+            '(' => (Tok::LParen, 1),
+            ')' => (Tok::RParen, 1),
+            ',' => (Tok::Comma, 1),
+            '=' => (Tok::Op(CmpOp::Eq), 1),
+            '!' if rest.starts_with('=') => (Tok::Op(CmpOp::Ne), 2),
+            '!' => return Err(err("expected '=' after '!'")),
+            '<' if rest.starts_with('=') => (Tok::Op(CmpOp::Le), 2),
+            '<' => (Tok::Op(CmpOp::Lt), 1),
+            '>' if rest.starts_with('=') => (Tok::Op(CmpOp::Ge), 2),
+            '>' => (Tok::Op(CmpOp::Gt), 1),
             '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match chars.get(i) {
-                        Some('\'') if chars.get(i + 1) == Some(&'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(ch) => {
-                            s.push(*ch);
-                            i += 1;
-                        }
-                        None => return Err(err("unterminated string literal")),
-                    }
-                }
-                toks.push(Tok::Str(s));
+                let (body, len) = string_literal(rest)?;
+                (Tok::Str(body), 1 + len)
             }
-            '`' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match chars.get(i) {
-                        Some('`') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(ch) => {
-                            s.push(*ch);
-                            i += 1;
-                        }
-                        None => return Err(err("unterminated quoted identifier")),
-                    }
-                }
-                toks.push(Tok::Ident(s));
-            }
-            c if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' || c == ':' => {
-                let mut s = String::new();
-                while i < chars.len()
-                    && (chars[i].is_alphanumeric() || matches!(chars[i], '_' | '-' | '.' | ':'))
-                {
-                    s.push(chars[i]);
-                    i += 1;
-                }
+            '`' => match rest.find('`') {
+                Some(end) => (Tok::Ident(&rest[..end]), end + 2),
+                None => return Err(err("unterminated quoted identifier")),
+            },
+            c if is_ident_char(c) => {
+                let word = &input[i..];
+                let end = word.find(|ch| !is_ident_char(ch)).unwrap_or(word.len());
+                let (word, after) = word.split_at(end);
                 // Function forms: itemName() and count(*).
-                let lower = s.to_ascii_lowercase();
-                if lower == "itemname"
-                    && chars.get(i) == Some(&'(')
-                    && chars.get(i + 1) == Some(&')')
-                {
-                    toks.push(Tok::ItemNameFn);
-                    i += 2;
-                } else if lower == "count"
-                    && chars.get(i) == Some(&'(')
-                    && chars.get(i + 1) == Some(&'*')
-                    && chars.get(i + 2) == Some(&')')
-                {
-                    toks.push(Tok::CountStar);
-                    i += 3;
+                if word.eq_ignore_ascii_case("itemname") && after.starts_with("()") {
+                    (Tok::ItemNameFn, end + 2)
+                } else if word.eq_ignore_ascii_case("count") && after.starts_with("(*)") {
+                    (Tok::CountStar, end + 3)
                 } else {
-                    toks.push(Tok::Ident(s));
+                    (Tok::Ident(word), end)
                 }
             }
             other => return Err(err(&format!("unexpected character '{other}'"))),
-        }
+        };
+        toks.push(tok);
+        i += len;
     }
     Ok(toks)
 }
@@ -428,18 +392,20 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: std::iter::Peekable<std::vec::IntoIter<Tok<'a>>>,
+    /// Tokens consumed so far, for error positions.
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&mut self) -> Option<&Tok<'a>> {
+        self.toks.peek()
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
+    /// Moves the next token out.
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.toks.next();
         if t.is_some() {
             self.pos += 1;
         }
@@ -457,7 +423,7 @@ impl Parser {
         }
     }
 
-    fn peek_keyword(&self, kw: &str) -> bool {
+    fn peek_keyword(&mut self, kw: &str) -> bool {
         matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case(kw))
     }
 
@@ -471,7 +437,7 @@ impl Parser {
         };
         self.expect_keyword("from")?;
         let domain = match self.next() {
-            Some(Tok::Ident(d)) => d,
+            Some(Tok::Ident(d)) => d.to_string(),
             _ => return Err(self.err("expected domain name")),
         };
         let mut predicate = None;
@@ -542,20 +508,20 @@ impl Parser {
     fn parse_predicate(&mut self) -> Result<Expr> {
         let operand = match self.next() {
             Some(Tok::ItemNameFn) => Operand::ItemName,
-            Some(Tok::Ident(name)) => Operand::Attr(name),
+            Some(Tok::Ident(name)) => Operand::Attr(name.to_string()),
             _ => return Err(self.err("expected attribute or itemName()")),
         };
         match self.next() {
             Some(Tok::Op(op)) => {
                 let value = match self.next() {
-                    Some(Tok::Str(v)) => v,
+                    Some(Tok::Str(v)) => v.into_owned(),
                     _ => return Err(self.err("expected string literal")),
                 };
                 Ok(Expr::Cmp { operand, op, value })
             }
             Some(Tok::Ident(kw)) if kw.eq_ignore_ascii_case("like") => {
                 let value = match self.next() {
-                    Some(Tok::Str(v)) => v,
+                    Some(Tok::Str(v)) => v.into_owned(),
                     _ => return Err(self.err("expected string literal after LIKE")),
                 };
                 Ok(Expr::Cmp {
@@ -571,7 +537,14 @@ impl Parser {
                 let mut values = Vec::new();
                 loop {
                     match self.next() {
-                        Some(Tok::Str(v)) => values.push(v),
+                        Some(Tok::Str(v)) if values.len() < SELECT_IN_LIMIT => {
+                            values.push(v.into_owned())
+                        }
+                        Some(Tok::Str(_)) => {
+                            return Err(
+                                self.err(&format!("IN list longer than {SELECT_IN_LIMIT} values"))
+                            )
+                        }
                         _ => return Err(self.err("expected string literal in IN list")),
                     }
                     match self.next() {
@@ -616,7 +589,7 @@ impl Parser {
 /// # Ok::<(), cloudprov_cloud::CloudError>(())
 /// ```
 pub fn parse(input: &str) -> Result<Select> {
-    let toks = lex(input)?;
+    let toks = lex(input)?.into_iter().peekable();
     Parser { toks, pos: 0 }.parse_select()
 }
 
@@ -828,5 +801,70 @@ mod tests {
     #[test]
     fn keywords_are_case_insensitive() {
         assert!(parse("SELECT * FROM d WHERE a = 'x' LIMIT 5").is_ok());
+    }
+
+    #[test]
+    fn in_lists_hold_at_most_the_service_limit() {
+        let list = |n: usize| {
+            let values: Vec<String> = (0..n).map(|i| format!("'{i:064x}'")).collect();
+            format!(
+                "select * from d where itemName() in ({})",
+                values.join(", ")
+            )
+        };
+        let q = parse(&list(SELECT_IN_LIMIT)).unwrap();
+        assert!(matches!(
+            q.predicate,
+            Some(Expr::In { ref values, .. }) if values.len() == SELECT_IN_LIMIT
+        ));
+        assert!(matches!(
+            parse(&list(SELECT_IN_LIMIT + 1)),
+            Err(CloudError::InvalidQuery(_))
+        ));
+    }
+
+    #[test]
+    fn non_ascii_identifiers_and_literals_lex_whole() {
+        let q = parse("select * from d\u{e9}f where `caf\u{e9} x` = 'na\u{ef}ve ''\u{4e2d}'''")
+            .unwrap();
+        assert_eq!(q.domain, "d\u{e9}f");
+        let p = q.predicate.unwrap();
+        assert!(p.matches("i", &attrs(&[("caf\u{e9} x", "na\u{ef}ve '\u{4e2d}'")])));
+        let q = parse("select * from d where \u{e9}t\u{e9} like '\u{1f600}%'").unwrap();
+        assert!(q
+            .predicate
+            .unwrap()
+            .matches("i", &attrs(&[("\u{e9}t\u{e9}", "\u{1f600}!")])));
+    }
+
+    mod props {
+        use super::super::*;
+        use crate::sdb::quote_literal;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any strings, quotes and non-ASCII text included, quoted
+            /// with `quote_literal` parse back out of an `IN` list
+            /// unchanged and in order.
+            #[test]
+            fn quoted_literals_round_trip_through_an_in_list(
+                values in proptest::collection::vec(".*", 1..21),
+            ) {
+                let list: Vec<String> = values.iter().map(|v| quote_literal(v)).collect();
+                let q = parse(&format!(
+                    "select * from d where itemName() in ({})",
+                    list.join(", ")
+                ))
+                .unwrap();
+                match q.predicate {
+                    Some(Expr::In { operand: Operand::ItemName, values: parsed }) => {
+                        prop_assert_eq!(parsed, values)
+                    }
+                    other => panic!("not an IN list: {other:?}"),
+                }
+            }
+        }
     }
 }

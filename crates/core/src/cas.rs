@@ -19,11 +19,15 @@
 //!   not an encoding, so the commit daemon's existing `COPY
 //!   cas/{sha} → final` lands the correct data and stamps the version
 //!   metadata exactly like a temp-object copy.
-//! * Publishing probes the registry first (`GetAttributes`, one cheap
-//!   read): a hit means some client anywhere already made this content
-//!   durable, and the upload is skipped entirely. Races are harmless —
-//!   a double publish re-puts identical bytes and identical
-//!   (name, value) pairs, both idempotent.
+//! * One `flush`'s fresh hashes publish as one **batch**, at one
+//!   SimpleDB call per batch rather than per hash: it probes the
+//!   registry first (one `itemName() in (…)` SELECT per
+//!   [`SELECT_IN_LIMIT`] hashes), and a hit means some client anywhere
+//!   already made that content durable, so its upload is skipped
+//!   entirely. The misses' data objects upload in parallel, then the
+//!   misses register with one `BatchPutAttributes` per [`BATCH_LIMIT`].
+//!   Races are harmless — a double publish re-puts identical bytes and
+//!   identical (name, value) pairs, both idempotent.
 //!
 //! The client's flusher then logs WAL transactions that *reference*
 //! hashes (`CAS` lines) instead of carrying payloads — see the
@@ -38,14 +42,16 @@
 //! an unreferenced CAS object (garbage, re-publishable) but never a WAL
 //! reference to content that does not exist.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{Blob, CloudEnv, Fnv1a64, Metadata, PutItem};
+use cloudprov_cloud::{
+    quote_literal, Blob, CloudEnv, Fnv1a64, Metadata, PutItem, BATCH_LIMIT, SELECT_IN_LIMIT,
+};
 use cloudprov_pass::{wire, PNodeId};
 use cloudprov_sim::SimSemaphore;
 
@@ -68,11 +74,12 @@ pub const CAS_MAX_RECORDS: usize = 200;
 /// values spill to S3 on the delta path instead).
 const CAS_MAX_LINE: usize = 1000;
 
-/// Crash point before a publish unit's registry probe.
+/// Crash point before each registry probe SELECT of a publish batch.
 const PROBE_POINT: &str = "client:cas:probe";
-/// Crash point between the probe and the data upload.
+/// Crash point between the probe and one miss's data upload.
 const PUBLISH_POINT: &str = "client:cas:publish";
-/// Crash point before the registry put that announces the content.
+/// Crash point before each registry `BatchPutAttributes` that announces
+/// the content.
 const REGISTER_POINT: &str = "client:cas:register";
 
 /// The speculative publish's crash points, in execution order (probe,
@@ -216,13 +223,57 @@ struct CasCounters {
 }
 
 /// A publish unit produced by [`CasStore::stage`]: the content to make
-/// durable under `sha`, executed by a background publisher.
+/// durable under `sha`. One staging's units publish as one batch
+/// ([`CasStore::publish`]) on a background publisher.
 pub(crate) struct CasPublish {
     sha: String,
     id: PNodeId,
     key: Option<String>,
     data: Option<Blob>,
     records: Vec<String>,
+}
+
+impl CasPublish {
+    /// The unit's registry row: node, final key, whether data exists,
+    /// and one zero-padded `rNNN` attribute per record line
+    /// ([`decode_registry_item`] reads it back).
+    fn registry_item(&self) -> PutItem {
+        let mut attrs: Vec<(String, String)> = vec![
+            ("node".to_string(), self.id.to_string()),
+            (
+                "key".to_string(),
+                self.key.clone().unwrap_or_else(|| "-".to_string()),
+            ),
+            (
+                "data".to_string(),
+                if self.data.is_some() { "1" } else { "0" }.to_string(),
+            ),
+        ];
+        for (i, line) in self.records.iter().enumerate() {
+            attrs.push((format!("r{i:03}"), line.clone()));
+        }
+        PutItem {
+            name: self.sha.clone(),
+            attrs,
+            replace: false,
+        }
+    }
+}
+
+/// `select {output} from {registry} where itemName() in (…)` over
+/// `shas` — at most [`SELECT_IN_LIMIT`] of them, the service's cap. The
+/// client's probe and the commit daemon's fetch are both this query.
+pub(crate) fn registry_select<'a>(
+    registry: &str,
+    output: &str,
+    shas: impl Iterator<Item = &'a str>,
+) -> String {
+    let list: Vec<String> = shas.map(quote_literal).collect();
+    debug_assert!(list.len() <= SELECT_IN_LIMIT, "IN list over the cap");
+    format!(
+        "select {output} from {registry} where itemName() in ({})",
+        list.join(", ")
+    )
 }
 
 /// Client-side handle to the fleet-wide CAS: an in-memory hash→state map
@@ -307,99 +358,152 @@ impl CasStore {
         Some((cas_ref, publish))
     }
 
-    /// Runs one publish unit: probe the registry, and on a miss upload
-    /// the data object (if any) strictly before the registry put — the
-    /// commit point. Never returns an error; the outcome lands in the
-    /// hash's state and [`CasStore::wait`] reports it to the flusher.
-    pub(crate) fn publish(&self, unit: CasPublish) {
-        let sha = unit.sha.clone();
-        // Trace: one `cas:publish` root span per publish unit. CAS
-        // content is shared fleet-wide, so the span roots its own trace
-        // (id = the hash's leading bits) rather than any one txn's tree.
+    /// Publishes one staging's fresh hashes as a batch: probe the
+    /// registry with one `itemName() in (…)` SELECT per
+    /// [`SELECT_IN_LIMIT`] hashes, upload the misses' data objects in
+    /// parallel (`upload_concurrency` wide), then register the misses
+    /// with one `BatchPutAttributes` per [`BATCH_LIMIT`] items — the
+    /// commit point. A hash settles as soon as its outcome is known: a
+    /// probe hit at once, a registered miss when its chunk lands, a
+    /// failed step for just the hashes it covered. Never returns an
+    /// error; [`CasStore::wait`] reports each hash's outcome to the
+    /// flusher.
+    pub(crate) fn publish(&self, batch: Vec<CasPublish>) {
+        let Some(first) = batch.first() else {
+            return;
+        };
+        // Trace: one `cas:publish` root span per batch. CAS content is
+        // shared fleet-wide, so the span roots its own trace (id = the
+        // first hash's leading bits) rather than any one txn's tree.
         let tracer = self.env.tracer().clone();
         let span = tracer.enabled().then(|| {
+            let sha = &first.sha;
             let trace = u128::from_str_radix(&sha[..sha.len().min(32)], 16).unwrap_or(0);
-            (tracer.alloc(trace), self.env.sim().now())
+            let name = format!("cas {} x{}", &sha[..sha.len().min(8)], batch.len());
+            (tracer.alloc(trace), name, self.env.sim().now())
         });
-        let outcome = self.publish_inner(unit);
-        if let Some((ctx, t0)) = span {
-            tracer.emit(
-                ctx,
-                None,
-                "cas:publish",
-                &format!("cas {}", &sha[..sha.len().min(8)]),
-                None,
-                t0,
-                self.env.sim().now(),
-                0.0,
-            );
+        let misses = self.probe(batch);
+        let misses = self.upload(misses);
+        for chunk in misses.chunks(BATCH_LIMIT) {
+            self.settle(chunk, self.register(chunk));
         }
-        let mut st = self.state.lock();
-        let prev = st.insert(
-            sha,
-            match outcome {
-                Ok(()) => CasState::Durable,
-                Err(e) => CasState::Failed(e),
-            },
-        );
-        if let Some(CasState::InFlight(sem)) = prev {
-            sem.release();
+        if let Some((ctx, name, t0)) = span {
+            let now = self.env.sim().now();
+            tracer.emit(ctx, None, "cas:publish", &name, None, t0, now, 0.0);
         }
     }
 
-    fn publish_inner(&self, unit: CasPublish) -> Result<()> {
+    /// Probes the registry for the batch's hashes and returns the
+    /// misses; hits (some client anywhere already published the content)
+    /// and probe failures settle here. An eventually-consistent miss
+    /// just republishes — idempotent.
+    fn probe(&self, batch: Vec<CasPublish>) -> Vec<CasPublish> {
         let sim = self.env.sim();
         let sdb = self.env.sdb();
-        self.config.step(PROBE_POINT)?;
-        self.counters.probes.fetch_add(1, Ordering::Relaxed);
-        let existing = retry(sim, || sdb.get_attributes(&self.registry, &unit.sha))?;
-        if !existing.is_empty() {
-            // Some client anywhere already published this content. (An
-            // eventually-consistent miss just republishes — idempotent.)
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+        let mut misses = Vec::with_capacity(batch.len());
+        let mut batch = batch.into_iter().peekable();
+        while batch.peek().is_some() {
+            let chunk: Vec<CasPublish> = batch.by_ref().take(SELECT_IN_LIMIT).collect();
+            let found = self.config.step(PROBE_POINT).and_then(|()| {
+                self.counters
+                    .probes
+                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                let shas = chunk.iter().map(|u| u.sha.as_str());
+                let query = registry_select(&self.registry, "itemName()", shas);
+                let items = retry(sim, || sdb.select_all(&query))?;
+                Ok(items.into_iter().map(|i| i.name).collect::<BTreeSet<_>>())
+            });
+            let found = match found {
+                Ok(found) => found,
+                Err(e) => {
+                    self.settle(&chunk, Err(e));
+                    continue;
+                }
+            };
+            let (hits, fresh): (Vec<_>, Vec<_>) =
+                chunk.into_iter().partition(|u| found.contains(&u.sha));
+            self.counters
+                .hits
+                .fetch_add(hits.len() as u64, Ordering::Relaxed);
+            self.settle(&hits, Ok(()));
+            misses.extend(fresh);
         }
-        if let Some(data) = &unit.data {
-            // Content strictly before the registry entry that announces
-            // it: a crash between the two leaves an unannounced object a
-            // later publisher overwrites with identical bytes.
-            self.config.step(PUBLISH_POINT)?;
-            retry(sim, || {
-                self.env.s3().put(
-                    &self.config.layout.data_bucket,
-                    &cas_object_key(&unit.sha),
-                    data.clone(),
-                    Metadata::new(),
-                )
-            })?;
+        misses
+    }
+
+    /// Uploads the data objects of `misses` in parallel and returns the
+    /// misses ready to register: content strictly before the registry
+    /// entry that announces it, so a crash between the two leaves an
+    /// unannounced object a later publisher overwrites with identical
+    /// bytes. A failed upload settles its own hash.
+    fn upload(&self, misses: Vec<CasPublish>) -> Vec<CasPublish> {
+        let (uploads, mut ready): (Vec<_>, Vec<_>) =
+            misses.into_iter().partition(|u| u.data.is_some());
+        let tasks: Vec<_> = uploads
+            .into_iter()
+            .map(|unit| {
+                let store = self.clone();
+                move || {
+                    let data = unit.data.as_ref().expect("partitioned on data");
+                    let put = store.config.step(PUBLISH_POINT).and_then(|()| {
+                        let s3 = store.env.s3();
+                        let bucket = &store.config.layout.data_bucket;
+                        let key = cas_object_key(&unit.sha);
+                        retry(store.env.sim(), || {
+                            s3.put(bucket, &key, data.clone(), Metadata::new())
+                        })?;
+                        Ok(())
+                    });
+                    match put {
+                        Ok(()) => Ok(unit),
+                        Err(e) => Err((unit.sha, e)),
+                    }
+                }
+            })
+            .collect();
+        let sim = self.env.sim();
+        for outcome in sim.run_parallel(self.config.upload_concurrency, tasks) {
+            match outcome {
+                Ok(unit) => ready.push(unit),
+                Err((sha, e)) => self.settle_one(sha, CasState::Failed(e)),
+            }
         }
+        ready
+    }
+
+    /// Registers one chunk of misses with a single `replace: false`
+    /// `BatchPutAttributes`: the publish commit point of every hash in it.
+    fn register(&self, chunk: &[CasPublish]) -> Result<()> {
         self.config.step(REGISTER_POINT)?;
-        let mut attrs: Vec<(String, String)> = vec![
-            ("node".to_string(), unit.id.to_string()),
-            (
-                "key".to_string(),
-                unit.key.clone().unwrap_or_else(|| "-".to_string()),
-            ),
-            (
-                "data".to_string(),
-                if unit.data.is_some() { "1" } else { "0" }.to_string(),
-            ),
-        ];
-        for (i, line) in unit.records.iter().enumerate() {
-            attrs.push((format!("r{i:03}"), line.clone()));
-        }
-        retry(sim, || {
-            sdb.put_attributes(
-                &self.registry,
-                PutItem {
-                    name: unit.sha.clone(),
-                    attrs: attrs.clone(),
-                    replace: false,
-                },
-            )
+        let items: Vec<PutItem> = chunk.iter().map(CasPublish::registry_item).collect();
+        let sdb = self.env.sdb();
+        retry(self.env.sim(), || {
+            sdb.batch_put_attributes(&self.registry, items.clone())
         })?;
-        self.counters.publishes.fetch_add(1, Ordering::Relaxed);
+        let published = chunk.len() as u64;
+        self.counters
+            .publishes
+            .fetch_add(published, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Settles every hash of `units` with one outcome.
+    fn settle(&self, units: &[CasPublish], outcome: Result<()>) {
+        for unit in units {
+            let state = match &outcome {
+                Ok(()) => CasState::Durable,
+                Err(e) => CasState::Failed(e.clone()),
+            };
+            self.settle_one(unit.sha.clone(), state);
+        }
+    }
+
+    /// Records a hash's final state and wakes its waiters.
+    fn settle_one(&self, sha: String, state: CasState) {
+        let prev = self.state.lock().insert(sha, state);
+        if let Some(CasState::InFlight(sem)) = prev {
+            sem.release();
+        }
     }
 
     /// Blocks (in virtual time) until `sha` is durable — the flusher's
@@ -562,7 +666,7 @@ pub fn sha256_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudprov_cloud::AwsProfile;
+    use cloudprov_cloud::{Actor, AwsProfile, FaultPlan, Op, Service};
     use cloudprov_pass::{Attr, FlushNode, NodeKind, ProvenanceRecord, Uuid};
     use cloudprov_sim::Sim;
 
@@ -591,6 +695,121 @@ mod tests {
             "f",
             blob,
         )
+    }
+
+    fn proc_obj(uuid: u128) -> FlushObject {
+        let id = PNodeId::initial(Uuid(uuid));
+        FlushObject::provenance_only(FlushNode {
+            id,
+            kind: NodeKind::Process,
+            name: Some(format!("p{uuid}")),
+            records: vec![
+                ProvenanceRecord::new(id, Attr::Type, "process"),
+                ProvenanceRecord::new(id, Attr::Name, format!("p{uuid}")),
+            ],
+            data_hash: None,
+        })
+    }
+
+    /// Client calls of `op` so far.
+    fn calls(env: &CloudEnv, service: Service, op: Op) -> u64 {
+        env.usage().get(Actor::Client, service, op).count
+    }
+
+    /// Stages `objs` on `store` and publishes the fresh ones as one batch.
+    fn publish_batch(store: &CasStore, objs: &[FlushObject]) -> Vec<CasRef> {
+        let (refs, units): (Vec<_>, Vec<_>) = objs.iter().map(|o| stage(store, o).unwrap()).unzip();
+        store.publish(units.into_iter().flatten().collect());
+        refs
+    }
+
+    #[test]
+    fn a_batch_probes_per_twenty_hashes_and_registers_per_twenty_five() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        // 47 fresh objects, every third one provenance-only.
+        let objs: Vec<FlushObject> = (0..47u128)
+            .map(|i| match i % 3 {
+                0 => proc_obj(100 + i),
+                _ => obj(100 + i, &format!("data-{i}")),
+            })
+            .collect();
+        // Another client already registered 9 of them, 3 without data.
+        let registered: Vec<usize> = (0..9).map(|k| 5 * k).collect();
+        let other = CasStore::new(&env, ProtocolConfig::default());
+        let pre: Vec<FlushObject> = registered.iter().map(|&i| objs[i].clone()).collect();
+        publish_batch(&other, &pre);
+        let uploads = (0..objs.len())
+            .filter(|i| !registered.contains(i) && objs[*i].data.is_some())
+            .count() as u64;
+        assert_eq!(uploads, 25);
+
+        let store = CasStore::new(&env, ProtocolConfig::default());
+        let before = [
+            calls(&env, Service::Database, Op::DbSelect),
+            calls(&env, Service::ObjectStore, Op::Put),
+            calls(&env, Service::Database, Op::DbPut),
+            calls(&env, Service::Database, Op::DbGet),
+        ];
+        let refs = publish_batch(&store, &objs);
+        let after = [
+            calls(&env, Service::Database, Op::DbSelect),
+            calls(&env, Service::ObjectStore, Op::Put),
+            calls(&env, Service::Database, Op::DbPut),
+            calls(&env, Service::Database, Op::DbGet),
+        ];
+        let issued: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        // ⌈47/20⌉ probes, one PUT per data-carrying miss, ⌈38/25⌉ puts.
+        assert_eq!(issued, [3, uploads, 2, 0]);
+        assert_eq!(store.counters(), (47, 9, 38));
+        for (o, r) in objs.iter().zip(&refs) {
+            store.wait(&r.sha).unwrap();
+            let attrs = env.sdb().peek_item(&cas_domain("provenance"), &r.sha);
+            let row = decode_registry_item(&attrs.expect("registered")).expect("decodes");
+            assert_eq!(
+                row,
+                (
+                    o.node.id,
+                    o.key.clone(),
+                    o.data.is_some(),
+                    o.node.records.clone()
+                )
+            );
+            let data = env.s3().peek_committed("data", &cas_object_key(&r.sha));
+            assert_eq!(data.is_some(), o.data.is_some(), "{}", r.sha);
+        }
+    }
+
+    #[test]
+    fn a_stale_probe_miss_republishes_the_same_row() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let first = CasStore::new(&env, ProtocolConfig::default());
+        let o = obj(11, "stale");
+        let [r] = publish_batch(&first, std::slice::from_ref(&o))
+            .try_into()
+            .unwrap();
+        first.wait(&r.sha).unwrap();
+        let registry = cas_domain("provenance");
+        let row = env.sdb().peek_item(&registry, &r.sha).unwrap();
+        // Every read now lags the registry put: the second client's
+        // probe misses and publishes the same content again.
+        env.faults().set(FaultPlan {
+            extra_staleness: std::time::Duration::from_secs(60),
+            ..FaultPlan::none()
+        });
+        let second = CasStore::new(&env, ProtocolConfig::default());
+        publish_batch(&second, std::slice::from_ref(&o));
+        second.wait(&r.sha).unwrap();
+        assert_eq!(second.counters(), (1, 0, 1), "a miss, then a publish");
+        assert_eq!(env.sdb().peek_item(&registry, &r.sha).unwrap(), row);
+        assert_eq!(
+            calls(&env, Service::ObjectStore, Op::Put),
+            2,
+            "the data object, uploaded again"
+        );
+        let data = env.s3().peek_committed("data", &cas_object_key(&r.sha));
+        assert_eq!(data.map(|d| d.blob), o.data);
     }
 
     #[test]
@@ -654,14 +873,14 @@ mod tests {
         let store_b = CasStore::new(&env, ProtocolConfig::default());
         let o = obj(5, "payload");
         let (r, publish) = stage(&store_a, &o).unwrap();
-        store_a.publish(publish.unwrap());
+        store_a.publish(vec![publish.unwrap()]);
         store_a.wait(&r.sha).unwrap();
         assert_eq!(store_a.counters(), (1, 0, 1));
         // A second client staging identical content probes, hits, and
         // uploads nothing.
         let (r2, publish2) = stage(&store_b, &o).unwrap();
         assert_eq!(r2.sha, r.sha);
-        store_b.publish(publish2.unwrap());
+        store_b.publish(vec![publish2.unwrap()]);
         store_b.wait(&r2.sha).unwrap();
         assert_eq!(store_b.counters(), (1, 1, 0));
         // Registry round-trips the content.
@@ -703,7 +922,7 @@ mod tests {
         let store = CasStore::new(&env, config);
         let o = obj(7, "x");
         let (r, publish) = stage(&store, &o).unwrap();
-        store.publish(publish.unwrap());
+        store.publish(vec![publish.unwrap()]);
         assert!(matches!(
             store.wait(&r.sha),
             Err(ProtocolError::Crashed { .. })
@@ -733,11 +952,11 @@ mod tests {
         let store = CasStore::new(&env, config);
         let o = obj(8, "x");
         let (r, publish) = stage(&store, &o).unwrap();
-        store.publish(publish.unwrap());
+        store.publish(vec![publish.unwrap()]);
         assert!(store.wait(&r.sha).is_err());
         let (r2, retry) = stage(&store, &o).unwrap();
         assert_eq!(r2, r);
-        store.publish(retry.expect("a failed hash stages as fresh"));
+        store.publish(vec![retry.expect("a failed hash stages as fresh")]);
         store.wait(&r.sha).unwrap();
         assert!(env
             .sdb()

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use cloudprov_cloud::{fnv1a64_mixed, quote_literal, Actor, CloudEnv, RETENTION};
+use cloudprov_cloud::{fnv1a64_mixed, quote_literal, Actor, CloudEnv, RETENTION, SELECT_IN_LIMIT};
 
 use crate::error::Result;
 use crate::index as prov_index;
@@ -148,7 +148,7 @@ impl CleanerDaemon {
         // Batch-check existence in the base domain.
         let mut existing: BTreeSet<String> = BTreeSet::new();
         let ids: Vec<String> = referenced.into_iter().collect();
-        for chunk in ids.chunks(20) {
+        for chunk in ids.chunks(SELECT_IN_LIMIT) {
             let list = chunk
                 .iter()
                 .map(|i| quote_literal(i))

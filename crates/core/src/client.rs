@@ -498,7 +498,8 @@ pub struct PipelineStats {
     /// identical flushes may re-upload (idempotently), never that
     /// correctness was at risk.
     pub dedupe_evictions: u64,
-    /// Content-addressed-store registry probes this client issued.
+    /// Hashes this client probed in the content-addressed store's
+    /// registry (one probe SELECT covers up to 20).
     pub cas_probes: u64,
     /// Probes that found the ancestor already published fleet-wide (the
     /// cross-client dedupe the CAS exists for).
@@ -881,20 +882,10 @@ impl Pipeline {
             .collect();
         if let Some((_, cas)) = self.cas.as_ref().filter(|_| !publishes.is_empty()) {
             let cas = cas.clone();
-            let sim = self.sim.clone();
-            let concurrency = self.config.upload_concurrency;
-            // Fire-and-forget: waiters rendezvous through CasStore
-            // state, and the flusher's `wait` is the durability fence.
-            let _publisher = self.sim.spawn(move || {
-                let tasks: Vec<_> = publishes
-                    .into_iter()
-                    .map(|unit| {
-                        let cas = cas.clone();
-                        move || cas.publish(unit)
-                    })
-                    .collect();
-                sim.run_parallel(concurrency, tasks);
-            });
+            // Fire-and-forget: the staging's fresh hashes publish as one
+            // batch; waiters rendezvous through CasStore state, and the
+            // flusher's `wait` is the durability fence.
+            let _publisher = self.sim.spawn(move || cas.publish(publishes));
         }
         staged
     }

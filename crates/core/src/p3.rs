@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use cloudprov_cloud::{
     Actor, CloudEnv, CloudError, MetadataDirective, PutItem, TenantId, BATCH_ENTRY_LIMIT,
-    BATCH_LIMIT, RECEIVE_MAX,
+    BATCH_LIMIT, RECEIVE_MAX, SELECT_IN_LIMIT,
 };
 use cloudprov_pass::wire;
 use cloudprov_pass::{PNodeId, ProvenanceRecord, Uuid};
@@ -595,29 +595,43 @@ fn unkeyed<U>(_: &U) -> &str {
     ""
 }
 
-/// Copy phase, first stage: fetch each referenced CAS hash's registry
-/// item — once per hash per group — and fold its records into the
-/// referencing members. The client's flusher only logs a reference
-/// after its publish is durable, so a hash that never becomes visible
-/// is either registry eventual consistency that outlived the retry
-/// budget or a corrupt entry; the member evicts like a stalled copy.
+/// Copy phase, first stage: fetch every CAS hash the group references
+/// from the shared registry — one `itemName() in (…)` SELECT per
+/// [`SELECT_IN_LIMIT`] hashes, fanned out on the commit pool — and fold
+/// each hash's records into the members that reference it. The registry
+/// is eventually consistent and a publish lands strictly before its WAL
+/// reference, so a short wait closes the common race: up to
+/// `RETRIES + 8` rounds, one second apart, each selecting only the
+/// hashes no earlier round saw. A hash never visible within the budget,
+/// or whose item is malformed, stalls the members that reference it,
+/// like a stalled copy.
 fn materialize_cas(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Result<()> {
-    let mut seen = BTreeSet::new();
-    let all = g.members.iter().flat_map(|m| &m.cas_shas);
-    let needed: Vec<String> = all.filter(|sha| seen.insert(*sha)).cloned().collect();
-    if needed.is_empty() {
-        return Ok(());
-    }
-    let mut fetched: BTreeMap<String, Vec<ProvenanceRecord>> = BTreeMap::new();
-    let results = daemon.fan_out(stage, needed.clone(), unkeyed, fetch_cas_records);
-    for (sha, records) in needed.into_iter().zip(results) {
-        if let Some(records) = records? {
-            fetched.insert(sha, records);
+    let mut missing: BTreeSet<String> = g
+        .members
+        .iter()
+        .flat_map(|m| m.cas_shas.iter().cloned())
+        .collect();
+    // Per hash: its records, or `None` for a malformed item.
+    let mut fetched: BTreeMap<String, Option<Vec<ProvenanceRecord>>> = BTreeMap::new();
+    for round in 0..RETRIES + 8 {
+        if missing.is_empty() {
+            break;
+        }
+        if round > 0 {
+            daemon.conn.plane.env.sim().sleep(Duration::from_secs(1));
+        }
+        let shas: Vec<String> = missing.iter().cloned().collect();
+        let units = shas.chunks(SELECT_IN_LIMIT).map(<[String]>::to_vec);
+        for items in daemon.fan_out(stage, units.collect(), unkeyed, fetch_cas_records) {
+            for (sha, records) in items? {
+                missing.remove(&sha);
+                fetched.insert(sha, records);
+            }
         }
     }
     for m in &mut g.members {
         for sha in &m.cas_shas {
-            match fetched.get(sha) {
+            match fetched.get(sha).and_then(Option::as_ref) {
                 Some(records) => m.records.extend(records.iter().cloned()),
                 None => m.stalled = true,
             }
@@ -626,23 +640,25 @@ fn materialize_cas(daemon: &CommitDaemon, stage: &Stage, g: &mut Group) -> Resul
     Ok(())
 }
 
-/// Fetches one CAS hash's records from the shared registry with the same
-/// bounded visibility-retry discipline as [`copy_file`]: the registry is
-/// eventually consistent, and the publish happened strictly before the
-/// WAL reference, so a short wait closes the common race. `Ok(None)` —
-/// never visible within the budget, or a malformed item.
-fn fetch_cas_records(conn: &Conn, sha: String) -> Result<Option<Vec<ProvenanceRecord>>> {
+/// One registry SELECT of the hashes in `shas` (at most
+/// [`SELECT_IN_LIMIT`]): each item found, with its decoded records, or
+/// `None` for a malformed item. A hash not yet visible is simply absent.
+fn fetch_cas_records(
+    conn: &Conn,
+    shas: Vec<String>,
+) -> Result<Vec<(String, Option<Vec<ProvenanceRecord>>)>> {
     let DataPlane { env, config, .. } = &conn.plane;
     let sdb = env.sdb().with_actor(Actor::CommitDaemon);
     let registry = cas::cas_domain(&config.layout.domain);
-    for _ in 0..RETRIES + 8 {
-        let attrs = retry(env.sim(), || sdb.get_attributes(&registry, &sha))?;
-        if !attrs.is_empty() {
-            return Ok(cas::decode_registry_item(&attrs).map(|(_, _, _, records)| records));
-        }
-        env.sim().sleep(Duration::from_secs(1));
-    }
-    Ok(None)
+    let query = cas::registry_select(&registry, "*", shas.iter().map(String::as_str));
+    let items = retry(env.sim(), || sdb.select_all(&query))?;
+    Ok(items
+        .into_iter()
+        .map(|item| {
+            let records = cas::decode_registry_item(&item.attrs).map(|(_, _, _, r)| r);
+            (item.name, records)
+        })
+        .collect())
 }
 
 /// Copy phase, second stage. Across group members, copies of one final
@@ -1267,7 +1283,7 @@ impl DaemonHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudprov_cloud::{AwsProfile, Blob, MESSAGE_LIMIT};
+    use cloudprov_cloud::{AwsProfile, Blob, Op, Service, MESSAGE_LIMIT};
     use cloudprov_pass::{Attr, FlushNode, NodeKind};
     use cloudprov_sim::Sim;
 
@@ -1671,6 +1687,108 @@ mod tests {
             cloudprov_cloud::Op::Delete,
         );
         assert_eq!(acks.count, 1, "six receipts must ack as one batch");
+    }
+
+    #[test]
+    fn a_group_fetches_its_cas_hashes_twenty_per_select() {
+        let (sim, env, p3) = setup();
+        let registry = cas::cas_domain("provenance");
+        env.sdb().create_domain(&registry);
+        // Nine members, five hashes each: 45 provenance-only objects.
+        let node = |j: u128| PNodeId::initial(Uuid(0x5000 + j));
+        let records = |j: u128| {
+            let id = node(j);
+            vec![
+                ProvenanceRecord::new(id, Attr::Type, "process"),
+                ProvenanceRecord::new(id, Attr::Name, format!("p{j}")),
+            ]
+        };
+        let sha = |j: u128| format!("{j:064x}");
+        let row = |j: u128| {
+            let mut attrs = vec![
+                ("node".to_string(), node(j).to_string()),
+                ("key".to_string(), "-".to_string()),
+                ("data".to_string(), "0".to_string()),
+            ];
+            for (i, r) in records(j).iter().enumerate() {
+                attrs.push((format!("r{i:03}"), wire::encode_record(r).trim_end().into()));
+            }
+            PutItem {
+                name: sha(j),
+                attrs,
+                replace: false,
+            }
+        };
+        // Five hashes land 1.5 s into the commit, one (the last
+        // member's last) never does; the rest are registered up front.
+        let late: Vec<u128> = vec![3, 11, 19, 27, 35];
+        let never = 44;
+        let now: Vec<PutItem> = (0..45)
+            .filter(|j| !late.contains(j) && *j != never)
+            .map(row)
+            .collect();
+        for chunk in now.chunks(BATCH_LIMIT) {
+            env.sdb()
+                .batch_put_attributes(&registry, chunk.to_vec())
+                .unwrap();
+        }
+        let later: Vec<PutItem> = late.iter().map(|&j| row(j)).collect();
+        let (sdb, sleeper) = (env.sdb().clone(), sim.clone());
+        let _late = sim.spawn(move || {
+            sleeper.sleep(Duration::from_millis(1500));
+            sdb.batch_put_attributes(&cas::cas_domain("provenance"), later)
+                .unwrap();
+        });
+        for m in 0..9u128 {
+            let refs = (5 * m..5 * m + 5).map(|j| {
+                CasFlushItem::Ref(cas::CasRef {
+                    sha: sha(j),
+                    id: node(j),
+                    key: None,
+                    has_data: false,
+                })
+            });
+            p3.flush_with_cas(refs.collect()).unwrap();
+        }
+        let selects = || {
+            env.usage()
+                .get(Actor::CommitDaemon, Service::Database, Op::DbSelect)
+        };
+        let before = selects();
+        let o = p3.commit_daemon().poll_once().unwrap();
+        assert_eq!((o.committed, o.stalled), (8, 1), "{o:?}");
+        // Round 1 selects 20 + 20 + 5 hashes; rounds 2 and 3 the six
+        // still missing (the late five appear in round 3); every later
+        // round of the `RETRIES + 8` budget only the one that never does.
+        let query_len = |n: u128| {
+            let shas: Vec<String> = (0..n).map(sha).collect();
+            cas::registry_select(&registry, "*", shas.iter().map(String::as_str)).len() as u64
+        };
+        let rounds = RETRIES as u128 + 8;
+        let sizes: Vec<u128> = [20, 20, 5, 6, 6]
+            .into_iter()
+            .chain(std::iter::repeat_n(1, rounds as usize - 3))
+            .collect();
+        let after = selects();
+        assert_eq!(after.count - before.count, sizes.len() as u64);
+        assert_eq!(
+            after.bytes_in - before.bytes_in,
+            sizes.iter().map(|&n| query_len(n)).sum::<u64>()
+        );
+        // Every committed member's objects carry their hashes' records;
+        // the stalled member's never reached the base domain.
+        let stored: Vec<ProvenanceRecord> = env
+            .sdb()
+            .peek_items("provenance")
+            .iter()
+            .flat_map(|(name, attrs)| crate::protocol::item_to_records(name, attrs))
+            .collect();
+        for j in 0..45 {
+            let member = j / 5;
+            for r in records(j) {
+                assert_eq!(stored.contains(&r), member != 8, "hash {j}: {r:?}");
+            }
+        }
     }
 
     #[test]

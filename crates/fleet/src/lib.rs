@@ -411,11 +411,11 @@ mod tests {
         // shared ancestor's bytes exist once, fleet-wide.
         let cas_objects = env.s3().list_all("data", "cas/").unwrap();
         assert_eq!(cas_objects.len(), 3);
-        // The probe rode tenant B's bill.
+        // The probe (a registry SELECT) rode tenant B's bill.
         assert!(
             env.usage()
                 .tenant_view(TenantId(1))
-                .get(Actor::Client, Service::Database, Op::DbGet)
+                .get(Actor::Client, Service::Database, Op::DbSelect)
                 .count
                 > 0
         );

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{Actor, CloudEnv, TenantId};
+use cloudprov_cloud::{Actor, CloudEnv, TenantId, SELECT_IN_LIMIT};
 use cloudprov_core::{ProtocolError, ProvenanceStore};
 use cloudprov_pass::{PNodeId, ProvenanceRecord};
 
@@ -73,9 +73,9 @@ pub struct QueryOutput {
 /// achieved ≈7× on Q.1 over S3).
 const PARALLELISM: usize = 8;
 
-/// IDs per IN-list when batching frontier expansions (Q.4 over SimpleDB;
-/// the 2009 service capped predicates at 20).
-const IN_BATCH: usize = 20;
+/// IDs per IN-list when batching frontier expansions (Q.4 over SimpleDB):
+/// the service's cap on comparisons per predicate.
+const IN_BATCH: usize = SELECT_IN_LIMIT;
 
 /// The query engine over a provenance store.
 ///
