@@ -780,12 +780,13 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
     // the root span, so Sum reconciles with Cp50 by construction. Feed
     // is the post-commit publish, outside the commit window. Drop is
     // doorbells shed by the bounded pool queue; Evict is client dedupe-
-    // set evictions (both previously unsurfaced).
+    // set evictions; Rounds is the pool's worker rounds (each a metered
+    // poll of every held shard plus its renewal).
     println!(
         "\nCommit critical path (s) — per-phase self-time of the median traced txn;\nphase sum must reconcile with Cp50 (trace gate):"
     );
     println!(
-        "  {:>7} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6}",
+        "  {:>7} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7}",
         "Clients",
         "Shards",
         "Daemons",
@@ -799,12 +800,13 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
         "Sum",
         "Cp50",
         "Drop",
-        "Evict"
+        "Evict",
+        "Rounds"
     );
     for r in &reports {
         let b = r.breakdown.unwrap_or_default();
         println!(
-            "  {:>7} {:>7} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6}",
+            "  {:>7} {:>7} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>7}",
             r.clients,
             r.shards,
             r.daemons,
@@ -819,6 +821,7 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
             r.commit_p50.as_secs_f64(),
             r.pool.dropped,
             r.dedupe_evictions,
+            r.pool.rounds,
         );
     }
     // Trace gate: connectivity (zero orphan spans) and root fidelity
@@ -856,6 +859,23 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
         if push_ok { "PASS" } else { "FAIL" }
     );
     all_ok &= push_ok;
+    // Idle gate: a plane with no clients must back its fallback poll off
+    // to the park cap, so its daemons' SQS bill stays under three calls
+    // per worker per cap (a flat poll_interval pays several times that).
+    let idle = fleet::idle_plane(seed);
+    let idle_ok = idle.ok();
+    println!(
+        "\nIdle-plane gate: {} shards x {} daemons, no clients, one virtual hour — daemon SQS ops {} (bound {} at a {:.0} s park cap), {} rounds, {} lease losses — {}",
+        idle.shards,
+        idle.daemons,
+        idle.sqs_ops,
+        idle.bound(),
+        idle.cap.as_secs_f64(),
+        idle.pool.rounds,
+        idle.pool.losses,
+        if idle_ok { "PASS" } else { "FAIL" }
+    );
+    all_ok &= idle_ok;
     // Headline scaling claim: at the fixed shard count of the daemon
     // sweep, throughput must rise with daemon count.
     let daemon_sweep: Vec<&cloudprov_workloads::FleetReport> = {

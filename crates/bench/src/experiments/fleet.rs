@@ -6,7 +6,12 @@
 //! reproducible bit-for-bit, and `repro -- fleet` re-runs one cell to
 //! prove it.
 
-use cloudprov_cloud::AwsProfile;
+use std::time::Duration;
+
+use cloudprov_cloud::{Actor, AwsProfile, CloudEnv, Service};
+use cloudprov_core::ProtocolConfig;
+use cloudprov_fleet::{DaemonPool, Fleet, FleetConfig, PoolStats};
+use cloudprov_sim::Sim;
 use cloudprov_workloads::fleet::{run_fleet, FleetParams, FleetReport};
 
 /// The cell grid: (clients, tenants, shards, daemons, script_len).
@@ -95,9 +100,87 @@ pub fn rerun_first(small: bool, seed: u64) -> FleetReport {
     run_fleet(&params)
 }
 
+/// How long the idle-plane cell leaves its pool alone.
+const IDLE_HOUR: Duration = Duration::from_secs(3600);
+
+/// What the idle-plane cell measured: a pool left alone with no client
+/// for one virtual hour.
+#[derive(Clone, Debug)]
+pub struct IdleCell {
+    /// Echo of the cell shape.
+    pub shards: u32,
+    /// Echo of the cell shape.
+    pub daemons: usize,
+    /// The workers' idle park cap ([`DaemonPool::idle_park_cap`]).
+    pub cap: Duration,
+    /// SQS calls billed to the commit daemons (lease board and WALs).
+    pub sqs_ops: u64,
+    /// The pool's counters at stop.
+    pub pool: PoolStats,
+}
+
+impl IdleCell {
+    /// The most SQS calls the cell may make: every worker holds a shard
+    /// and pays at most three calls a round (a board Receive, a WAL
+    /// Receive, a renewal), one round per cap once the fallback has
+    /// doubled up from `poll_interval` (four rounds of slack cover that
+    /// ramp and the first acquire).
+    pub fn bound(&self) -> u64 {
+        let rounds = IDLE_HOUR.as_secs() / self.cap.as_secs().max(1) + 4;
+        3 * self.daemons as u64 * rounds
+    }
+
+    /// Whether the idle plane stayed under its bound without losing a
+    /// lease.
+    pub fn ok(&self) -> bool {
+        self.sqs_ops <= self.bound() && self.pool.losses == 0 && self.pool.errors == 0
+    }
+}
+
+/// The idle-plane cell: 4 shards x 4 daemons, no clients, one virtual
+/// hour on the calibrated profile, at the sweep's poll interval and
+/// lease TTL. Prices the fallback poll an idle commit plane pays.
+pub fn idle_plane(seed: u64) -> IdleCell {
+    let (shards, daemons) = (4, 4);
+    let defaults = FleetParams::default();
+    let sim = Sim::new();
+    let mut profile = AwsProfile::calibrated(Default::default());
+    profile.seed = seed;
+    let env = CloudEnv::new(&sim, profile);
+    let fleet = Fleet::provision(
+        &env,
+        ProtocolConfig::default(),
+        FleetConfig {
+            shards,
+            lease_ttl: defaults.lease_ttl,
+            ..FleetConfig::default()
+        },
+    );
+    let pool = fleet.spawn_pool(daemons, defaults.poll_interval);
+    sim.sleep(IDLE_HOUR);
+    let pool = pool.stop();
+    let sqs_ops = env
+        .usage()
+        .total_ops(|a, s, _| a == Actor::CommitDaemon && s == Service::Queue);
+    IdleCell {
+        shards,
+        daemons,
+        cap: DaemonPool::idle_park_cap(defaults.poll_interval, defaults.lease_ttl),
+        sqs_ops,
+        pool,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_idle_plane_stays_under_its_bound() {
+        let cell = idle_plane(1);
+        assert!(cell.ok(), "{cell:?} over its bound {}", cell.bound());
+        assert!(cell.pool.rounds > 0, "{cell:?}");
+    }
 
     #[test]
     fn smoke_cells_share_the_workload_shape() {

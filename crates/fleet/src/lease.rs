@@ -71,6 +71,11 @@ impl LeaseBoard {
         LeaseBoard { sqs, url, ttl }
     }
 
+    /// How long a lease outlives its last acquire or renewal.
+    pub fn ttl(&self) -> Duration {
+        self.ttl
+    }
+
     /// Tries to acquire any available shard lease. `None` when every
     /// shard is currently held (or the receive itself failed — callers
     /// retry next poll round either way).

@@ -14,9 +14,15 @@
 //! lease board, and parks on that doorbell between rounds: a client send
 //! wakes it immediately, collapsing the idle-poll latency that otherwise
 //! dominates commit lag. Watcher rings are best-effort (the fault plan
-//! can drop them), so the park is bounded by `poll_interval` — a lost
+//! can drop them), so the park is bounded by a polling fallback — a lost
 //! wakeup degrades to polling, never to a stuck shard — and the watcher
-//! travels with the lease on release, handoff, and steal.
+//! travels with the lease on release, handoff, and steal. The fallback
+//! starts at `poll_interval` and doubles after every round that neither
+//! received a message nor took a lease, up to a quarter of the lease
+//! TTL; any round that does either resets it, and a worker holding no
+//! shard always parks `poll_interval`. An idle plane so stops paying
+//! three metered calls per worker every `poll_interval`, and a lost ring
+//! costs at most the cap.
 //!
 //! **Idempotence under at-least-once.** The pool keeps one shared
 //! [`CommitDaemon`] per shard: when a shard moves between workers (steal,
@@ -81,6 +87,10 @@ pub struct PoolStats {
     pub wakeups: u64,
     /// Poll errors (service faults that survived retries).
     pub errors: u64,
+    /// Worker rounds: one poll of every shard the worker held, then the
+    /// renewals (a starving worker's acquire-and-park is not a round).
+    /// Over `unique_committed` it prices the plane's idle polling.
+    pub rounds: u64,
 }
 
 struct PoolShared {
@@ -101,6 +111,7 @@ struct PoolShared {
     handoffs: AtomicU64,
     wakeups: AtomicU64,
     errors: AtomicU64,
+    rounds: AtomicU64,
     /// Feed sink installed on every (existing and future) shard daemon
     /// when the pool runs with `ProtocolConfig.feed`.
     sink: Mutex<Option<CommitEventSink>>,
@@ -176,8 +187,11 @@ impl std::fmt::Debug for DaemonPool {
 }
 
 impl DaemonPool {
-    /// Spawns `daemons` workers on background simulated threads, each
-    /// parking at most `poll_interval` between rounds. The pool runs until
+    /// Spawns `daemons` workers on background simulated threads. A worker
+    /// parks at most `poll_interval` after a round that received a message
+    /// or took a lease (or while it holds no shard); each further idle
+    /// round doubles that, up to [`DaemonPool::idle_park_cap`]. A doorbell
+    /// ring ends any park at once. The pool runs until
     /// [`DaemonPool::stop`].
     pub fn spawn(
         env: &CloudEnv,
@@ -204,6 +218,7 @@ impl DaemonPool {
             handoffs: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            rounds: AtomicU64::new(0),
             sink: Mutex::new(None),
             held_total: AtomicUsize::new(0),
             starving: (0..daemons).map(|_| AtomicBool::new(true)).collect(),
@@ -229,6 +244,13 @@ impl DaemonPool {
             })
             .collect();
         DaemonPool { shared, handles }
+    }
+
+    /// The longest a worker holding shards parks between idle rounds:
+    /// `max(poll_interval, lease_ttl / 4)`. It is also the most a lost
+    /// doorbell ring can delay a commit on an idle plane.
+    pub fn idle_park_cap(poll_interval: Duration, lease_ttl: Duration) -> Duration {
+        poll_interval.max(lease_ttl / 4)
     }
 
     /// Counter snapshot.
@@ -306,6 +328,7 @@ fn snapshot(s: &PoolShared) -> PoolStats {
         handoffs: s.handoffs.load(Ordering::Relaxed),
         wakeups: s.wakeups.load(Ordering::Relaxed),
         errors: s.errors.load(Ordering::Relaxed),
+        rounds: s.rounds.load(Ordering::Relaxed),
     }
 }
 
@@ -348,12 +371,23 @@ fn worker(
     let board_watch = board.watch(wake.clone());
     // Parks on the doorbell; the timeout is the polling fallback that
     // keeps every shard live even if the fault plan dropped each ring.
-    let park = || {
-        if let Some(permit) = wake.acquire_timeout(poll_interval) {
+    let park = |timeout: Duration| {
+        if let Some(permit) = wake.acquire_timeout(timeout) {
             permit.forget();
             shared.wakeups.fetch_add(1, Ordering::Relaxed);
         }
     };
+    // The idle backoff: the fallback starts at `poll_interval` and doubles
+    // after every round in which no held shard received a message and no
+    // lease was taken, up to a quarter of the lease TTL. A lease's age at
+    // its next renewal is at most one park plus one round, so the cap
+    // leaves three quarters of the TTL for the round. The longest round
+    // measured is 61 s (the benchmark's commit-burst, 8 shards x 8
+    // daemons under 2009 latencies; 11 s on commit-paced), so at its
+    // 120 s TTL a renewal comes at most 30 + 61 = 91 s after the last.
+    // The cap is also what a lost doorbell ring costs an idle plane.
+    let idle_cap = DaemonPool::idle_park_cap(poll_interval, board.ttl());
+    let mut idle_park = poll_interval;
     let mut held: Vec<Held> = Vec::new();
     // Set after this worker hands a shard off: skip the next acquire so
     // the starving peer the handoff woke wins the token instead of this
@@ -362,6 +396,7 @@ fn worker(
     while !shared.stop.load(Ordering::Relaxed) {
         // Acquire one more shard per round while there is one to take;
         // one at a time keeps acquisition fair across workers.
+        let mut acquired = false;
         if handoff_cooldown {
             handoff_cooldown = false;
         } else if held.len() < router.shards() as usize {
@@ -376,15 +411,18 @@ fn worker(
                     idle: 0,
                     watch,
                 });
+                acquired = true;
             }
         }
         shared.starving[index].store(held.is_empty(), Ordering::Relaxed);
         if held.is_empty() {
             // Starving: a peer's handoff (which re-sends the token) rings
-            // the doorbell; the timeout covers plain releases and expiries.
-            park();
+            // the doorbell; the short timeout covers plain releases and
+            // expiries, so a freed token is taken as fast as ever.
+            park(poll_interval);
             continue;
         }
+        shared.rounds.fetch_add(1, Ordering::Relaxed);
         // Doorbell rings banked up to this point are covered by the
         // receives below; consuming them now keeps stale wakeups from
         // replaying as extra empty (metered) poll rounds later.
@@ -467,8 +505,17 @@ fn worker(
                 }
             }
         }
+        // A round that received a message has work in flight, one that
+        // took a lease may find more tokens on the board (a lone worker
+        // still collecting backlogged shards must not slow down), and a
+        // worker the idle release left empty is starving: each resets the
+        // fallback to `poll_interval`.
+        if any_messages || acquired || held.is_empty() {
+            idle_park = poll_interval;
+        }
         if !any_messages {
-            park();
+            park(idle_park);
+            idle_park = (idle_park * 2).min(idle_cap);
         }
     }
     for h in held {
@@ -799,6 +846,194 @@ mod tests {
     fn a_pool_that_stole_a_lease_is_freed_too() {
         let shared = pool_state_after_its_world_is_dropped(true);
         assert!(shared.upgrade().is_none(), "PoolShared leaked");
+    }
+
+    /// A pool of `workers` over `shards` idle WAL shards, left alone for
+    /// `idle`; every doorbell ring is lost when `drop_rings`.
+    fn idle_pool(
+        workers: usize,
+        shards: u32,
+        ttl: Duration,
+        poll: Duration,
+        idle: Duration,
+        drop_rings: bool,
+    ) -> (Sim, CloudEnv, Arc<ShardRouter>, DaemonPool) {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        if drop_rings {
+            env.faults().set(cloudprov_cloud::FaultPlan {
+                notify_drop_probability: 1.0,
+                ..cloudprov_cloud::FaultPlan::default()
+            });
+        }
+        let router = Arc::new(ShardRouter::provision(&env, shards));
+        let board = LeaseBoard::provision(&env, shards, ttl);
+        let pool = DaemonPool::spawn(
+            &env,
+            ProtocolConfig::default(),
+            router.clone(),
+            board,
+            workers,
+            poll,
+        );
+        sim.sleep(idle);
+        (sim, env, router, pool)
+    }
+
+    /// After an idle hour (one worker, one shard, TTL 120 s, poll 5 s:
+    /// the fallback is at its 30 s cap), flushes one transaction right
+    /// after a round starts — so the worker's next fallback wake is a
+    /// whole park away — and returns how long it took to commit.
+    fn commit_latency_after_an_idle_hour(drop_rings: bool) -> (Duration, PoolStats) {
+        let (sim, env, router, pool) = idle_pool(
+            1,
+            1,
+            Duration::from_secs(120),
+            Duration::from_secs(5),
+            Duration::from_secs(3600),
+            drop_rings,
+        );
+        let rounds = pool.stats().rounds;
+        while pool.stats().rounds == rounds {
+            sim.sleep(Duration::from_millis(100));
+        }
+        let client = shard_client(&env, &router, 0, "after-idle");
+        let sent = sim.now();
+        flush_one(&client, 77, "after-idle");
+        let deadline = sent + Duration::from_secs(120);
+        while pool.committed_transactions() == 0 && sim.now() < deadline {
+            sim.sleep(Duration::from_millis(100));
+        }
+        let latency = sim.now() - sent;
+        let stats = pool.stop();
+        assert_eq!(stats.committed, 1, "{stats:?}");
+        (latency, stats)
+    }
+
+    #[test]
+    fn an_idle_worker_backs_its_fallback_poll_off_to_a_quarter_ttl() {
+        // At a flat 5 s fallback an idle hour is ~720 rounds of a WAL
+        // Receive and a lease renewal each. Backed off to the 30 s cap it
+        // is ~3600 / 30 rounds, plus the ramp 5, 10, 20 s.
+        let cap =
+            DaemonPool::idle_park_cap(Duration::from_secs(5), Duration::from_secs(120)).as_secs();
+        assert_eq!(cap, 30);
+        let (_sim, env, _router, pool) = idle_pool(
+            1,
+            1,
+            Duration::from_secs(120),
+            Duration::from_secs(5),
+            Duration::from_secs(3600),
+            false,
+        );
+        let stats = pool.stop();
+        let ops = env.usage().total_ops(|a, _, op| {
+            a == cloudprov_cloud::Actor::CommitDaemon
+                && matches!(
+                    op,
+                    cloudprov_cloud::Op::Receive | cloudprov_cloud::Op::ChangeVisibility
+                )
+        });
+        assert!(
+            ops <= 3 * (3600 / cap + 4),
+            "{ops} daemon Receive + ChangeVisibility calls in an idle hour: {stats:?}"
+        );
+        assert!(stats.rounds <= 3600 / cap + 4, "{stats:?}");
+        assert_eq!(stats.losses, 0, "the backoff must never cost the lease");
+    }
+
+    #[test]
+    fn a_lost_ring_after_an_idle_hour_costs_at_most_the_cap() {
+        // Every ring is lost, so only the fallback finds the flush: later
+        // than a flat `poll_interval` would, but never later than the
+        // 30 s cap (plus slack for the flush and the commit itself).
+        let (latency, stats) = commit_latency_after_an_idle_hour(true);
+        assert_eq!(stats.wakeups, 0, "every ring was dropped: {stats:?}");
+        assert!(
+            latency > Duration::from_secs(10),
+            "the fallback must have backed off past poll_interval: {latency:?}"
+        );
+        assert!(latency <= Duration::from_secs(30 + 5), "{latency:?}");
+    }
+
+    #[test]
+    fn push_still_commits_at_once_after_an_idle_hour() {
+        // The backed-off park is still a doorbell park: the WAL send ends
+        // it, so the commit does not wait for the 30 s fallback.
+        let (latency, stats) = commit_latency_after_an_idle_hour(false);
+        assert!(
+            stats.wakeups >= 1,
+            "the doorbell must have fired: {stats:?}"
+        );
+        assert!(latency <= Duration::from_secs(1), "{latency:?}");
+    }
+
+    /// How long a lone worker over four idle shards takes to commit one
+    /// transaction logged on `shard` before the pool starts.
+    fn lone_worker_reaches(shard: u32) -> Duration {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let router = Arc::new(ShardRouter::provision(&env, 4));
+        let client = shard_client(&env, &router, shard, "backlog");
+        flush_one(&client, 88, "backlog");
+        let board = LeaseBoard::provision(&env, 4, Duration::from_secs(120));
+        let start = sim.now();
+        let pool = DaemonPool::spawn(
+            &env,
+            ProtocolConfig::default(),
+            router.clone(),
+            board,
+            1,
+            Duration::from_secs(5),
+        );
+        let deadline = start + Duration::from_secs(120);
+        while pool.committed_transactions() == 0 && sim.now() < deadline {
+            sim.sleep(Duration::from_millis(100));
+        }
+        let took = sim.now() - start;
+        let stats = pool.stop();
+        assert_eq!(stats.committed, 1, "{stats:?}");
+        took
+    }
+
+    #[test]
+    fn a_worker_still_taking_leases_does_not_back_off() {
+        // The lone worker takes one lease per round. A round that took a
+        // lease parks `poll_interval`, so wherever the backlog sits the
+        // worker reaches it within three parks of 5 s, not 5 + 10 + 20 s.
+        let took: Vec<Duration> = (0..4).map(lone_worker_reaches).collect();
+        assert!(
+            took.iter().all(|t| *t <= Duration::from_secs(3 * 5 + 1)),
+            "{took:?}"
+        );
+    }
+
+    #[test]
+    fn a_backed_off_plane_keeps_its_leases_under_traffic() {
+        // TTL 20 s, poll 1 s: the fallback backs off to 5 s over ten
+        // idle minutes. Every renewal must still land inside the TTL —
+        // no lease lost, no shard driven twice — once traffic returns.
+        let (sim, env, router, pool) = idle_pool(
+            2,
+            2,
+            Duration::from_secs(20),
+            Duration::from_secs(1),
+            Duration::from_secs(600),
+            false,
+        );
+        for i in 0..20u32 {
+            let client = shard_client(&env, &router, i % 2, &format!("t{i}"));
+            flush_one(&client, 5000 + u128::from(i), &format!("t{i}"));
+            sim.sleep(Duration::from_secs(3));
+        }
+        let deadline = sim.now() + Duration::from_secs(120);
+        while pool.committed_transactions() < 20 && sim.now() < deadline {
+            sim.sleep(Duration::from_millis(500));
+        }
+        let stats = pool.stop();
+        assert_eq!(stats.unique_committed, 20, "{stats:?}");
+        assert_eq!(stats.losses, 0, "{stats:?}");
+        assert_eq!(stats.double_commits, 0, "{stats:?}");
     }
 
     #[test]

@@ -58,9 +58,10 @@ pub struct FleetParams {
     pub seed: u64,
     /// Per-shard WAL depth bound (0 disables backpressure).
     pub max_shard_depth: usize,
-    /// Commit-daemon fallback poll cadence: daemons ride WAL arrival
+    /// Commit-daemon first fallback poll: daemons ride WAL arrival
     /// notifications and the driver rides the commit feed, so this only
-    /// paces recovery from a lost wakeup.
+    /// paces recovery from a lost wakeup (an idle worker doubles it, up
+    /// to a quarter of `lease_ttl`).
     pub poll_interval: Duration,
     /// Commit-lease TTL.
     pub lease_ttl: Duration,
