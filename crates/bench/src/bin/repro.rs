@@ -781,12 +781,15 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
     // is the post-commit publish, outside the commit window. Drop is
     // doorbells shed by the bounded pool queue; Evict is client dedupe-
     // set evictions; Rounds is the pool's worker rounds (each a metered
-    // poll of every held shard plus its renewal).
+    // poll of every held shard); Renew and Probes are the lease renewals
+    // and board probes, each at most once per lease tick (a quarter of
+    // the TTL) per worker; MaxAge is the oldest a lease was at a renewal
+    // check (the lease-age gate below).
     println!(
         "\nCommit critical path (s) — per-phase self-time of the median traced txn;\nphase sum must reconcile with Cp50 (trace gate):"
     );
     println!(
-        "  {:>7} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7}",
+        "  {:>7} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>6} {:>6} {:>7}",
         "Clients",
         "Shards",
         "Daemons",
@@ -801,12 +804,15 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
         "Cp50",
         "Drop",
         "Evict",
-        "Rounds"
+        "Rounds",
+        "Renew",
+        "Probes",
+        "MaxAge"
     );
     for r in &reports {
         let b = r.breakdown.unwrap_or_default();
         println!(
-            "  {:>7} {:>7} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>7}",
+            "  {:>7} {:>7} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>6} {:>6} {:>7} {:>6} {:>6} {:>7.1}",
             r.clients,
             r.shards,
             r.daemons,
@@ -822,8 +828,25 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
             r.pool.dropped,
             r.dedupe_evictions,
             r.pool.rounds,
+            r.pool.renewals,
+            r.pool.board_probes,
+            r.pool.max_lease_age.as_secs_f64(),
         );
     }
+    // Lease-age gate: a lease is renewed once per tick, so its age at a
+    // renewal check is at most tick + max(tick, one group). Every cell
+    // must keep it under the TTL, or a lease could lapse mid-group.
+    // The MaxAge column above names the cell that failed.
+    let lease_ok = reports.iter().all(|r| r.pool.max_lease_age < r.lease_ttl);
+    println!(
+        "\nLease-age gate: every cell's oldest lease at a renewal check < the lease TTL — {} (max {:.1} s)",
+        if lease_ok { "PASS" } else { "FAIL" },
+        reports
+            .iter()
+            .map(|r| r.pool.max_lease_age.as_secs_f64())
+            .fold(0.0, f64::max)
+    );
+    all_ok &= lease_ok;
     // Trace gate: connectivity (zero orphan spans) and root fidelity
     // (root duration == measured commit latency, +/- 1 sim tick) per
     // cell. Both are also folded into violations(), so a failure here
@@ -861,11 +884,12 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
     all_ok &= push_ok;
     // Idle gate: a plane with no clients must back its fallback poll off
     // to the park cap, so its daemons' SQS bill stays under three calls
-    // per worker per cap (a flat poll_interval pays several times that).
+    // per worker per cap (a flat poll_interval pays several times that),
+    // and renewing once per tick must keep every lease under the TTL.
     let idle = fleet::idle_plane(seed);
     let idle_ok = idle.ok();
     println!(
-        "\nIdle-plane gate: {} shards x {} daemons, no clients, one virtual hour — daemon SQS ops {} (bound {} at a {:.0} s park cap), {} rounds, {} lease losses — {}",
+        "\nIdle-plane gate: {} shards x {} daemons, no clients, one virtual hour — daemon SQS ops {} (bound {} at a {:.0} s park cap), {} rounds, {} lease losses, max lease age {:.1} s (< {:.0} s TTL) — {}",
         idle.shards,
         idle.daemons,
         idle.sqs_ops,
@@ -873,6 +897,8 @@ fn fleet_table(small: bool, seed: u64, trace_out: Option<&str>) -> bool {
         idle.cap.as_secs_f64(),
         idle.pool.rounds,
         idle.pool.losses,
+        idle.pool.max_lease_age.as_secs_f64(),
+        idle.lease_ttl.as_secs_f64(),
         if idle_ok { "PASS" } else { "FAIL" }
     );
     all_ok &= idle_ok;

@@ -113,6 +113,9 @@ pub struct IdleCell {
     pub daemons: usize,
     /// The workers' idle park cap ([`DaemonPool::idle_park_cap`]).
     pub cap: Duration,
+    /// The commit-lease TTL, which every lease's age at a renewal check
+    /// must stay under.
+    pub lease_ttl: Duration,
     /// SQS calls billed to the commit daemons (lease board and WALs).
     pub sqs_ops: u64,
     /// The pool's counters at stop.
@@ -121,19 +124,23 @@ pub struct IdleCell {
 
 impl IdleCell {
     /// The most SQS calls the cell may make: every worker holds a shard
-    /// and pays at most three calls a round (a board Receive, a WAL
-    /// Receive, a renewal), one round per cap once the fallback has
-    /// doubled up from `poll_interval` (four rounds of slack cover that
-    /// ramp and the first acquire).
+    /// and, once the fallback has doubled up from `poll_interval`, runs
+    /// one round per cap. Such a round pays a WAL Receive, and a board
+    /// Receive and a renewal each at most once per lease tick — which
+    /// equals the cap, so at most three calls a round. Four rounds of
+    /// slack cover the ramp and the first acquire.
     pub fn bound(&self) -> u64 {
         let rounds = IDLE_HOUR.as_secs() / self.cap.as_secs().max(1) + 4;
         3 * self.daemons as u64 * rounds
     }
 
     /// Whether the idle plane stayed under its bound without losing a
-    /// lease.
+    /// lease or letting one age to the TTL.
     pub fn ok(&self) -> bool {
-        self.sqs_ops <= self.bound() && self.pool.losses == 0 && self.pool.errors == 0
+        self.sqs_ops <= self.bound()
+            && self.pool.losses == 0
+            && self.pool.errors == 0
+            && self.pool.max_lease_age < self.lease_ttl
     }
 }
 
@@ -166,6 +173,7 @@ pub fn idle_plane(seed: u64) -> IdleCell {
         shards,
         daemons,
         cap: DaemonPool::idle_park_cap(defaults.poll_interval, defaults.lease_ttl),
+        lease_ttl: defaults.lease_ttl,
         sqs_ops,
         pool,
     }

@@ -19,11 +19,17 @@
 //!   Both surface as a failed [`LeaseBoard::renew`], which the pool
 //!   treats as "shard stolen, drop it".
 //! * **Duplicate delivery** — the fault plan can hand one token to two
-//!   daemons. The older receipt goes stale the moment the newer delivery
-//!   happens, so the first holder's next renewal fails and exactly one
-//!   holder survives. Commits stay correct regardless, because both
-//!   holders funnel into the same shared per-shard commit daemon (see
-//!   the pool).
+//!   daemons. The older receipt is stale from the newer delivery on, so
+//!   the first holder's next renewal fails and it drops the shard; after
+//!   that renewal exactly one holder is left. The pool renews once per
+//!   lease tick (a quarter of the TTL), so until then both holders can
+//!   drive the shard for up to a tick plus one group. What holds in that
+//!   window is the daemon's own idempotence and the pool's fleet-wide
+//!   `double_commits` check. What is open: the two holders drive the one
+//!   per-shard commit daemon the pool shares between workers, and two
+//!   holders inside one shared daemon is the likely cause of the fleet
+//!   hang under short TTLs (ROADMAP Found 3). ROADMAP item 10 removes
+//!   that sharing.
 
 use std::time::Duration;
 

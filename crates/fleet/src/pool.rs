@@ -2,12 +2,24 @@
 //!
 //! Each worker is a simulated thread running the classic lease loop:
 //! acquire shard leases from the [`LeaseBoard`], poll each held shard's
-//! commit daemon, renew the lease after every round, and shed shards that
-//! go idle (or that a starving peer could use) so the lease tokens keep
-//! circulating toward the load. Failover and stealing both come from the
-//! lease mechanics: a worker that dies or stalls stops renewing, the
-//! token expires back to visible, and whichever worker polls the board
-//! next takes the shard over.
+//! commit daemon, renew its lease, and shed shards that go idle (or that
+//! a starving peer could use) so the lease tokens keep circulating toward
+//! the load. Failover and stealing both come from the lease mechanics: a
+//! worker that dies or stalls stops renewing, the token expires back to
+//! visible, and whichever worker probes the board next takes the shard
+//! over.
+//!
+//! **The lease tick.** Lease bookkeeping runs on the lease's own clock,
+//! not once per round. The tick is [`DaemonPool::idle_park_cap`], a
+//! quarter of the TTL (30 s at the default 120 s). A held lease is
+//! renewed only once its age has reached the tick, checked just before
+//! and just after its shard's poll. A worker holding a shard probes the
+//! board at most once per tick, unless its last probe took a token; a
+//! worker holding none probes every round. A lease is so at most
+//! tick + max(tick, one group) old at a renewal — 30 + 61 = 91 s for the
+//! longest group measured, under the 120 s TTL (the argument is written
+//! out in `worker`) — and a lapsed or released token is found within a
+//! tick of turning visible.
 //!
 //! **Push delivery.** A worker registers an arrival watcher
 //! ([`QueueService::watch`]) on every WAL it leases, and one on the
@@ -20,9 +32,10 @@
 //! starts at `poll_interval` and doubles after every round that neither
 //! received a message nor took a lease, up to a quarter of the lease
 //! TTL; any round that does either resets it, and a worker holding no
-//! shard always parks `poll_interval`. An idle plane so stops paying
-//! three metered calls per worker every `poll_interval`, and a lost ring
-//! costs at most the cap.
+//! shard always parks `poll_interval`. The cap is the lease tick, so an
+//! idle round still pays at most three metered calls (a board probe, a
+//! WAL receive and a renewal), now once per tick instead of every
+//! `poll_interval`, and a lost ring costs at most the cap.
 //!
 //! **Idempotence under at-least-once.** The pool keeps one shared
 //! [`CommitDaemon`] per shard: when a shard moves between workers (steal,
@@ -87,10 +100,20 @@ pub struct PoolStats {
     pub wakeups: u64,
     /// Poll errors (service faults that survived retries).
     pub errors: u64,
-    /// Worker rounds: one poll of every shard the worker held, then the
-    /// renewals (a starving worker's acquire-and-park is not a round).
-    /// Over `unique_committed` it prices the plane's idle polling.
+    /// Worker rounds: one poll of every shard the worker held, with the
+    /// renewals that fell due (a starving worker's acquire-and-park is
+    /// not a round). Over `unique_committed` it prices the plane's idle
+    /// polling.
     pub rounds: u64,
+    /// Lease renewals issued (`ChangeVisibility` calls that extend a held
+    /// lease, failed ones included; releases are not renewals).
+    pub renewals: u64,
+    /// Lease-board probes ([`LeaseBoard::acquire`] calls, whether they
+    /// took a token or came back empty).
+    pub board_probes: u64,
+    /// The oldest any held lease was at a renewal due-check: the renewal
+    /// margin, which must stay under the lease TTL.
+    pub max_lease_age: Duration,
 }
 
 struct PoolShared {
@@ -112,6 +135,10 @@ struct PoolShared {
     wakeups: AtomicU64,
     errors: AtomicU64,
     rounds: AtomicU64,
+    renewals: AtomicU64,
+    board_probes: AtomicU64,
+    /// `PoolStats::max_lease_age`, in nanoseconds.
+    max_lease_age_ns: AtomicU64,
     /// Feed sink installed on every (existing and future) shard daemon
     /// when the pool runs with `ProtocolConfig.feed`.
     sink: Mutex<Option<CommitEventSink>>,
@@ -219,6 +246,9 @@ impl DaemonPool {
             wakeups: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             rounds: AtomicU64::new(0),
+            renewals: AtomicU64::new(0),
+            board_probes: AtomicU64::new(0),
+            max_lease_age_ns: AtomicU64::new(0),
             sink: Mutex::new(None),
             held_total: AtomicUsize::new(0),
             starving: (0..daemons).map(|_| AtomicBool::new(true)).collect(),
@@ -246,9 +276,12 @@ impl DaemonPool {
         DaemonPool { shared, handles }
     }
 
-    /// The longest a worker holding shards parks between idle rounds:
-    /// `max(poll_interval, lease_ttl / 4)`. It is also the most a lost
-    /// doorbell ring can delay a commit on an idle plane.
+    /// The lease tick, `max(poll_interval, lease_ttl / 4)`: a worker
+    /// renews a held lease once its age reaches the tick, and while it
+    /// holds a shard probes the board at most once per tick unless its
+    /// last probe took a token. It is also the longest a worker holding
+    /// shards parks between idle rounds, so the most a lost doorbell ring
+    /// can delay a commit on an idle plane.
     pub fn idle_park_cap(poll_interval: Duration, lease_ttl: Duration) -> Duration {
         poll_interval.max(lease_ttl / 4)
     }
@@ -329,13 +362,17 @@ fn snapshot(s: &PoolShared) -> PoolStats {
         wakeups: s.wakeups.load(Ordering::Relaxed),
         errors: s.errors.load(Ordering::Relaxed),
         rounds: s.rounds.load(Ordering::Relaxed),
+        renewals: s.renewals.load(Ordering::Relaxed),
+        board_probes: s.board_probes.load(Ordering::Relaxed),
+        max_lease_age: Duration::from_nanos(s.max_lease_age_ns.load(Ordering::Relaxed)),
     }
 }
 
-/// A shard lease a worker holds: its consecutive empty polls and the id
-/// of its WAL arrival watch.
+/// A shard lease a worker holds: when it was last acquired or renewed,
+/// its consecutive empty polls, and the id of its WAL arrival watch.
 struct Held {
     lease: Lease,
+    renewed: SimTime,
     idle: u32,
     watch: Option<u64>,
 }
@@ -363,11 +400,12 @@ fn worker(
     poll_interval: Duration,
     shared: Arc<PoolShared>,
 ) {
+    let sim = env.sim().clone();
     let sqs = env.sqs().clone();
     // The worker's doorbell: every leased shard's WAL rings it on send,
     // and the board on every handed-off token, so a starving worker
     // learns about a freed hot shard immediately.
-    let wake = SimSemaphore::new(env.sim(), 0);
+    let wake = SimSemaphore::new(&sim, 0);
     let board_watch = board.watch(wake.clone());
     // Parks on the doorbell; the timeout is the polling fallback that
     // keeps every shard live even if the fault plan dropped each ring.
@@ -377,29 +415,80 @@ fn worker(
             shared.wakeups.fetch_add(1, Ordering::Relaxed);
         }
     };
-    // The idle backoff: the fallback starts at `poll_interval` and doubles
-    // after every round in which no held shard received a message and no
-    // lease was taken, up to a quarter of the lease TTL. A lease's age at
-    // its next renewal is at most one park plus one round, so the cap
-    // leaves three quarters of the TTL for the round. The longest round
-    // measured is 61 s (the benchmark's commit-burst, 8 shards x 8
+    // The lease tick, a quarter of the TTL: lease bookkeeping runs on it
+    // rather than once per round. A held lease is renewed once its age
+    // has reached the tick, checked just before and just after its
+    // shard's poll (`renew_if_due`), and the board is probed at most once
+    // per tick while this worker holds a shard and its last probe took
+    // nothing.
+    //
+    // The renewal bound. A check that finds a lease not due finds it
+    // younger than `tick`. The next check of that lease comes after its
+    // own poll (one group), or after the rest of the round: the other
+    // k - 1 held shards' polls, then at most one park (<= `tick`; a round
+    // parks only when no shard received a message, so those polls were
+    // empty), then the next round's probe. So at any check a lease is
+    // younger than tick + max(tick + (k - 1) empty polls, (k - 1) groups,
+    // one group), plus a few single calls (a probe, a handoff or a
+    // release); for k = 1 that is tick + max(tick, group). The longest
+    // group measured is 61 s (the benchmark's commit-burst, 8 shards x 8
     // daemons under 2009 latencies; 11 s on commit-paced), so at its
-    // 120 s TTL a renewal comes at most 30 + 61 = 91 s after the last.
-    // The cap is also what a lost doorbell ring costs an idle plane.
-    let idle_cap = DaemonPool::idle_park_cap(poll_interval, board.ttl());
+    // 120 s TTL a lease is at most 30 + 61 = 91 s old when renewed. It
+    // lapses only if one group (or k - 1 of them) outlasts three
+    // quarters of the TTL.
+    let tick = DaemonPool::idle_park_cap(poll_interval, board.ttl());
+    // Renews `h`'s lease if it is due. A failed renewal means the shard
+    // was stolen (or the TTL lapsed): it is handed back on the spot —
+    // its daemon state stays in the shared map for whoever drives it
+    // next, and its watch goes with the lease (the thief registered its
+    // own on acquire).
+    let renew_if_due = |mut h: Held| -> Option<Held> {
+        let now = sim.now();
+        let age = now - h.renewed;
+        shared
+            .max_lease_age_ns
+            .fetch_max(age.as_nanos() as u64, Ordering::Relaxed);
+        if age < tick {
+            return Some(h);
+        }
+        shared.renewals.fetch_add(1, Ordering::Relaxed);
+        if board.renew(&h.lease) {
+            h.renewed = now;
+            Some(h)
+        } else {
+            shared.losses.fetch_add(1, Ordering::Relaxed);
+            h.hand_back(&shared, &sqs, &router);
+            None
+        }
+    };
+    // The idle backoff: the fallback park starts at `poll_interval` and
+    // doubles after every round in which no held shard received a message
+    // and no lease was taken, up to the tick. It is also what a lost
+    // doorbell ring costs an idle plane.
     let mut idle_park = poll_interval;
     let mut held: Vec<Held> = Vec::new();
+    // When the board was last probed, and whether that probe took a
+    // token (a worker still collecting backlogged shards probes every
+    // round). A worker starts with no shard, so it probes at once.
+    let mut last_probe = sim.now();
+    let mut probe_took = false;
     // Set after this worker hands a shard off: skip the next acquire so
     // the starving peer the handoff woke wins the token instead of this
     // (faster-cycling) worker grabbing it straight back.
     let mut handoff_cooldown = false;
     while !shared.stop.load(Ordering::Relaxed) {
         // Acquire one more shard per round while there is one to take;
-        // one at a time keeps acquisition fair across workers.
+        // one at a time keeps acquisition fair across workers. A worker
+        // holding a shard probes once per tick, so a token that lapsed or
+        // was released is still found within a tick of turning visible.
+        let now = sim.now();
+        let probe_due = held.is_empty() || probe_took || now - last_probe >= tick;
         let mut acquired = false;
         if handoff_cooldown {
             handoff_cooldown = false;
-        } else if held.len() < router.shards() as usize {
+        } else if held.len() < router.shards() as usize && probe_due {
+            last_probe = now;
+            shared.board_probes.fetch_add(1, Ordering::Relaxed);
             if let Some(lease) = board.acquire() {
                 shared.acquisitions.fetch_add(1, Ordering::Relaxed);
                 shared.held_total.fetch_add(1, Ordering::Relaxed);
@@ -408,11 +497,13 @@ fn worker(
                 let watch = sqs.watch(router.wal_url(lease.shard()), wake.clone()).ok();
                 held.push(Held {
                     lease,
+                    renewed: now,
                     idle: 0,
                     watch,
                 });
                 acquired = true;
             }
+            probe_took = acquired;
         }
         shared.starving[index].store(held.is_empty(), Ordering::Relaxed);
         if held.is_empty() {
@@ -431,16 +522,15 @@ fn worker(
         }
         // Poll every held shard once — one poll is now a whole GROUP
         // commit (the daemon drains several receive rounds and commits
-        // everything that assembled) — then renew its lease; renewal
-        // therefore spans the full group, and the group's bounded
-        // receive window keeps its duration far inside the lease TTL. A failed
-        // renewal means the shard was stolen (or the TTL lapsed): drop
-        // it on the spot — its daemon state stays in the shared map for
-        // whoever drives it next, and the stolen shard's watch goes with
-        // the lease (the thief registered its own on acquire).
+        // everything that assembled) — with a renewal check on either
+        // side of it, which is what bounds a lease's age by one group
+        // plus one tick (see `tick`).
         let mut any_messages = false;
         let mut kept: Vec<Held> = Vec::new();
-        for mut h in held.drain(..) {
+        for h in held.drain(..) {
+            let Some(mut h) = renew_if_due(h) else {
+                continue;
+            };
             let daemon = shared.daemon_for(&env, &protocol_config, &router, h.lease.shard());
             match daemon.poll_once() {
                 Ok(o) => {
@@ -464,12 +554,7 @@ fn worker(
                     shared.errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            if board.renew(&h.lease) {
-                kept.push(h);
-            } else {
-                shared.losses.fetch_add(1, Ordering::Relaxed);
-                h.hand_back(&shared, &sqs, &router);
-            }
+            kept.extend(renew_if_due(h));
         }
         held = kept;
         // Hot-shard handoff: while peers are starving and this worker
@@ -515,7 +600,7 @@ fn worker(
         }
         if !any_messages {
             park(idle_park);
-            idle_park = (idle_park * 2).min(idle_cap);
+            idle_park = (idle_park * 2).min(tick);
         }
     }
     for h in held {
@@ -762,10 +847,12 @@ mod tests {
             2,
             Duration::from_secs(5),
         );
-        // One worker is now grinding shard 0; the other starves. Free
-        // shard 1 mid-backlog: the busy worker picks it up on its next
-        // round, sees a starving peer, and must hand the DEEP shard off.
-        sim.sleep(Duration::from_millis(500));
+        // One worker is now grinding shard 0; the other starves, parked
+        // for its 5 s poll. Free shard 1 mid-backlog, inside the busy
+        // worker's first group: its last probe took a token, so it probes
+        // again next round, picks shard 1 up, sees a starving peer, and
+        // must hand the DEEP shard off.
+        sim.sleep(Duration::from_millis(100));
         assert!(board.release(parked));
         let deadline = sim.now() + Duration::from_secs(120);
         while router.total_depth(&env) > 0 && sim.now() < deadline {
@@ -1034,6 +1121,141 @@ mod tests {
         assert_eq!(stats.unique_committed, 20, "{stats:?}");
         assert_eq!(stats.losses, 0, "{stats:?}");
         assert_eq!(stats.double_commits, 0, "{stats:?}");
+        // The renewal bound written beside `tick` in `worker`: a lease is
+        // at most tick + max(tick, longest round) old at a due-check. An
+        // instant-profile round takes milliseconds; a second covers it.
+        let tick = DaemonPool::idle_park_cap(Duration::from_secs(1), Duration::from_secs(20));
+        let longest_round = Duration::from_secs(1);
+        assert!(
+            stats.max_lease_age <= tick + tick.max(longest_round),
+            "{stats:?}"
+        );
+        assert!(stats.renewals > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn lease_bookkeeping_runs_on_the_tick_not_the_round() {
+        // Two shards x two daemons, TTL 120 s, poll 1 s, a flush every 3 s
+        // for ten virtual minutes. Renewing and probing once per round
+        // costs about two board calls per round, several hundred per
+        // worker; once per 30 s tick it is about 2 x 600 / 30 per worker.
+        // The board lives on a cloud of its own, so its bill reads apart
+        // from the WALs'.
+        use cloudprov_cloud::Op;
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let board_env = CloudEnv::new(&sim, AwsProfile::instant());
+        let router = Arc::new(ShardRouter::provision(&env, 2));
+        let (ttl, poll, daemons) = (Duration::from_secs(120), Duration::from_secs(1), 2);
+        let board = LeaseBoard::provision(&board_env, 2, ttl);
+        let pool = DaemonPool::spawn(
+            &env,
+            ProtocolConfig::default(),
+            router.clone(),
+            board,
+            daemons,
+            poll,
+        );
+        let clients = [0, 1].map(|shard| shard_client(&env, &router, shard, &format!("s{shard}")));
+        let span = Duration::from_secs(600);
+        let flushes = 600 / 3;
+        for i in 0..flushes {
+            flush_one(&clients[i % 2], 6000 + i as u128, &format!("p{i}"));
+            sim.sleep(Duration::from_secs(3));
+        }
+        let deadline = sim.now() + Duration::from_secs(60);
+        while pool.committed_transactions() < flushes as u64 && sim.now() < deadline {
+            sim.sleep(Duration::from_millis(500));
+        }
+        let stats = pool.stop();
+        assert_eq!(stats.unique_committed, flushes as u64, "{stats:?}");
+        assert_eq!(stats.losses, 0, "{stats:?}");
+        assert_eq!(stats.double_commits, 0, "{stats:?}");
+        let board_calls = |wanted: Op| board_env.usage().total_ops(|_, _, op| op == wanted);
+        let (probes, visibility) = (board_calls(Op::Receive), board_calls(Op::ChangeVisibility));
+        let tick = DaemonPool::idle_park_cap(poll, ttl).as_secs();
+        assert!(
+            probes + visibility <= 2 * daemons as u64 * (span.as_secs() / tick + 4),
+            "{probes} board Receive + {visibility} ChangeVisibility calls: {stats:?}"
+        );
+        // The ledger counts what the board billed: every board Receive is
+        // a probe, every ChangeVisibility a renewal or a release.
+        assert_eq!(stats.board_probes, probes, "{stats:?}");
+        assert!(
+            stats.renewals > 0 && stats.renewals <= visibility,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_worker_holding_a_shard_still_takes_over_a_dead_holders_backlog() {
+        // Two shards, TTL 120 s. A dead holder sits on shard 1 over a WAL
+        // backlog; the pool's one worker holds shard 0, kept busy by a
+        // flush every 2 s so it never lets it go. Only its once-per-tick
+        // board probe can find shard 1's token once the dead lease lapses:
+        // the backlog must commit within TTL + tick + one group.
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let router = Arc::new(ShardRouter::provision(&env, 2));
+        let ttl = Duration::from_secs(120);
+        let board = LeaseBoard::provision(&env, 2, ttl);
+        let mut dead = board.acquire().expect("dead holder's lease");
+        if dead.shard() == 0 {
+            let other = board.acquire().expect("two tokens were seeded");
+            assert!(board.release(dead));
+            dead = other;
+        }
+        assert_eq!(dead.shard(), 1);
+        let dead_at = sim.now();
+        let backlog = shard_client(&env, &router, 1, "backlog");
+        for k in 0..5u128 {
+            flush_one(&backlog, 7000 + k, &format!("backlog{k}"));
+        }
+        let poll = Duration::from_secs(5);
+        let pool = DaemonPool::spawn(
+            &env,
+            ProtocolConfig::default(),
+            router.clone(),
+            board.clone(),
+            1,
+            poll,
+        );
+        let tick = DaemonPool::idle_park_cap(poll, ttl);
+        let busy = shard_client(&env, &router, 0, "busy");
+        let committed = |k: u128| {
+            env.s3()
+                .peek_committed("data", &format!("backlog{k}"))
+                .is_some()
+        };
+        let mut flushed = 0u128;
+        while !(0..5).all(committed) && sim.now() < dead_at + ttl + tick + ttl {
+            flush_one(&busy, 8000 + flushed, &format!("busy{flushed}"));
+            flushed += 1;
+            sim.sleep(Duration::from_secs(2));
+        }
+        let took = sim.now() - dead_at;
+        let stats = pool.stop();
+        assert!((0..5).all(committed), "backlog never committed: {stats:?}");
+        assert!(
+            took >= ttl,
+            "shard 1 was driven under a live lease: {took:?}"
+        );
+        // One group is milliseconds here; the 2 s flush cadence is how
+        // finely the loop above reads the clock.
+        assert!(
+            took <= ttl + tick + Duration::from_secs(2),
+            "{took:?}: {stats:?}"
+        );
+        assert_eq!(
+            stats.idle_releases, 0,
+            "the worker must have held shard 0 throughout: {stats:?}"
+        );
+        assert_eq!(stats.double_commits, 0, "{stats:?}");
+        assert_eq!(stats.unique_committed, 5 + flushed as u64, "{stats:?}");
+        assert!(
+            !board.renew(&dead),
+            "the dead lease must have been taken over"
+        );
     }
 
     #[test]

@@ -124,6 +124,9 @@ pub struct FleetReport {
     pub shards: u32,
     /// Echo of the run shape.
     pub daemons: usize,
+    /// Echo of the run shape: the commit-lease TTL, which every lease's
+    /// age at a renewal check (`pool.max_lease_age`) must stay under.
+    pub lease_ttl: Duration,
     /// WAL transactions the clients logged (non-empty pipeline merges).
     pub logged_txns: u64,
     /// Transactions the pool committed (with multiplicity).
@@ -547,6 +550,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         tenants: params.tenants,
         shards: params.shards,
         daemons: params.daemons,
+        lease_ttl: params.lease_ttl,
         logged_txns,
         committed: pool_stats.committed,
         unique_committed: pool_stats.unique_committed,
