@@ -172,7 +172,7 @@ pub fn idle_plane(seed: u64) -> IdleCell {
     IdleCell {
         shards,
         daemons,
-        cap: DaemonPool::idle_park_cap(defaults.poll_interval, defaults.lease_ttl),
+        cap: DaemonPool::idle_park_cap(defaults.lease_ttl),
         lease_ttl: defaults.lease_ttl,
         sqs_ops,
         pool,

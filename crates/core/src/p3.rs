@@ -1030,6 +1030,11 @@ impl CommitDaemon {
         self.committed_count.load(Ordering::Relaxed)
     }
 
+    /// When `txn`'s first WAL message reached this daemon, if one has.
+    pub fn pickup_time(&self, txn: Uuid) -> Option<SimTime> {
+        self.first_seen.lock().get(&txn).copied()
+    }
+
     /// When each transaction's first WAL message reached this daemon
     /// (assembly may still be in flight). Joined against client logged-at
     /// instants, this is the WAL-durable -> pickup dwell — the waiting
@@ -1084,7 +1089,7 @@ impl CommitDaemon {
                     let now = env.sim().now();
                     self.first_seen.lock().entry(txn).or_insert(now);
                     // Trace: pickup instant (first mark wins across
-                    // daemons, matching the pool's earliest-wins merge).
+                    // daemons).
                     env.tracer().mark_pickup(txn.0, now);
                     TxnBuf::default()
                 });

@@ -23,13 +23,15 @@
 //!   the first holder's next renewal fails and it drops the shard; after
 //!   that renewal exactly one holder is left. The pool renews once per
 //!   lease tick (a quarter of the TTL), so until then both holders can
-//!   drive the shard for up to a tick plus one group. What holds in that
-//!   window is the daemon's own idempotence and the pool's fleet-wide
-//!   `double_commits` check. What is open: the two holders drive the one
-//!   per-shard commit daemon the pool shares between workers, and two
-//!   holders inside one shared daemon is the likely cause of the fleet
-//!   hang under short TTLs (ROADMAP Found 3). ROADMAP item 10 removes
-//!   that sharing.
+//!   drive the shard for up to a tick plus one group.
+//!
+//! What holds: each holder drives a commit daemon of its own, dropped
+//! with its lease, so two holders never meet inside one daemon's locks;
+//! the commit path is idempotent, and the pool's `double_commits` check
+//! counts any repeat. What is open: a duplicated token gives two fresh
+//! holders inside the renewal window, whose feed writers can stage the
+//! same sequence on the shard's stream (`audit_feed` reports it as a
+//! duplicate; ROADMAP item 3(c)).
 
 use std::time::Duration;
 

@@ -3,53 +3,43 @@
 //! Each worker is a simulated thread running the classic lease loop:
 //! acquire shard leases from the [`LeaseBoard`], poll each held shard's
 //! commit daemon, renew its lease, and shed shards that go idle (or that
-//! a starving peer could use) so the lease tokens keep circulating toward
-//! the load. Failover and stealing both come from the lease mechanics: a
-//! worker that dies or stalls stops renewing, the token expires back to
-//! visible, and whichever worker probes the board next takes the shard
-//! over.
+//! a starving peer could use). A worker that dies or stalls stops
+//! renewing, the token expires back to visible, and whichever worker
+//! probes the board next takes the shard over.
 //!
-//! **The lease tick.** Lease bookkeeping runs on the lease's own clock,
-//! not once per round. The tick is [`DaemonPool::idle_park_cap`], a
-//! quarter of the TTL (30 s at the default 120 s). A held lease is
-//! renewed only once its age has reached the tick, checked just before
-//! and just after its shard's poll. A worker holding a shard probes the
-//! board at most once per tick, unless its last probe took a token; a
-//! worker holding none probes every round. A lease is so at most
-//! tick + max(tick, one group) old at a renewal — 30 + 61 = 91 s for the
-//! longest group measured, under the 120 s TTL (the argument is written
-//! out in `worker`) — and a lapsed or released token is found within a
-//! tick of turning visible.
+//! **The lease tick**, [`DaemonPool::idle_park_cap`], is a quarter of the
+//! TTL. A held lease is renewed once its age reaches the tick, checked
+//! just before and just after its shard's poll; a worker holding a shard
+//! probes the board once per tick unless its last probe took a token. So
+//! a lease is at most tick + max(tick, one group) old at a renewal (the
+//! argument is written out in `worker`), and a freed token is found
+//! within a tick of turning visible.
 //!
-//! **Push delivery.** A worker registers an arrival watcher
-//! ([`QueueService::watch`]) on every WAL it leases, and one on the
-//! lease board, and parks on that doorbell between rounds: a client send
-//! wakes it immediately, collapsing the idle-poll latency that otherwise
-//! dominates commit lag. Watcher rings are best-effort (the fault plan
-//! can drop them), so the park is bounded by a polling fallback — a lost
-//! wakeup degrades to polling, never to a stuck shard — and the watcher
-//! travels with the lease on release, handoff, and steal. The fallback
-//! starts at `poll_interval` and doubles after every round that neither
-//! received a message nor took a lease, up to a quarter of the lease
-//! TTL; any round that does either resets it, and a worker holding no
-//! shard always parks `poll_interval`. The cap is the lease tick, so an
-//! idle round still pays at most three metered calls (a board probe, a
-//! WAL receive and a renewal), now once per tick instead of every
-//! `poll_interval`, and a lost ring costs at most the cap.
+//! **Push delivery.** A worker parks between rounds on one doorbell, rung
+//! by every WAL it leases ([`QueueService::watch`]) and by the lease
+//! board. Rings are best-effort, so the park is bounded by a fallback
+//! that starts at `poll_interval` and doubles after every round that
+//! neither received a message nor took a lease, up to the tick: a lost
+//! ring costs at most a tick, and an idle round at most three metered
+//! calls (a board probe, a WAL receive and a renewal) per tick.
 //!
-//! **Idempotence under at-least-once.** The pool keeps one shared
-//! [`CommitDaemon`] per shard: when a shard moves between workers (steal,
-//! handoff, duplicate lease delivery), the new worker drives the *same*
-//! daemon, so partially assembled transactions survive the move and the
-//! daemon's committed-set keeps redeliveries from double-committing.
-//! Even two genuinely independent daemons on one shard are safe — the
-//! commit path itself is idempotent (copy-or-verify, exact-duplicate
-//! attribute writes coalesce) — but the pool additionally registers every
-//! committed transaction id in a fleet-wide set and counts any repeat as
-//! a `double_commits` violation, which the fleet benchmark asserts stays
-//! at zero.
+//! **One daemon per held lease.** A worker builds a fresh
+//! [`CommitDaemon`] on acquiring a lease and drops it with the lease
+//! (released, handed off or lost), so no two workers share a daemon's
+//! locks. A takeover starts cold, like the paper's any-machine daemon:
+//! partly assembled transactions come back by WAL redelivery, a
+//! `materialized` miss re-puts registry rows SimpleDB deduplicates, and
+//! the feed writer recovers the stream's next sequence. The commit path
+//! is idempotent, and the pool counts any transaction committed twice as
+//! a `double_commits` violation.
+//!
+//! **The envelope.** A lease is checked just before each poll, so a
+//! lapsed holder drops its daemon before its next group. Two daemons
+//! drive one stream only if a group outlasts three quarters of the TTL,
+//! or a single call the whole TTL; then both can stage one feed
+//! sequence, which `audit_feed` reports as a duplicate.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -116,10 +106,13 @@ pub struct PoolStats {
     pub max_lease_age: Duration,
 }
 
+#[derive(Default)]
 struct PoolShared {
     stop: AtomicBool,
-    daemons: Mutex<BTreeMap<u32, Arc<CommitDaemon>>>,
-    committed_txns: Mutex<BTreeSet<Uuid>>,
+    /// Every distinct committed transaction, with the instant its
+    /// committing daemon first received it (`None` if that daemon had
+    /// already gone).
+    committed_txns: Mutex<BTreeMap<Uuid, Option<SimTime>>>,
     /// (txn, committed-at) per first commit — joined with the clients'
     /// logged-at timestamps into the commit-latency distribution.
     commit_times: Mutex<Vec<(Uuid, SimTime)>>,
@@ -139,8 +132,8 @@ struct PoolShared {
     board_probes: AtomicU64,
     /// `PoolStats::max_lease_age`, in nanoseconds.
     max_lease_age_ns: AtomicU64,
-    /// Feed sink installed on every (existing and future) shard daemon
-    /// when the pool runs with `ProtocolConfig.feed`.
+    /// The feed sink every daemon forwards its published events to, read
+    /// at publish time (daemons run a feed only with `ProtocolConfig.feed`).
     sink: Mutex<Option<CommitEventSink>>,
     /// Leases currently held across the whole pool, for coverage checks.
     held_total: AtomicUsize,
@@ -156,45 +149,39 @@ impl PoolShared {
             .count()
     }
 
-    /// The shared per-shard commit daemon, created (with the fleet-wide
-    /// double-commit listener) on first use. The pool owns its daemons and
-    /// each daemon owns its listener, so the listener's way back to the
-    /// pool is weak: a strong one is a cycle no `stop()` ever frees.
-    fn daemon_for(
+    /// A fresh commit daemon for a lease just taken on `wal_url`, wired to
+    /// the pool's feed sink and fleet-wide double-commit registry. The
+    /// daemon owns its listener, so the listener's way back to the daemon
+    /// (for the transaction's pickup instant) is weak.
+    fn build_daemon(
         self: &Arc<Self>,
         env: &CloudEnv,
         config: &ProtocolConfig,
-        router: &ShardRouter,
-        shard: u32,
+        wal_url: &str,
     ) -> Arc<CommitDaemon> {
-        let mut daemons = self.daemons.lock();
-        daemons
-            .entry(shard)
-            .or_insert_with(|| {
-                let d = Arc::new(CommitDaemon::new(
-                    env,
-                    config.clone(),
-                    router.wal_url(shard),
-                ));
-                if let Some(sink) = self.sink.lock().clone() {
-                    d.set_event_sink(sink);
+        let d = Arc::new(CommitDaemon::new(env, config.clone(), wal_url));
+        let shared = self.clone();
+        d.set_event_sink(Arc::new(move |event| {
+            // Cloned out, so no guard is held across the sink call.
+            let sink = shared.sink.lock().clone();
+            if let Some(sink) = sink {
+                sink(event);
+            }
+        }));
+        let (shared, me, sim) = (self.clone(), Arc::downgrade(&d), env.sim().clone());
+        d.set_commit_listener(Arc::new(move |txn| {
+            shared.committed.fetch_add(1, Ordering::Relaxed);
+            match shared.committed_txns.lock().entry(txn) {
+                Entry::Vacant(e) => {
+                    e.insert(me.upgrade().and_then(|d| d.pickup_time(txn)));
+                    shared.commit_times.lock().push((txn, sim.now()));
                 }
-                let shared = Arc::downgrade(self);
-                let sim = env.sim().clone();
-                d.set_commit_listener(Arc::new(move |txn| {
-                    let Some(shared) = shared.upgrade() else {
-                        return;
-                    };
-                    shared.committed.fetch_add(1, Ordering::Relaxed);
-                    if shared.committed_txns.lock().insert(txn) {
-                        shared.commit_times.lock().push((txn, sim.now()));
-                    } else {
-                        shared.double_commits.fetch_add(1, Ordering::Relaxed);
-                    }
-                }));
-                d
-            })
-            .clone()
+                Entry::Occupied(_) => {
+                    shared.double_commits.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }));
+        d
     }
 }
 
@@ -220,6 +207,13 @@ impl DaemonPool {
     /// round doubles that, up to [`DaemonPool::idle_park_cap`]. A doorbell
     /// ring ends any park at once. The pool runs until
     /// [`DaemonPool::stop`].
+    ///
+    /// # Panics
+    ///
+    /// If `daemons` is zero, or if `poll_interval` exceeds a quarter of
+    /// the board's lease TTL: leases are renewed once per quarter-TTL
+    /// tick, and a longer fallback park would renew them only after they
+    /// expired.
     pub fn spawn(
         env: &CloudEnv,
         protocol_config: ProtocolConfig,
@@ -229,29 +223,15 @@ impl DaemonPool {
         poll_interval: Duration,
     ) -> DaemonPool {
         assert!(daemons >= 1, "a pool needs at least one daemon");
+        let tick = DaemonPool::idle_park_cap(board.ttl());
+        assert!(
+            poll_interval <= tick,
+            "poll_interval {poll_interval:?} exceeds the lease renewal tick, lease_ttl / 4 = \
+             {tick:?}: a lease must be renewed at most a quarter TTL after its last renewal"
+        );
         let shared = Arc::new(PoolShared {
-            stop: AtomicBool::new(false),
-            daemons: Mutex::new(BTreeMap::new()),
-            committed_txns: Mutex::new(BTreeSet::new()),
-            commit_times: Mutex::new(Vec::new()),
-            committed: AtomicU64::new(0),
-            double_commits: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            stalled: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            acquisitions: AtomicU64::new(0),
-            losses: AtomicU64::new(0),
-            idle_releases: AtomicU64::new(0),
-            handoffs: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            rounds: AtomicU64::new(0),
-            renewals: AtomicU64::new(0),
-            board_probes: AtomicU64::new(0),
-            max_lease_age_ns: AtomicU64::new(0),
-            sink: Mutex::new(None),
-            held_total: AtomicUsize::new(0),
             starving: (0..daemons).map(|_| AtomicBool::new(true)).collect(),
+            ..PoolShared::default()
         });
         let handles = (0..daemons)
             .map(|w| {
@@ -276,14 +256,14 @@ impl DaemonPool {
         DaemonPool { shared, handles }
     }
 
-    /// The lease tick, `max(poll_interval, lease_ttl / 4)`: a worker
-    /// renews a held lease once its age reaches the tick, and while it
-    /// holds a shard probes the board at most once per tick unless its
-    /// last probe took a token. It is also the longest a worker holding
-    /// shards parks between idle rounds, so the most a lost doorbell ring
-    /// can delay a commit on an idle plane.
-    pub fn idle_park_cap(poll_interval: Duration, lease_ttl: Duration) -> Duration {
-        poll_interval.max(lease_ttl / 4)
+    /// The lease tick, `lease_ttl / 4`: a worker renews a held lease once
+    /// its age reaches the tick, and while it holds a shard probes the
+    /// board at most once per tick unless its last probe took a token. It
+    /// is also the longest a worker holding shards parks between idle
+    /// rounds, so the most a lost doorbell ring can delay a commit on an
+    /// idle plane.
+    pub fn idle_park_cap(lease_ttl: Duration) -> Duration {
+        lease_ttl / 4
     }
 
     /// Counter snapshot.
@@ -291,16 +271,14 @@ impl DaemonPool {
         snapshot(&self.shared)
     }
 
-    /// Installs a commit-event sink on every shard daemon the pool has
-    /// built — and every one it builds later. Only daemons running a
+    /// Installs the commit-event sink every shard daemon publishes to,
+    /// those running now and those built later: each forwards its events
+    /// to the sink installed when it publishes. Only daemons running a
     /// feed-enabled [`ProtocolConfig`] publish events; the sink is the
     /// delivery side (a [`cloudprov_core::feed`] subscription registry,
     /// a query-cache invalidator, …).
     pub fn set_event_sink(&self, sink: CommitEventSink) {
-        *self.shared.sink.lock() = Some(sink.clone());
-        for d in self.shared.daemons.lock().values() {
-            d.set_event_sink(sink.clone());
-        }
+        *self.shared.sink.lock() = Some(sink);
     }
 
     /// Transactions committed so far (all workers).
@@ -316,24 +294,22 @@ impl DaemonPool {
         self.shared.commit_times.lock().clone()
     }
 
-    /// (txn, first-received-at) across every shard daemon, earliest
-    /// receive winning when a transaction was seen by more than one
-    /// (lease steal mid-assembly). Joined with client logged-at
-    /// timestamps this yields the WAL-durable -> pickup dwell — the
-    /// waiting component push delivery eliminates, which the fleet
+    /// (txn, picked-up-at) for every distinct transaction the pool has
+    /// committed, in transaction order: when the daemon that committed it
+    /// first received one of its WAL messages. After a lease steal
+    /// mid-assembly that is the thief's pickup, not the first holder's;
+    /// a transaction still assembling is not listed. Joined with client
+    /// logged-at timestamps this yields the WAL-durable -> pickup dwell —
+    /// the waiting component push delivery eliminates, which the fleet
     /// bench gates under a second while the commit's own service time
     /// under 2009-calibrated latencies stays several seconds.
     pub fn pickup_times(&self) -> Vec<(Uuid, SimTime)> {
-        let mut earliest: BTreeMap<Uuid, SimTime> = BTreeMap::new();
-        for d in self.shared.daemons.lock().values() {
-            for (txn, at) in d.pickup_times() {
-                earliest
-                    .entry(txn)
-                    .and_modify(|e| *e = (*e).min(at))
-                    .or_insert(at);
-            }
-        }
-        earliest.into_iter().collect()
+        self.shared
+            .committed_txns
+            .lock()
+            .iter()
+            .filter_map(|(txn, at)| Some((*txn, (*at)?)))
+            .collect()
     }
 
     /// Signals every worker and waits (in virtual time) for them to
@@ -368,19 +344,22 @@ fn snapshot(s: &PoolShared) -> PoolStats {
     }
 }
 
-/// A shard lease a worker holds: when it was last acquired or renewed,
-/// its consecutive empty polls, and the id of its WAL arrival watch.
+/// A shard lease a worker holds and the commit daemon it drives, built on
+/// acquire and dropped with the `Held`; when the lease was last acquired
+/// or renewed, its consecutive empty polls, and the id of its WAL arrival
+/// watch.
 struct Held {
     lease: Lease,
+    daemon: Arc<CommitDaemon>,
     renewed: SimTime,
     idle: u32,
     watch: Option<u64>,
 }
 
 impl Held {
-    /// Gives the shard up: takes it out of the pool's coverage count and
-    /// drops its arrival watch, then returns the lease for the caller to
-    /// release, hand off, or — lost to a steal — drop.
+    /// Gives the shard up: takes it out of the pool's coverage count,
+    /// drops its arrival watch and its daemon, then returns the lease for
+    /// the caller to release, hand off, or — lost to a steal — drop.
     fn hand_back(self, shared: &PoolShared, sqs: &QueueService, router: &ShardRouter) -> Lease {
         shared.held_total.fetch_sub(1, Ordering::Relaxed);
         if let Some(id) = self.watch {
@@ -436,12 +415,12 @@ fn worker(
     // 120 s TTL a lease is at most 30 + 61 = 91 s old when renewed. It
     // lapses only if one group (or k - 1 of them) outlasts three
     // quarters of the TTL.
-    let tick = DaemonPool::idle_park_cap(poll_interval, board.ttl());
+    let tick = DaemonPool::idle_park_cap(board.ttl());
     // Renews `h`'s lease if it is due. A failed renewal means the shard
-    // was stolen (or the TTL lapsed): it is handed back on the spot —
-    // its daemon state stays in the shared map for whoever drives it
-    // next, and its watch goes with the lease (the thief registered its
-    // own on acquire).
+    // was stolen (or the TTL lapsed): it is handed back on the spot, its
+    // daemon and watch with it, before this worker polls it again (the
+    // thief built its own daemon and registered its own watch on
+    // acquire).
     let renew_if_due = |mut h: Held| -> Option<Held> {
         let now = sim.now();
         let age = now - h.renewed;
@@ -492,10 +471,13 @@ fn worker(
             if let Some(lease) = board.acquire() {
                 shared.acquisitions.fetch_add(1, Ordering::Relaxed);
                 shared.held_total.fetch_add(1, Ordering::Relaxed);
-                // The subscription follows the lease: watch the shard's
-                // WAL for as long as this worker holds it.
-                let watch = sqs.watch(router.wal_url(lease.shard()), wake.clone()).ok();
+                // The subscription and the daemon follow the lease: watch
+                // the shard's WAL, and drive a daemon of this worker's
+                // own, for as long as this worker holds it.
+                let url = router.wal_url(lease.shard());
+                let watch = sqs.watch(url, wake.clone()).ok();
                 held.push(Held {
+                    daemon: shared.build_daemon(&env, &protocol_config, url),
                     lease,
                     renewed: now,
                     idle: 0,
@@ -531,8 +513,7 @@ fn worker(
             let Some(mut h) = renew_if_due(h) else {
                 continue;
             };
-            let daemon = shared.daemon_for(&env, &protocol_config, &router, h.lease.shard());
-            match daemon.poll_once() {
+            match h.daemon.poll_once() {
                 Ok(o) => {
                     shared
                         .messages
@@ -909,7 +890,6 @@ mod tests {
                 "the lease must have been stolen"
             );
         }
-        assert_eq!(pool.shared.daemons.lock().len(), 1);
         let shared = Arc::downgrade(&pool.shared);
         let stats = pool.stop();
         assert_eq!(
@@ -922,9 +902,10 @@ mod tests {
 
     #[test]
     fn a_stopped_pool_is_freed_with_its_daemons() {
-        // `PoolShared` owns the shard daemons and each daemon owns its
-        // commit listener; were the listener to own `PoolShared` back, no
-        // world that ever committed through a pool would be freed.
+        // Each daemon's commit listener and feed forwarder own
+        // `PoolShared`, and the workers own the daemons through their
+        // leases. A stopped worker gives its leases up, and its daemons
+        // with them, so nothing may keep the pool's state alive after.
         let shared = pool_state_after_its_world_is_dropped(false);
         assert!(shared.upgrade().is_none(), "PoolShared leaked");
     }
@@ -1002,8 +983,7 @@ mod tests {
         // At a flat 5 s fallback an idle hour is ~720 rounds of a WAL
         // Receive and a lease renewal each. Backed off to the 30 s cap it
         // is ~3600 / 30 rounds, plus the ramp 5, 10, 20 s.
-        let cap =
-            DaemonPool::idle_park_cap(Duration::from_secs(5), Duration::from_secs(120)).as_secs();
+        let cap = DaemonPool::idle_park_cap(Duration::from_secs(120)).as_secs();
         assert_eq!(cap, 30);
         let (_sim, env, _router, pool) = idle_pool(
             1,
@@ -1124,7 +1104,7 @@ mod tests {
         // The renewal bound written beside `tick` in `worker`: a lease is
         // at most tick + max(tick, longest round) old at a due-check. An
         // instant-profile round takes milliseconds; a second covers it.
-        let tick = DaemonPool::idle_park_cap(Duration::from_secs(1), Duration::from_secs(20));
+        let tick = DaemonPool::idle_park_cap(Duration::from_secs(20));
         let longest_round = Duration::from_secs(1);
         assert!(
             stats.max_lease_age <= tick + tick.max(longest_round),
@@ -1173,7 +1153,7 @@ mod tests {
         assert_eq!(stats.double_commits, 0, "{stats:?}");
         let board_calls = |wanted: Op| board_env.usage().total_ops(|_, _, op| op == wanted);
         let (probes, visibility) = (board_calls(Op::Receive), board_calls(Op::ChangeVisibility));
-        let tick = DaemonPool::idle_park_cap(poll, ttl).as_secs();
+        let tick = DaemonPool::idle_park_cap(ttl).as_secs();
         assert!(
             probes + visibility <= 2 * daemons as u64 * (span.as_secs() / tick + 4),
             "{probes} board Receive + {visibility} ChangeVisibility calls: {stats:?}"
@@ -1220,7 +1200,7 @@ mod tests {
             1,
             poll,
         );
-        let tick = DaemonPool::idle_park_cap(poll, ttl);
+        let tick = DaemonPool::idle_park_cap(ttl);
         let busy = shard_client(&env, &router, 0, "busy");
         let committed = |k: u128| {
             env.s3()
@@ -1255,6 +1235,74 @@ mod tests {
         assert!(
             !board.renew(&dead),
             "the dead lease must have been taken over"
+        );
+    }
+
+    #[test]
+    fn a_lease_lost_mid_group_costs_a_redelivery_not_a_deadlock() {
+        // One shard, two workers, TTL 20 s, and every SimpleDB write takes
+        // 12 s: a group's registry, index, feed-stage and watermark writes
+        // outlast three quarters of the TTL, so the holder's lease lapses
+        // mid-group and the other worker takes the shard over. Each drives
+        // a daemon of its own; one shared daemon deadlocked here, two
+        // workers inside its feed writer's lock. Every single write stays
+        // under the TTL, so the lapsed holder drops its daemon before it
+        // stages again: the stream keeps one sequence, with no conflicts.
+        let sim = Sim::new();
+        let mut profile = AwsProfile::instant();
+        profile.sdb.write_base = Duration::from_secs(12);
+        let env = CloudEnv::new(&sim, profile);
+        let router = Arc::new(ShardRouter::provision(&env, 1));
+        let config = ProtocolConfig {
+            feed: true,
+            ..ProtocolConfig::default()
+        };
+        let board = LeaseBoard::provision(&env, 1, Duration::from_secs(20));
+        let pool = DaemonPool::spawn(
+            &env,
+            config.clone(),
+            router.clone(),
+            board,
+            2,
+            Duration::from_secs(1),
+        );
+        let client = shard_client(&env, &router, 0, "slow-db");
+        for i in 0..60u128 {
+            flush_one(&client, 9100 + i, &format!("slow{i}"));
+            sim.sleep(Duration::from_secs(2));
+        }
+        let deadline = sim.now() + Duration::from_secs(3600);
+        while router.total_depth(&env) > 0 && sim.now() < deadline {
+            sim.sleep(Duration::from_secs(5));
+        }
+        assert_eq!(router.total_depth(&env), 0, "WAL must drain");
+        let stats = pool.stop();
+        assert_eq!(stats.unique_committed, 60, "{stats:?}");
+        assert_eq!(stats.double_commits, 0, "{stats:?}");
+        assert!(stats.losses > 0, "no lease lapsed: {stats:?}");
+        let staged =
+            cloudprov_core::audit_feed(&env, &config.layout.domain, &ShardRouter::queue_name(0));
+        assert!(staged.events >= 60, "{staged:?}");
+        assert_eq!(staged.seq_gaps, 0, "{staged:?}");
+        assert_eq!(staged.duplicate_seqs, 0, "{staged:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "lease renewal tick")]
+    fn a_poll_interval_longer_than_the_renewal_tick_is_refused() {
+        // TTL 5 s with poll 5 s: the tick would equal the TTL, so every
+        // lease would be renewed only after it had expired.
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let router = Arc::new(ShardRouter::provision(&env, 1));
+        let board = LeaseBoard::provision(&env, 1, Duration::from_secs(5));
+        let _ = DaemonPool::spawn(
+            &env,
+            ProtocolConfig::default(),
+            router,
+            board,
+            1,
+            Duration::from_secs(5),
         );
     }
 

@@ -524,8 +524,8 @@ impl Tracer {
 
     /// Marks the first daemon pickup. First mark wins across daemons
     /// (the shared tracer sees calls in deterministic sim order, so the
-    /// earliest pickup is the one recorded — matching the fleet pool's
-    /// earliest-wins `pickup_times` merge).
+    /// earliest pickup is the one recorded, even when a later daemon
+    /// commits the transaction after a lease steal).
     pub fn mark_pickup(&self, txn: u128, at: SimTime) {
         if !self.enabled() {
             return;

@@ -15,7 +15,9 @@
 //! * every key a client's successful close promised durable reads back
 //!   **coupled** (§3 provenance data-coupling) once the eventual-
 //!   consistency window has passed;
-//! * no client died or saw a pipeline error.
+//! * no client died or saw a pipeline error;
+//! * the commit feed reached the driver gap-free, and every shard's
+//!   durably staged feed sequences are contiguous and unique.
 //!
 //! The report carries the scaling metrics (aggregate commit throughput,
 //! p50/p99 enqueue→WAL-durable flush latency) and per-tenant op/byte/dollar
@@ -26,11 +28,11 @@ use std::time::Duration;
 
 use cloudprov_cloud::{AwsProfile, CloudEnv, PriceBook, TenantId};
 use cloudprov_core::{
-    CommitEvent, CouplingCheck, FlushSample, Protocol, ProtocolConfig, ProvenanceClient,
-    StorageProtocol,
+    audit_feed, CommitEvent, CouplingCheck, FlushSample, Protocol, ProtocolConfig,
+    ProvenanceClient, StorageProtocol,
 };
 use cloudprov_feed::{Predicate, Subscriptions};
-use cloudprov_fleet::{Fleet, FleetConfig, PoolStats};
+use cloudprov_fleet::{Fleet, FleetConfig, PoolStats, ShardRouter};
 use cloudprov_fs::{LocalIoParams, PaS3fs};
 use cloudprov_pass::Uuid;
 use cloudprov_sim::Sim;
@@ -204,6 +206,11 @@ pub struct FleetReport {
     /// Committed transactions that never surfaced on the feed (must be
     /// 0: at-least-once means *at least* once).
     pub feed_missing: u64,
+    /// Sequence gaps plus duplicate sequences in the shards' durable feed
+    /// staging, summed over the streams (must be 0). Non-zero means two
+    /// daemons staged one stream at once, e.g. a lease holder that stayed
+    /// inside a group past its TTL.
+    pub staged_feed_conflicts: u64,
     /// Objects clients' pipelines dropped because an earlier batch
     /// already persisted them (dedupe-set evictions, summed).
     pub dedupe_evictions: u64,
@@ -271,6 +278,12 @@ impl FleetReport {
             v.push(format!(
                 "{} committed transactions never reached the feed",
                 self.feed_missing
+            ));
+        }
+        if self.staged_feed_conflicts > 0 {
+            v.push(format!(
+                "{} staged feed sequence gaps or duplicates",
+                self.staged_feed_conflicts
             ));
         }
         if self.traced {
@@ -414,6 +427,18 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
     let pickup_times: std::collections::BTreeMap<Uuid, SimTime> =
         pool.pickup_times().into_iter().collect();
     let pool_stats = pool.stop();
+    // The producer side of the feed: each shard stream's staged sequences
+    // must be contiguous and unique (an unmetered peek).
+    let staged_feed_conflicts = (0..params.shards)
+        .map(|shard| {
+            let staged = audit_feed(
+                &env,
+                &protocol_config.layout.domain,
+                &ShardRouter::queue_name(shard),
+            );
+            staged.seq_gaps + staged.duplicate_seqs
+        })
+        .sum();
     // Drain deliveries that raced the final depth check.
     while let Some(ev) = monitor.try_next() {
         feed_events.push(ev);
@@ -585,6 +610,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
         feed_duplicates: feed_stats.duplicates,
         feed_gaps: feed_stats.gaps + monitor.out_of_order(),
         feed_missing,
+        staged_feed_conflicts,
         dedupe_evictions: reg.counter("client.dedupe_evictions"),
         traced: params.trace,
         trace_spans: trace_stats.map(|s| s.spans).unwrap_or(0),

@@ -281,3 +281,26 @@ fn fleet_driver_commits_faster_with_more_daemons() {
         slow.elapsed
     );
 }
+
+/// A lease lapse costs a redelivery, not a deadlock. At TTL 8 s a
+/// calibrated group often outlasts the TTL less the 2 s renewal tick, so
+/// leases lapse and shards change hands mid-run; every holder drives a
+/// commit daemon of its own, so the run still finishes clean, with no
+/// double commit, no feed gap and no staged-feed sequence conflict.
+#[test]
+fn lapsed_leases_cost_redeliveries_not_a_hang() {
+    for seed in 0..3 {
+        let report = run_fleet(&FleetParams {
+            seed,
+            lease_ttl: Duration::from_secs(8),
+            poll_interval: Duration::from_secs(2),
+            ..FleetParams::default()
+        });
+        assert_eq!(report.violations(), Vec::<String>::new(), "seed {seed}");
+        assert!(
+            report.pool.losses > 0,
+            "seed {seed}: no lease lapsed: {:?}",
+            report.pool
+        );
+    }
+}
